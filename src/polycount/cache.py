@@ -51,36 +51,45 @@ def entry_payload(table: CountTable) -> dict:
 
 
 def save_entry(cache_dir: Path, table: CountTable) -> Path:
-    cache_dir.mkdir(parents=True, exist_ok=True)
     spec = table.spec
     path = entry_path(cache_dir, spec.k, spec.n, spec.m)
     data = json.dumps(entry_payload(table), sort_keys=True, indent=None)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise ParameterError(f"cannot write cache entry {path}: {exc}") from exc
     return path
 
 
 def load_entry(cache_dir: Path, k: int, n: int, m: int) -> CountTable | None:
-    """Load a full table, or None on miss/stale/partial entries."""
+    """Load a full table, or None on a miss or a stale, partial or corrupt entry."""
     path = entry_path(cache_dir, k, n, m)
     if not path.exists():
         return None
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # unreadable, not UTF-8, or not JSON
         return None
-    if data.get("version") != FORMAT_VERSION:
+    if not isinstance(data, dict) or data.get("version") != FORMAT_VERSION:
         return None
     if (data.get("k"), data.get("n"), data.get("m")) != (k, n, m):
         raise ParameterError(f"cache entry {path} does not match its key")
     spec = LatticeSpec(n=n, m=m, k=k)
-    counts = tuple(int(c) for c in data["counts"])
-    if len(counts) != spec.capacity + 1:
-        return None  # partial entry from an older truncated run
+    raw = data.get("counts")
+    if not isinstance(raw, list) or len(raw) != spec.capacity + 1:
+        return None  # partial entry from an older truncated run, or not a table
+    if not all(isinstance(c, str) and c.isascii() and c.isdigit() for c in raw):
+        return None
+    counts = tuple(int(c) for c in raw)
+    one_rod = n * max(0, m - k + 1) + m * max(0, n - k + 1)  # k-runs in rows and columns
+    if counts[0] != 1 or (len(counts) > 1 and counts[1] != one_rod):
+        return None
     return CountTable(spec=spec, counts=counts)

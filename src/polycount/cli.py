@@ -24,7 +24,6 @@ from .lattice import (
     count_polynomial,
 )
 from .recurrences import (
-    DiagonalSeed,
     extend_diagonal,
     seed_from_enumeration,
     verify_diagonal,
@@ -79,16 +78,14 @@ def _emit_report(report: Report, args, command: str, started: float) -> int:
             d = c.to_dict()
             params = " ".join(f"{k}={v}" for k, v in d["params"].items())
             line = f"{d['status']:4s} {d['name']} {params}"
-            if d["status"] == "FAIL":
+            if d["status"] in ("FAIL", "info"):
                 line += f" expected={d['expected']} actual={d['actual']}"
             elif d["actual"] not in ("ok", "") and len(d["actual"]) <= 48:
                 line += f" value={d['actual']}"
             print(line)
         summ = report.summary()
-        print(
-            f"# {summ['passed']} passed, {summ['failed']} failed, "
-            f"{summ['skipped']} skipped"
-        )
+        footer = f"# {summ['passed']} passed, {summ['failed']} failed, {summ['skipped']} skipped"
+        print(footer + (f", {summ['info']} info" if summ["info"] else ""))
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
@@ -155,15 +152,6 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _verify_strip(args, report_args) -> Report:
-    merged = Report(title="strip recurrence")
-    for n in args.n:
-        for sv in args.s:
-            sub = verify_strip(args.k, n, sv, args.m, state_cap=args.state_cap)
-            merged.checks.extend(sub.checks)
-    return merged
-
-
 def _diag_points(args) -> list[tuple[int, int]]:
     ms = args.m if args.m is not None else args.n
     return [(n, m) for n in args.n for m in ms]
@@ -172,21 +160,19 @@ def _diag_points(args) -> list[tuple[int, int]]:
 def cmd_verify(args) -> int:
     started = time.time()
     if args.target == "strip":
-        report = _verify_strip(args, args)
+        report = Report(title="strip recurrence").merge(*(
+            verify_strip(args.k, n, sv, args.m, state_cap=args.state_cap)
+            for n in args.n for sv in args.s))
     elif args.target == "diagonal":
-        report = Report(title="diagonal recurrence")
-        for sv in args.s:
-            sub = verify_diagonal(args.k, sv, _diag_points(args),
-                                  state_cap=args.state_cap,
-                                  enforce_range=not args.unsafe_range)
-            report.checks.extend(sub.checks)
+        report = Report(title="diagonal recurrence").merge(*(
+            verify_diagonal(args.k, sv, _diag_points(args), state_cap=args.state_cap,
+                            enforce_range=not args.unsafe_range)
+            for sv in args.s))
     elif args.target == "corollary":
-        report = Report(title="diagonal corollary")
-        for sv in args.s:
-            sub = verify_diagonal_corollary(args.k, sv, _diag_points(args),
-                                            state_cap=args.state_cap,
-                                            enforce_range=not args.unsafe_range)
-            report.checks.extend(sub.checks)
+        report = Report(title="diagonal corollary").merge(*(
+            verify_diagonal_corollary(args.k, sv, _diag_points(args), state_cap=args.state_cap,
+                                      enforce_range=not args.unsafe_range)
+            for sv in args.s))
     elif args.target == "weights":
         report = Report(title="weight grid")
         for sv in args.s:
@@ -209,13 +195,10 @@ def cmd_verify(args) -> int:
                 str(rhs_closed_form(sv, args.lam)),
                 str(total),
             )
-            sub = verify_rhs_column_sums(sv)
-            report.checks.extend(sub.checks)
+            report.merge(verify_rhs_column_sums(sv))
     elif args.target == "quadrants":
-        report = Report(title="quadrant lemmas")
-        for sv in args.s:
-            sub = verify_quadrant_lemmas(sv)
-            report.checks.extend(sub.checks)
+        report = Report(title="quadrant lemmas").merge(
+            *(verify_quadrant_lemmas(sv) for sv in args.s))
     elif args.target == "identities":
         report = identities.run_registry(args.filter)
     else:  # pragma: no cover - argparse restricts choices
@@ -226,20 +209,14 @@ def cmd_verify(args) -> int:
 def cmd_extend(args) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
     k, s = args.k, args.s
-    w = 2 * s
-    seed_counts = []
-    for off in range(w - 1, -1, -1):
-        n, m = args.anchor_n - off, args.anchor_m - off
+
+    def cached_count(n: int, m: int) -> int:
         table = load_entry(cache_dir, k, n, m)
         if table is not None:
-            seed_counts.append(table.count(s))
-        else:
-            seed_counts.append(
-                count_configurations(LatticeSpec(n=n, m=m, k=k), s,
-                                     state_cap=args.state_cap)
-            )
-    seed = DiagonalSeed(k=k, s=s, anchor_n=args.anchor_n, anchor_m=args.anchor_m,
-                        counts=tuple(seed_counts))
+            return table.count(s)
+        return count_configurations(LatticeSpec(n=n, m=m, k=k), s, state_cap=args.state_cap)
+
+    seed = seed_from_enumeration(k, s, args.anchor_n, args.anchor_m, count=cached_count)
     extended = extend_diagonal(seed, args.steps)
     residuals = window_residuals(seed, extended)
     crosschecked = []

@@ -36,6 +36,7 @@ from .symbolic import (
     Expr,
     PoleError,
     Sum,
+    _as_int,
     binom_expr as C,
     eval_term,
     fact_expr,
@@ -93,12 +94,6 @@ class CheckOutcome:
         return not self.failures and self.tested > 0
 
 
-def _int(v: Fraction) -> int:
-    if v.denominator != 1:
-        raise PoleError(f"expected integer bound, got {v}")
-    return v.numerator
-
-
 def _sum_range(summand: Expr, index: str, lo: int, hi: int, env: dict) -> Fraction:
     total = Fraction(0)
     e = dict(env)
@@ -111,8 +106,8 @@ def _sum_range(summand: Expr, index: str, lo: int, hi: int, env: dict) -> Fracti
 def _run_closed_form_sum(chk: IdentityCheck, out: CheckOutcome) -> None:
     for env in chk.grid():
         try:
-            lo = _int(eval_term(chk.lower, env))
-            hi = _int(eval_term(chk.upper, env))
+            lo = _as_int(eval_term(chk.lower, env), "sum bound")
+            hi = _as_int(eval_term(chk.upper, env), "sum bound")
             lhs = _sum_range(chk.summand, chk.index, lo, hi, env)
             rhs = eval_term(chk.rhs, env)
         except PoleError:
@@ -139,8 +134,8 @@ def _run_pointwise(chk: IdentityCheck, out: CheckOutcome) -> None:
 def _run_certificate(chk: IdentityCheck, out: CheckOutcome) -> None:
     gterm = chk.certificate * chk.summand
     for env in chk.grid():
-        lo = _int(eval_term(chk.lower, env))
-        hi = _int(eval_term(chk.upper, env))
+        lo = _as_int(eval_term(chk.lower, env), "sum bound")
+        hi = _as_int(eval_term(chk.upper, env), "sum bound")
         p0 = env[chk.param]
         for k in range(lo, hi + 1):
             e = {**env, chk.index: k}
@@ -174,8 +169,8 @@ def _run_certificate(chk: IdentityCheck, out: CheckOutcome) -> None:
 def _run_antidifference(chk: IdentityCheck, out: CheckOutcome) -> None:
     for env in chk.grid():
         try:
-            lo = _int(eval_term(chk.lower, env))
-            hi = _int(eval_term(chk.upper, env))
+            lo = _as_int(eval_term(chk.lower, env), "sum bound")
+            hi = _as_int(eval_term(chk.upper, env), "sum bound")
         except PoleError:
             out.skipped += 1
             continue
@@ -208,13 +203,13 @@ def _run_double_sum(chk: IdentityCheck, out: CheckOutcome) -> None:
     g1 = chk.certificate * chk.summand
     g2 = chk.gterm2 if chk.gterm2 is not None else chk.certificate2 * chk.summand
     for env in chk.grid():
-        lo1 = _int(eval_term(chk.lower, env))
-        hi1 = _int(eval_term(chk.upper, env))
+        lo1 = _as_int(eval_term(chk.lower, env), "sum bound")
+        hi1 = _as_int(eval_term(chk.upper, env), "sum bound")
         p0 = env[chk.param]
         for k1 in range(lo1, hi1 + 1):
             e1 = {**env, chk.index: k1}
-            lo2 = _int(eval_term(chk.lower2, e1))
-            hi2 = _int(eval_term(chk.upper2, e1))
+            lo2 = _as_int(eval_term(chk.lower2, e1), "sum bound")
+            hi2 = _as_int(eval_term(chk.upper2, e1), "sum bound")
             for k2 in range(lo2, hi2 + 1):
                 e = {**e1, chk.index2: k2}
                 try:
@@ -302,10 +297,6 @@ _X_SAMPLES = (Fraction(1, 3), Fraction(-1, 2), Fraction(3))
 _Z_SAMPLES = (Fraction(2), Fraction(1, 2), Fraction(-2, 3))
 
 
-def _grid(fn: Callable[[], Iterable[dict]]) -> GridFn:
-    return fn
-
-
 # -- the registry -------------------------------------------------------------
 
 def build_registry() -> dict[str, IdentityCheck]:
@@ -320,10 +311,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=C(a, j) * C(b, c - j),
         index="j", lower=Const(Fraction(0)), upper=a,
         rhs=C(a + b, c),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"a": av, "b": bv, "c": cv}
             for av in range(0, 7) for bv in range(0, 7) for cv in range(0, av + bv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="appendix-c/alternating-shifted",
@@ -332,10 +323,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(j) * C(n, j) * C(a + j, c),
         index="j", lower=Const(Fraction(0)), upper=n,
         rhs=SG(n) * C(a, c - n),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"n": nv, "a": av, "c": cv}
             for nv in range(0, 7) for av in range(-2, 7) for cv in range(0, 7)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="appendix-c/convolution-vanishing",
@@ -344,10 +335,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(jp) * C(s - t + jp, jp) * C(s, j - jp),
         index="jp", lower=Const(Fraction(0)), upper=j,
         rhs=SG(j) * C(j - t, j),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "t": tv, "j": jv}
             for sv in range(1, 7) for tv in range(-1, sv + 2) for jv in range(0, sv + 1)
-        ]),
+        ],
     ))
 
     # ---- stock antidifferences ----------------------------------------------
@@ -359,10 +350,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         antidifference=C(s + b + jp, jp - 1),
         index="jp", lower=Const(Fraction(0)), upper=u,
         closed_form=C(s + b + u + 1, u),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "b": bv, "u": uv}
             for sv in range(1, 6) for bv in range(-3, 4) for uv in range(0, sv + 3)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="appendix-d/alternating-binomial-antidifference",
@@ -372,9 +363,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         antidifference=SG(jp + 1) * C(s - 1, jp - 1),
         index="jp", lower=Const(Fraction(0)), upper=u,
         closed_form=SG(u) * C(s - 1, u),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "u": uv} for sv in range(1, 9) for uv in range(0, sv + 2)
-        ]),
+        ],
     ))
 
     # ---- boundary bookkeeping for double sums --------------------------------
@@ -394,9 +385,9 @@ def build_registry() -> dict[str, IdentityCheck]:
                         "equals its two single boundary sums",
             shape=shape,
             samples=samples,
-            grid=_grid(lambda: [
+            grid=lambda: [
                 {"vi": vi, "vj": vj} for vi in range(1, 7) for vj in range(1, 5)
-            ]),
+            ],
         ))
 
     # ---- generating-function product rule (row recursion, third part) --------
@@ -418,10 +409,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         antidifference=SG(i + t + 1) * C(2 * s, i + 1) * C(i, t - 1) * (1 / (1 - x) ** (s - t)),
         index="t", lower=Const(Fraction(0)), upper=i,
         closed_form=C(2 * s, i + 1) * (1 - x) ** (i + 1 - s),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "x": xv}
             for sv in range(1, 6) for iv in range(0, sv) for xv in _X_SAMPLES
-        ]),
+        ],
     ))
 
     # ---- bivariate generating function --------------------------------------
@@ -436,10 +427,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         coeffs=(-(2 * s - t - 1) * z, (z - 1) * (t + 1)),
         certificate=i - t,
         inhom=Const(Fraction(0)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "t": tv, "z": zv}
             for sv in range(1, 5) for tv in range(0, 2 * sv - 1) for zv in _Z_SAMPLES
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="double-gf/inner-coefficient-closed-form",
@@ -448,10 +439,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(i) * (2 * s - i) * C(2 * s, i) * C(i, t) * z**i,
         index="i", lower=Const(Fraction(0)), upper=2 * s,
         rhs=-2 * s * z**t * (z - 1) ** (2 * s - t - 1) * C(2 * s - 1, t),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "t": tv, "z": zv}
             for sv in range(1, 5) for tv in range(0, 2 * sv) for zv in _Z_SAMPLES
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="double-gf/outer-sum-recurrence",
@@ -467,10 +458,10 @@ def build_registry() -> dict[str, IdentityCheck]:
                     * (2 * x * z + 2 * z * s - 3 + 2 * z * s * x + z - 4 * s - z * x * t + t)
                     / ((2 * s + 2 - t) * (2 * s - t + 1)),
         inhom=None,
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "z": zv, "x": xv}
             for sv in range(1, 5) for zv in _Z_SAMPLES for xv in _X_SAMPLES
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="double-gf/outer-assembly",
@@ -480,10 +471,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(t) * z**t * (z - 1) ** (2 * s - t - 1) * C(2 * s, t) * (1 - x) ** (t - s),
         index="t", lower=Const(Fraction(0)), upper=2 * s,
         rhs=(x * z - 1) ** (2 * s) / ((1 - x) ** s * (z - 1)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "z": zv, "x": xv}
             for sv in range(1, 6) for zv in _Z_SAMPLES for xv in _X_SAMPLES
-        ]),
+        ],
     ))
 
     # ---- upper square, strict lower triangle ---------------------------------
@@ -494,9 +485,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=C(s, ip) * C(s, i - ip),
         index="ip", lower=Const(Fraction(0)), upper=i,
         rhs=C(2 * s, i),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 8) for iv in range(0, sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q1/alpha-reduction",
@@ -507,10 +498,10 @@ def build_registry() -> dict[str, IdentityCheck]:
             + SG(i) * Sum("ip", Const(Fraction(0)), i, C(s, ip) * C(s, i - ip)),
         rhs=SG(j) * Sum("jp", Const(Fraction(0)), i, C(s, jp) * C(s, j - jp))
             + SG(i) * C(2 * s, i),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 7) for iv in range(0, sv) for jv in range(iv + 1, sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q1/first-term-cancellation",
@@ -521,10 +512,10 @@ def build_registry() -> dict[str, IdentityCheck]:
                 SG(j - jp) * SG(jp + 1) * C(s, jp) * C(s, j - jp))
             + SG(j) * Sum("jp", Const(Fraction(0)), i, C(s, jp) * C(s, j - jp)),
         rhs=Const(Fraction(0)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 7) for iv in range(0, sv) for jv in range(iv + 1, sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q1/second-term-value",
@@ -533,10 +524,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(j - jp) * C(s + jp - i - 1, s) * C(s, j - jp),
         index="jp", lower=i + 1, upper=j,
         rhs=Const(Fraction(1)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 8) for iv in range(0, sv) for jv in range(iv + 1, sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q1/third-term-vanishes",
@@ -545,10 +536,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(jp) * C(s - t - 1 + jp, jp) * C(s, j - jp),
         index="jp", lower=Const(Fraction(0)), upper=j,
         rhs=Const(Fraction(0)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "t": tv, "j": jv}
             for sv in range(1, 7) for jv in range(1, sv + 1) for tv in range(0, jv)
-        ]),
+        ],
     ))
 
     # ---- lower square, strict upper triangle ---------------------------------
@@ -559,10 +550,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=C(s, ip) * C(s, i - ip),
         index="ip", lower=j - s, upper=s,
         rhs=C(2 * s, i),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 7) for jv in range(sv, 2 * sv + 1) for iv in range(jv, 2 * sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/second-term-sum-interior",
@@ -572,10 +563,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(jp) * C(i - jp - 1, s) * C(s, j - jp),
         index="jp", lower=Const(Fraction(0)), upper=i - 1,
         rhs=SG(s + j),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 7) for iv in range(sv + 1, 2 * sv + 1) for jv in range(sv, iv)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/second-term-sum-boundary",
@@ -584,11 +575,11 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(jp) * C(i - jp - 1, s) * C(s, j - jp),
         index="jp", lower=Const(Fraction(0)), upper=i - 1,
         rhs=Const(Fraction(0)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 7) for iv in range(sv + 1, 2 * sv + 1)
             for jv in range(iv, 2 * sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/second-term-recurrence",
@@ -601,11 +592,11 @@ def build_registry() -> dict[str, IdentityCheck]:
         coeffs=(i - j - 1, i - j - 1),
         certificate=(i - jp) * (-s + j - jp) / (j + 1 - jp),
         inhom=None,
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 6) for iv in range(sv + 1, 2 * sv + 1)
             for jv in range(sv, 2 * sv)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/inner-sum-recurrence",
@@ -622,11 +613,11 @@ def build_registry() -> dict[str, IdentityCheck]:
         ),
         certificate=t * (jp - s) * (2 * s - t) / (-2 * s + t + 1 + jp),
         inhom=Const(Fraction(0)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
             for sv in range(2, 6) for iv in range(sv + 1, 2 * sv + 1)
             for jpv in range(0, sv - 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/inner-sum-closed-form",
@@ -636,11 +627,11 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(t) / (2 * s - t) * C(2 * s - i, t) * C(2 * s - t - 1 - jp, s - jp),
         index="t", lower=Const(Fraction(0)), upper=2 * s - i,
         rhs=SG(s + i + jp) / i * C(s, jp) / C(2 * s, i),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
             for sv in range(1, 7) for iv in range(sv + 1, 2 * sv + 1)
             for jpv in range(max(0, iv - sv), sv + 1)
-        ]),
+        ],
     ))
     correction = Sum(
         "t", Const(Fraction(1)), s - jp,
@@ -652,11 +643,11 @@ def build_registry() -> dict[str, IdentityCheck]:
         description="the correction sum is empty of support once jp >= i-s",
         lhs=correction,
         rhs=Const(Fraction(0)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
             for sv in range(1, 7) for iv in range(sv + 1, 2 * sv + 1)
             for jpv in range(max(0, iv - sv), sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/inner-sum-with-correction",
@@ -666,11 +657,11 @@ def build_registry() -> dict[str, IdentityCheck]:
         lhs=Sum("t", Const(Fraction(0)), 2 * s - i,
                 SG(t) / (2 * s - t) * C(2 * s - i, t) * C(2 * s - t - 1 - jp, s - jp)),
         rhs=SG(s + i + jp) / i * C(s, jp) / C(2 * s, i) + correction,
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
             for sv in range(1, 7) for iv in range(sv + 1, 2 * sv + 1)
             for jpv in range(0, sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/correction-recurrence",
@@ -682,11 +673,11 @@ def build_registry() -> dict[str, IdentityCheck]:
         coeffs=(s - jp, jp + 1),
         certificate=(s + t - 1) * (jp - s) / (i - jp - 1),
         inhom=None,  # the summation range depends on jp; see correction-summed-step
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
             for sv in range(2, 7) for iv in range(sv + 1, 2 * sv + 1)
             for jpv in range(0, sv)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/correction-summed-step",
@@ -698,11 +689,11 @@ def build_registry() -> dict[str, IdentityCheck]:
                              SG(t + 1) / t * C(i - jp - 2, s + t - 1) * C(s, t - 1)
                              / C(s - jp - 1, t)),
         rhs=s * C(i - jp - 1, s) / (i - jp - 1),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
             for sv in range(2, 7) for iv in range(sv + 1, 2 * sv + 1)
             for jpv in range(0, sv)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/breakpoint-value",
@@ -712,9 +703,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(t) / (2 * s - t) * C(2 * s - i, t) * C(3 * s - t - i, 2 * s - i + 1),
         index="t", lower=Const(Fraction(0)), upper=2 * s - i,
         rhs=1 / (2 * s - i + 1) - C(s, i - s - 1) / (i * C(2 * s, i)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv} for sv in range(2, 8) for iv in range(sv + 1, 2 * sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/breakpoint-recurrence",
@@ -730,9 +721,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         ),
         certificate=-(i - 2 * s - 1) * s * (2 * s - t) * t / ((i - 2 * s) * (-3 * s + t + i)),
         inhom=None,
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv} for sv in range(2, 8) for iv in range(sv + 1, 2 * sv - 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/first-term-outer-sum",
@@ -743,11 +734,11 @@ def build_registry() -> dict[str, IdentityCheck]:
             * Sum("jp", Const(Fraction(0)), s,
                   SG(jp) * (SG(s + i + jp) / i * C(s, jp) / C(2 * s, i)) * C(s, j - jp)),
         rhs=SG(j) * C(2 * s, j),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 7) for iv in range(sv + 1, 2 * sv + 1)
             for jv in range(sv, 2 * sv + 1)
-        ]),
+        ],
     ))
 
     # the residual double sum and its recurrence
@@ -774,11 +765,11 @@ def build_registry() -> dict[str, IdentityCheck]:
                     "above the diagonal of the lower square",
         lhs=residual,
         rhs=SG(j + 1) * C(2 * s, j),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "j": jv, "i": iv}
             for sv in range(1, 6) for jv in range(sv, 2 * sv + 1)
             for iv in range(jv + 1, 2 * sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/double-sum-diagonal-vanishes",
@@ -786,10 +777,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         description="the residual double sum vanishes on the diagonal",
         lhs=residual,
         rhs=Const(Fraction(0)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "j": iv, "i": iv}
             for sv in range(1, 7) for iv in range(sv, 2 * sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/double-sum-recurrence",
@@ -806,11 +797,11 @@ def build_registry() -> dict[str, IdentityCheck]:
         certificate2=(s - jp - t + 1) * (s + t - 1) / (i * (-jp + i + 1 - s - t)),
         gterm2=SG(i + t + jp) * (s + t - 1) / (i + 1 - s - t - jp) * C(2 * s, i)
                * C(i - jp - 1, s + t - 1) * C(s, t - 1) * C(s, j - jp) / C(s - jp, t - 1),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(2, 6) for jv in range(sv, 2 * sv + 1)
             for iv in range(sv, 2 * sv)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/double-sum-step-offdiagonal",
@@ -819,11 +810,11 @@ def build_registry() -> dict[str, IdentityCheck]:
                     "strictly above the diagonal",
         lhs=_residual_shift(1) - residual,
         rhs=Const(Fraction(0)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "j": jv, "i": iv}
             for sv in range(1, 6) for jv in range(sv, 2 * sv)
             for iv in range(jv + 1, 2 * sv)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/double-sum-step-diagonal",
@@ -832,10 +823,10 @@ def build_registry() -> dict[str, IdentityCheck]:
                     "produces (-1)^(j+1) C(2s,i)",
         lhs=_residual_shift(1) - residual,
         rhs=SG(j + 1) * C(2 * s, i),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "j": iv, "i": iv}
             for sv in range(1, 7) for iv in range(sv, 2 * sv)
-        ]),
+        ],
     ))
     gt_boundary = SG(i + jp + 1) * C(2 * s, i) * C(i - jp - 1, s - 1) * C(s, j - jp)
     add(IdentityCheck(
@@ -846,12 +837,12 @@ def build_registry() -> dict[str, IdentityCheck]:
         lhs=SG(i + 1 + jp) * s / (i - s - jp) * C(2 * s, i)
             * C(i - jp - 1, s) * C(s, j - jp),
         rhs=gt_boundary,
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv, "jp": jpv}
             for sv in range(2, 6) for iv in range(sv, 2 * sv)
             for jv in range(sv, 2 * sv + 1) for jpv in range(0, sv)
             if iv - sv - jpv != 0
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/inhom-antidifference",
@@ -862,11 +853,11 @@ def build_registry() -> dict[str, IdentityCheck]:
         antidifference=SG(i + jp) * C(2 * s, i) * C(i - jp, i - j) * C(i - j - 1, i - s - jp),
         index="jp", lower=Const(Fraction(0)), upper=s,
         closed_form=Const(Fraction(0)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "j": jv, "i": iv}
             for sv in range(1, 7) for jv in range(sv, 2 * sv + 1)
             for iv in range(jv + 1, 2 * sv + 1)
-        ]),
+        ],
     ))
     gt_diag = SG(i + jp + 1) * C(2 * s, i) * C(i - jp - 1, s - 1) * C(s, i - jp)
     gt_diag_next = SG(i + 1 + jp + 1) * C(2 * s, i + 1) * C(i - jp, s - 1) * C(s, i + 1 - jp)
@@ -881,9 +872,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         lhs=(i - 2 * s) * Sum("jp", Const(Fraction(0)), s - 1, gt_diag)
             + (i + 1) * Sum("jp", Const(Fraction(0)), s - 1, gt_diag_next),
         rhs=Const(Fraction(0)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 8) for iv in range(sv, 2 * sv - 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/inhom-diagonal-value",
@@ -893,9 +884,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=gt_diag,
         index="jp", lower=Const(Fraction(0)), upper=s - 1,
         rhs=SG(s + 1) * C(2 * s, i),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 8) for iv in range(sv, 2 * sv)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/top-row-antidifference",
@@ -908,10 +899,10 @@ def build_registry() -> dict[str, IdentityCheck]:
                        * C(s, t - 1) * C(s, j - jp) / C(s - jp, t),
         index="t", lower=Const(Fraction(1)), upper=s - jp,
         closed_form=None,
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "j": jv, "jp": jpv}
             for sv in range(1, 7) for jv in range(sv, 2 * sv + 1) for jpv in range(0, sv)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/top-row-inner-value",
@@ -923,10 +914,10 @@ def build_registry() -> dict[str, IdentityCheck]:
                 * C(s, t - 1) * C(s, j - jp) / C(s - jp, t)),
         rhs=SG(j + 1) * C(s, jp) * C(s, j - jp)
             + SG(s + jp + j) * C(s, j - jp) * C(2 * s - 1 - jp, s - 1),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "j": jv, "jp": jpv}
             for sv in range(1, 7) for jv in range(sv, 2 * sv + 1) for jpv in range(0, sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q3/top-row-second-piece-antidifference",
@@ -937,9 +928,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         antidifference=SG(s + jp + j) * s / (j - 2 * s) * C(2 * s - jp, s) * C(s - 1, j - jp),
         index="jp", lower=Const(Fraction(0)), upper=s,
         closed_form=Const(Fraction(0)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "j": jv} for sv in range(1, 8) for jv in range(sv, 2 * sv)
-        ]),
+        ],
     ))
 
     # ---- mixed quadrant (upper-right) ----------------------------------------
@@ -953,10 +944,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         rhs=SG(i + jp) / (2 * s - i) * C(s, jp) / C(2 * s, i)
             + Sum("t", Const(Fraction(1)), jp,
                   SG(t + 1) / t * C(s, t - 1) * C(s + jp - i - 1, s + t - 1) / C(jp, t)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
             for sv in range(1, 7) for iv in range(0, sv + 1) for jpv in range(0, sv + 1)
-        ]),
+        ],
     ))
     beta3v_raw = SG(i + j + 1) * (2 * s - i) * C(2 * s, i) * Sum(
         "jp", Const(Fraction(0)), s,
@@ -985,10 +976,10 @@ def build_registry() -> dict[str, IdentityCheck]:
                     "with the extracted (-1)^(j+1) C(2s,j)",
         lhs=beta3v_raw,
         rhs=SG(j + 1) * C(2 * s, j) + SG(i + j) * (2 * s - i) * C(2 * s, i) * beta3v_ds,
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 6) for iv in range(0, sv + 1) for jv in range(sv, 2 * sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q4/beta2h-recurrence",
@@ -1001,10 +992,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         coeffs=(-i - 1 + j, i - j + 1),
         certificate=(j - ip) * (-s + i - ip) / (i + 1 - ip),
         inhom=None,
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(2, 6) for iv in range(0, sv) for jv in range(sv + 1, 2 * sv + 1)
-        ]),
+        ],
     ))
     beta2h = Sum("ip", Const(Fraction(0)), s,
                  SG(s + i + j + ip) * C(2 * s, j) * C(j - ip - 1, s) * C(s, i - ip))
@@ -1018,10 +1009,10 @@ def build_registry() -> dict[str, IdentityCheck]:
                     "(-1)^(i+j+s+1) C(2s,i+1) C(2s-i-1,j-i-1) C(j-i-2,j-s-1)",
         lhs=beta2h_next - beta2h,
         rhs=SG(i + j + s + 1) * step_rhs,
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 7) for iv in range(0, sv) for jv in range(sv + 1, 2 * sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q4/beta3v-step",
@@ -1031,10 +1022,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         lhs=SG(i + 1 + j) * (2 * s - i - 1) * C(2 * s, i + 1) * _beta3v_ds_shift(1)
             - SG(i + j) * (2 * s - i) * C(2 * s, i) * beta3v_ds,
         rhs=SG(i + j + s) * step_rhs,
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 7) for iv in range(0, sv) for jv in range(sv + 1, 2 * sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q4/beta3v-recurrence",
@@ -1052,10 +1043,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         gterm2=-SG(i + j + jp + t) * (s + t - 1) * (2 * s - i)
                / ((i + 1 - s - jp) * (i + 1)) * C(2 * s, i) * C(s, t - 1)
                * C(s + jp - i - 1, s + t - 1) * C(s, j - jp) / C(jp, t - 1),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(2, 6) for iv in range(0, sv) for jv in range(sv + 1, 2 * sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q4/step-inner-antidifference",
@@ -1069,10 +1060,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         index="jp", lower=Const(Fraction(1)), upper=s,
         closed_form=SG(i + j + s) * C(2 * s, i + 1) * C(2 * s - i - 1, j - i - 1)
                     * C(j - i - 2, j - s - 1),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(2, 7) for iv in range(0, sv) for jv in range(sv + 1, 2 * sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q4/initial-value-second-horizontal",
@@ -1082,9 +1073,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         lhs=Sum("ip", Const(Fraction(0)), s,
                 SG(s + j + ip) * C(2 * s, j) * C(j - ip - 1, s) * C(s, -ip)),
         rhs=SG(s + j) * C(2 * s, j) * C(j - 1, s),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "j": jv} for sv in range(1, 8) for jv in range(sv + 1, 2 * sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="q4/initial-value-third-vertical",
@@ -1093,9 +1084,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(jp) * C(s - 1 + jp, jp) * C(s, j - jp),
         index="jp", lower=Const(Fraction(0)), upper=s,
         rhs=SG(s) * C(2 * s, j) * C(j - 1, s),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "j": jv} for sv in range(1, 8) for jv in range(sv, 2 * sv + 1)
-        ]),
+        ],
     ))
 
     # ---- right-hand-side bookkeeping -----------------------------------------
@@ -1106,9 +1097,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(jp) * C(s, jp),
         index="jp", lower=Const(Fraction(0)), upper=i,
         rhs=SG(i) * C(s - 1, i),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="rhs/alternating-partial-sum-upper",
@@ -1117,9 +1108,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(jp) * C(s, jp),
         index="jp", lower=i - s, upper=s,
         rhs=SG(s + i) * C(s - 1, 2 * s - i),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(sv + 1, 2 * sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="rhs/stirling-t0",
@@ -1128,7 +1119,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(i + s) * i ** (s + 1) * C(s, i),
         index="i", lower=Const(Fraction(0)), upper=s,
         rhs=s * fact_expr(s + 1) / 2,
-        grid=_grid(lambda: [{"s": sv} for sv in range(1, 11)]),
+        grid=lambda: [{"s": sv} for sv in range(1, 11)],
     ))
     add(IdentityCheck(
         name="rhs/stirling-t1",
@@ -1137,7 +1128,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(i + s) * i**s * C(s, i),
         index="i", lower=Const(Fraction(0)), upper=s,
         rhs=fact_expr(s),
-        grid=_grid(lambda: [{"s": sv} for sv in range(1, 11)]),
+        grid=lambda: [{"s": sv} for sv in range(1, 11)],
     ))
     add(IdentityCheck(
         name="rhs/stirling-higher",
@@ -1146,9 +1137,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(i + s) * i ** (s + 1 - t) * C(s, i),
         index="i", lower=Const(Fraction(0)), upper=s,
         rhs=Const(Fraction(0)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "t": tv} for sv in range(2, 11) for tv in range(2, sv + 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="rhs/second-term-column",
@@ -1157,9 +1148,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=C(s + jp - i - 1, s),
         index="jp", lower=i + 1, upper=s,
         rhs=C(2 * s - i, s + 1),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="rhs/third-term-column",
@@ -1172,9 +1163,9 @@ def build_registry() -> dict[str, IdentityCheck]:
                       SG(t) / (2 * s - t) * C(i, t) * C(s - t - 1 + jp, jp))),
         rhs=SG(i) * (2 * s - i) / s * C(2 * s, i) * C(2 * s - i - 1, s)
             * (1 - 1 / (2 * C(2 * s - 1, s))),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 8) for iv in range(0, sv)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="rhs/h3-first-sum",
@@ -1183,9 +1174,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(t) / (2 * s - t) * C(i, t) * C(2 * s - t, s - t),
         index="t", lower=Const(Fraction(0)), upper=i,
         rhs=C(2 * s - i - 1, s) / s,
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="rhs/h3-second-sum",
@@ -1195,9 +1186,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(t) / (2 * s - t) * C(i, t) * C(s - t + i, s - t),
         index="t", lower=Const(Fraction(0)), upper=i,
         rhs=C(2 * s - i - 1, s) / (2 * s * C(2 * s - 1, s)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="rhs/h3-first-sum-recurrence",
@@ -1210,9 +1201,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         coeffs=(s - i - 1, i - 2 * s + 1),
         certificate=t * (2 * s - t) / (i - t + 1),
         inhom=Const(Fraction(0)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv - 1)
-        ]),
+        ],
     ))
     add(IdentityCheck(
         name="rhs/h3-second-sum-recurrence",
@@ -1225,9 +1216,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         coeffs=(-(i + 1) * (i - s + 1), (i + 1) * (i - 2 * s + 1)),
         certificate=t * (2 * s - t) * (s - t + i + 1) / (i - t + 1),
         inhom=Const(Fraction(0)),
-        grid=_grid(lambda: [
+        grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv - 1)
-        ]),
+        ],
     ))
 
     registry = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ParameterError
 from .lattice import DEFAULT_STATE_CAP, LatticeSpec, count_configurations
@@ -44,6 +44,51 @@ def _a(n: int, m: int, k: int, s: int, state_cap: int) -> int:
     return count_configurations(LatticeSpec(n, m, k), s, state_cap=state_cap)
 
 
+def _alternating_sum(terms: Sequence[int]) -> int:
+    """sum_i (-1)**i C(w, i) terms[i] over a window of w + 1 terms."""
+    w = len(terms) - 1
+    return sum((-1) ** i * math.comb(w, i) * t for i, t in enumerate(terms))
+
+
+def _verify_windows(
+    title: str,
+    name: str,
+    k: int,
+    s: int,
+    points: Iterable[tuple[int, int]],
+    *,
+    dn: int,
+    width: int,
+    rhs: int,
+    bound: tuple[int, int],
+    enforce_range: bool,
+    state_cap: int,
+) -> Report:
+    """Check the window a(n - i*dn, m - i), i = 0..width, against rhs at each point.
+
+    A point below bound = (n_min, m_min) raises unless enforce_range is off;
+    its residual is then recorded with status info, never asserted.
+    """
+    report = Report(title=title)
+    for n, m in points:
+        in_range = n >= bound[0] and m >= bound[1]
+        if not in_range and enforce_range:
+            raise ParameterError(
+                f"{name} window asserted only for n >= {bound[0]}, m >= {bound[1]}; "
+                f"got ({n},{m})"
+            )
+        if n - width * dn < 1 or m - width < 1:
+            raise ParameterError(
+                f"{name} window of {width + 1} counts below ({n},{m}) leaves the lattice"
+            )
+        lhs = _alternating_sum([_a(n - i * dn, m - i, k, s, state_cap) for i in range(width + 1)])
+        params = {"k": k, "n": n, "m": m, "s": s}
+        if dn:  # only diagonal windows may be reported outside their range
+            params["in_range"] = in_range
+        report.record(name, params, rhs, lhs).info = not in_range
+    return report
+
+
 def verify_strip(
     k: int,
     n: int,
@@ -51,22 +96,16 @@ def verify_strip(
     m_range: Iterable[int],
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> Report:
-    """Check sum_i (-1)**i C(s,i) a(n, m-i, s) == (2n-k+1)**s for each m."""
+    """Check sum_i (-1)**i C(s,i) a(n, m-i, s) == (2n-k+1)**s for each m >= k*s."""
     if n < k:
         raise ParameterError(f"strip recurrence needs n >= k, got n={n}, k={k}")
     if s < 0:
         raise ParameterError(f"s must be >= 0, got {s}")
-    rhs = StripConstant(n, k).value ** s
-    report = Report(title=f"strip recurrence k={k} n={n} s={s}")
-    for m in m_range:
-        if m < k * s:
-            raise ParameterError(f"strip recurrence needs m >= k*s, got m={m} < {k * s}")
-        lhs = sum(
-            (-1) ** i * math.comb(s, i) * _a(n, m - i, k, s, state_cap)
-            for i in range(s + 1)
-        )
-        report.record("strip", {"k": k, "n": n, "m": m, "s": s}, rhs, lhs)
-    return report
+    return _verify_windows(
+        f"strip recurrence k={k} n={n} s={s}", "strip", k, s, [(n, m) for m in m_range],
+        dn=0, width=s, rhs=StripConstant(n, k).value ** s, bound=(k, k * s),
+        enforce_range=True, state_cap=state_cap,
+    )
 
 
 def verify_diagonal(
@@ -84,30 +123,12 @@ def verify_diagonal(
     """
     if s < 1:
         raise ParameterError(f"diagonal recurrence needs s >= 1, got {s}")
-    rhs = diagonal_rhs(s)
     bound = (k + 1) * s
-    report = Report(title=f"diagonal recurrence k={k} s={s}")
-    for n, m in points:
-        in_range = n >= bound and m >= bound
-        if not in_range and enforce_range:
-            raise ParameterError(
-                f"diagonal recurrence asserted only for n,m >= {bound}; "
-                f"got ({n},{m}); pass enforce_range=False to report anyway"
-            )
-        if min(n, m) - 2 * s < 1:
-            raise ParameterError(
-                f"window below ({n},{m}) leaves the lattice (needs n,m > {2 * s})"
-            )
-        lhs = sum(
-            (-1) ** i * math.comb(2 * s, i) * _a(n - i, m - i, k, s, state_cap)
-            for i in range(2 * s + 1)
-        )
-        rec = report.record(
-            "diagonal", {"k": k, "n": n, "m": m, "s": s, "in_range": in_range}, rhs, lhs
-        )
-        if not in_range:
-            rec.passed = True  # informational only below the proven bound
-    return report
+    return _verify_windows(
+        f"diagonal recurrence k={k} s={s}", "diagonal", k, s, points,
+        dn=1, width=2 * s, rhs=diagonal_rhs(s), bound=(bound, bound),
+        enforce_range=enforce_range, state_cap=state_cap,
+    )
 
 
 def verify_diagonal_corollary(
@@ -117,31 +138,15 @@ def verify_diagonal_corollary(
     state_cap: int = DEFAULT_STATE_CAP,
     enforce_range: bool = True,
 ) -> Report:
-    """Check the (2s+2)-term alternating diagonal sum vanishes."""
+    """Check the (2s+2)-term alternating diagonal sum vanishes for n, m > (k+1)s."""
     if s < 1:
         raise ParameterError(f"diagonal corollary needs s >= 1, got {s}")
     bound = (k + 1) * s + 1
-    report = Report(title=f"diagonal corollary k={k} s={s}")
-    for n, m in points:
-        in_range = n >= bound and m >= bound
-        if not in_range and enforce_range:
-            raise ParameterError(
-                f"diagonal corollary asserted only for n,m >= {bound}; got ({n},{m})"
-            )
-        if min(n, m) - (2 * s + 1) < 1:
-            raise ParameterError(
-                f"window below ({n},{m}) leaves the lattice (needs n,m > {2 * s + 1})"
-            )
-        lhs = sum(
-            (-1) ** i * math.comb(2 * s + 1, i) * _a(n - i, m - i, k, s, state_cap)
-            for i in range(2 * s + 2)
-        )
-        rec = report.record(
-            "corollary", {"k": k, "n": n, "m": m, "s": s, "in_range": in_range}, 0, lhs
-        )
-        if not in_range:
-            rec.passed = True
-    return report
+    return _verify_windows(
+        f"diagonal corollary k={k} s={s}", "corollary", k, s, points,
+        dn=1, width=2 * s + 1, rhs=0, bound=(bound, bound),
+        enforce_range=enforce_range, state_cap=state_cap,
+    )
 
 
 @dataclass(frozen=True)
@@ -182,13 +187,17 @@ def seed_from_enumeration(
     anchor_n: int,
     anchor_m: int,
     state_cap: int = DEFAULT_STATE_CAP,
+    count: Callable[[int, int], int] | None = None,
 ) -> DiagonalSeed:
-    """Build a seed by direct enumeration of the 2s window ending at the anchor."""
+    """Build a seed from the 2s diagonal counts ending at the anchor.
+
+    count(n, m) supplies a(n, m, k, s); by default it is direct enumeration.
+    """
+    if count is None:
+        def count(n: int, m: int) -> int:
+            return _a(n, m, k, s, state_cap)
     w = 2 * s
-    counts = tuple(
-        _a(anchor_n - (w - 1) + t, anchor_m - (w - 1) + t, k, s, state_cap)
-        for t in range(w)
-    )
+    counts = tuple(count(anchor_n - (w - 1) + t, anchor_m - (w - 1) + t) for t in range(w))
     return DiagonalSeed(k=k, s=s, anchor_n=anchor_n, anchor_m=anchor_m, counts=counts)
 
 
@@ -200,14 +209,11 @@ def extend_diagonal(seed: DiagonalSeed, steps: int) -> list[int]:
     """
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
-    s = seed.s
-    rhs = diagonal_rhs(s)
+    rhs = diagonal_rhs(seed.s)
     window = list(seed.counts)  # ascending, ends at the anchor
     out: list[int] = []
     for _ in range(steps):
-        nxt = rhs - sum(
-            (-1) ** i * math.comb(2 * s, i) * window[2 * s - i] for i in range(1, 2 * s + 1)
-        )
+        nxt = rhs - _alternating_sum([0, *reversed(window)])  # unknown leading term as 0
         out.append(nxt)
         window.append(nxt)
         window.pop(0)
@@ -216,12 +222,9 @@ def extend_diagonal(seed: DiagonalSeed, steps: int) -> list[int]:
 
 def window_residuals(seed: DiagonalSeed, extended: Sequence[int]) -> list[int]:
     """Residuals of every full recurrence window over seed + extended values."""
-    s = seed.s
+    w = 2 * seed.s
     values = list(seed.counts) + list(extended)
-    res = []
-    for t in range(2 * s, len(values)):
-        lhs = sum(
-            (-1) ** i * math.comb(2 * s, i) * values[t - i] for i in range(2 * s + 1)
-        )
-        res.append(lhs - diagonal_rhs(s))
-    return res
+    return [
+        _alternating_sum(values[t - w : t + 1][::-1]) - diagonal_rhs(seed.s)
+        for t in range(w, len(values))
+    ]

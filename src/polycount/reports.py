@@ -14,6 +14,15 @@ class CheckRecord:
     actual: str
     passed: bool
     skipped: bool = False
+    info: bool = False  # reported outside the proven range, never asserted
+
+    @property
+    def status(self) -> str:
+        if self.skipped:
+            return "skip"
+        if self.info:
+            return "info"
+        return "pass" if self.passed else "FAIL"
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -21,7 +30,7 @@ class CheckRecord:
             "params": self.params,
             "expected": self.expected,
             "actual": self.actual,
-            "status": "skip" if self.skipped else ("pass" if self.passed else "FAIL"),
+            "status": self.status,
         }
 
 
@@ -49,21 +58,28 @@ class Report:
         self.checks.append(rec)
         return rec
 
+    def merge(self, *reports: Report) -> Report:
+        """Append the checks of each report in turn; returns self."""
+        for other in reports:
+            self.checks.extend(other.checks)
+        return self
+
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return not self.failures
 
     @property
     def failures(self) -> list[CheckRecord]:
-        return [c for c in self.checks if not c.passed]
+        return [c for c in self.checks if c.status == "FAIL"]
 
     def summary(self) -> dict[str, int]:
-        ran = [c for c in self.checks if not c.skipped]
+        statuses = [c.status for c in self.checks]
         return {
-            "total": len(self.checks),
-            "passed": sum(1 for c in ran if c.passed),
-            "failed": len(self.failures),
-            "skipped": sum(1 for c in self.checks if c.skipped),
+            "total": len(statuses),
+            "passed": statuses.count("pass"),
+            "failed": statuses.count("FAIL"),
+            "skipped": statuses.count("skip"),
+            "info": statuses.count("info"),
         }
 
     def to_dict(self) -> dict[str, Any]:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
+from .exact import fbinom
+
 Number = Union[int, Fraction]
 
 
@@ -175,12 +177,7 @@ def eval_term(expr: Expr, env: Mapping[str, Number]) -> Fraction:
     if isinstance(expr, Binom):
         a = _as_int(eval_term(expr.upper, env), "binomial upper index")
         b = _as_int(eval_term(expr.lower, env), "binomial lower index")
-        if b < 0:
-            return Fraction(0)
-        num = 1
-        for t in range(b):
-            num *= a - t
-        return Fraction(num, math.factorial(b))
+        return fbinom(a, b)
     if isinstance(expr, Fact):
         a = _as_int(eval_term(expr.arg, env), "factorial argument")
         if a < 0:

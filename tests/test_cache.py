@@ -45,6 +45,27 @@ def test_miss_and_partial(tmp_path):
     assert load_entry(tmp_path, 2, 4, 4) is None
 
 
+@pytest.mark.parametrize("counts", [
+    ["1", "4"],  # wrong length
+    ["1", "4", 2],  # not a string
+    ["1", "4", "-2"],  # not a decimal
+    ["2", "4", "2"],  # counts[0] must be 1
+    ["1", "5", "2"],  # counts[1] must be the one-rod count
+])
+def test_corrupt_entry_is_miss(tmp_path, counts):
+    path = entry_path(tmp_path, 2, 2, 2)
+    path.write_text(json.dumps({"version": 1, "k": 2, "n": 2, "m": 2, "counts": counts}))
+    assert load_entry(tmp_path, 2, 2, 2) is None
+
+
+def test_one_rod_check_clamps_short_sides(tmp_path):
+    # a 1x4 strip holds no vertical 3-rod, so a(1, 4, 3, 1) = 2
+    for spec in (LatticeSpec(1, 4, 3), LatticeSpec(2, 2, 3), LatticeSpec(1, 1, 2)):
+        table = count_polynomial(spec)
+        save_entry(tmp_path, table)
+        assert load_entry(tmp_path, spec.k, spec.n, spec.m) == table
+
+
 def test_key_mismatch(tmp_path):
     table = count_polynomial(LatticeSpec(2, 3, 2))
     path = entry_path(tmp_path, 2, 9, 9)

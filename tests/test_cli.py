@@ -107,6 +107,15 @@ def test_verify_unsafe_range(capsys):
     assert "in_range=False" in out
 
 
+def test_verify_unsafe_range_reports_info(capsys):
+    code, out, _ = run_cli(capsys, "verify", "diagonal", "--k", "2", "--s", "2",
+                           "--n", "5", "--m", "6", "--unsafe-range")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("info diagonal") and "expected=48 actual=46" in lines[0]
+    assert lines[-1] == "# 0 passed, 0 failed, 0 skipped, 1 info"
+
+
 def test_report_determinism(capsys):
     argv = ["verify", "diagonal", "--k", "2", "--s", "1", "--n", "3..6",
             "--format", "json"]
@@ -138,6 +147,48 @@ def test_extend_no_crosscheck(capsys):
     data = json.loads(out)
     assert data["extended"] == ["23492", "33992"]
     assert data["residuals"] == [0, 0]
+
+
+def test_extend_seeded_from_cache(capsys, tmp_path, monkeypatch):
+    cache_dir = tmp_path / "seeded"
+    assert main(["table", "--k", "2", "--n-max", "6", "--m-max", "7",
+                 "--cache-dir", str(cache_dir), "--out", str(tmp_path / "t.csv")]) == 0
+    argv = ["extend", "--k", "2", "--s", "1", "--anchor-n", "6", "--anchor-m", "7",
+            "--steps", "4", "--no-crosscheck", "--format", "json", "--cache-dir"]
+    _, empty, _ = run_cli(capsys, *argv, str(tmp_path / "empty"))
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("seed should come from the cache")
+
+    monkeypatch.setattr("polycount.cli.count_configurations", no_enumeration)
+    code, cached, _ = run_cli(capsys, *argv, str(cache_dir))
+    assert code == 0
+    assert json.loads(cached) == json.loads(empty)
+    assert json.loads(cached)["extended"] == ["97", "127", "161", "199"]
+
+
+@pytest.mark.parametrize("payload", [
+    [1],
+    {"version": 1, "k": 2, "n": 5, "m": 5, "counts": ["x"]},
+])
+def test_extend_treats_corrupt_cache_entry_as_miss(capsys, tmp_path, payload):
+    from polycount.cache import entry_path
+
+    cache_dir = tmp_path / "corrupt"
+    cache_dir.mkdir()
+    entry_path(cache_dir, 2, 5, 5).write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "extend", "--k", "2", "--s", "1", "--anchor-n", "6",
+                           "--anchor-m", "6", "--steps", "3", "--cache-dir", str(cache_dir))
+    assert code == 0
+    assert [line.split(" = ")[1] for line in out.strip().splitlines()] == ["84", "112", "144"]
+
+
+def test_table_cache_dir_is_a_file(capsys, tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    code, _, err = run_cli(capsys, "table", "--k", "2", "--n-max", "2", "--m-max", "2",
+                           "--cache-dir", str(not_a_dir))
+    assert code == 2 and "cache" in err
 
 
 def test_table_csv_and_idempotence(capsys, tmp_path):

@@ -71,6 +71,38 @@ def test_diagonal_range_enforcement():
         verify_diagonal(2, 1, [(2, 5)], enforce_range=False)
 
 
+STRIP_KEYS = ["k", "n", "m", "s"]
+DIAG_KEYS = STRIP_KEYS + ["in_range"]
+
+
+@pytest.mark.parametrize("report, name, keys, rows", [
+    (lambda: verify_strip(2, 3, 1, range(2, 5)), "strip", STRIP_KEYS,
+     [("5", "5", "pass")] * 3),
+    (lambda: verify_strip(3, 3, 2, [6, 7]), "strip", STRIP_KEYS,
+     [("16", "16", "pass")] * 2),
+    (lambda: verify_diagonal(2, 1, [(3, 3), (3, 5)]), "diagonal", DIAG_KEYS,
+     [("4", "4", "pass")] * 2),
+    (lambda: verify_diagonal(2, 2, [(5, 6), (6, 6)], enforce_range=False), "diagonal",
+     DIAG_KEYS, [("48", "46", "info"), ("48", "48", "pass")]),
+    (lambda: verify_diagonal_corollary(3, 1, [(5, 5), (4, 6)], enforce_range=False),
+     "corollary", DIAG_KEYS, [("0", "0", "pass"), ("0", "-3", "info")]),
+], ids=["strip-k2", "strip-k3", "diagonal", "diagonal-unsafe", "corollary-unsafe"])
+def test_window_records(report, name, keys, rows):
+    records = [c.to_dict() for c in report().checks]
+    assert [(d["expected"], d["actual"], d["status"]) for d in records] == rows
+    assert {d["name"] for d in records} == {name}
+    assert all(list(d["params"]) == keys for d in records)
+
+
+def test_out_of_range_window_is_info():
+    r = verify_diagonal(2, 2, [(5, 6)], enforce_range=False)
+    rec = r.checks[0].to_dict()
+    assert rec["status"] == "info"
+    assert (rec["expected"], rec["actual"]) == ("48", "46")
+    assert r.summary() == {"total": 1, "passed": 0, "failed": 0, "skipped": 0, "info": 1}
+    assert r.ok and not r.failures  # reported, never asserted
+
+
 def test_corollary():
     r = verify_diagonal_corollary(2, 1, [(n, n) for n in range(4, 9)])
     assert r.ok
