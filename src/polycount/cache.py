@@ -80,7 +80,10 @@ def load_entry(cache_dir: Path, k: int, n: int, m: int) -> CountTable | None:
         return None
     if not isinstance(data, dict) or data.get("version") != FORMAT_VERSION:
         return None
-    if (data.get("k"), data.get("n"), data.get("m")) != (k, n, m):
+    key = (data.get("k"), data.get("n"), data.get("m"))
+    if any(type(v) is not int for v in key):
+        return None  # no key to compare: corrupt, not someone else's entry
+    if key != (k, n, m):
         raise ParameterError(f"cache entry {path} does not match its key")
     spec = LatticeSpec(n=n, m=m, k=k)
     raw = data.get("counts")

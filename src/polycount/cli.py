@@ -145,8 +145,11 @@ def cmd_table(args) -> int:
         payload = json.dumps([entry_payload(t) for t in entries], sort_keys=True,
                              indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ParameterError(f"cannot write --out {args.out}: {exc}") from exc
     else:
         sys.stdout.write(payload)
     return EXIT_OK

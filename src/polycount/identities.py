@@ -2,25 +2,35 @@
 antidifferences used by the cancellation proofs.
 
 Each entry is a named, self-contained check over a grid of integer (or
-rational) assignments, evaluated in exact arithmetic:
+rational) assignments, evaluated in exact arithmetic.  Six kinds share three
+runners:
 
-* ``closed-form-sum``: a finite sum equals a closed form.
-* ``pointwise``: two expressions agree at every grid point.
-* ``certificate-recurrence``: a summand F satisfies
-  sum_d b_d(p) F(p+d, k) = G(p, k+1) - G(p, k) with G = R*F; when the
-  summation range is fixed under the parameter shift, the telescoped sum
-  relation is re-derived and compared against a declared inhomogeneous term.
-* ``antidifference``: z(k+1) - z(k) = t(k) pointwise, plus an optional
-  closed form for the definite sum.
-* ``double-sum-recurrence``: the two-index analogue, with one certificate
-  per summation index.
-* ``boundary-lemma``: generic summation-by-parts bookkeeping for double
-  sums over rectangles and triangles, checked on sample terms.
+* ``_run_pointwise``:
 
-Grid points that hit a pole are skipped and counted; a check whose grid is
-entirely skipped fails as degenerate.  Certificates are expression trees, so
-the harness can perturb any single integer coefficient and confirm the check
-then fails (a wrong certificate cannot slip through).
+  - ``pointwise``: two expressions agree at every grid point;
+  - ``closed-form-sum``: the finite sum ``Sum(index, lower, upper, summand)``
+    equals a closed form, checked as the pointwise identity it is.
+
+* ``_run_telescoping``: at every summation point,
+  sum_d b_d(p) F(p+d, k) = sum over the axes of G(k+1) - G(k), then the
+  declared ``inhom`` or ``closed_form`` against the same combination of
+  definite sums (bounds taken at the grid point):
+
+  - ``certificate-recurrence``: one axis, G = R*F for the certificate R;
+  - ``double-sum-recurrence``: two axes, one certificate per summation
+    index (``gterm2`` is a pole-free form of the inner G);
+  - ``antidifference``: one axis, G given directly, and no coefficients, so
+    the left side is F itself.
+
+* ``_run_boundary``: ``boundary-lemma``, generic summation-by-parts
+  bookkeeping for double sums over rectangles and triangles, checked on
+  sample terms.
+
+Grid points that hit a pole, or whose summation bounds are not integers,
+are skipped and counted; a check whose grid is entirely skipped fails as
+degenerate.  Certificates are expression trees, so the harness can perturb
+any single integer coefficient and confirm the check then fails (a wrong
+certificate cannot slip through).
 """
 
 from __future__ import annotations
@@ -94,34 +104,14 @@ class CheckOutcome:
         return not self.failures and self.tested > 0
 
 
-def _sum_range(summand: Expr, index: str, lo: int, hi: int, env: dict) -> Fraction:
-    total = Fraction(0)
-    e = dict(env)
-    for k in range(lo, hi + 1):
-        e[index] = k
-        total += eval_term(summand, e)
-    return total
-
-
-def _run_closed_form_sum(chk: IdentityCheck, out: CheckOutcome) -> None:
-    for env in chk.grid():
-        try:
-            lo = _as_int(eval_term(chk.lower, env), "sum bound")
-            hi = _as_int(eval_term(chk.upper, env), "sum bound")
-            lhs = _sum_range(chk.summand, chk.index, lo, hi, env)
-            rhs = eval_term(chk.rhs, env)
-        except PoleError:
-            out.skipped += 1
-            continue
-        out.tested += 1
-        if lhs != rhs:
-            out.failures.append(f"{env}: sum={lhs} closed-form={rhs}")
-
-
 def _run_pointwise(chk: IdentityCheck, out: CheckOutcome) -> None:
+    if chk.kind == "closed-form-sum":
+        lhs_expr = Sum(chk.index, chk.lower, chk.upper, chk.summand)
+    else:
+        lhs_expr = chk.lhs
     for env in chk.grid():
         try:
-            lhs = eval_term(chk.lhs, env)
+            lhs = eval_term(lhs_expr, env)
             rhs = eval_term(chk.rhs, env)
         except PoleError:
             out.skipped += 1
@@ -131,101 +121,62 @@ def _run_pointwise(chk: IdentityCheck, out: CheckOutcome) -> None:
             out.failures.append(f"{env}: lhs={lhs} rhs={rhs}")
 
 
-def _run_certificate(chk: IdentityCheck, out: CheckOutcome) -> None:
-    gterm = chk.certificate * chk.summand
+def _run_telescoping(chk: IdentityCheck, out: CheckOutcome) -> None:
+    """sum_d b_d F(p+d) = sum over the axes of Delta G, pointwise and summed."""
+    axes = [(chk.index, chk.lower, chk.upper,
+             chk.antidifference if chk.antidifference is not None
+             else chk.certificate * chk.summand)]
+    if chk.index2 is not None:
+        axes.append((chk.index2, chk.lower2, chk.upper2,
+                     chk.gterm2 if chk.gterm2 is not None
+                     else chk.certificate2 * chk.summand))
+    target = chk.inhom if chk.inhom is not None else chk.closed_form
+
+    def combination(coeff_env: dict, points: list[dict]) -> Fraction:
+        # sum_d b_d(coeff_env) * sum over the points of F(p+d); F alone without coeffs
+        def summed(d: int) -> Fraction:
+            return sum((eval_term(chk.summand, {**e, chk.param: e[chk.param] + d} if d else e)
+                        for e in points), Fraction(0))
+
+        if chk.coeffs is None:
+            return summed(0)
+        return sum((eval_term(bd, coeff_env) * summed(d) for d, bd in enumerate(chk.coeffs)),
+                   Fraction(0))
+
     for env in chk.grid():
-        lo = _as_int(eval_term(chk.lower, env), "sum bound")
-        hi = _as_int(eval_term(chk.upper, env), "sum bound")
-        p0 = env[chk.param]
-        for k in range(lo, hi + 1):
-            e = {**env, chk.index: k}
+        try:
+            points = [env]
+            for index, lower, upper, _ in axes:
+                points = [
+                    {**e, index: k} for e in points
+                    for k in range(_as_int(eval_term(lower, e), "sum bound"),
+                                   _as_int(eval_term(upper, e), "sum bound") + 1)
+                ]
+        except PoleError:
+            out.skipped += 1
+            continue
+        for e in points:
             try:
-                lhs = Fraction(0)
-                for d, bd in enumerate(chk.coeffs):
-                    lhs += eval_term(bd, e) * eval_term(chk.summand, {**e, chk.param: p0 + d})
-                delta = eval_term(gterm, {**e, chk.index: k + 1}) - eval_term(gterm, e)
+                delta = Fraction(0)
+                for index, _, _, g in axes:
+                    delta += eval_term(g, {**e, index: e[index] + 1}) - eval_term(g, e)
+                lhs = combination(e, [e])
             except PoleError:
                 out.skipped += 1
                 continue
             out.tested += 1
             if lhs != delta:
                 out.failures.append(f"{e}: recurrence={lhs} telescoped={delta}")
-        if chk.inhom is not None:
+        if target is not None:
             try:
-                lhs = Fraction(0)
-                for d, bd in enumerate(chk.coeffs):
-                    lhs += eval_term(bd, env) * _sum_range(
-                        chk.summand, chk.index, lo, hi, {**env, chk.param: p0 + d}
-                    )
-                rhs = eval_term(chk.inhom, env)
+                lhs = combination(env, points)
+                rhs = eval_term(target, env)
             except PoleError:
                 out.skipped += 1
                 continue
             out.tested += 1
             if lhs != rhs:
-                out.failures.append(f"{env}: summed recurrence={lhs} inhomogeneous={rhs}")
-
-
-def _run_antidifference(chk: IdentityCheck, out: CheckOutcome) -> None:
-    for env in chk.grid():
-        try:
-            lo = _as_int(eval_term(chk.lower, env), "sum bound")
-            hi = _as_int(eval_term(chk.upper, env), "sum bound")
-        except PoleError:
-            out.skipped += 1
-            continue
-        for k in range(lo, hi + 1):
-            e = {**env, chk.index: k}
-            try:
-                dz = eval_term(chk.antidifference, {**e, chk.index: k + 1}) - eval_term(
-                    chk.antidifference, e
-                )
-                tk = eval_term(chk.summand, e)
-            except PoleError:
-                out.skipped += 1
-                continue
-            out.tested += 1
-            if dz != tk:
-                out.failures.append(f"{e}: delta={dz} summand={tk}")
-        if chk.closed_form is not None:
-            try:
-                total = _sum_range(chk.summand, chk.index, lo, hi, env)
-                rhs = eval_term(chk.closed_form, env)
-            except PoleError:
-                out.skipped += 1
-                continue
-            out.tested += 1
-            if total != rhs:
-                out.failures.append(f"{env}: definite sum={total} closed-form={rhs}")
-
-
-def _run_double_sum(chk: IdentityCheck, out: CheckOutcome) -> None:
-    g1 = chk.certificate * chk.summand
-    g2 = chk.gterm2 if chk.gterm2 is not None else chk.certificate2 * chk.summand
-    for env in chk.grid():
-        lo1 = _as_int(eval_term(chk.lower, env), "sum bound")
-        hi1 = _as_int(eval_term(chk.upper, env), "sum bound")
-        p0 = env[chk.param]
-        for k1 in range(lo1, hi1 + 1):
-            e1 = {**env, chk.index: k1}
-            lo2 = _as_int(eval_term(chk.lower2, e1), "sum bound")
-            hi2 = _as_int(eval_term(chk.upper2, e1), "sum bound")
-            for k2 in range(lo2, hi2 + 1):
-                e = {**e1, chk.index2: k2}
-                try:
-                    lhs = Fraction(0)
-                    for d, bd in enumerate(chk.coeffs):
-                        lhs += eval_term(bd, e) * eval_term(
-                            chk.summand, {**e, chk.param: p0 + d}
-                        )
-                    d1 = eval_term(g1, {**e, chk.index: k1 + 1}) - eval_term(g1, e)
-                    d2 = eval_term(g2, {**e, chk.index2: k2 + 1}) - eval_term(g2, e)
-                except PoleError:
-                    out.skipped += 1
-                    continue
-                out.tested += 1
-                if lhs != d1 + d2:
-                    out.failures.append(f"{e}: recurrence={lhs} telescoped={d1 + d2}")
+                out.failures.append(f"{env}: summed={lhs} declared={rhs}")
 
 
 def _run_boundary(chk: IdentityCheck, out: CheckOutcome) -> None:
@@ -274,11 +225,11 @@ def _run_boundary(chk: IdentityCheck, out: CheckOutcome) -> None:
 
 
 _RUNNERS = {
-    "closed-form-sum": _run_closed_form_sum,
+    "closed-form-sum": _run_pointwise,
     "pointwise": _run_pointwise,
-    "certificate-recurrence": _run_certificate,
-    "antidifference": _run_antidifference,
-    "double-sum-recurrence": _run_double_sum,
+    "certificate-recurrence": _run_telescoping,
+    "antidifference": _run_telescoping,
+    "double-sum-recurrence": _run_telescoping,
     "boundary-lemma": _run_boundary,
 }
 

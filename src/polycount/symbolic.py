@@ -11,9 +11,9 @@ uses to prove it would detect a wrong certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .exact import fbinom
 
@@ -198,71 +198,39 @@ def eval_term(expr: Expr, env: Mapping[str, Number]) -> Fraction:
     raise TypeError(f"unknown expression node {expr!r}")
 
 
-def _children(expr: Expr) -> tuple[Expr, ...]:
-    if isinstance(expr, (Const, Var)):
-        return ()
-    if isinstance(expr, Add):
-        return expr.terms
-    if isinstance(expr, Mul):
-        return expr.factors
-    if isinstance(expr, Div):
-        return (expr.num, expr.den)
-    if isinstance(expr, Pow):
-        return (expr.base, expr.exp)
-    if isinstance(expr, Binom):
-        return (expr.upper, expr.lower)
-    if isinstance(expr, Fact):
-        return (expr.arg,)
-    if isinstance(expr, Sign):
-        return (expr.exp,)
-    if isinstance(expr, Sum):
-        return (expr.lower, expr.upper, expr.body)
-    raise TypeError(f"unknown expression node {expr!r}")
+def _map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """The node rebuilt with fn applied to each child, in field order."""
+    changes = {}
+    for f in fields(expr):
+        value = getattr(expr, f.name)
+        if isinstance(value, Expr):
+            changes[f.name] = fn(value)
+        elif isinstance(value, tuple):
+            changes[f.name] = tuple(fn(v) for v in value)
+    return replace(expr, **changes) if changes else expr
 
 
-def _rebuild(expr: Expr, children: tuple[Expr, ...]) -> Expr:
-    if isinstance(expr, Add):
-        return Add(children)
-    if isinstance(expr, Mul):
-        return Mul(children)
-    if isinstance(expr, Div):
-        return Div(*children)
-    if isinstance(expr, Pow):
-        return Pow(*children)
-    if isinstance(expr, Binom):
-        return Binom(*children)
-    if isinstance(expr, Fact):
-        return Fact(*children)
-    if isinstance(expr, Sign):
-        return Sign(*children)
-    if isinstance(expr, Sum):
-        return Sum(expr.index, *children)
-    raise TypeError(f"cannot rebuild {expr!r}")
+def _bump(expr: Expr, index: int) -> tuple[Expr, int]:
+    """Copy with 1 added to the index-th constant (DFS order), and the constant count."""
+    seen = 0
+
+    def walk(node: Expr) -> Expr:
+        nonlocal seen
+        if isinstance(node, Const):
+            seen += 1
+            return Const(node.value + 1) if seen - 1 == index else node
+        return _map_children(node, walk)
+
+    return walk(expr), seen
 
 
 def count_constants(expr: Expr) -> int:
-    if isinstance(expr, Const):
-        return 1
-    return sum(count_constants(c) for c in _children(expr))
+    return _bump(expr, -1)[1]  # index -1 bumps nothing
 
 
 def perturb_constant(expr: Expr, index: int) -> Expr:
     """Copy of the tree with 1 added to the index-th constant (DFS order)."""
-
-    def walk(node: Expr, seen: int) -> tuple[Expr, int]:
-        if isinstance(node, Const):
-            if seen == index:
-                return Const(node.value + 1), seen + 1
-            return node, seen + 1
-        if isinstance(node, Var):
-            return node, seen
-        kids = []
-        for c in _children(node):
-            new_c, seen = walk(c, seen)
-            kids.append(new_c)
-        return _rebuild(node, tuple(kids)), seen
-
-    out, seen = walk(expr, 0)
+    out, seen = _bump(expr, index)
     if index >= seen:
         raise IndexError(f"constant index {index} out of range ({seen} constants)")
     return out

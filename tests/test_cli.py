@@ -170,6 +170,7 @@ def test_extend_seeded_from_cache(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("payload", [
     [1],
     {"version": 1, "k": 2, "n": 5, "m": 5, "counts": ["x"]},
+    {"version": 1},
 ])
 def test_extend_treats_corrupt_cache_entry_as_miss(capsys, tmp_path, payload):
     from polycount.cache import entry_path
@@ -189,6 +190,14 @@ def test_table_cache_dir_is_a_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "table", "--k", "2", "--n-max", "2", "--m-max", "2",
                            "--cache-dir", str(not_a_dir))
     assert code == 2 and "cache" in err
+
+
+def test_table_out_into_missing_dir(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(capsys, "table", "--k", "2", "--n-max", "2", "--m-max", "2",
+                           "--cache-dir", str(tmp_path / "cache"), "--out", str(out_path))
+    assert code == 2 and "--out" in err
+    assert not out_path.exists()
 
 
 def test_table_csv_and_idempotence(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from polycount.identities import (
     Const,
     IdentityCheck,
+    _mutation_fields,
     build_registry,
     check_antidifference,
     check_boundary_lemmas,
@@ -18,9 +19,9 @@ from polycount.identities import (
     run_check,
     run_registry,
 )
-from polycount.symbolic import Sum, binom_expr as C, eval_term, syms
+from polycount.symbolic import Sum, binom_expr as C, count_constants, eval_term, syms
 
-s, i, j, jp, t = syms("s i j jp t")
+s, i, j, jp, t, k = syms("s i j jp t k")
 
 
 def test_registry_builds_uniquely():
@@ -131,6 +132,46 @@ def test_degenerate_grid_fails():
     out = run_check(chk)
     assert not out.passed
     assert out.tested == 0 and out.skipped == 2
+
+
+def test_non_integer_bound_skips_the_grid_point():
+    # sum_{k=0}^{s/2} k = C(s/2 + 1, 2) via G = (k-1)/2 * k; odd s has no integer bound
+    chk = IdentityCheck(
+        name="half-range",
+        kind="certificate-recurrence",
+        description="the upper bound s/2 is an integer only for even s",
+        summand=k,
+        param="s", index="k",
+        lower=Const(Fraction(0)), upper=s / 2,
+        coeffs=(Const(Fraction(1)),),
+        certificate=(k - 1) / 2,
+        inhom=C(s / 2 + 1, 2),
+        grid=lambda: [{"s": sv} for sv in range(1, 5)],
+    )
+    out = run_check(chk)
+    assert out.passed, out.failures
+    # s = 2: points k = 0, 1 and the summed check; s = 4: k = 0, 1, 2 and the summed check
+    assert (out.tested, out.skipped) == (7, 2)
+
+
+def test_registry_point_accounting():
+    totals = {}
+    for c in run_registry("*").checks:
+        row = totals.setdefault(c.params["kind"], [0, 0, 0])
+        row[0] += 1
+        row[1] += c.params["tested"]
+        row[2] += c.params["skipped"]
+    assert totals == {
+        "antidifference": [7, 2712, 112],
+        "boundary-lemma": [3, 144, 0],
+        "certificate-recurrence": [9, 1741, 401],
+        "closed-form-sum": [23, 1851, 0],
+        "double-sum-recurrence": [2, 853, 488],
+        "pointwise": [19, 1422, 0],
+    }
+    mutants = sum(count_constants(getattr(chk, f))
+                  for chk in registry().values() for f in _mutation_fields(chk))
+    assert mutants == 134
 
 
 def test_wrong_closed_form_detected():
