@@ -22,6 +22,7 @@ from .lattice import (
     brute_force_count,
     count_configurations,
     count_polynomial,
+    count_tables,
 )
 from .recurrences import (
     extend_diagonal,
@@ -125,14 +126,14 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
+    # the largest entry: rejects a bad k or an empty range before any work
+    LatticeSpec(n=args.n_max, m=args.m_max, k=args.k)
     cache_dir = resolve_cache_dir(args.cache_dir)
-    entries = []
-    for n in range(1, args.n_max + 1):
-        for m in range(1, args.m_max + 1):
-            table = count_polynomial(LatticeSpec(n=n, m=m, k=args.k),
-                                     state_cap=args.state_cap)
-            save_entry(cache_dir, table)
-            entries.append(table)
+    points = [(n, m) for n in range(1, args.n_max + 1) for m in range(1, args.m_max + 1)]
+    tables = count_tables(args.k, points, state_cap=args.state_cap)
+    entries = [tables[p] for p in points]
+    for table in entries:
+        save_entry(cache_dir, table)
     if args.format == "csv":
         lines = ["n,m,s,count"]
         for table in entries:
@@ -226,11 +227,13 @@ def cmd_extend(args) -> int:
     if not args.no_crosscheck:
         for idx, value in enumerate(extended, start=1):
             n, m = args.anchor_n + idx, args.anchor_m + idx
-            try:
-                direct = count_configurations(LatticeSpec(n=n, m=m, k=k), s,
-                                              state_cap=args.state_cap)
-            except ResourceLimitError:
-                break  # beyond direct enumeration's reach
+            if k ** min(n, m) > args.state_cap:
+                # at small s the live frontier stays far below the cap, but each
+                # sweep's cost still grows with the width: stop where every
+                # profile of the width would no longer fit the cap
+                break
+            direct = count_configurations(LatticeSpec(n=n, m=m, k=k), s,
+                                          state_cap=args.state_cap)
             if direct != value:
                 print(
                     f"extension mismatch at ({n},{m}): recurrence {value} "
@@ -263,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "with recurrence and identity verification.",
     )
     parser.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                        help="cap on the k**width transfer state space")
+                        help="cap on the live profiles the transfer sweep may carry")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count configurations of s rods")

@@ -3,18 +3,25 @@
 A configuration places s rigid rods, each covering k consecutive sites of a
 single row or a single column, with no site covered twice.  Counting is done
 two independent ways: a column-sweep dynamic program over horizontal-overhang
-states, and a brute-force subset search used as an oracle on small lattices.
+profiles, and a brute-force subset search used as an oracle on small lattices.
+
+The sweep goes one cell at a time and carries only live profiles (those
+with a nonzero count at some s up to the requested cap), so wide lattices
+stay cheap at small s.  The number of live profiles after each column is
+known in closed form, and the state cap bounds it before any sweep starts.
+One sweep of width n to length L gives the whole strip row a(n, 1..L);
+count_tables groups many points into one sweep per distinct shorter side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Collection, Iterable
 
 from .errors import ParameterError, ResourceLimitError
 
-#: Hard ceiling on the k**width state space of the dynamic program.
+#: Ceiling on the live profiles the dynamic program carries after any column.
 DEFAULT_STATE_CAP = 2**24
 
 #: Ceiling on C(positions, s) for the brute-force oracle.
@@ -56,74 +63,131 @@ class CountTable:
         return self.counts[s]
 
 
-@lru_cache(maxsize=None)
-def _column_fills(
-    in_digits: tuple[int, ...], k: int, hstart: bool, room: int
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every way to fill one column given incoming horizontal overhangs.
+def _frontier_sizes(n: int, length: int, k: int, s_cap: int) -> list[int]:
+    """Live profiles after each column of the width-n sweep to length, unswept.
 
-    Returns (out_digits, rods_placed) pairs.  A digit d>0 means the cell is
-    covered by a horizontal rod that still extends d more columns.  Vertical
-    rods are consumed within the column, so they leave digits of 0 behind.
+    A profile is live when some partial configuration of at most s_cap rods
+    leaves it, and the fewest rods that leave it are its horizontal rods that
+    overhang the column.  So the live profiles after column c are the choices
+    of at most s_cap rows, each holding a digit d whose rod starts at column
+    c + 1 - k + d, inside the strip with room for all k cells.
     """
-    n = len(in_digits)
-    out: list[int] = [0] * n
-    results: list[tuple[tuple[int, ...], int]] = []
-
-    def walk(r: int, used: int) -> None:
-        if r == n:
-            results.append((tuple(out), used))
-            return
-        d = in_digits[r]
-        if d > 0:
-            out[r] = d - 1
-            walk(r + 1, used)
-            out[r] = 0
-            return
-        # empty cell: monomer
-        walk(r + 1, used)
-        if used < room:
-            if hstart:
-                out[r] = k - 1
-                walk(r + 1, used + 1)
-                out[r] = 0
-            if r + k <= n and all(d2 == 0 for d2 in in_digits[r + 1 : r + k]):
-                # vertical rod: rows r..r+k-1 of this column, no overhang
-                walk(r + k, used + 1)
-
-    walk(0, 0)
-    return tuple(results)
+    sizes = []
+    for c in range(length):
+        digits = sum(1 for d in range(1, k) if 0 <= c + 1 - k + d <= length - k)
+        sizes.append(sum(math.comb(n, j) * digits**j for j in range(min(s_cap, n) + 1)))
+    return sizes
 
 
-@lru_cache(maxsize=None)
-def _count_vector(n: int, m: int, k: int, s_cap: int, state_cap: int) -> tuple[int, ...]:
-    """DP over columns; returns (a_0, ..., a_{s_cap}) for the n x m lattice."""
-    if k**n > state_cap:
-        raise ResourceLimitError(
-            f"state space {k}^{n} exceeds cap {state_cap}; "
-            f"raise the cap or use the diagonal recurrence"
-        )
-    zero = (0,) * n
-    # profile -> list of counts indexed by rods placed so far
-    frontier: dict[tuple[int, ...], list[int]] = {zero: [1] + [0] * s_cap}
-    for c in range(m):
-        hstart = c + k <= m
-        nxt: dict[tuple[int, ...], list[int]] = {}
-        for digits, per_s in frontier.items():
-            for out_digits, used in _column_fills(digits, k, hstart, s_cap):
-                acc = nxt.get(out_digits)
-                if acc is None:
-                    acc = [0] * (s_cap + 1)
-                    nxt[out_digits] = acc
-                for s in range(s_cap + 1 - used):
-                    v = per_s[s]
-                    if v:
-                        acc[s + used] += v
-        frontier = nxt
-    final = frontier.get(zero)
-    if final is None:  # unreachable: the all-monomer column always survives
-        return (0,) * (s_cap + 1)
-    return tuple(final)
+def _check_frontier(n: int, length: int, k: int, s_cap: int, state_cap: int) -> None:
+    for c, size in enumerate(_frontier_sizes(n, length, k, s_cap), start=1):
+        if size > state_cap:
+            raise ResourceLimitError(
+                f"live frontier of {size} profiles after column {c} of {n}x{length} "
+                f"exceeds cap {state_cap}; raise the cap or use the diagonal recurrence"
+            )
+
+
+def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tuple[int, ...]]:
+    """Cell-by-cell sweep of the width-n strip; rows[L] = (a_0, ..., a_{s_cap}) of n x L.
+
+    A profile packs one digit per row into an integer, `w` bits per row: d in
+    1..k-1 for a cell covered by a horizontal rod that runs d more columns,
+    k for a cell below a vertical rod started higher up in the column being
+    swept.  Cells are swept down each column, so rows above the current cell
+    already hold the column's outgoing digits; the profiles inside a column
+    stay close in number to the live frontier on either side of it (at most
+    4/3 of the larger on every strip up to width 9).  After column c the
+    zero profile counts exactly the configurations inside the first c+1
+    columns, so one sweep to the longest length yields every row asked for.
+
+    A profile's counts by rods placed are packed into one integer, `bits` per
+    slot, and slots above s_cap are masked off, so a profile that needs more
+    rods than s_cap is never stored.  A partial configuration with s rods is
+    a choice of s (start cell, orientation) pairs among the swept cells, and
+    one with any number of rods marks each cell as no start, a horizontal or
+    a vertical start, so no slot reaches min((2*cells)**s_cap, 4**cells).
+    """
+    length = max(lengths)
+    cells = n * length
+    bits = 1 + min(2 * cells, s_cap * (2 * cells).bit_length())
+    slot = (1 << bits) - 1
+    keep = (1 << bits * (s_cap + 1)) - 1  # drops slots above s_cap rods
+    w = k.bit_length()
+    digit = (1 << w) - 1
+    below = (1 << w * (k - 1)) - 1  # the k-1 rows a vertical rod covers below its start
+    covered = sum(k << w * i for i in range(k - 1))
+    frontier: dict[int, int] = {0: 1}
+    rows: dict[int, tuple[int, ...]] = {}
+    for c in range(length):
+        hstart = c + k <= length
+        for r in range(n):
+            shift = w * r
+            vertical = r + k <= n
+            nxt: dict[int, int] = {}
+            for profile, packed in frontier.items():
+                d = (profile >> shift) & digit
+                if d:  # covered from the left or from above: nothing to place
+                    out = profile - ((d if d == k else 1) << shift)
+                    nxt[out] = nxt.get(out, 0) + packed
+                    continue
+                nxt[profile] = nxt.get(profile, 0) + packed  # monomer
+                more = (packed << bits) & keep
+                if not more:
+                    continue
+                if hstart:
+                    out = profile | ((k - 1) << shift)
+                    nxt[out] = nxt.get(out, 0) + more
+                if vertical and not (profile >> (shift + w)) & below:
+                    out = profile | (covered << (shift + w))
+                    nxt[out] = nxt.get(out, 0) + more
+            frontier = nxt
+        if c + 1 in lengths:
+            final = frontier.get(0, 0)
+            rows[c + 1] = tuple((final >> s * bits) & slot for s in range(s_cap + 1))
+    return rows
+
+
+def _check_state_cap(state_cap: int) -> None:
+    if state_cap < 1:
+        raise ParameterError(f"state cap must be >= 1, got {state_cap}")
+
+
+def count_tables(
+    k: int,
+    points: Iterable[tuple[int, int]],
+    s_max: int | None = None,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> dict[tuple[int, int], CountTable]:
+    """count_polynomial(LatticeSpec(n, m, k), s_max) for every (n, m) in points.
+
+    Points are grouped by their shorter side; each group costs one sweep of
+    that width to the longest length in the group, at the largest s any of
+    its points needs.  Every sweep's live frontier is checked against
+    state_cap before any sweep starts.
+    """
+    if s_max is not None and s_max < 0:
+        raise ParameterError(f"s_max must be >= 0, got {s_max}")
+    _check_state_cap(state_cap)
+    groups: dict[int, list[LatticeSpec]] = {}
+    for n, m in dict.fromkeys(points):
+        spec = LatticeSpec(n, m, k)
+        groups.setdefault(min(n, m), []).append(spec)
+    sweeps = []
+    for width, specs in groups.items():
+        caps = [spec.capacity if s_max is None else min(s_max, spec.capacity) for spec in specs]
+        lengths = {max(spec.n, spec.m) for spec in specs}
+        _check_frontier(width, max(lengths), k, max(caps), state_cap)
+        sweeps.append((width, lengths, specs, caps))
+    tables: dict[tuple[int, int], CountTable] = {}
+    for width, lengths, specs, caps in sweeps:
+        rows = _sweep(width, lengths, k, max(caps))
+        for spec, cap in zip(specs, caps):
+            counts = rows[max(spec.n, spec.m)][: cap + 1]
+            if s_max is not None and s_max > cap:
+                counts += (0,) * (s_max - cap)
+            tables[spec.n, spec.m] = CountTable(spec=spec, counts=counts)
+    return tables
 
 
 def count_polynomial(
@@ -136,19 +200,7 @@ def count_polynomial(
     The lattice is swept along its longer side so the DP state lives on the
     shorter one; results are exact integers.
     """
-    cap = spec.capacity
-    if s_max is None:
-        s_max = cap
-    if s_max < 0:
-        raise ParameterError(f"s_max must be >= 0, got {s_max}")
-    s_eff = min(s_max, cap)
-    n, m = spec.n, spec.m
-    if n > m:
-        n, m = m, n
-    counts = _count_vector(n, m, spec.k, s_eff, state_cap)
-    if s_max > s_eff:
-        counts = counts + (0,) * (s_max - s_eff)
-    return CountTable(spec=spec, counts=counts)
+    return count_tables(spec.k, [(spec.n, spec.m)], s_max, state_cap)[spec.n, spec.m]
 
 
 def count_configurations(
@@ -157,6 +209,7 @@ def count_configurations(
     """Exact number of ways to place s disjoint k-rods on the lattice."""
     if s < 0:
         raise ParameterError(f"s must be >= 0, got {s}")
+    _check_state_cap(state_cap)
     if s > spec.capacity:
         return 0
     return count_polynomial(spec, s_max=s, state_cap=state_cap).counts[s]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import ParameterError
-from .lattice import DEFAULT_STATE_CAP, LatticeSpec, count_configurations
+from .lattice import DEFAULT_STATE_CAP, LatticeSpec, count_configurations, count_tables
 from .reports import Report
 
 
@@ -40,10 +40,6 @@ def diagonal_rhs(s: int) -> int:
     return 2**s * math.factorial(2 * s) // math.factorial(s)
 
 
-def _a(n: int, m: int, k: int, s: int, state_cap: int) -> int:
-    return count_configurations(LatticeSpec(n, m, k), s, state_cap=state_cap)
-
-
 def _alternating_sum(terms: Sequence[int]) -> int:
     """sum_i (-1)**i C(w, i) terms[i] over a window of w + 1 terms."""
     w = len(terms) - 1
@@ -66,10 +62,11 @@ def _verify_windows(
 ) -> Report:
     """Check the window a(n - i*dn, m - i), i = 0..width, against rhs at each point.
 
-    A point below bound = (n_min, m_min) raises unless enforce_range is off;
-    its residual is then recorded with status info, never asserted.
+    Every window count comes from one count_tables call.  A point below
+    bound = (n_min, m_min) raises unless enforce_range is off; its residual is
+    then recorded with status info, never asserted.
     """
-    report = Report(title=title)
+    checked: list[tuple[int, int, bool]] = []
     for n, m in points:
         in_range = n >= bound[0] and m >= bound[1]
         if not in_range and enforce_range:
@@ -81,7 +78,15 @@ def _verify_windows(
             raise ParameterError(
                 f"{name} window of {width + 1} counts below ({n},{m}) leaves the lattice"
             )
-        lhs = _alternating_sum([_a(n - i * dn, m - i, k, s, state_cap) for i in range(width + 1)])
+        checked.append((n, m, in_range))
+
+    def window(n: int, m: int) -> list[tuple[int, int]]:
+        return [(n - i * dn, m - i) for i in range(width + 1)]
+
+    tables = count_tables(k, (p for n, m, _ in checked for p in window(n, m)), s, state_cap)
+    report = Report(title=title)
+    for n, m, in_range in checked:
+        lhs = _alternating_sum([tables[p].counts[s] for p in window(n, m)])
         params = {"k": k, "n": n, "m": m, "s": s}
         if dn:  # only diagonal windows may be reported outside their range
             params["in_range"] = in_range
@@ -195,7 +200,7 @@ def seed_from_enumeration(
     """
     if count is None:
         def count(n: int, m: int) -> int:
-            return _a(n, m, k, s, state_cap)
+            return count_configurations(LatticeSpec(n, m, k), s, state_cap=state_cap)
     w = 2 * s
     counts = tuple(count(anchor_n - (w - 1) + t, anchor_m - (w - 1) + t) for t in range(w))
     return DiagonalSeed(k=k, s=s, anchor_n=anchor_n, anchor_m=anchor_m, counts=counts)

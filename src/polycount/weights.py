@@ -369,24 +369,20 @@ def grid_applied_to_counts(grid: WeightGrid, k: int, n: int, m: int) -> int:
     Every placed identity must satisfy the strip preconditions, which needs
     n, m >= k*s + 2*s.
     """
-    from .lattice import LatticeSpec, count_configurations
+    from .lattice import count_tables
 
     s = grid.s
     if n < k * s + 2 * s or m < k * s + 2 * s:
         raise ParameterError(
             f"lattice {n}x{m} too small for every strip precondition at k={k}, s={s}"
         )
-
-    @lru_cache(maxsize=None)
-    def a(nn: int, mm: int) -> int:
-        return count_configurations(LatticeSpec(nn, mm, k), s)
-
-    total = 0
+    terms: list[tuple[int, tuple[int, int]]] = []
     for p in grid.placements:
         for t in range(s + 1):
             c = p.weight * (-1) ** t * binom(s, t)
             if p.orientation == "vertical":
-                total += c * a(n - p.i, m - p.j - t)
+                terms.append((c, (n - p.i, m - p.j - t)))
             else:
-                total += c * a(n - p.i - t, m - p.j)
-    return total
+                terms.append((c, (n - p.i - t, m - p.j)))
+    tables = count_tables(k, (point for _, point in terms), s_max=s)
+    return sum(c * tables[point].count(s) for c, point in terms)

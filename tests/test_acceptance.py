@@ -195,15 +195,14 @@ def test_criterion_10_extension_consistency():
                   for d in (1, 2, 3)]
         ok = ok and ext == direct
         ok = ok and window_residuals(seed, ext) == [0, 0, 0]
-    # reach a point the enumeration engines refuse
-    with pytest.raises(ResourceLimitError):
-        count_polynomial(LatticeSpec(40, 40, 2), s_max=2)
+    # reach 40x40: beyond the brute-force oracle, but within the live-frontier sweep
     with pytest.raises(ResourceLimitError):
         brute_force_count(LatticeSpec(40, 40, 2), 2)
     seed = seed_from_enumeration(2, 2, 12, 12)
     steps = 28
     ext = extend_diagonal(seed, steps)
     ok = ok and not any(window_residuals(seed, ext))
-    ok = ok and ext[-1] == _dimer_pair_count(40, 40)
+    direct = count_polynomial(LatticeSpec(40, 40, 2), s_max=2).counts[2]
+    ok = ok and ext[-1] == direct == _dimer_pair_count(40, 40)
     _announce(10, "diagonal extension matches enumeration and reaches 40x40 exactly",
               ok, f"a(40,40) = {ext[-1]}")

@@ -57,9 +57,38 @@ def test_count_missing_s(capsys):
 
 
 def test_resource_cap_exit(capsys):
-    code, _, err = run_cli(capsys, "--state-cap", "16", "count",
-                           "--n", "9", "--m", "9", "--k", "2", "--s", "1")
-    assert code == 3 and "resource" in err.lower()
+    argv = ["--state-cap", "16", "count", "--n", "9", "--m", "9", "--k", "2"]
+    code, out, _ = run_cli(capsys, *argv, "--s", "1")
+    assert code == 0 and out.strip() == "144"  # one rod keeps the live frontier at 10
+    code, _, err = run_cli(capsys, *argv, "--all-s")
+    assert code == 3 and "resource" in err.lower() and "exceeds cap 16" in err
+
+
+def test_wide_lattice_cap_exit(capsys):
+    # the live frontier is known before the sweep, so these stop at once
+    for argv in (["--n", "30", "--m", "30", "--all-s"], ["--n", "40", "--m", "40", "--s", "12"]):
+        code, out, err = run_cli(capsys, "count", "--k", "2", *argv)
+        assert code == 3 and out == "" and "live frontier" in err
+
+
+def test_nonpositive_state_cap_is_usage_error(capsys):
+    for cap in ("0", "-5"):
+        code, out, err = run_cli(capsys, "--state-cap", cap, "count",
+                                 "--n", "2", "--m", "2", "--k", "2", "--s", "1")
+        assert code == 2 and out == "" and "state cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "1", "--n-max", "0", "--m-max", "3"],
+    ["--k", "1", "--n-max", "2", "--m-max", "3"],
+    ["--k", "2", "--n-max", "2", "--m-max", "0"],
+    ["--k", "2", "--n-max", "-1", "--m-max", "2"],
+])
+def test_table_rejects_empty_ranges(capsys, tmp_path, argv):
+    cache_dir = tmp_path / "cache"
+    code, out, err = run_cli(capsys, "table", *argv, "--cache-dir", str(cache_dir))
+    assert code == 2 and out == "" and "error" in err
+    assert not cache_dir.exists()
 
 
 def test_verify_diagonal(capsys):
@@ -131,6 +160,15 @@ def test_extend(capsys):
                            "--anchor-n", "6", "--anchor-m", "6", "--steps", "3")
     assert code == 0
     assert [line.split(" = ")[1] for line in out.strip().splitlines()] == ["84", "112", "144"]
+
+
+def test_extend_crosscheck_reach(capsys):
+    # direct enumeration checks widths up to 24, whose 2**24 profiles fit the cap
+    code, out, _ = run_cli(capsys, "extend", "--k", "2", "--s", "1", "--anchor-n", "20",
+                           "--anchor-m", "20", "--steps", "8", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["crosschecked_steps"] == [1, 2, 3, 4]
+    assert data["extended"][-1] == str(2 * 28 * 27)
 
 
 def test_extend_range_violation(capsys):

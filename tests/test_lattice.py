@@ -5,9 +5,12 @@ import pytest
 from polycount.errors import ParameterError, ResourceLimitError
 from polycount.lattice import (
     LatticeSpec,
+    _frontier_sizes,
+    _sweep,
     brute_force_count,
     count_configurations,
     count_polynomial,
+    count_tables,
 )
 
 
@@ -93,10 +96,109 @@ def test_invalid_parameters():
 
 
 def test_state_cap():
-    with pytest.raises(ResourceLimitError):
-        count_polynomial(LatticeSpec(60, 60, 2), s_max=1, state_cap=2**20)
+    # the cap bounds the live frontier: one rod keeps it at 1 + 60 profiles
+    assert count_configurations(LatticeSpec(60, 60, 2), 1, state_cap=2**20) == 2 * 60 * 59
+    # a genuinely large frontier still raises: every s on a 9-wide strip
+    with pytest.raises(ResourceLimitError, match="exceeds cap 16"):
+        count_polynomial(LatticeSpec(9, 9, 2), state_cap=16)
+    # wide lattices at large s are refused before any sweep starts
+    with pytest.raises(ResourceLimitError, match="exceeds cap 65536"):
+        count_polynomial(LatticeSpec(30, 30, 2), state_cap=2**16)
+    for spec, s in ((LatticeSpec(30, 30, 2), None), (LatticeSpec(40, 40, 2), 12),
+                    (LatticeSpec(16, 16, 3), None), (LatticeSpec(13, 13, 4), None)):
+        with pytest.raises(ResourceLimitError, match="live frontier"):
+            count_polynomial(spec, s_max=s)
     # the cap applies to the shorter side
     assert count_configurations(LatticeSpec(3, 50, 2), 1, state_cap=2**10) == 3 * 49 + 50 * 2
+
+
+def test_nonpositive_state_cap_is_a_parameter_error():
+    for cap in (0, -5):
+        with pytest.raises(ParameterError, match="state cap"):
+            count_configurations(LatticeSpec(2, 2, 2), 1, state_cap=cap)
+        with pytest.raises(ParameterError, match="state cap"):
+            count_configurations(LatticeSpec(2, 2, 2), 9, state_cap=cap)  # beyond capacity
+        with pytest.raises(ParameterError, match="state cap"):
+            count_tables(2, [(2, 2), (3, 4)], state_cap=cap)
+
+
+def test_row_sweep_matches_brute_force():
+    # every entry of every row, including s one past the longest row's capacity
+    for n in range(1, 5):
+        for length in range(n, 17 // n + 1):
+            for k in (2, 3, 4):
+                s_cap = LatticeSpec(n, length, k).capacity + 1
+                rows = _sweep(n, range(1, length + 1), k, s_cap)
+                assert list(rows) == list(range(1, length + 1))
+                for m, row in rows.items():
+                    spec = LatticeSpec(n, m, k)
+                    assert row == tuple(brute_force_count(spec, s) for s in range(s_cap + 1))
+
+
+def cut_profiles(n, length, k, s_cap):
+    """Sizes of the sets of overhang profiles at every column cut, by search.
+
+    Each configuration of at most s_cap rods on the n x length lattice gives,
+    after column c, one digit per row: how many columns past c the
+    horizontal rod covering that row's cell at c still runs, else 0.
+    """
+    rods = [(r, c, 1, 0) for r in range(n) for c in range(length - k + 1)]
+    rods += [(r, c, 0, 1) for r in range(n - k + 1) for c in range(length)]
+    profiles = [set() for _ in range(length)]
+
+    def rec(start, chosen, occupied):
+        for c in range(length):
+            digits = [0] * n
+            for r0, c0, dc, _ in chosen:
+                if dc and c0 <= c < c0 + k - 1:
+                    digits[r0] = c0 + k - 1 - c
+            profiles[c].add(tuple(digits))
+        if len(chosen) == s_cap:
+            return
+        for q in range(start, len(rods)):
+            r0, c0, dc, dr = rods[q]
+            cells = {(r0 + t * dr, c0 + t * dc) for t in range(k)}
+            if not cells & occupied:
+                rec(q + 1, chosen + [rods[q]], occupied | cells)
+
+    rec(0, [], frozenset())
+    return [len(p) for p in profiles]
+
+
+def test_frontier_sizes_match_enumerated_profiles():
+    # the cap is checked on closed-form sizes; they must be the live frontier
+    for n in range(1, 5):
+        for length in range(n, 16 // n + 1):
+            for k in (2, 3, 4):
+                for s_cap in range(4):
+                    assert _frontier_sizes(n, length, k, s_cap) == cut_profiles(n, length, k, s_cap)
+
+
+def one_rod(n, m, k):
+    return n * max(0, m - k + 1) + m * max(0, n - k + 1)
+
+
+def test_row_sweep_matches_one_rod_closed_form():
+    for k in (2, 3, 4):
+        for n in range(1, 9):
+            rows = _sweep(n, range(1, 13), k, 1)
+            assert [row[1] for row in rows.values()] == [one_rod(n, m, k) for m in range(1, 13)]
+        points = [(n, m) for n in range(1, 9) for m in range(1, 13)]
+        points += [(m, n) for n, m in points]
+        tables = count_tables(k, points, s_max=1)
+        assert all(tables[n, m].counts[1] == one_rod(n, m, k) for n, m in points)
+
+
+def test_count_tables_matches_per_point_counts():
+    # the window points of one strip, one diagonal and one corollary verification
+    strip = [(5, m - i) for m in range(4, 11) for i in range(3)]  # k=2, n=5, s=2
+    diagonal = [(n - i, m - i) for n in range(6, 10) for m in range(6, 9) for i in range(5)]
+    corollary = [(n - i, m - i) for n in range(5, 9) for m in range(5, 8) for i in range(4)]
+    for k, s, points in ((2, 2, strip), (2, 2, diagonal), (3, 1, corollary)):
+        tables = count_tables(k, points, s_max=s)
+        for n, m in points:
+            assert tables[n, m].counts[s] == count_configurations(LatticeSpec(n, m, k), s)
+            assert tables[n, m].spec == LatticeSpec(n, m, k)
 
 
 def test_work_cap():
