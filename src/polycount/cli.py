@@ -273,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int)
-    p.add_argument("--all-s", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--s", type=int)
+    which.add_argument("--all-s", action="store_true")
     p.add_argument("--method", choices=("transfer", "brute"), default="transfer")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_count)

@@ -26,11 +26,15 @@ runners:
   bookkeeping for double sums over rectangles and triangles, checked on
   sample terms.
 
-Grid points that hit a pole, or whose summation bounds are not integers,
-are skipped and counted; a check whose grid is entirely skipped fails as
-degenerate.  Certificates are expression trees, so the harness can perturb
-any single integer coefficient and confirm the check then fails (a wrong
-certificate cannot slip through).
+Each ``run_check`` call compiles the check's expressions once
+(``symbolic.compile_term``) and then walks the grid.  Grid points that hit a
+pole, or whose summation bounds are not integers, are skipped and counted; a
+check whose grid is entirely skipped fails as degenerate.  Certificates are
+expression trees, so the harness can perturb any single integer coefficient
+and confirm the check then fails (a wrong certificate cannot slip through).
+One failing point is enough for that, so each mutant runs with
+``fail_fast`` and stops at its first failing point; the registry run itself
+keeps the full failure list.
 """
 
 from __future__ import annotations
@@ -38,17 +42,22 @@ from __future__ import annotations
 import fnmatch
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .reports import Report
 from .symbolic import (
+    Compiled,
     Const,
     Expr,
+    Number,
     PoleError,
     Sum,
     _as_int,
     binom_expr as C,
-    eval_term,
+    compile_term,
+    # Unused here, but perfbench/tracing.py wraps identities.eval_term; drop the
+    # import once the benchmark wraps compile_term instead (see CHANGES.md).
+    eval_term,  # noqa: F401
     fact_expr,
     perturbations,
     sign_expr as SG,
@@ -104,24 +113,25 @@ class CheckOutcome:
         return not self.failures and self.tested > 0
 
 
-def _run_pointwise(chk: IdentityCheck, out: CheckOutcome) -> None:
+def _run_pointwise(chk: IdentityCheck, out: CheckOutcome) -> Iterator[str]:
     if chk.kind == "closed-form-sum":
         lhs_expr = Sum(chk.index, chk.lower, chk.upper, chk.summand)
     else:
         lhs_expr = chk.lhs
+    lhs_of, rhs_of = compile_term(lhs_expr), compile_term(chk.rhs)
     for env in chk.grid():
         try:
-            lhs = eval_term(lhs_expr, env)
-            rhs = eval_term(chk.rhs, env)
+            lhs = lhs_of(env)
+            rhs = rhs_of(env)
         except PoleError:
             out.skipped += 1
             continue
         out.tested += 1
         if lhs != rhs:
-            out.failures.append(f"{env}: lhs={lhs} rhs={rhs}")
+            yield f"{env}: lhs={lhs} rhs={rhs}"
 
 
-def _run_telescoping(chk: IdentityCheck, out: CheckOutcome) -> None:
+def _run_telescoping(chk: IdentityCheck, out: CheckOutcome) -> Iterator[str]:
     """sum_d b_d F(p+d) = sum over the axes of Delta G, pointwise and summed."""
     axes = [(chk.index, chk.lower, chk.upper,
              chk.antidifference if chk.antidifference is not None
@@ -130,18 +140,21 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome) -> None:
         axes.append((chk.index2, chk.lower2, chk.upper2,
                      chk.gterm2 if chk.gterm2 is not None
                      else chk.certificate2 * chk.summand))
+    axes = [(index, compile_term(lower), compile_term(upper), compile_term(g))
+            for index, lower, upper, g in axes]
     target = chk.inhom if chk.inhom is not None else chk.closed_form
+    target = None if target is None else compile_term(target)
+    summand, param = compile_term(chk.summand), chk.param
+    coeffs = None if chk.coeffs is None else [compile_term(bd) for bd in chk.coeffs]
 
-    def combination(coeff_env: dict, points: list[dict]) -> Fraction:
+    def combination(coeff_env: dict, points: list[dict]) -> Number:
         # sum_d b_d(coeff_env) * sum over the points of F(p+d); F alone without coeffs
-        def summed(d: int) -> Fraction:
-            return sum((eval_term(chk.summand, {**e, chk.param: e[chk.param] + d} if d else e)
-                        for e in points), Fraction(0))
+        def summed(d: int) -> Number:
+            return sum(summand({**e, param: e[param] + d} if d else e) for e in points)
 
-        if chk.coeffs is None:
+        if coeffs is None:
             return summed(0)
-        return sum((eval_term(bd, coeff_env) * summed(d) for d, bd in enumerate(chk.coeffs)),
-                   Fraction(0))
+        return sum(bd(coeff_env) * summed(d) for d, bd in enumerate(coeffs))
 
     for env in chk.grid():
         try:
@@ -149,61 +162,63 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome) -> None:
             for index, lower, upper, _ in axes:
                 points = [
                     {**e, index: k} for e in points
-                    for k in range(_as_int(eval_term(lower, e), "sum bound"),
-                                   _as_int(eval_term(upper, e), "sum bound") + 1)
+                    for k in range(_as_int(lower(e), "sum bound"),
+                                   _as_int(upper(e), "sum bound") + 1)
                 ]
         except PoleError:
             out.skipped += 1
             continue
         for e in points:
             try:
-                delta = Fraction(0)
+                delta = 0
                 for index, _, _, g in axes:
-                    delta += eval_term(g, {**e, index: e[index] + 1}) - eval_term(g, e)
+                    delta += g({**e, index: e[index] + 1}) - g(e)
                 lhs = combination(e, [e])
             except PoleError:
                 out.skipped += 1
                 continue
             out.tested += 1
             if lhs != delta:
-                out.failures.append(f"{e}: recurrence={lhs} telescoped={delta}")
+                yield f"{e}: recurrence={lhs} telescoped={delta}"
         if target is not None:
             try:
                 lhs = combination(env, points)
-                rhs = eval_term(target, env)
+                rhs = target(env)
             except PoleError:
                 out.skipped += 1
                 continue
             out.tested += 1
             if lhs != rhs:
-                out.failures.append(f"{env}: summed={lhs} declared={rhs}")
+                yield f"{env}: summed={lhs} declared={rhs}"
 
 
-def _run_boundary(chk: IdentityCheck, out: CheckOutcome) -> None:
+def _run_boundary(chk: IdentityCheck, out: CheckOutcome) -> Iterator[str]:
+    samples = [(compile_term(gi), compile_term(gj)) for gi, gj in chk.samples]
+
+    def g(term: Compiled, iv: int, jv: int) -> Number:
+        return term({"i": iv, "j": jv})
+
     for env in chk.grid():
         vi = env["vi"]
         vj = env.get("vj", 0)
-        for gi, gj in chk.samples:
 
-            def g(expr: Expr, iv: int, jv: int) -> Fraction:
-                return eval_term(expr, {"i": iv, "j": jv})
+        def cells() -> Iterable[tuple[int, int]]:
+            for iv in range(0, vi + 1):
+                if chk.shape == "rectangle":
+                    top = vj
+                elif chk.shape == "triangle":
+                    top = iv
+                else:  # antitriangle
+                    top = vi - iv
+                for jv in range(0, top + 1):
+                    yield iv, jv
 
-            def cells() -> Iterable[tuple[int, int]]:
-                for iv in range(0, vi + 1):
-                    if chk.shape == "rectangle":
-                        top = vj
-                    elif chk.shape == "triangle":
-                        top = iv
-                    else:  # antitriangle
-                        top = vi - iv
-                    for jv in range(0, top + 1):
-                        yield iv, jv
-
-            region = Fraction(0)
+        for gi, gj in samples:
+            region = 0
             for iv, jv in cells():
                 region += g(gi, iv + 1, jv) - g(gi, iv, jv)
                 region += g(gj, iv, jv + 1) - g(gj, iv, jv)
-            boundary = Fraction(0)
+            boundary = 0
             if chk.shape == "rectangle":
                 for iv in range(0, vi + 1):
                     boundary += g(gj, iv, vj + 1) - g(gj, iv, 0)
@@ -221,7 +236,7 @@ def _run_boundary(chk: IdentityCheck, out: CheckOutcome) -> None:
                     boundary += g(gi, vi - jv + 1, jv) - g(gi, 0, jv)
             out.tested += 1
             if region != boundary:
-                out.failures.append(f"{env} {chk.shape}: region={region} boundary={boundary}")
+                yield f"{env} {chk.shape}: region={region} boundary={boundary}"
 
 
 _RUNNERS = {
@@ -234,9 +249,17 @@ _RUNNERS = {
 }
 
 
-def run_check(chk: IdentityCheck) -> CheckOutcome:
+def run_check(chk: IdentityCheck, fail_fast: bool = False) -> CheckOutcome:
+    """Run the check over its whole grid; with fail_fast, stop at its first failure.
+
+    Expressions are compiled here, once per call, so building the registry
+    stays cheap.
+    """
     out = CheckOutcome(name=chk.name, tested=0, skipped=0)
-    _RUNNERS[chk.kind](chk, out)
+    for failure in _RUNNERS[chk.kind](chk, out):
+        out.failures.append(failure)
+        if fail_fast:
+            break
     if out.tested == 0:
         out.failures.append("degenerate grid: every point was skipped")
     return out
@@ -1242,25 +1265,27 @@ def _mutation_fields(chk: IdentityCheck) -> list[str]:
     return fields
 
 
-def mutation_survivors(chk: IdentityCheck) -> list[str]:
-    """Names of single-coefficient certificate perturbations that go undetected.
-
-    Each integer constant in each certificate/antidifference expression is
-    bumped by one; the check must then fail.  An empty list means the harness
-    catches every such corruption.
-    """
-    survivors = []
+def _mutants(chk: IdentityCheck) -> Iterator[tuple[str, IdentityCheck]]:
+    """Each single-constant perturbation of the check's certificates, labelled."""
     for fname in _mutation_fields(chk):
-        original = getattr(chk, fname)
-        for idx, mutated in enumerate(perturbations(original)):
+        for idx, mutated in enumerate(perturbations(getattr(chk, fname))):
             trial = replace(chk, **{fname: mutated})
             if fname == "certificate2" and chk.gterm2 is not None:
                 # the simplified inner G must track the certificate it encodes
                 trial = replace(trial, gterm2=None)
-            out = run_check(trial)
-            if out.passed:
-                survivors.append(f"{chk.name}:{fname}[{idx}]")
-    return survivors
+            yield f"{chk.name}:{fname}[{idx}]", trial
+
+
+def mutation_survivors(chk: IdentityCheck) -> list[str]:
+    """Names of single-coefficient certificate perturbations that go undetected.
+
+    Each integer constant in each certificate/antidifference expression is
+    bumped by one; the check must then fail.  One failing point is enough,
+    so each mutant runs only up to its first failure.  An empty list means
+    the harness catches every such corruption.
+    """
+    return [label for label, trial in _mutants(chk)
+            if run_check(trial, fail_fast=True).passed]
 
 
 def certificate_mutation_report(pattern: str = "*") -> Report:

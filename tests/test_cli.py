@@ -56,6 +56,13 @@ def test_count_missing_s(capsys):
     assert code == 2
 
 
+def test_count_s_and_all_s_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--n", "3", "--m", "3", "--k", "2", "--s", "1", "--all-s"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_resource_cap_exit(capsys):
     argv = ["--state-cap", "16", "count", "--n", "9", "--m", "9", "--k", "2"]
     code, out, _ = run_cli(capsys, *argv, "--s", "1")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import fnmatch
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from polycount.identities import (
     Const,
     IdentityCheck,
+    _mutants,
     _mutation_fields,
     build_registry,
     check_antidifference,
@@ -188,3 +190,29 @@ def test_mutation_detection_samples():
         "q4/step-inner-antidifference",
     ):
         assert mutation_survivors(reg[name]) == [], name
+
+
+def test_fail_fast_stops_at_the_first_failure():
+    checks = [chk for name, chk in sorted(registry().items())
+              if name == "q3/second-term-recurrence" or fnmatch.fnmatch(name, "double-gf/*")]
+    seen = 0
+    for chk in checks:
+        for label, trial in _mutants(chk):
+            full = run_check(trial)
+            fast = run_check(trial, fail_fast=True)
+            assert not fast.passed, label
+            assert len(fast.failures) == 1, (label, fast.failures)
+            assert fast.failures[0] == full.failures[0], label
+            assert fast.tested <= full.tested, label
+            seen += 1
+    assert seen == 22
+
+    # the normal run keeps every failing point
+    chk = registry()["q3/second-term-recurrence"]
+    label, trial = next(_mutants(chk))
+    assert label == "q3/second-term-recurrence:certificate[0]"
+    full = run_check(trial)
+    fast = run_check(trial, fail_fast=True)
+    assert (full.tested, full.skipped, len(full.failures)) == (310, 55, 75)
+    assert len(set(full.failures)) == 75
+    assert fast.tested == 6 and fast.failures == full.failures[:1]

@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 
 from polycount.symbolic import (
+    Add,
     Const,
+    Mul,
     PoleError,
     Sum,
     binom_expr as C,
+    compile_term,
     count_constants,
     eval_term,
     fact_expr,
@@ -78,3 +81,49 @@ def test_perturbations():
     assert len(list(perturbations(expr))) == total
     with pytest.raises(IndexError):
         perturb_constant(expr, total)
+
+
+def test_compiled_evaluation_is_exact():
+    def value(expr, env):
+        out = compile_term(expr)(env)
+        assert type(out) in (int, Fraction), (expr, env, out)
+        return out
+
+    one_third = value(s / j, {"s": 1, "j": 3})
+    assert one_third == Fraction(1, 3) and type(one_third) is Fraction
+    quarter = value(Const(Fraction(2)) ** (0 - s), {"s": 2})
+    assert quarter == Fraction(1, 4) and type(quarter) is Fraction
+    assert value(i ** (0 - s), {"i": -2, "s": 3}) == Fraction(-1, 8)
+    half = value(Const(Fraction(1, 2)), {})
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    # ints until a division needs a Fraction, and back to an int when it divides
+    assert type(value(SG(j) * C(s, j) * (s - j) + fact_expr(s), {"s": 6, "j": 2})) is int
+    assert type(value((2 * s) / s, {"s": 7})) is int
+    assert type(value(s * Const(Fraction(1, 2)) * 2, {"s": 3})) is Fraction
+    assert value(Add((s, j, s)), {"s": 2, "j": 5}) == 9  # any number of terms
+    assert value(Mul((s, j, s)), {"s": 2, "j": 5}) == 20
+    assert value(s, {"s": 0.5}) == Fraction(1, 2)  # a float binding is read exactly
+    assert type(value(s, {"s": 0.5})) is Fraction
+
+    for expr, env in ((C(7, 2), {}), (s / j, {"s": 1, "j": 3}), (SG(s), {"s": 3})):
+        assert type(eval_term(expr, env)) is Fraction
+
+    with pytest.raises(PoleError):
+        compile_term(s + j)({"s": 1})  # unbound variable
+    half_range = Sum("j", Const(Fraction(0)), s / 2, j)
+    with pytest.raises(PoleError):
+        compile_term(half_range)({"s": 3})  # non-integer upper bound
+    with pytest.raises(PoleError):
+        eval_term(half_range, {"s": 3})
+    assert eval_term(half_range, {"s": 4}) == 3
+
+
+def test_compiled_term_matches_eval_term_at_every_point():
+    expr = Sum("j", Const(Fraction(0)), s, SG(j) * C(s + j - 1, j) * (s - j) / s) + i ** (j - s)
+    compiled = compile_term(expr)
+    envs = [{"s": sv, "i": iv, "j": jv} for sv in range(1, 5) for iv in (-2, 3, Fraction(1, 3))
+            for jv in range(0, 3)]
+    for env in envs:
+        assert compiled(env) == eval_term(expr, env), env
+    # s = 2: the sum is 1 - 1 + 0, and 2 ** (0 - 2) = 1/4
+    assert compiled({"s": 2, "i": 2, "j": 0}) == Fraction(1, 4)
