@@ -3,7 +3,7 @@ with full verification of the strip and diagonal recurrences, the weighted
 identity arrangement that proves the diagonal one, and the registry of
 summation certificates behind the cancellation arguments."""
 
-from .errors import IntegralityError, ParameterError, ResourceLimitError
+from .errors import CheckFailedError, IntegralityError, ParameterError, ResourceLimitError
 from .lattice import (
     CountTable,
     LatticeSpec,
@@ -25,6 +25,7 @@ from .recurrences import (
     StripConstant,
     diagonal_rhs,
     extend_diagonal,
+    fit_polynomial,
     seed_from_enumeration,
     verify_diagonal,
     verify_diagonal_corollary,
@@ -55,6 +56,7 @@ from .symbolic import PoleError, eval_term
 __version__ = "0.1.0"
 
 __all__ = [
+    "CheckFailedError",
     "CountTable",
     "DiagonalSeed",
     "IdentityCheck",
@@ -83,6 +85,7 @@ __all__ = [
     "diagonal_rhs",
     "eval_term",
     "extend_diagonal",
+    "fit_polynomial",
     "h_domain",
     "h_explicit",
     "h_from_double_gf",

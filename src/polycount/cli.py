@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from .cache import load_entry, resolve_cache_dir, save_entry
-from .errors import ParameterError, ResourceLimitError
+from .errors import CheckFailedError, ParameterError, ResourceLimitError
 from .exact import binom
 from .lattice import (
     DEFAULT_STATE_CAP,
@@ -25,8 +25,12 @@ from .lattice import (
     count_tables,
 )
 from .recurrences import (
+    corollary_windows,
+    diagonal_windows,
     extend_diagonal,
+    fit_polynomial,
     seed_from_enumeration,
+    strip_windows,
     verify_diagonal,
     verify_diagonal_corollary,
     verify_strip,
@@ -156,27 +160,36 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _diag_points(args) -> list[tuple[int, int]]:
-    ms = args.m if args.m is not None else args.n
-    return [(n, m) for n in args.n for m in ms]
+def _verify_windows(args) -> Report:
+    """Run a strip, diagonal or corollary command's verifier calls off one count_tables call.
+
+    Every call's windows are validated before the sweep; the sweep counts
+    every window point at max(--s), at most one sweep per distinct shorter
+    side, and each verifier reads its counts from that one set of tables.
+    """
+    if args.target == "strip":
+        title, plan, verify = "strip recurrence", strip_windows, verify_strip
+        calls = [((args.k, n, sv, args.m), {}) for n in args.n for sv in args.s]
+    else:
+        if args.target == "diagonal":
+            title, plan, verify = "diagonal recurrence", diagonal_windows, verify_diagonal
+        else:
+            title, plan, verify = ("diagonal corollary", corollary_windows,
+                                   verify_diagonal_corollary)
+        ms = args.m if args.m is not None else args.n
+        points = [(n, m) for n in args.n for m in ms]
+        calls = [((args.k, sv, points), {"enforce_range": not args.unsafe_range})
+                 for sv in args.s]
+    window_points = [p for a, kw in calls for p in plan(*a, **kw).points()]
+    tables = count_tables(args.k, window_points, max(args.s), args.state_cap)
+    return Report(title=title).merge(*(
+        verify(*a, tables=tables, **kw) for a, kw in calls))
 
 
 def cmd_verify(args) -> int:
     started = time.time()
-    if args.target == "strip":
-        report = Report(title="strip recurrence").merge(*(
-            verify_strip(args.k, n, sv, args.m, state_cap=args.state_cap)
-            for n in args.n for sv in args.s))
-    elif args.target == "diagonal":
-        report = Report(title="diagonal recurrence").merge(*(
-            verify_diagonal(args.k, sv, _diag_points(args), state_cap=args.state_cap,
-                            enforce_range=not args.unsafe_range)
-            for sv in args.s))
-    elif args.target == "corollary":
-        report = Report(title="diagonal corollary").merge(*(
-            verify_diagonal_corollary(args.k, sv, _diag_points(args), state_cap=args.state_cap,
-                                      enforce_range=not args.unsafe_range)
-            for sv in args.s))
+    if args.target in ("strip", "diagonal", "corollary"):
+        report = _verify_windows(args)
     elif args.target == "weights":
         report = Report(title="weight grid")
         for sv in args.s:
@@ -205,6 +218,8 @@ def cmd_verify(args) -> int:
             *(verify_quadrant_lemmas(sv) for sv in args.s))
     elif args.target == "identities":
         report = identities.run_registry(args.filter)
+        if not report.checks:
+            raise ParameterError(f"--filter {args.filter!r} matches no identity check")
     else:  # pragma: no cover - argparse restricts choices
         raise ParameterError(f"unknown verify target {args.target}")
     return _emit_report(report, args, f"verify {args.target}", started)
@@ -223,25 +238,19 @@ def cmd_extend(args) -> int:
     seed = seed_from_enumeration(k, s, args.anchor_n, args.anchor_m, count=cached_count)
     extended = extend_diagonal(seed, args.steps)
     residuals = window_residuals(seed, extended)
-    crosschecked = []
     if not args.no_crosscheck:
+        polynomial = fit_polynomial(k, s, args.state_cap)
         for idx, value in enumerate(extended, start=1):
             n, m = args.anchor_n + idx, args.anchor_m + idx
-            if k ** min(n, m) > args.state_cap:
-                # at small s the live frontier stays far below the cap, but each
-                # sweep's cost still grows with the width: stop where every
-                # profile of the width would no longer fit the cap
-                break
-            direct = count_configurations(LatticeSpec(n=n, m=m, k=k), s,
-                                          state_cap=args.state_cap)
-            if direct != value:
+            expected = polynomial(n, m)
+            if expected != value:
                 print(
                     f"extension mismatch at ({n},{m}): recurrence {value} "
-                    f"!= enumeration {direct}",
+                    f"!= quadrant polynomial {expected}",
                     file=sys.stderr,
                 )
                 return EXIT_CHECK_FAILED
-            crosschecked.append(idx)
+    crosschecked = [] if args.no_crosscheck else list(range(1, len(extended) + 1))
     if any(residuals):
         print(f"nonzero recurrence residuals: {residuals}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -311,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor-n", type=int, required=True)
     p.add_argument("--anchor-m", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--no-crosscheck", action="store_true")
+    p.add_argument("--no-crosscheck", action="store_true",
+                   help="skip checking every extended value against the quadrant "
+                        "polynomial certified on held-out DP counts")
     p.add_argument("--cache-dir")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_extend)
@@ -334,6 +345,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except CheckFailedError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

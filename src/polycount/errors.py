@@ -13,3 +13,7 @@ class ResourceLimitError(RuntimeError):
 
 class IntegralityError(ArithmeticError):
     """An exact-rational pipeline produced a non-integer where an integer is required."""
+
+
+class CheckFailedError(ArithmeticError):
+    """An exact value disagreed with the independent route that certifies it."""

@@ -136,6 +136,62 @@ def test_verify_identities_filter(capsys):
     assert "appendix-d/rising-binomial-antidifference" in out
 
 
+def test_verify_identities_filter_matching_nothing_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "identities", "--filter", "appendx-d/*")
+    assert code == 2 and out == "" and "'appendx-d/*'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["strip", "--k", "2", "--n", "2..8", "--s", "1..3", "--m", "6..14"],
+    ["diagonal", "--k", "2", "--s", "1..2", "--n", "6..14"],
+    ["corollary", "--k", "3", "--s", "1..2", "--n", "9..12", "--m", "10..13"],
+    ["diagonal", "--k", "2", "--s", "1..2", "--n", "5..8", "--unsafe-range"],
+], ids=["strip", "diagonal", "corollary", "diagonal-unsafe"])
+def test_window_command_makes_one_count_tables_call(capsys, monkeypatch, argv):
+    from polycount import cli, recurrences
+    from polycount.reports import Report
+
+    calls = []
+
+    def counted(real):
+        return lambda *a, **kw: calls.append(a) or real(*a, **kw)
+
+    monkeypatch.setattr(cli, "count_tables", counted(cli.count_tables))
+    monkeypatch.setattr(recurrences, "count_tables", counted(recurrences.count_tables))
+    code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+    assert code == 0 and len(calls) == 1
+    doc = json.loads(out)
+    doc.pop("wall_time")
+
+    # the same command as the merge of one front-door call per (n, s) or per s
+    args = cli.build_parser().parse_args(["verify", *argv])
+    if args.target == "strip":
+        title = "strip recurrence"
+        parts = [cli.verify_strip(args.k, n, sv, args.m) for n in args.n for sv in args.s]
+    else:
+        title, verify = {"diagonal": ("diagonal recurrence", cli.verify_diagonal),
+                         "corollary": ("diagonal corollary",
+                                       cli.verify_diagonal_corollary)}[args.target]
+        points = [(n, m) for n in args.n for m in (args.m or args.n)]
+        parts = [verify(args.k, sv, points, enforce_range=not args.unsafe_range)
+                 for sv in args.s]
+    merged = Report(title=title).merge(*parts).to_dict()
+    assert {key: doc[key] for key in merged} == merged
+    assert set(doc) == set(merged) | {"command", "params"}
+
+
+def test_verify_window_ranges_checked_before_the_sweep(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("every window must be validated before the sweep")
+
+    monkeypatch.setattr("polycount.cli.count_tables", no_sweep)
+    monkeypatch.setattr("polycount.recurrences.count_tables", no_sweep)
+    # s = 1 is in range at n = 5; s = 2 is not, and must fail before any count
+    code, out, err = run_cli(capsys, "verify", "diagonal", "--k", "2", "--s", "1..2",
+                             "--n", "5..7")
+    assert code == 2 and out == "" and "got (5,5)" in err
+
+
 def test_verify_unsafe_range(capsys):
     code, out, _ = run_cli(capsys, "verify", "diagonal", "--k", "2", "--s", "2",
                            "--n", "5..6", "--unsafe-range")
@@ -170,12 +226,72 @@ def test_extend(capsys):
 
 
 def test_extend_crosscheck_reach(capsys):
-    # direct enumeration checks widths up to 24, whose 2**24 profiles fit the cap
+    # every step is checked against the quadrant polynomial, however wide the lattice
     code, out, _ = run_cli(capsys, "extend", "--k", "2", "--s", "1", "--anchor-n", "20",
                            "--anchor-m", "20", "--steps", "8", "--format", "json")
     data = json.loads(out)
-    assert code == 0 and data["crosschecked_steps"] == [1, 2, 3, 4]
+    assert code == 0 and data["crosschecked_steps"] == list(range(1, 9))
     assert data["extended"][-1] == str(2 * 28 * 27)
+
+
+def test_extend_crosschecks_every_step_to_212(capsys, monkeypatch):
+    argv = ["extend", "--k", "2", "--s", "2", "--anchor-n", "12", "--anchor-m", "12",
+            "--steps", "200", "--format", "json"]
+    calls = []
+    monkeypatch.setattr("polycount.cli.count_configurations",
+                        lambda *a, **kw: calls.append(a) or count_configurations(*a, **kw))
+    code, out, _ = run_cli(capsys, *argv)
+    data = json.loads(out)
+    assert code == 0 and data["crosschecked_steps"] == list(range(1, 201))
+    assert data["extended"][27] == "4856516"  # a(40, 40, 2, 2)
+    assert len(calls) == 4  # the seed's 2s counts, nothing per step
+
+
+def test_extend_catches_corrupt_seed_in_cache(capsys, tmp_path):
+    from polycount.cache import load_entry, save_entry
+    from polycount.lattice import CountTable, count_polynomial
+
+    cache_dir = tmp_path / "bad-seed"
+    good = count_polynomial(LatticeSpec(8, 8, 2))
+    counts = list(good.counts)
+    counts[2] += 1  # still passes the cache's own checks on counts[0] and counts[1]
+    save_entry(cache_dir, CountTable(spec=good.spec, counts=tuple(counts)))
+    assert load_entry(cache_dir, 2, 8, 8).counts[2] == counts[2]
+    argv = ["extend", "--k", "2", "--s", "2", "--anchor-n", "10", "--anchor-m", "10",
+            "--steps", "3", "--cache-dir", str(cache_dir)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "extension mismatch at (11,11)" in err and "quadrant polynomial" in err
+    code, _, _ = run_cli(capsys, *argv, "--no-crosscheck")
+    assert code == 0  # the recurrence alone cannot see a bad seed
+
+
+def test_extend_refuses_an_uncertified_polynomial(capsys, monkeypatch):
+    from polycount import recurrences
+
+    real = recurrences.count_tables
+
+    def off_by_one_at_top(k, points, s_max=None, state_cap=None):
+        tables = real(k, points, s_max, state_cap)
+        table = tables[5, 5]  # k=2, s=2: the held-out corner beyond both block sides
+        tables[5, 5] = type(table)(table.spec, table.counts[:2] + (table.counts[2] + 1,))
+        return tables
+
+    monkeypatch.setattr(recurrences, "count_tables", off_by_one_at_top)
+    code, out, err = run_cli(capsys, "extend", "--k", "2", "--s", "2", "--anchor-n", "10",
+                             "--anchor-m", "10", "--steps", "2")
+    assert code == 1 and out == "" and "check failed" in err and "held-out (5,5)" in err
+
+
+def test_extend_checks_seed_range_before_counting(capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("range must be checked before any count")
+
+    monkeypatch.setattr("polycount.cli.count_configurations", no_enumeration)
+    code, out, err = run_cli(capsys, "extend", "--k", "2", "--s", "4", "--anchor-n", "14",
+                             "--anchor-m", "200", "--steps", "1")
+    assert code == 2 and out == ""
+    assert "seed window reaches (7,193) below the proven range" in err
 
 
 def test_extend_range_violation(capsys):

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from polycount.errors import ParameterError
-from polycount.lattice import LatticeSpec, count_configurations
+from polycount import recurrences
+from polycount.errors import CheckFailedError, ParameterError
+from polycount.lattice import CountTable, LatticeSpec, count_configurations, count_tables
 from polycount.recurrences import (
     DiagonalSeed,
     StripConstant,
     diagonal_rhs,
     extend_diagonal,
+    fit_polynomial,
     seed_from_enumeration,
     verify_diagonal,
     verify_diagonal_corollary,
@@ -139,6 +143,64 @@ def test_seed_validation():
         DiagonalSeed(k=2, s=1, anchor_n=6, anchor_m=6, counts=(1, 2, 3))
     with pytest.raises(ParameterError):
         extend_diagonal(seed_from_enumeration(2, 1, 6, 6), 0)
+
+
+def test_seed_range_checked_before_any_count():
+    def count(n, m):
+        raise AssertionError(f"counted ({n},{m}) before checking the range")
+
+    with pytest.raises(ParameterError, match=r"reaches \(7,193\) below the proven range"):
+        seed_from_enumeration(2, 4, 14, 200, count=count)
+
+
+@pytest.mark.parametrize("k, s", [(2, 1), (2, 2), (3, 2), (2, 3), (4, 2)])
+def test_fit_polynomial_matches_dp_on_the_quadrant(k, s):
+    poly = fit_polynomial(k, s)
+    lo = max(k, (k - 1) * s)
+    points = [(n, m) for n in range(lo, lo + s + 5) for m in range(lo, lo + s + 5)]
+    tables = count_tables(k, points, s)
+    assert all(poly(n, m) == tables[n, m].counts[s] for n, m in points)
+    # its 2s-th diagonal difference is the diagonal constant, far from the fit
+    window = [poly(90 - i, 70 - i) for i in range(2 * s + 1)]
+    assert sum((-1) ** i * math.comb(2 * s, i) * v for i, v in enumerate(window)) \
+        == diagonal_rhs(s)
+    with pytest.raises(ParameterError, match="quadrant"):
+        poly(lo - 1, lo + 3)
+
+
+def _bump_dp(monkeypatch, point):
+    real = recurrences.count_tables
+
+    def off_by_one(k, points, s_max=None, state_cap=None):
+        tables = real(k, points, s_max, state_cap)
+        t = tables[point]
+        tables[point] = CountTable(t.spec, t.counts[:-1] + (t.counts[-1] + 1,))
+        return tables
+
+    monkeypatch.setattr(recurrences, "count_tables", off_by_one)
+
+
+@pytest.mark.parametrize("point", [(2, 3), (4, 4), (5, 2), (3, 5), (5, 5)],
+                         ids=["block", "block-corner", "held-out-n", "held-out-m",
+                              "held-out-both"])
+def test_fit_polynomial_refuses_a_wrong_dp_value(monkeypatch, point):
+    # k=2, s=2: block n, m in 2..4, held-out points at n = 5 or m = 5
+    _bump_dp(monkeypatch, point)
+    with pytest.raises(CheckFailedError, match="quadrant polynomial k=2 s=2"):
+        fit_polynomial(2, 2)
+
+
+def test_fit_polynomial_checks_the_leading_coefficient(monkeypatch):
+    # twice every count is still a polynomial, so only the leading coefficient shows it
+    real = recurrences.count_tables
+
+    def doubled(k, points, s_max=None, state_cap=None):
+        return {p: CountTable(t.spec, tuple(2 * c for c in t.counts))
+                for p, t in real(k, points, s_max, state_cap).items()}
+
+    monkeypatch.setattr(recurrences, "count_tables", doubled)
+    with pytest.raises(CheckFailedError, match="leading Newton coefficient 16, not 2"):
+        fit_polynomial(2, 2)
 
 
 def test_diagonal_rhs_values():
