@@ -25,6 +25,7 @@ from .lattice import (
     count_tables,
 )
 from .recurrences import (
+    check_steps,
     corollary_windows,
     diagonal_windows,
     extend_diagonal,
@@ -235,6 +236,7 @@ def cmd_extend(args) -> int:
             return table.count(s)
         return count_configurations(LatticeSpec(n=n, m=m, k=k), s, state_cap=args.state_cap)
 
+    check_steps(args.steps)  # like the seed range check, before any count
     seed = seed_from_enumeration(k, s, args.anchor_n, args.anchor_m, count=cached_count)
     extended = extend_diagonal(seed, args.steps)
     residuals = window_residuals(seed, extended)

@@ -9,8 +9,10 @@ The sweep goes one cell at a time and carries only live profiles (those
 with a nonzero count at some s up to the requested cap), so wide lattices
 stay cheap at small s.  The number of live profiles after each column is
 known in closed form, and the state cap bounds it before any sweep starts.
-One sweep of width n to length L gives the whole strip row a(n, 1..L);
-count_tables groups many points into one sweep per distinct shorter side.
+The strip is symmetric left to right, so a sweep of width n runs only to
+column ceil(L/2) and joins the frontiers on either side of each cut; that
+one half sweep gives the whole strip row a(n, 1..L).  count_tables groups
+many points into one sweep per distinct shorter side.
 """
 
 from __future__ import annotations
@@ -64,16 +66,17 @@ class CountTable:
 
 
 def _frontier_sizes(n: int, length: int, k: int, s_cap: int) -> list[int]:
-    """Live profiles after each column of the width-n sweep to length, unswept.
+    """Live profiles after each column of the width-n half sweep to length, unswept.
 
-    A profile is live when some partial configuration of at most s_cap rods
-    leaves it, and the fewest rods that leave it are its horizontal rods that
-    overhang the column.  So the live profiles after column c are the choices
-    of at most s_cap rows, each holding a digit d whose rod starts at column
+    The half sweep runs columns 1..ceil(length/2).  A profile is live when
+    some partial configuration of at most s_cap rods leaves it, and the
+    fewest rods that leave it are its horizontal rods that overhang the
+    column.  So the live profiles after column c are the choices of at most
+    s_cap rows, each holding a digit d whose rod starts at column
     c + 1 - k + d, inside the strip with room for all k cells.
     """
     sizes = []
-    for c in range(length):
+    for c in range((length + 1) // 2):
         digits = sum(1 for d in range(1, k) if 0 <= c + 1 - k + d <= length - k)
         sizes.append(sum(math.comb(n, j) * digits**j for j in range(min(s_cap, n) + 1)))
     return sizes
@@ -89,7 +92,7 @@ def _check_frontier(n: int, length: int, k: int, s_cap: int, state_cap: int) -> 
 
 
 def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tuple[int, ...]]:
-    """Cell-by-cell sweep of the width-n strip; rows[L] = (a_0, ..., a_{s_cap}) of n x L.
+    """Half sweep of the width-n strip plus a join; rows[L] = (a_0, ..., a_{s_cap}) of n x L.
 
     A profile packs one digit per row into an integer, `w` bits per row: d in
     1..k-1 for a cell covered by a horizontal rod that runs d more columns,
@@ -97,30 +100,57 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
     swept.  Cells are swept down each column, so rows above the current cell
     already hold the column's outgoing digits; the profiles inside a column
     stay close in number to the live frontier on either side of it (at most
-    4/3 of the larger on every strip up to width 9).  After column c the
-    zero profile counts exactly the configurations inside the first c+1
-    columns, so one sweep to the longest length yields every row asked for.
+    4/3 of the larger, measured on strips up to 9 x 18 at s_cap <= 3 and,
+    up to 100 cells, at full capacity).  After column c the frontier F_c counts
+    the configurations of the first c columns whose horizontal rods may run
+    on past column c, by their overhang profile.
+
+    The strip reads the same from either end, so F_c also counts the last c
+    columns read backwards, and the sweep stops at ceil(L/2) columns for the
+    longest L.  Cutting n x L after column c pairs a left profile P with the
+    right profile mirror(P), each overhang d becoming k - d, and a rod across
+    the cut is counted once on each side.  So after column c the sweep holds
+    F_{c-1} and F_c and reads rows[2c-1] = join(F_c, F_{c-1}) and
+    rows[2c] = join(F_c, F_c) (Stanley, EC1 section 4.7), where
+    join(A, B) sums B[P] * A[mirror(P)] over P, each product shifted down one
+    slot per nonzero digit of P.
 
     A profile's counts by rods placed are packed into one integer, `bits` per
     slot, and slots above s_cap are masked off, so a profile that needs more
-    rods than s_cap is never stored.  A partial configuration with s rods is
-    a choice of s (start cell, orientation) pairs among the swept cells, and
-    one with any number of rods marks each cell as no start, a horizontal or
-    a vertical start, so no slot reaches min((2*cells)**s_cap, 4**cells).
+    rods than s_cap is never stored.  Every slot, partial or joined, counts
+    sets of j disjoint rods among the P rod positions of n x max(lengths), so
+    it is at most C(P, j), and a join's products carry only into the masked
+    slots above s_cap.
     """
     length = max(lengths)
-    cells = n * length
-    bits = 1 + min(2 * cells, s_cap * (2 * cells).bit_length())
+    positions = n * max(0, length - k + 1) + length * max(0, n - k + 1)
+    bits = 1 + max(math.comb(positions, j).bit_length() for j in range(s_cap + 1))
     slot = (1 << bits) - 1
     keep = (1 << bits * (s_cap + 1)) - 1  # drops slots above s_cap rods
     w = k.bit_length()
     digit = (1 << w) - 1
+    ones = sum(1 << w * r for r in range(n))  # the low bit of every row's digit
     below = (1 << w * (k - 1)) - 1  # the k-1 rows a vertical rod covers below its start
     covered = sum(k << w * i for i in range(k - 1))
+
+    def join(left: dict[int, int], right: dict[int, int]) -> tuple[int, ...]:
+        total = 0
+        for profile, packed in right.items():
+            nonzero = profile
+            for i in range(1, w):
+                nonzero |= profile >> i
+            nonzero &= ones
+            other = left.get(k * nonzero - profile)  # the mirror: d -> k - d
+            if other:
+                total += (packed * other) >> bits * nonzero.bit_count()
+        total &= keep
+        return tuple((total >> s * bits) & slot for s in range(s_cap + 1))
+
     frontier: dict[int, int] = {0: 1}
     rows: dict[int, tuple[int, ...]] = {}
-    for c in range(length):
-        hstart = c + k <= length
+    for c in range(1, (length + 1) // 2 + 1):
+        previous = frontier if 2 * c - 1 in lengths else None
+        hstart = c - 1 + k <= length
         for r in range(n):
             shift = w * r
             vertical = r + k <= n
@@ -142,9 +172,10 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
                     out = profile | (covered << (shift + w))
                     nxt[out] = nxt.get(out, 0) + more
             frontier = nxt
-        if c + 1 in lengths:
-            final = frontier.get(0, 0)
-            rows[c + 1] = tuple((final >> s * bits) & slot for s in range(s_cap + 1))
+        if previous is not None:
+            rows[2 * c - 1] = join(frontier, previous)
+        if 2 * c in lengths:
+            rows[2 * c] = join(frontier, frontier)
     return rows
 
 

@@ -350,14 +350,18 @@ def fit_polynomial(
     return evaluate
 
 
+def check_steps(steps: int) -> None:
+    if steps < 1:
+        raise ParameterError(f"steps must be >= 1, got {steps}")
+
+
 def extend_diagonal(seed: DiagonalSeed, steps: int) -> list[int]:
     """Append `steps` new diagonal counts beyond the seed anchor.
 
     Solves the diagonal recurrence for its leading term:
     a(n, m) = rhs - sum_{i=1}^{2s} (-1)**i C(2s,i) a(n-i, m-i).
     """
-    if steps < 1:
-        raise ParameterError(f"steps must be >= 1, got {steps}")
+    check_steps(steps)
     rhs = diagonal_rhs(seed.s)
     window = list(seed.counts)  # ascending, ends at the anchor
     out: list[int] = []

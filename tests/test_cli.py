@@ -294,6 +294,17 @@ def test_extend_checks_seed_range_before_counting(capsys, monkeypatch):
     assert "seed window reaches (7,193) below the proven range" in err
 
 
+def test_extend_checks_steps_before_counting(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("steps must be checked before any count")
+
+    monkeypatch.setattr("polycount.lattice._sweep", no_sweep)
+    code, out, err = run_cli(capsys, "extend", "--k", "2", "--s", "2", "--anchor-n", "10",
+                             "--anchor-m", "10", "--steps", "0")
+    assert code == 2 and out == ""
+    assert "steps must be >= 1, got 0" in err
+
+
 def test_extend_range_violation(capsys):
     code, _, err = run_cli(capsys, "extend", "--k", "2", "--s", "1",
                            "--anchor-n", "3", "--anchor-m", "3", "--steps", "1")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from polycount.errors import ParameterError, ResourceLimitError
@@ -46,12 +48,12 @@ def test_one_rod_closed_form():
 
 
 def test_transpose_symmetry():
+    # two sweeps of different widths: n wide to length m, and m wide to length n
     for n in range(1, 7):
         for m in range(n, 7):
             for k in (2, 3):
-                spec = LatticeSpec(n, m, k)
-                flipped = LatticeSpec(m, n, k)
-                assert count_polynomial(spec).counts == count_polynomial(flipped).counts
+                cap = LatticeSpec(n, m, k).capacity
+                assert _sweep(n, {m}, k, cap)[m] == _sweep(m, {n}, k, cap)[n]
 
 
 def test_capacity_bounds():
@@ -136,39 +138,42 @@ def test_row_sweep_matches_brute_force():
 
 
 def cut_profiles(n, length, k, s_cap):
-    """Sizes of the sets of overhang profiles at every column cut, by search.
+    """Sizes of the sets of overhang profiles after columns 1..ceil(length/2), by search.
 
-    Each configuration of at most s_cap rods on the n x length lattice gives,
-    after column c, one digit per row: how many columns past c the
-    horizontal rod covering that row's cell at c still runs, else 0.
+    The half sweep's frontier after column c holds the configurations of at
+    most s_cap rods on the n x c lattice whose horizontal rods may run past
+    column c but start by column length - k.  Each gives one digit per row:
+    how many columns past c its horizontal rod runs, else 0.
     """
-    rods = [(r, c, 1, 0) for r in range(n) for c in range(length - k + 1)]
-    rods += [(r, c, 0, 1) for r in range(n - k + 1) for c in range(length)]
-    profiles = [set() for _ in range(length)]
+    sizes = []
+    for c in range(1, (length + 1) // 2 + 1):
+        rods = [(r, c0, 1, 0) for r in range(n) for c0 in range(min(c, length - k + 1))]
+        rods += [(r, c0, 0, 1) for r in range(n - k + 1) for c0 in range(c)]
+        profiles = set()
 
-    def rec(start, chosen, occupied):
-        for c in range(length):
+        def rec(start, chosen, occupied):
             digits = [0] * n
             for r0, c0, dc, _ in chosen:
-                if dc and c0 <= c < c0 + k - 1:
-                    digits[r0] = c0 + k - 1 - c
-            profiles[c].add(tuple(digits))
-        if len(chosen) == s_cap:
-            return
-        for q in range(start, len(rods)):
-            r0, c0, dc, dr = rods[q]
-            cells = {(r0 + t * dr, c0 + t * dc) for t in range(k)}
-            if not cells & occupied:
-                rec(q + 1, chosen + [rods[q]], occupied | cells)
+                if dc:
+                    digits[r0] = max(0, c0 + k - c)
+            profiles.add(tuple(digits))
+            if len(chosen) == s_cap:
+                return
+            for q in range(start, len(rods)):
+                r0, c0, dc, dr = rods[q]
+                cells = {(r0 + t * dr, c0 + t * dc) for t in range(k)}
+                if not cells & occupied:
+                    rec(q + 1, chosen + [rods[q]], occupied | cells)
 
-    rec(0, [], frozenset())
-    return [len(p) for p in profiles]
+        rec(0, [], frozenset())
+        sizes.append(len(profiles))
+    return sizes
 
 
 def test_frontier_sizes_match_enumerated_profiles():
-    # the cap is checked on closed-form sizes; they must be the live frontier
-    for n in range(1, 5):
-        for length in range(n, 16 // n + 1):
+    # the cap is checked on closed-form sizes; they must be the half sweep's live frontier
+    for n in range(1, 6):
+        for length in range(n, 26 // n + 1):
             for k in (2, 3, 4):
                 for s_cap in range(4):
                     assert _frontier_sizes(n, length, k, s_cap) == cut_profiles(n, length, k, s_cap)
@@ -187,6 +192,36 @@ def test_row_sweep_matches_one_rod_closed_form():
         points += [(m, n) for n, m in points]
         tables = count_tables(k, points, s_max=1)
         assert all(tables[n, m].counts[1] == one_rod(n, m, k) for n, m in points)
+
+
+def two_rods(n, m, k):
+    """Pairs of rod positions minus the overlapping pairs: a(n, m, k, 2)."""
+    h, v = max(0, m - k + 1), max(0, n - k + 1)  # starts per row, per column
+    positions = n * h + m * v
+    same_row = n * sum(max(0, h - t) for t in range(1, k))
+    same_column = m * sum(max(0, v - t) for t in range(1, k))
+    crossing = (k * h) * (k * v)  # a horizontal and a vertical rod share one cell
+    return positions * (positions - 1) // 2 - same_row - same_column - crossing
+
+
+def test_two_rod_closed_form_past_brute_force():
+    # odd and even lengths, with rods across the cut of the half sweep
+    points = [(n, m) for n in range(1, 11) for m in range(1, 15)]
+    for k in (2, 3, 4):
+        tables = count_tables(k, points, s_max=2)
+        for n, m in points:
+            assert tables[n, m].counts == (1, one_rod(n, m, k), two_rods(n, m, k))
+
+
+def test_pinned_exact_counts():
+    # every count a(n, m, k, s) for n <= 7, m <= 8, k in {2, 3, 4}, all s
+    points = [(n, m) for n in range(1, 8) for m in range(1, 9)]
+    lines = []
+    for k in (2, 3, 4):
+        tables = count_tables(k, points)
+        lines += [f"{k} {n} {m} " + ",".join(map(str, tables[n, m].counts)) for n, m in points]
+    digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+    assert digest == "bfd5369b489e48197ae77479e3020e845acc8cf556e83f5130253f24e700dc62"
 
 
 def test_count_tables_matches_per_point_counts():
