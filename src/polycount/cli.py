@@ -168,9 +168,10 @@ def _verify_windows(args) -> Report:
     every window point at max(--s), at most one sweep per distinct shorter
     side, and each verifier reads its counts from that one set of tables.
     """
+    enforce = {"enforce_range": not args.unsafe_range}
     if args.target == "strip":
         title, plan, verify = "strip recurrence", strip_windows, verify_strip
-        calls = [((args.k, n, sv, args.m), {}) for n in args.n for sv in args.s]
+        calls = [((args.k, n, sv, args.m), enforce) for n in args.n for sv in args.s]
     else:
         if args.target == "diagonal":
             title, plan, verify = "diagonal recurrence", diagonal_windows, verify_diagonal
@@ -179,8 +180,7 @@ def _verify_windows(args) -> Report:
                                    verify_diagonal_corollary)
         ms = args.m if args.m is not None else args.n
         points = [(n, m) for n in args.n for m in ms]
-        calls = [((args.k, sv, points), {"enforce_range": not args.unsafe_range})
-                 for sv in args.s]
+        calls = [((args.k, sv, points), enforce) for sv in args.s]
     window_points = [p for a, kw in calls for p in plan(*a, **kw).points()]
     tables = count_tables(args.k, window_points, max(args.s), args.state_cap)
     return Report(title=title).merge(*(

@@ -134,7 +134,9 @@ def _plan(
     return WindowPlan(title, name, k, s, dn, width, rhs, tuple(checked))
 
 
-def strip_windows(k: int, n: int, s: int, m_range: Iterable[int]) -> WindowPlan:
+def strip_windows(
+    k: int, n: int, s: int, m_range: Iterable[int], enforce_range: bool = True
+) -> WindowPlan:
     """The windows verify_strip checks, validated."""
     if n < k:
         raise ParameterError(f"strip recurrence needs n >= k, got n={n}, k={k}")
@@ -143,7 +145,7 @@ def strip_windows(k: int, n: int, s: int, m_range: Iterable[int]) -> WindowPlan:
     return _plan(
         f"strip recurrence k={k} n={n} s={s}", "strip", k, s, [(n, m) for m in m_range],
         dn=0, width=s, rhs=StripConstant(n, k).value ** s, bound=(k, k * s),
-        enforce_range=True,
+        enforce_range=enforce_range,
     )
 
 
@@ -181,13 +183,16 @@ def verify_strip(
     s: int,
     m_range: Iterable[int],
     state_cap: int = DEFAULT_STATE_CAP,
+    enforce_range: bool = True,
     tables: Mapping[tuple[int, int], CountTable] | None = None,
 ) -> Report:
     """Check sum_i (-1)**i C(s,i) a(n, m-i, s) == (2n-k+1)**s for each m >= k*s.
 
-    Counts come from tables when given (see WindowPlan.report).
+    Every m must be >= k*s unless enforce_range is off, in which case
+    out-of-range residuals are reported without being asserted.  Counts come
+    from tables when given (see WindowPlan.report).
     """
-    return strip_windows(k, n, s, m_range).report(state_cap, tables)
+    return strip_windows(k, n, s, m_range, enforce_range).report(state_cap, tables)
 
 
 def verify_diagonal(

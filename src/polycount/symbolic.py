@@ -2,13 +2,16 @@
 
 Expression trees over named integer (or rational) variables, with binomials,
 factorials, sign factors, integer powers and finite sums.  ``compile_term``
-turns a tree into nested closures once; each call then evaluates exactly,
-in ints until a division or a negative power needs a Fraction, with no
-float anywhere.  ``eval_term`` is the one-shot form and returns a Fraction.
-Division by zero or other undefined points raise PoleError so callers can
-skip or report them.  Integer constants in a tree are enumerable and
-individually perturbable, which the identity harness uses to prove it would
-detect a wrong certificate.
+turns a tree into one generated straight-line Python function that carries
+every value as an unreduced int pair (numerator, denominator > 0), knows
+statically which denominators are 1, and normalises once per call into an
+int or a reduced Fraction, with no float anywhere.  Generated code is
+compiled once per tree shape: constants are parameters and variable names
+are string literals, never code.  ``eval_term`` is the one-shot form and
+returns a Fraction.  Division by zero or other undefined points raise
+PoleError so callers can skip or report them.  Integer constants in a tree
+are enumerable and individually perturbable, which the identity harness uses
+to prove it would detect a wrong certificate.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Iterator, Mapping, Union
 
 from .exact import binom
@@ -149,117 +151,296 @@ def _as_int(x: Number, where: str) -> int:
     return x.numerator
 
 
-def _exact(q: Fraction) -> Number:
-    """The int a Fraction equals when it is integral, else the Fraction."""
-    return q.numerator if q.denominator == 1 else q
+def _pair(v) -> tuple[int, int]:
+    """A non-int binding as (numerator, denominator); a float is read exactly."""
+    q = v if type(v) is Fraction else Fraction(v)
+    return q.numerator, q.denominator
 
 
-# Add and Mul of any arity compile to a chain of these binary closures, which
-# evaluates faster than a loop over the parts (median of 10 identity-harness
-# benchmark pairs on a 2-vCPU VM: 0.83 s against 1.05 s).
-def _add(f: Compiled, g: Compiled) -> Compiled:
-    return lambda env: f(env) + g(env)
+def _int(num: int, den: int, where: str) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise PoleError(f"{where} needs an integer, got {Fraction(num, den)}")
+    return q
 
 
-def _mul(f: Compiled, g: Compiled) -> Compiled:
-    return lambda env: f(env) * g(env)
+def _value(num: int, den: int) -> Number:
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+# Everything generated code may call; the tree's constants are passed in.
+_NAMESPACE = {"PoleError": PoleError, "_comb": math.comb, "_binom": binom,
+              "_factorial": math.factorial, "_pair": _pair, "_int": _int,
+              "_value": _value}
+
+# tree shape (see _shape) -> factory taking the tree's constants, returning its evaluator
+_FACTORIES: dict[tuple, Callable[..., Compiled]] = {}
+
+Pair = tuple[str, Union[str, None]]
+
+
+class _Emitter:
+    """One walk of a tree, writing the statements of its evaluator.
+
+    Each node becomes a pair of Python expressions ``(num, den)`` holding an
+    unreduced value ``num / den`` with ``den > 0``; ``den`` is None where the
+    denominator is statically 1.  Constants become parameters ``k0, k1, ...``
+    of the factory, numbered in the order ``_shape`` lists them, env reads
+    use ``repr`` of the variable name, and every other identifier is
+    generated, so no text of the tree is ever code.
+    """
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.params = 0
+        self.temps = 0
+        self.indent = " " * 12
+        # per block: repr of a variable name -> its pair (env read or sum
+        # index), and the num of a pair -> the int it was checked to be
+        self.scopes: list[dict] = [{}]
+
+    def temp(self, prefix: str) -> str:
+        self.temps += 1
+        return f"{prefix}{self.temps}"
+
+    def emit(self, line: str) -> None:
+        self.lines.append(self.indent + line)
+
+    def lookup(self, key: str):
+        for scope in reversed(self.scopes):
+            if key in scope:
+                return scope[key]
+        return None
+
+    def as_int(self, pair: Pair, where: str) -> str:
+        num, den = pair
+        if den is None:
+            return num
+        q = self.lookup(num)  # checked already, in this block or an enclosing one
+        if q is None:
+            q = self.scopes[-1][num] = self.temp("q")
+            self.emit(f"{q} = {num} if {den} == 1 else _int({num}, {den}, {where!r})")
+        return q
+
+    def node(self, expr: Expr) -> Pair:
+        emit = _EMIT.get(type(expr))
+        if emit is None:
+            raise TypeError(f"unknown expression node {expr!r}")
+        return emit(self, expr)
+
+    def const_node(self, expr: Const) -> Pair:
+        k = self.params
+        if Fraction(expr.value).denominator == 1:  # integrality survives a +1 bump
+            self.params += 1
+            return f"k{k}", None
+        self.params += 2
+        return f"k{k}", f"k{k + 1}"
+
+    def var_node(self, expr: Var) -> Pair:
+        if type(expr.name) is not str:
+            raise TypeError(f"variable name must be a str, got {expr.name!r}")
+        key = repr(expr.name)
+        pair = self.lookup(key)
+        if pair is None:
+            num, den = pair = self.scopes[-1][key] = self.temp("n"), self.temp("d")
+            self.emit(f"{num} = env[{key}]; {den} = 1")
+            self.emit(f"if type({num}) is not int: {num}, {den} = _pair({num})")
+        return pair
+
+    def div_node(self, expr: Div) -> Pair:
+        (a, da), (b, db) = self.node(expr.num), self.node(expr.den)
+        num, den = self.temp("n"), self.temp("d")
+        self.emit(f"if not {b}: raise PoleError('division by zero')")
+        self.emit(f"{num} = {a}" + ("" if db is None else f" * {db}"))
+        self.emit(f"{den} = {b}" + ("" if da is None else f" * {da}"))
+        self.emit(f"if {den} < 0: {num} = -{num}; {den} = -{den}")
+        return num, den
+
+    def pow_node(self, expr: Pow) -> Pair:
+        b, db = self.node(expr.base)
+        e = self.as_int(self.node(expr.exp), "exponent")
+        num, den = self.temp("n"), self.temp("d")
+        self.emit(f"if {e} >= 0: {num} = {b} ** {e}; {den} = "
+                  + ("1" if db is None else f"{db} ** {e}"))
+        self.emit(f"elif not {b}: raise PoleError('zero base with negative exponent')")
+        self.emit("else:")
+        self.emit(f"    {num} = " + ("1" if db is None else f"{db} ** -{e}")
+                  + f"; {den} = {b} ** -{e}")
+        self.emit(f"    if {den} < 0: {num} = -{num}; {den} = -{den}")
+        return num, den
+
+    def binom_node(self, expr: Binom) -> Pair:
+        upper = self.as_int(self.node(expr.upper), "binomial upper index")
+        lower = self.as_int(self.node(expr.lower), "binomial lower index")
+        num = self.temp("n")
+        self.emit(f"{num} = _comb({upper}, {lower}) if {upper} >= 0 <= {lower}"
+                  f" else _binom({upper}, {lower})")
+        return num, None
+
+    def fact_node(self, expr: Fact) -> Pair:
+        a = self.as_int(self.node(expr.arg), "factorial argument")
+        num = self.temp("n")
+        self.emit(f"if {a} < 0: raise PoleError(f'factorial of negative {{{a}}}')")
+        self.emit(f"{num} = _factorial({a})")
+        return num, None
+
+    def sign_node(self, expr: Sign) -> Pair:
+        e = self.as_int(self.node(expr.exp), "sign exponent")
+        num = self.temp("n")
+        self.emit(f"{num} = -1 if {e} % 2 else 1")
+        return num, None
+
+    def sum_node(self, expr: Sum) -> Pair:
+        lo = self.as_int(self.node(expr.lower), "sum lower bound")
+        hi = self.as_int(self.node(expr.upper), "sum upper bound")
+        num, den, index = self.temp("n"), self.temp("d"), self.temp("i")
+        self.emit(f"{num} = 0; {den} = 1")
+        self.emit(f"for {index} in range({lo}, {hi} + 1):")
+        self.indent += "    "
+        self.scopes.append({repr(expr.index): (index, None)})
+        bn, bd = self.node(expr.body)
+        if bd is None:
+            self.emit(f"{num} += {bn}")
+        else:  # keep one denominator while the terms share it
+            self.emit(f"if {bd} == {den}: {num} += {bn}")
+            self.emit(f"elif not {num}: {num} = {bn}; {den} = {bd}")
+            self.emit(f"else: {num} = {num} * {bd} + {bn} * {den}; {den} *= {bd}")
+        self.scopes.pop()
+        self.indent = self.indent[4:]
+        return num, (None if bd is None else den)
+
+    def mul_node(self, expr: Mul) -> Pair:
+        pairs = [self.node(f) for f in expr.factors]
+        num = self.temp("n")
+        self.emit(f"{num} = {' * '.join(n for n, _ in pairs)}")
+        dens = [d for _, d in pairs if d is not None]
+        if not dens:
+            return num, None
+        if len(dens) == 1:
+            return num, dens[0]
+        den = self.temp("d")
+        self.emit(f"{den} = {' * '.join(dens)}")
+        return num, den
+
+    def add_node(self, expr: Add) -> Pair:
+        pairs = [self.node(t) for t in expr.terms]
+        ints = [n for n, d in pairs if d is None]
+        whole = ints[0] if len(ints) == 1 else None
+        if len(ints) > 1:
+            whole = self.temp("n")
+            self.emit(f"{whole} = {' + '.join(ints)}")
+        fracs = [(n, d) for n, d in pairs if d is not None]
+        if not fracs:
+            return whole, None
+        num, den = fracs[0]
+        for n2, d2 in fracs[1:]:
+            n3, d3 = self.temp("n"), self.temp("d")
+            self.emit(f"if {den} == {d2}: {n3} = {num} + {n2}; {d3} = {den}")
+            self.emit(f"else: {n3} = {num} * {d2} + {n2} * {den}; {d3} = {den} * {d2}")
+            num, den = n3, d3
+        if whole is not None:
+            n3 = self.temp("n")
+            self.emit(f"{n3} = {num} + {whole} * {den}")
+            num = n3
+        return num, den
+
+    def source(self, expr: Expr) -> str:
+        num, den = self.node(expr)
+        self.emit(f"return {num}" if den is None
+                  else f"return {num} if {den} == 1 else _value({num}, {den})")
+        params = ", ".join(f"k{k}" for k in range(self.params))
+        return "\n".join([
+            f"def _make({params}):",
+            "    def term(env):",
+            "        try:",
+            *self.lines,
+            "        except KeyError as missing:",
+            "            raise PoleError(f'unbound variable {missing.args[0]}') from None",
+            "    return term",
+            "",
+        ])
+
+
+_EMIT = {Const: _Emitter.const_node, Var: _Emitter.var_node, Add: _Emitter.add_node,
+         Mul: _Emitter.mul_node, Div: _Emitter.div_node, Pow: _Emitter.pow_node,
+         Binom: _Emitter.binom_node, Fact: _Emitter.fact_node, Sign: _Emitter.sign_node,
+         Sum: _Emitter.sum_node}
+
+
+# every node class but Const -> its fields, in the order both walks visit them
+_FIELDS = {cls: tuple(f.name for f in fields(cls))
+           for cls in (Var, Add, Mul, Div, Pow, Binom, Fact, Sign, Sum)}
+
+
+def _shape(expr: Expr, key: list, consts: list[int]) -> None:
+    """Append the tree's shape to key and its constants to consts, in field order.
+
+    The key holds node classes, operand counts, names and whether each
+    constant is integral: everything the emitted source depends on, and no
+    constant's value.
+    """
+    cls = type(expr)
+    if cls is Const:
+        q = expr.value if type(expr.value) is Fraction else Fraction(expr.value)
+        if q.denominator == 1:
+            key.append(1)
+            consts.append(q.numerator)
+        else:
+            key.append(2)
+            consts += (q.numerator, q.denominator)
+        return
+    names = _FIELDS.get(cls)
+    if names is None:
+        raise TypeError(f"unknown expression node {expr!r}")
+    key.append(cls)
+    for name in names:
+        value = getattr(expr, name)
+        if type(value) is tuple:
+            key.append(len(value))
+            for part in value:
+                _shape(part, key, consts)
+        elif isinstance(value, Expr):
+            _shape(value, key, consts)
+        else:
+            key.append(value)
 
 
 def compile_term(expr: Expr) -> Compiled:
-    """Turn the tree into one closure ``env -> int | Fraction``, built once.
+    """Turn the tree into one function ``env -> int | Fraction``.
 
-    Arithmetic stays in exact ints until a ``Div`` or a negative ``Pow``
-    needs a Fraction; a Fraction result that is integral drops back to an
-    int.  Binomials follow the falling-factorial convention: C(a, b) = 0 for
+    The tree is walked once into straight-line Python source: a statement
+    or two per node and a ``for`` loop per ``Sum``, carrying each value as an
+    unreduced int pair ``(num, den > 0)`` and knowing statically which
+    denominators are 1.  A call normalises once, at the end: an int when the
+    value is integral, else a reduced Fraction.  No text of the tree becomes
+    code: constants are parameters of a factory, variable names appear only
+    as ``repr`` string literals in ``env`` lookups, and every identifier is
+    generated.  The source thus depends only on the tree's shape: its nodes,
+    variable names and which constants are integral.  Factories are cached
+    by that shape, so a tree with one constant bumped (a certificate mutant)
+    costs one light tree walk and a factory call, never a ``compile``.
+    Python's block nesting limit caps ``Sum`` nesting at 19.
+
+    Binomials follow the falling-factorial convention: C(a, b) = 0 for
     b < 0 and the product a(a-1)...(a-b+1)/b! otherwise, so negative upper
     indices are fine and 0 <= a < b gives 0.  An undefined point (unbound
-    variable, zero denominator, non-integer index, factorial of a negative)
-    raises PoleError when the closure is called, never at compile time.
+    variable, zero denominator, zero base with a negative exponent,
+    non-integral binomial, factorial, sign, exponent or sum-bound argument,
+    factorial of a negative) raises PoleError when the function is called,
+    never at compile time.  Variables are read when first needed, so one read
+    only inside an empty sum never raises; float bindings are read exactly.
     """
-    if isinstance(expr, Const):
-        value = _exact(Fraction(expr.value))
-        return lambda env: value
-    if isinstance(expr, Var):
-        name = expr.name
-
-        def var(env):
-            try:
-                v = env[name]
-            except KeyError:
-                raise PoleError(f"unbound variable {name}") from None
-            return v if type(v) is int or type(v) is Fraction else Fraction(v)
-
-        return var
-    if isinstance(expr, Add):
-        return reduce(_add, (compile_term(t) for t in expr.terms))
-    if isinstance(expr, Mul):
-        return reduce(_mul, (compile_term(f) for f in expr.factors))
-    if isinstance(expr, Div):
-        num, den = compile_term(expr.num), compile_term(expr.den)
-
-        def div(env):
-            d = den(env)
-            if d == 0:
-                raise PoleError("division by zero")
-            return _exact(Fraction(num(env), d))
-
-        return div
-    if isinstance(expr, Pow):
-        base, exp = compile_term(expr.base), compile_term(expr.exp)
-
-        def pow_(env):
-            e = _as_int(exp(env), "exponent")
-            b = base(env)
-            if e >= 0:
-                return b**e
-            if b == 0:
-                raise PoleError("zero base with negative exponent")
-            return _exact(Fraction(b) ** e)
-
-        return pow_
-    if isinstance(expr, Binom):
-        upper, lower = compile_term(expr.upper), compile_term(expr.lower)
-
-        def binom_(env):
-            return binom(_as_int(upper(env), "binomial upper index"),
-                         _as_int(lower(env), "binomial lower index"))
-
-        return binom_
-    if isinstance(expr, Fact):
-        arg = compile_term(expr.arg)
-
-        def fact(env):
-            a = _as_int(arg(env), "factorial argument")
-            if a < 0:
-                raise PoleError(f"factorial of negative {a}")
-            return math.factorial(a)
-
-        return fact
-    if isinstance(expr, Sign):
-        exp = compile_term(expr.exp)
-
-        def sign(env):
-            e = _as_int(exp(env), "sign exponent")
-            return -1 if e % 2 else 1
-
-        return sign
-    if isinstance(expr, Sum):
-        index = expr.index
-        lower, upper, body = (compile_term(expr.lower), compile_term(expr.upper),
-                              compile_term(expr.body))
-
-        def sum_(env):
-            lo = _as_int(lower(env), "sum lower bound")
-            hi = _as_int(upper(env), "sum upper bound")
-            inner = dict(env)
-            total = 0
-            for v in range(lo, hi + 1):
-                inner[index] = v
-                total += body(inner)
-            return total
-
-        return sum_
-    raise TypeError(f"unknown expression node {expr!r}")
+    shape: list = []
+    consts: list[int] = []
+    _shape(expr, shape, consts)
+    key = tuple(shape)
+    make = _FACTORIES.get(key)
+    if make is None:
+        namespace = dict(_NAMESPACE)
+        exec(compile(_Emitter().source(expr), "<polycount.symbolic>", "exec"), namespace)
+        make = _FACTORIES[key] = namespace["_make"]
+    return make(*consts)
 
 
 def eval_term(expr: Expr, env: Mapping[str, Number]) -> Fraction:

@@ -208,6 +208,19 @@ def test_verify_unsafe_range_reports_info(capsys):
     assert lines[-1] == "# 0 passed, 0 failed, 0 skipped, 1 info"
 
 
+def test_verify_strip_unsafe_range_reports_info(capsys):
+    argv = ["verify", "strip", "--k", "2", "--n", "2..6", "--s", "1..3", "--m", "4..12",
+            "--format", "json"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "strip window asserted only for n >= 2, m >= 6; got (2,4)" in err
+    code, out, _ = run_cli(capsys, *argv, "--unsafe-range")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    below = [c for c in checks if c["params"]["m"] < 2 * c["params"]["s"]]
+    assert len(below) == 10 and all(c["status"] == "info" for c in below)
+    assert all(c["status"] == "pass" for c in checks if c not in below)
+
+
 def test_report_determinism(capsys):
     argv = ["verify", "diagonal", "--k", "2", "--s", "1", "--n", "3..6",
             "--format", "json"]

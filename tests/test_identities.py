@@ -21,7 +21,16 @@ from polycount.identities import (
     run_check,
     run_registry,
 )
-from polycount.symbolic import Sum, binom_expr as C, count_constants, eval_term, syms
+from polycount.symbolic import (
+    PoleError,
+    Sum,
+    binom_expr as C,
+    compile_term,
+    count_constants,
+    eval_term,
+    perturbations,
+    syms,
+)
 
 s, i, j, jp, t, k = syms("s i j jp t k")
 
@@ -216,3 +225,31 @@ def test_fail_fast_stops_at_the_first_failure():
     assert (full.tested, full.skipped, len(full.failures)) == (310, 55, 75)
     assert len(set(full.failures)) == 75
     assert fast.tested == 6 and fast.failures == full.failures[:1]
+
+
+def test_certificate_mutants_reuse_the_compiled_code():
+    # a mutant differs from its certificate in one constant, which the compiled
+    # code takes as a parameter, so re-running a mutant never recompiles
+    for name, chk in registry().items():
+        for f in _mutation_fields(chk):
+            code = compile_term(getattr(chk, f)).__code__
+            for mutant in perturbations(getattr(chk, f)):
+                assert compile_term(mutant).__code__ is code, (name, f)
+
+    chk = registry()["q3/second-term-recurrence"]
+    points = [{**env, "jp": v} for env in chk.grid() for v in range(0, env["i"])]
+
+    def values(term):
+        out = []
+        for env in points:
+            try:
+                out.append(term(env))
+            except PoleError:
+                out.append(None)
+        return out
+
+    original = values(compile_term(chk.certificate))
+    mutants = list(perturbations(chk.certificate))
+    assert len(mutants) == count_constants(chk.certificate) >= 5
+    for mutant in mutants:
+        assert values(compile_term(mutant)) != original

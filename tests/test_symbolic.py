@@ -1,15 +1,25 @@
 from __future__ import annotations
 
+import math
+import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from polycount.symbolic import (
     Add,
+    Binom,
     Const,
+    Div,
+    Expr,
+    Fact,
     Mul,
     PoleError,
+    Pow,
+    Sign,
     Sum,
+    Var,
     binom_expr as C,
     compile_term,
     count_constants,
@@ -86,7 +96,8 @@ def test_perturbations():
 def test_compiled_evaluation_is_exact():
     def value(expr, env):
         out = compile_term(expr)(env)
-        assert type(out) in (int, Fraction), (expr, env, out)
+        # an int exactly when the value is integral, else a reduced Fraction
+        assert type(out) is (int if Fraction(out).denominator == 1 else Fraction), (expr, env)
         return out
 
     one_third = value(s / j, {"s": 1, "j": 3})
@@ -96,10 +107,10 @@ def test_compiled_evaluation_is_exact():
     assert value(i ** (0 - s), {"i": -2, "s": 3}) == Fraction(-1, 8)
     half = value(Const(Fraction(1, 2)), {})
     assert half == Fraction(1, 2) and type(half) is Fraction
-    # ints until a division needs a Fraction, and back to an int when it divides
+    # an int whenever the value is integral, whatever the route to it
     assert type(value(SG(j) * C(s, j) * (s - j) + fact_expr(s), {"s": 6, "j": 2})) is int
     assert type(value((2 * s) / s, {"s": 7})) is int
-    assert type(value(s * Const(Fraction(1, 2)) * 2, {"s": 3})) is Fraction
+    assert value(s * Const(Fraction(1, 2)) * 2, {"s": 3}) == 3
     assert value(Add((s, j, s)), {"s": 2, "j": 5}) == 9  # any number of terms
     assert value(Mul((s, j, s)), {"s": 2, "j": 5}) == 20
     assert value(s, {"s": 0.5}) == Fraction(1, 2)  # a float binding is read exactly
@@ -127,3 +138,175 @@ def test_compiled_term_matches_eval_term_at_every_point():
         assert compiled(env) == eval_term(expr, env), env
     # s = 2: the sum is 1 - 1 + 0, and 2 ** (0 - 2) = 1/4
     assert compiled({"s": 2, "i": 2, "j": 0}) == Fraction(1, 4)
+
+
+# -- an independent oracle ----------------------------------------------------
+
+def _whole(q: Fraction) -> int:
+    if q.denominator != 1:
+        raise PoleError(f"not an integer: {q}")
+    return q.numerator
+
+
+def _oracle(expr, env) -> Fraction:
+    """A plain recursive walk over Fractions, sharing no code with compile_term."""
+    if isinstance(expr, Const):
+        return Fraction(expr.value)
+    if isinstance(expr, Var):
+        if expr.name not in env:
+            raise PoleError(f"unbound {expr.name}")
+        return Fraction(env[expr.name])
+    if isinstance(expr, Add):
+        return sum((_oracle(e, env) for e in expr.terms), Fraction(0))
+    if isinstance(expr, Mul):
+        return math.prod((_oracle(e, env) for e in expr.factors), start=Fraction(1))
+    if isinstance(expr, Div):
+        num, den = _oracle(expr.num, env), _oracle(expr.den, env)
+        if den == 0:
+            raise PoleError("zero denominator")
+        return num / den
+    if isinstance(expr, Pow):
+        base, exp = _oracle(expr.base, env), _whole(_oracle(expr.exp, env))
+        if base == 0 and exp < 0:
+            raise PoleError("zero to a negative power")
+        return base**exp
+    if isinstance(expr, Binom):
+        a, b = _whole(_oracle(expr.upper, env)), _whole(_oracle(expr.lower, env))
+        return Fraction(math.prod(a - t for t in range(b)), math.factorial(b)) if b >= 0 else 0
+    if isinstance(expr, Fact):
+        a = _whole(_oracle(expr.arg, env))
+        if a < 0:
+            raise PoleError("factorial of a negative")
+        return Fraction(math.factorial(a))
+    if isinstance(expr, Sign):
+        return Fraction(-1) ** _whole(_oracle(expr.exp, env))
+    if isinstance(expr, Sum):
+        lo, hi = _whole(_oracle(expr.lower, env)), _whole(_oracle(expr.upper, env))
+        return sum((_oracle(expr.body, {**env, expr.index: v}) for v in range(lo, hi + 1)),
+                   Fraction(0))
+    raise TypeError(expr)
+
+
+_NAMES = ("a", "b", "c")
+_VALUES = (-2, -1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 3), 0.5, -1.25, 2.0)
+
+
+def _random_const(rng):
+    if rng.random() < 0.75:
+        return Const(Fraction(rng.randint(-2, 3)))
+    return Const(Fraction(rng.choice((-3, -1, 1, 5)), rng.choice((2, 3))))
+
+
+def _random_small(rng, names):
+    """A shallow expression for sum bounds, exponents and factorials: stays small."""
+    pick = rng.random()
+    if pick < 0.3:
+        return Const(Fraction(rng.randint(-1, 4)))
+    var = Var(rng.choice(names))
+    if pick < 0.6:
+        return var
+    if pick < 0.85:
+        return Add((var, Const(Fraction(rng.randint(-2, 2)))))
+    return Div(var, Const(Fraction(2)))  # a half-integer now and then: a pole
+
+
+def _random_expr(rng, depth, names):
+    if depth == 0 or rng.random() < 0.2:
+        return _random_const(rng) if rng.random() < 0.4 else Var(rng.choice(names))
+    kind = rng.choice(("add", "mul", "div", "pow", "binom", "fact", "sign", "sum", "sum"))
+    sub = lambda: _random_expr(rng, depth - 1, names)  # noqa: E731
+    if kind == "add":
+        return Add(tuple(sub() for _ in range(rng.randint(2, 3))))
+    if kind == "mul":
+        return Mul(tuple(sub() for _ in range(rng.randint(2, 3))))
+    if kind == "div":
+        return Div(sub(), sub())
+    if kind == "pow":
+        return Pow(sub(), _random_small(rng, names))
+    if kind == "binom":
+        return Binom(sub(), _random_small(rng, names))
+    if kind == "fact":
+        return Fact(_random_small(rng, names))
+    if kind == "sign":
+        return Sign(sub())
+    index = rng.choice(("j", "k", "a"))  # "a" shadows a binding; j, k rebind when nested
+    inner = names if index in names else names + (index,)
+    return Sum(index, _random_small(rng, names), _random_small(rng, names),
+               _random_expr(rng, depth - 1, inner))
+
+
+def _kinds(expr) -> set[str]:
+    out = {type(expr).__name__}
+    for f in fields(expr):
+        value = getattr(expr, f.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Expr):
+                out |= _kinds(child)
+    return out
+
+
+def test_compiled_term_agrees_with_an_independent_oracle():
+    rng = random.Random(20241018)
+    seen = {"int": 0, "fraction": 0, "pole": 0}
+    kinds = set()
+    for _ in range(500):
+        expr = _random_expr(rng, 4, _NAMES)
+        kinds |= _kinds(expr)
+        term = compile_term(expr)
+        for _ in range(5):
+            env = {name: rng.choice(_VALUES) for name in _NAMES if rng.random() < 0.85}
+            try:
+                want = _oracle(expr, env)
+            except PoleError:
+                with pytest.raises(PoleError):
+                    term(env)
+                seen["pole"] += 1
+                continue
+            got = term(env)
+            assert got == want, (expr, env)
+            assert type(got) is (int if want.denominator == 1 else Fraction), (expr, env)
+            seen["int" if want.denominator == 1 else "fraction"] += 1
+    assert kinds == {"Const", "Var", "Add", "Mul", "Div", "Pow", "Binom", "Fact", "Sign", "Sum"}
+    assert min(seen.values()) >= 200, seen
+
+
+def test_nested_sums_rebinding_one_index():
+    inner = Sum("j", Const(Fraction(0)), j, j * i)  # the inner j runs 0..(outer j)
+    outer = Sum("j", Const(Fraction(1)), s, inner + j)
+    for env in ({"s": 3, "i": 2, "j": 99}, {"s": 4, "i": Fraction(1, 3)}, {"s": 2, "i": 0.5}):
+        assert compile_term(outer)(env) == _oracle(outer, env)
+    assert compile_term(outer)({"s": 3, "i": 2}) == 2 * (0 + 1 + 3 + 6) + 6
+
+
+def test_variables_are_read_only_when_needed():
+    empty = Sum("j", Const(Fraction(1)), Const(Fraction(0)), Var("unbound") * j)
+    assert compile_term(empty)({}) == 0 and type(compile_term(empty)({})) is int
+    with pytest.raises(PoleError):
+        compile_term(empty + Var("unbound"))({})
+    # what a sum body reads or checks is not reused after the sum, which may be empty
+    for lower in (0, 1):
+        after = Sum("j", Const(Fraction(lower)), Const(Fraction(0)), C(s, j) + i) + C(s, 2) * i
+        assert compile_term(s + after)({"s": 3, "i": 2}) == 3 + (1 - lower) * 3 + 6
+
+
+def test_names_are_looked_up_never_executed():
+    hostile = "a'); import os #"
+    assert compile_term(Var(hostile) * 2)({hostile: 7}) == 14
+    with pytest.raises(PoleError):
+        compile_term(Var(hostile))({})
+    index = "j\n    raise SystemExit('executed')"
+    total = Sum(index, Const(Fraction(1)), s, Var(index) + Var(hostile))
+    assert compile_term(total)({"s": 3, hostile: 1}) == 9
+
+
+def test_compiled_code_is_shared_by_shape_alone():
+    expr = (i - j) * (2 * s - j) / (j + 1) + C(s, 2) * Const(Fraction(1, 2))
+    base = compile_term(expr)
+    for mutant in perturbations(expr):
+        assert compile_term(mutant).__code__ is base.__code__
+    # same nodes and leaves, grouped differently: a different shape
+    env = {"s": 1, "i": 2, "j": 3}
+    assert compile_term(Mul((Add((s, i)), j)))(env) == 9
+    assert compile_term(Mul((Add((s, i, j)),)))(env) == 6
+    assert compile_term(Const(Fraction(1, 2)) * s)(env) == Fraction(1, 2)
+    assert compile_term(Const(Fraction(2)) * s)(env) == 2
