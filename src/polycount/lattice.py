@@ -11,14 +11,20 @@ stay cheap at small s.  The number of live profiles after each column is
 known in closed form, and the state cap bounds it before any sweep starts.
 The strip is symmetric left to right, so a sweep of width n runs only to
 column ceil(L/2) and joins the frontiers on either side of each cut; that
-one half sweep gives the whole strip row a(n, 1..L).  count_tables groups
-many points into one sweep per distinct shorter side.
+one half sweep gives the whole strip row a(n, 1..L).  Away from the ends of
+a long strip every column makes the same moves on the same profiles, so the
+sweep records one such column as index lists and masks and replays it for
+the later ones.  count_tables groups many points into one sweep per
+distinct shorter side.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import lshift
 from typing import Collection, Iterable
 
 from .errors import ParameterError, ResourceLimitError
@@ -65,6 +71,16 @@ class CountTable:
         return self.counts[s]
 
 
+def _overhangs(c: int, length: int, k: int) -> tuple[int, ...]:
+    """Digits d a live profile may hold after column c (0-based) of a sweep to length.
+
+    A digit d is a horizontal rod that runs d more columns, so it started at
+    column c + 1 - k + d, which must lie inside the strip with room for all
+    k cells.  Column -1 (before the sweep) admits none.
+    """
+    return tuple(d for d in range(1, k) if 0 <= c + 1 - k + d <= length - k)
+
+
 def _frontier_sizes(n: int, length: int, k: int, s_cap: int) -> list[int]:
     """Live profiles after each column of the width-n half sweep to length, unswept.
 
@@ -77,7 +93,7 @@ def _frontier_sizes(n: int, length: int, k: int, s_cap: int) -> list[int]:
     """
     sizes = []
     for c in range((length + 1) // 2):
-        digits = sum(1 for d in range(1, k) if 0 <= c + 1 - k + d <= length - k)
+        digits = len(_overhangs(c, length, k))
         sizes.append(sum(math.comb(n, j) * digits**j for j in range(min(s_cap, n) + 1)))
     return sizes
 
@@ -120,7 +136,23 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
     rods than s_cap is never stored.  Every slot, partial or joined, counts
     sets of j disjoint rods among the P rod positions of n x max(lengths), so
     it is at most C(P, j), and a join's products carry only into the masked
-    slots above s_cap.
+    slots above s_cap.  Each configuration has one profile, so a slot summed
+    over any profiles of one frontier is at most C(P, j) too, and never
+    carries.
+
+    The live profiles after column c are fixed by the overhang digits a
+    profile may hold there (_overhangs, the rule the state cap counts by).
+    A column with the same digits before and after it maps its profiles
+    onto themselves, and a later column with the same digits and the same
+    room to start a horizontal rod (its shape) makes the same moves.  When
+    at least two later columns share its shape, the sweep records the
+    column once (_record) and replays it for them (_replay): each cell
+    becomes a few list, mask and shift operations on the values in a fixed
+    order, with nothing computed per profile.  A replay first checks, cell
+    by cell, that every profile recorded idle (no count below s_cap, so no
+    rod started) still is; if one is not, the plan is dropped and the
+    column is swept plainly from its start values, so the counts stay exact
+    whatever the values.  Every other column is swept plainly.
     """
     length = max(lengths)
     positions = n * max(0, length - k + 1) + length * max(0, n - k + 1)
@@ -146,37 +178,181 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
         total &= keep
         return tuple((total >> s * bits) & slot for s in range(s_cap + 1))
 
+    half = (length + 1) // 2
+    shapes = [(_overhangs(c - 1, length, k), _overhangs(c, length, k), c + k <= length)
+              for c in range(half)]
     frontier: dict[int, int] = {0: 1}
     rows: dict[int, tuple[int, ...]] = {}
-    for c in range(1, (length + 1) // 2 + 1):
+    plan: _Plan | None = None
+    for c in range(1, half + 1):
         previous = frontier if 2 * c - 1 in lengths else None
-        hstart = c - 1 + k <= length
-        for r in range(n):
-            shift = w * r
-            vertical = r + k <= n
-            nxt: dict[int, int] = {}
-            for profile, packed in frontier.items():
-                d = (profile >> shift) & digit
-                if d:  # covered from the left or from above: nothing to place
-                    out = profile - ((d if d == k else 1) << shift)
-                    nxt[out] = nxt.get(out, 0) + packed
-                    continue
-                nxt[profile] = nxt.get(profile, 0) + packed  # monomer
-                more = (packed << bits) & keep
-                if not more:
-                    continue
-                if hstart:
-                    out = profile | ((k - 1) << shift)
-                    nxt[out] = nxt.get(out, 0) + more
-                if vertical and not (profile >> (shift + w)) & below:
-                    out = profile | (covered << (shift + w))
-                    nxt[out] = nxt.get(out, 0) + more
-            frontier = nxt
+        shape = shapes[c - 1]
+        hstart = shape[2]
+        vals = None
+        if plan is not None and plan.shape == shape:
+            vals = _replay(plan, list(frontier.values()), bits, s_cap)
+        elif shape[0] == shape[1] and shapes[c:].count(shape) >= 2:
+            recorded = _record(frontier, n, k, shape, bits, s_cap)
+            if recorded is not None:
+                plan, vals = recorded
+        if vals is not None:
+            frontier = dict(zip(frontier, vals))
+        else:  # no plan for this column, or its guard fired: the plain column
+            plan = None
+            for r in range(n):
+                shift = w * r
+                vertical = r + k <= n
+                nxt: dict[int, int] = {}
+                for profile, packed in frontier.items():
+                    d = (profile >> shift) & digit
+                    if d:  # covered from the left or from above: nothing to place
+                        out = profile - ((d if d == k else 1) << shift)
+                        nxt[out] = nxt.get(out, 0) + packed
+                        continue
+                    nxt[profile] = nxt.get(profile, 0) + packed  # monomer
+                    more = (packed << bits) & keep
+                    if not more:
+                        continue
+                    if hstart:
+                        out = profile | ((k - 1) << shift)
+                        nxt[out] = nxt.get(out, 0) + more
+                    if vertical and not (profile >> (shift + w)) & below:
+                        out = profile | (covered << (shift + w))
+                        nxt[out] = nxt.get(out, 0) + more
+                frontier = nxt
         if previous is not None:
             rows[2 * c - 1] = join(frontier, previous)
         if 2 * c in lengths:
             rows[2 * c] = join(frontier, frontier)
     return rows
+
+
+#: One recorded cell: (first, extra_src, extra_dst, across, down, idle); see _apply.
+_Cell = tuple[bytes, array, array, bytes, bytes, bytes]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A recorded column, for the columns after it that have the same shape."""
+
+    shape: tuple
+    cells: list[_Cell]
+    order: array  # the position after the last cell of each profile, in input order
+
+
+def _apply(cell: _Cell, vals: list[int], bits: int) -> list[int]:
+    """The values after one recorded cell, from the values before it.
+
+    first, across, down and idle are masks over the cell's sources.  Its
+    targets are, in order: the profiles that the first-marked sources reach
+    first, then one new profile per rod started across and per rod started
+    down, holding its source's counts shifted up one slot.  Slots past the
+    cap are left for the caller to drop.  Each extra_src is a source that
+    reaches target extra_dst after that target's first source; its value is
+    added there.
+    """
+    first, extra_src, extra_dst, across, down, _ = cell
+    nxt = list(compress(vals, first))
+    for a, b in zip(extra_src, extra_dst):
+        nxt[b] += vals[a]
+    nxt += map(lshift, compress(vals, across), repeat(bits))
+    nxt += map(lshift, compress(vals, down), repeat(bits))
+    return nxt
+
+
+def _replay(plan: _Plan, vals: list[int], bits: int, s_cap: int) -> list[int] | None:
+    """The column plan recorded, applied to the values of a later column; None if the guard fires.
+
+    vals and the result list the values in the order of the recorded
+    column's input.  The guard: a source recorded idle (no count below
+    s_cap, so it started no rod) must still be idle, else the cell misses
+    its rods.  No slot of a sum of counts carries (see _sweep), so one sum
+    over a cell's idle sources checks them all.
+    """
+    low = (1 << bits * s_cap) - 1
+    for cell in plan.cells:
+        if sum(compress(vals, cell[5])) & low:
+            return None
+        vals = _apply(cell, vals, bits)
+    keep = (1 << bits * (s_cap + 1)) - 1
+    return list(map(keep.__and__, map(vals.__getitem__, plan.order)))
+
+
+def _mask(size: int, positions: Iterable[int], value: int = 1) -> bytes:
+    """size bytes, value at positions and the other value elsewhere."""
+    mask = bytearray([1 - value]) * size
+    for a in positions:
+        mask[a] = value
+    return bytes(mask)
+
+
+def _record(
+    frontier: dict[int, int], n: int, k: int, shape: tuple, bits: int, s_cap: int
+) -> tuple[_Plan, list[int]] | None:
+    """Sweep one column as a plan: (plan, the values after the column in frontier order).
+
+    Each cell makes the moves of the plain column's cell, but records them
+    by the positions of their sources.  Every profile has exactly one move
+    that keeps its counts; a profile with a free cell and a count below the
+    cap also starts a rod, and that always makes a profile no other move
+    reaches.  None when that fails, or when the column does not map its
+    profiles onto themselves; the caller then sweeps the column plainly.
+    """
+    hstart = shape[2]
+    low = (1 << bits * s_cap) - 1  # the slots a rod can still be added to
+    w = k.bit_length()
+    digit = (1 << w) - 1
+    below = (1 << w * (k - 1)) - 1
+    covered = sum(k << w * i for i in range(k - 1))
+    start = keys = list(frontier)
+    vals = list(frontier.values())
+    cells: list[_Cell] = []
+    for r in range(n):
+        shift = w * r
+        under = shift + w
+        vertical = r + k <= n
+        reached: dict[int, int] = {}  # target -> the source that reached it first
+        extra_src: list[int] = []
+        extra_dst: list[int] = []
+        across: list[int] = []
+        down: list[int] = []
+        idle: list[int] = []
+        for a, profile in enumerate(keys):
+            d = (profile >> shift) & digit
+            b = reached.setdefault(profile - ((d if d == k else 1) << shift) if d else profile, a)
+            if b != a:
+                extra_src.append(a)
+                extra_dst.append(b)
+            if d:
+                continue
+            free = vertical and not (profile >> under) & below
+            if not vals[a] & low:
+                if hstart or free:
+                    idle.append(a)
+                continue
+            if hstart:
+                across.append(a)
+            if free:
+                down.append(a)
+        size = len(reached)
+        rank = dict(zip(reached.values(), range(size))).__getitem__  # first source -> target
+        cell = (_mask(len(keys), extra_src, 0), array("q", extra_src),
+                array("q", map(rank, extra_dst)),
+                _mask(len(keys), across), _mask(len(keys), down), _mask(len(keys), idle))
+        del rank
+        reached.update(zip(map(((k - 1) << shift).__or__, map(keys.__getitem__, across)), across))
+        reached.update(zip(map((covered << under).__or__, map(keys.__getitem__, down)), down))
+        if len(reached) != size + len(across) + len(down):
+            return None
+        vals = _apply(cell, vals, bits)
+        cells.append(cell)
+        keys = list(reached)
+    position = dict(zip(keys, range(len(keys))))
+    if len(keys) != len(start) or not position.keys() >= set(start):
+        return None
+    plan = _Plan(shape, cells, array("q", map(position.__getitem__, start)))
+    keep = (1 << bits * (s_cap + 1)) - 1
+    return plan, list(map(keep.__and__, map(vals.__getitem__, plan.order)))
 
 
 def _check_state_cap(state_cap: int) -> None:

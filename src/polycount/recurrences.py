@@ -96,9 +96,7 @@ class WindowPlan:
         report = Report(title=self.title)
         for n, m, in_range in self.checked:
             lhs = _alternating_sum([tables[p].counts[self.s] for p in self.window(n, m)])
-            params = {"k": self.k, "n": n, "m": m, "s": self.s}
-            if self.dn:  # only diagonal windows may be reported outside their range
-                params["in_range"] = in_range
+            params = {"k": self.k, "n": n, "m": m, "s": self.s, "in_range": in_range}
             report.record(self.name, params, self.rhs, lhs).info = not in_range
         return report
 

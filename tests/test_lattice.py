@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from polycount.errors import ParameterError, ResourceLimitError
+import polycount.lattice as lattice
 from polycount.lattice import (
     LatticeSpec,
     _frontier_sizes,
+    _overhangs,
+    _replay,
     _sweep,
     brute_force_count,
     count_configurations,
@@ -54,6 +58,15 @@ def test_transpose_symmetry():
             for k in (2, 3):
                 cap = LatticeSpec(n, m, k).capacity
                 assert _sweep(n, {m}, k, cap)[m] == _sweep(m, {n}, k, cap)[n]
+
+
+def test_transpose_symmetry_on_long_strips():
+    # the n-wide sweep to L replays most of its columns; the L-wide one runs at most two
+    for n in range(1, 5):
+        for length in range(n, 31):
+            for k in (2, 3, 4):
+                for s_cap in range(4):
+                    assert _sweep(n, {length}, k, s_cap)[length] == _sweep(length, {n}, k, s_cap)[n]
 
 
 def test_capacity_bounds():
@@ -206,7 +219,7 @@ def two_rods(n, m, k):
 
 def test_two_rod_closed_form_past_brute_force():
     # odd and even lengths, with rods across the cut of the half sweep
-    points = [(n, m) for n in range(1, 11) for m in range(1, 15)]
+    points = [(n, m) for n in range(1, 11) for m in range(1, 41)]
     for k in (2, 3, 4):
         tables = count_tables(k, points, s_max=2)
         for n, m in points:
@@ -222,6 +235,109 @@ def test_pinned_exact_counts():
         lines += [f"{k} {n} {m} " + ",".join(map(str, tables[n, m].counts)) for n, m in points]
     digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
     assert digest == "bfd5369b489e48197ae77479e3020e845acc8cf556e83f5130253f24e700dc62"
+
+
+def test_pinned_long_strip_rows():
+    # every row of n <= 5 to length 32, k in {2, 3, 4}, s_cap <= 3, as the sweep gave
+    # before it replayed columns
+    lines = []
+    for k in (2, 3, 4):
+        for n in range(1, 6):
+            for s_cap in range(4):
+                rows = _sweep(n, range(1, 33), k, s_cap)
+                lines += [f"{k} {n} {m} {s_cap} " + ",".join(map(str, row)) for m, row in rows.items()]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e8a755838febc3ab4a54797a35ad57e1302263adbbe09e5846ccfb1650b28769"
+
+
+def spy(monkeypatch, name, calls):
+    """Wrap lattice.<name>, appending (args, result) of every call to calls."""
+    original = getattr(lattice, name)
+
+    def wrapped(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(lattice, name, wrapped)
+
+
+def test_a_repeating_column_is_recorded_once_and_replayed(monkeypatch):
+    n, length, k, s_cap = 3, 40, 2, 3
+    shapes = [(_overhangs(c - 1, length, k), _overhangs(c, length, k)) for c in range(20)]
+    assert shapes[0] != shapes[1] and len(set(shapes[1:])) == 1  # 19 columns of one shape
+    records, replays = [], []
+    spy(monkeypatch, "_record", records)
+    spy(monkeypatch, "_replay", replays)
+    rows = _sweep(n, {length}, k, s_cap)
+    assert len(records) == 1 and records[0][1] is not None  # column 2
+    plan = records[0][1][0]
+    assert len(replays) == 18  # columns 3..20
+    assert all(args[0] is plan and result is not None for args, result in replays)
+    assert rows[length][:3] == (1, one_rod(n, length, k), two_rods(n, length, k))
+    assert rows[length] == _sweep(length, {n}, k, s_cap)[n]
+
+
+def test_short_runs_of_a_shape_are_never_recorded(monkeypatch):
+    # an 8 x 8 sweep at k = 3 has one column after the first of its repeating shape
+    records = []
+    spy(monkeypatch, "_record", records)
+    _sweep(8, {8}, 3, 4)
+    assert records == []
+    _sweep(8, {10}, 3, 4)  # two after it
+    assert len(records) == 1
+
+
+def test_a_column_that_changes_its_profiles_is_not_recorded():
+    # the first column of a strip adds overhangs: its profiles are not the ones it started from
+    n, length, k, s_cap = 3, 20, 2, 2
+    shape = (_overhangs(-1, length, k), _overhangs(0, length, k), True)
+    assert shape[0] != shape[1]
+    assert lattice._record({0: 1}, n, k, shape, 40, s_cap) is None
+
+
+def idle_sources(cell):
+    return [a for a, flag in enumerate(cell[5]) if flag]
+
+
+def test_replay_guard_refuses_an_idle_source_with_a_lower_slot(monkeypatch):
+    n, length, k, s_cap = 3, 20, 2, 2
+    records = []
+    spy(monkeypatch, "_record", records)
+    _sweep(n, {length}, k, s_cap)
+    (*_, bits, _), (plan, vals) = records[0]
+    assert all(idle_sources(cell) for cell in plan.cells)  # sources with no count below the cap
+    assert _replay(plan, vals, bits, s_cap) is not None
+    for a in idle_sources(plan.cells[0]):
+        bad = list(vals)
+        bad[a] += 1 << bits * (s_cap - 1)  # one configuration with a rod fewer
+        assert _replay(plan, bad, bits, s_cap) is None
+
+
+def test_sweep_falls_back_to_the_plain_column_when_the_guard_fires(monkeypatch):
+    # the first replay gets a plan that records a source with a count below the cap as
+    # idle; the sweep must finish that column plainly, then record and replay afresh
+    n, length, k = 3, 24, 2
+    original = lattice._replay
+    for s_cap in (1, 2, 3, 9):
+        expected = _sweep(n, range(1, length + 1), k, s_cap)
+        fired = []
+
+        def forged(plan, vals, bits, s_cap):
+            if not fired:
+                busy = next(a for a, v in enumerate(vals) if v & ((1 << bits * s_cap) - 1))
+                *head, idle = plan.cells[0]
+                idle = bytearray(idle)
+                idle[busy] = 1
+                plan = dataclasses.replace(plan, cells=[(*head, bytes(idle))] + plan.cells[1:])
+            result = original(plan, vals, bits, s_cap)
+            fired.append(result is None)
+            return result
+
+        monkeypatch.setattr(lattice, "_replay", forged)
+        assert _sweep(n, range(1, length + 1), k, s_cap) == expected
+        assert fired[0] and len(fired) > 1 and not any(fired[1:])
+        monkeypatch.setattr(lattice, "_replay", original)
 
 
 def test_count_tables_matches_per_point_counts():

@@ -75,27 +75,31 @@ def test_diagonal_range_enforcement():
         verify_diagonal(2, 1, [(2, 5)], enforce_range=False)
 
 
-STRIP_KEYS = ["k", "n", "m", "s"]
-DIAG_KEYS = STRIP_KEYS + ["in_range"]
+KEYS = ["k", "n", "m", "s", "in_range"]
 
 
-@pytest.mark.parametrize("report, name, keys, rows", [
-    (lambda: verify_strip(2, 3, 1, range(2, 5)), "strip", STRIP_KEYS,
+@pytest.mark.parametrize("report, name, rows", [
+    (lambda: verify_strip(2, 3, 1, range(2, 5)), "strip",
      [("5", "5", "pass")] * 3),
-    (lambda: verify_strip(3, 3, 2, [6, 7]), "strip", STRIP_KEYS,
+    (lambda: verify_strip(3, 3, 2, [6, 7]), "strip",
      [("16", "16", "pass")] * 2),
-    (lambda: verify_diagonal(2, 1, [(3, 3), (3, 5)]), "diagonal", DIAG_KEYS,
+    (lambda: verify_strip(2, 3, 2, [3, 4], enforce_range=False), "strip",
+     [("25", "22", "info"), ("25", "25", "pass")]),
+    (lambda: verify_diagonal(2, 1, [(3, 3), (3, 5)]), "diagonal",
      [("4", "4", "pass")] * 2),
     (lambda: verify_diagonal(2, 2, [(5, 6), (6, 6)], enforce_range=False), "diagonal",
-     DIAG_KEYS, [("48", "46", "info"), ("48", "48", "pass")]),
+     [("48", "46", "info"), ("48", "48", "pass")]),
     (lambda: verify_diagonal_corollary(3, 1, [(5, 5), (4, 6)], enforce_range=False),
-     "corollary", DIAG_KEYS, [("0", "0", "pass"), ("0", "-3", "info")]),
-], ids=["strip-k2", "strip-k3", "diagonal", "diagonal-unsafe", "corollary-unsafe"])
-def test_window_records(report, name, keys, rows):
+     "corollary", [("0", "0", "pass"), ("0", "-3", "info")]),
+], ids=["strip-k2", "strip-k3", "strip-unsafe", "diagonal", "diagonal-unsafe",
+        "corollary-unsafe"])
+def test_window_records(report, name, rows):
     records = [c.to_dict() for c in report().checks]
     assert [(d["expected"], d["actual"], d["status"]) for d in records] == rows
     assert {d["name"] for d in records} == {name}
-    assert all(list(d["params"]) == keys for d in records)
+    assert all(list(d["params"]) == KEYS for d in records)
+    # a window is info exactly when it lies outside its proven range
+    assert all(d["params"]["in_range"] == (d["status"] != "info") for d in records)
 
 
 def test_out_of_range_window_is_info():
