@@ -44,10 +44,6 @@ from .weights import (
 )
 from .identities import (
     IdentityCheck,
-    check_antidifference,
-    check_boundary_lemmas,
-    check_certificate,
-    check_closed_form_sum,
     registry,
     run_registry,
 )
@@ -74,10 +70,6 @@ __all__ = [
     "alpha_p1",
     "brute_force_count",
     "build_weight_grid",
-    "check_antidifference",
-    "check_boundary_lemmas",
-    "check_certificate",
-    "check_closed_form_sum",
     "column_sum",
     "column_sum_closed_form",
     "count_configurations",

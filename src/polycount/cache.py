@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 from .errors import ParameterError
-from .lattice import CountTable, LatticeSpec
+from .lattice import CountTable, LatticeSpec, rod_positions
 
 ENV_VAR = "POLYCOUNT_CACHE"
 FORMAT_VERSION = 1
@@ -92,7 +92,6 @@ def load_entry(cache_dir: Path, k: int, n: int, m: int) -> CountTable | None:
     if not all(isinstance(c, str) and c.isascii() and c.isdigit() for c in raw):
         return None
     counts = tuple(int(c) for c in raw)
-    one_rod = n * max(0, m - k + 1) + m * max(0, n - k + 1)  # k-runs in rows and columns
-    if counts[0] != 1 or (len(counts) > 1 and counts[1] != one_rod):
+    if counts[0] != 1 or (len(counts) > 1 and counts[1] != rod_positions(n, m, k)):
         return None
     return CountTable(spec=spec, counts=counts)

@@ -23,10 +23,6 @@ def binom(a: int, b: int) -> int:
     return num // math.factorial(b)
 
 
-def fbinom(a: int, b: int) -> Fraction:
-    return Fraction(binom(a, b))
-
-
 def as_integer(x: Fraction, what: str = "value") -> int:
     """Collapse an exact rational that must be integral; raise otherwise."""
     if x.denominator != 1:

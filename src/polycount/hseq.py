@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ParameterError
-from .exact import as_integer, binom, fbinom
+from .exact import as_integer, binom
 
 
 def _require_s(s: int) -> None:
@@ -33,7 +33,7 @@ def _h_frac(s: int, i: int, j: int) -> Fraction:
     if j <= i:
         return Fraction(0)
     if i == 0:
-        return fbinom(s + j - 1, j) * Fraction(s - j, s)
+        return binom(s + j - 1, j) * Fraction(s - j, s)
     return (
         -Fraction(s - j + 1, i) * _h_frac(s, i - 1, j - 1)
         - Fraction(j - i, i) * _h_frac(s, i - 1, j)
@@ -60,14 +60,14 @@ def h_terms(s: int, i: int, j: int) -> tuple[Fraction, Fraction, Fraction]:
     _require_s(s)
     t1 = Fraction(0)
     if j <= i:
-        t1 = Fraction((-1) ** (j + 1)) * fbinom(s, j)
+        t1 = Fraction((-1) ** (j + 1)) * binom(s, j)
     t2 = Fraction(0)
     if s + j - i - 1 >= 0:
-        t2 = Fraction((-1) ** (i + 1)) * fbinom(2 * s, i) * fbinom(s + j - i - 1, s)
+        t2 = Fraction((-1) ** (i + 1)) * binom(2 * s, i) * binom(s + j - i - 1, s)
     acc = Fraction(0)
     for t in range(i + 1):
-        acc += Fraction((-1) ** t, 2 * s - t) * fbinom(i, t) * fbinom(s - t - 1 + j, j)
-    t3 = Fraction((-1) ** i * (2 * s - i)) * fbinom(2 * s, i) * acc
+        acc += Fraction((-1) ** t, 2 * s - t) * binom(i, t) * binom(s - t - 1 + j, j)
+    t3 = Fraction((-1) ** i * (2 * s - i)) * binom(2 * s, i) * acc
     return t1, t2, t3
 
 
@@ -88,10 +88,6 @@ def _ser_zero(order: int) -> list[Fraction]:
 
 def _ser_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return [x + y for x, y in zip(a, b)]
-
-
-def _ser_scale(a: list[Fraction], c: Fraction) -> list[Fraction]:
-    return [c * x for x in a]
 
 
 def _ser_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
@@ -120,7 +116,7 @@ def _ser_one_minus_x_pow(e: int, order: int) -> list[Fraction]:
     else:
         p = -e
         for j in range(order + 1):
-            out[j] = fbinom(p - 1 + j, j)
+            out[j] = Fraction(binom(p - 1 + j, j))
     return out
 
 
@@ -131,15 +127,15 @@ def gf_series(s: int, i: int, order: int) -> list[Fraction]:
         raise ParameterError(f"i must be in [0, {s - 1}], got {i}")
     out = _ser_zero(order)
     for j in range(min(i, order) + 1):
-        out[j] += Fraction((-1) ** (j + 1)) * fbinom(s, j)
+        out[j] += Fraction((-1) ** (j + 1)) * binom(s, j)
     if i + 1 <= order:
         tail = _ser_one_minus_x_pow(-(s + 1), order - i - 1)
-        c2 = Fraction((-1) ** (i + 1)) * fbinom(2 * s, i)
+        c2 = Fraction((-1) ** (i + 1)) * binom(2 * s, i)
         for q, y in enumerate(tail):
             out[i + 1 + q] += c2 * y
-    c3 = Fraction((-1) ** i * (2 * s - i)) * fbinom(2 * s, i)
+    c3 = Fraction((-1) ** i * (2 * s - i)) * binom(2 * s, i)
     for t in range(i + 1):
-        w = c3 * Fraction((-1) ** t, 2 * s - t) * fbinom(i, t)
+        w = c3 * Fraction((-1) ** t, 2 * s - t) * binom(i, t)
         for q, y in enumerate(_ser_one_minus_x_pow(-(s - t), order)):
             out[q] += w * y
     return out
@@ -224,7 +220,7 @@ def h_from_double_gf(s: int, i_max: int, j_max: int) -> dict[tuple[int, int], in
     inv_one_minus_z = [[Fraction(1 if j == 0 else 0) for j in range(xj + 1)] for _ in range(zi + 1)]
     def inv_one_minus_x_pow(p: int):
         return [
-            [fbinom(p - 1 + j, j) if i == 0 else Fraction(0) for j in range(xj + 1)]
+            [Fraction(binom(p - 1 + j, j)) if i == 0 else Fraction(0) for j in range(xj + 1)]
             for i in range(zi + 1)
         ]
 

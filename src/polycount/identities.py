@@ -2,29 +2,30 @@
 antidifferences used by the cancellation proofs.
 
 Each entry is a named, self-contained check over a grid of integer (or
-rational) assignments, evaluated in exact arithmetic.  Six kinds share three
+rational) assignments, evaluated in exact arithmetic.  Six kinds share two
 runners:
 
-* ``_run_pointwise``:
+* ``_run_pointwise``: two expressions agree at every grid point.
 
-  - ``pointwise``: two expressions agree at every grid point;
+  - ``pointwise``: ``lhs`` against ``rhs``;
   - ``closed-form-sum``: the finite sum ``Sum(index, lower, upper, summand)``
-    equals a closed form, checked as the pointwise identity it is.
+    against the closed form ``rhs``;
+  - ``boundary-lemma``: generic summation-by-parts bookkeeping for double
+    sums over rectangles and triangles: the double sum of
+    ``Delta_i G_i + Delta_j G_j`` over the region against its two single
+    boundary sums.  The terms blend two sample pairs through the grid
+    variable ``w`` in {0, 1}: ``G = (1 - w) A + w B``.
 
 * ``_run_telescoping``: at every summation point,
   sum_d b_d(p) F(p+d, k) = sum over the axes of G(k+1) - G(k), then the
-  declared ``inhom`` or ``closed_form`` against the same combination of
-  definite sums (bounds taken at the grid point):
+  declared ``inhom`` against the same combination of definite sums (bounds
+  taken at the grid point):
 
   - ``certificate-recurrence``: one axis, G = R*F for the certificate R;
   - ``double-sum-recurrence``: two axes, one certificate per summation
     index (``gterm2`` is a pole-free form of the inner G);
   - ``antidifference``: one axis, G given directly, and no coefficients, so
-    the left side is F itself.
-
-* ``_run_boundary``: ``boundary-lemma``, generic summation-by-parts
-  bookkeeping for double sums over rectangles and triangles, checked on
-  sample terms.
+    the left side is F itself and ``inhom`` is the closed form of the sum.
 
 Each ``run_check`` call compiles the check's expressions once
 (``symbolic.compile_term``) and then walks the grid.  Grid points that hit a
@@ -46,7 +47,6 @@ from typing import Callable, Iterable, Iterator
 
 from .reports import Report
 from .symbolic import (
-    Compiled,
     Const,
     Expr,
     Number,
@@ -75,7 +75,7 @@ class IdentityCheck:
     kind: str
     description: str
     grid: GridFn
-    # closed-form-sum / pointwise
+    # closed-form-sum / pointwise / boundary-lemma
     lhs: Expr | None = None
     rhs: Expr | None = None
     summand: Expr | None = None
@@ -86,6 +86,8 @@ class IdentityCheck:
     param: str | None = None
     coeffs: tuple[Expr, ...] | None = None
     certificate: Expr | None = None
+    # the declared value of the summed combination; with no coeffs, the
+    # closed form of the sum itself
     inhom: Expr | None = None
     # double sums: outer index is `index`, inner is `index2`
     index2: str | None = None
@@ -95,10 +97,6 @@ class IdentityCheck:
     gterm2: Expr | None = None  # simplified G for the inner index (pole-free form)
     # antidifference
     antidifference: Expr | None = None
-    closed_form: Expr | None = None
-    # boundary-lemma
-    shape: str | None = None
-    samples: tuple[tuple[Expr, Expr], ...] | None = None
 
 
 @dataclass
@@ -142,8 +140,7 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome) -> Iterator[str]:
                      else chk.certificate2 * chk.summand))
     axes = [(index, compile_term(lower), compile_term(upper), compile_term(g))
             for index, lower, upper, g in axes]
-    target = chk.inhom if chk.inhom is not None else chk.closed_form
-    target = None if target is None else compile_term(target)
+    target = None if chk.inhom is None else compile_term(chk.inhom)
     summand, param = compile_term(chk.summand), chk.param
     coeffs = None if chk.coeffs is None else [compile_term(bd) for bd in chk.coeffs]
 
@@ -192,60 +189,13 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome) -> Iterator[str]:
                 yield f"{env}: summed={lhs} declared={rhs}"
 
 
-def _run_boundary(chk: IdentityCheck, out: CheckOutcome) -> Iterator[str]:
-    samples = [(compile_term(gi), compile_term(gj)) for gi, gj in chk.samples]
-
-    def g(term: Compiled, iv: int, jv: int) -> Number:
-        return term({"i": iv, "j": jv})
-
-    for env in chk.grid():
-        vi = env["vi"]
-        vj = env.get("vj", 0)
-
-        def cells() -> Iterable[tuple[int, int]]:
-            for iv in range(0, vi + 1):
-                if chk.shape == "rectangle":
-                    top = vj
-                elif chk.shape == "triangle":
-                    top = iv
-                else:  # antitriangle
-                    top = vi - iv
-                for jv in range(0, top + 1):
-                    yield iv, jv
-
-        for gi, gj in samples:
-            region = 0
-            for iv, jv in cells():
-                region += g(gi, iv + 1, jv) - g(gi, iv, jv)
-                region += g(gj, iv, jv + 1) - g(gj, iv, jv)
-            boundary = 0
-            if chk.shape == "rectangle":
-                for iv in range(0, vi + 1):
-                    boundary += g(gj, iv, vj + 1) - g(gj, iv, 0)
-                for jv in range(0, vj + 1):
-                    boundary += g(gi, vi + 1, jv) - g(gi, 0, jv)
-            elif chk.shape == "triangle":
-                for iv in range(0, vi + 1):
-                    boundary += g(gj, iv, iv + 1) - g(gj, iv, 0)
-                for jv in range(0, vi + 1):
-                    boundary += g(gi, vi + 1, jv) - g(gi, jv, jv)
-            else:
-                for iv in range(0, vi + 1):
-                    boundary += g(gj, iv, vi - iv + 1) - g(gj, iv, 0)
-                for jv in range(0, vi + 1):
-                    boundary += g(gi, vi - jv + 1, jv) - g(gi, 0, jv)
-            out.tested += 1
-            if region != boundary:
-                yield f"{env} {chk.shape}: region={region} boundary={boundary}"
-
-
 _RUNNERS = {
     "closed-form-sum": _run_pointwise,
     "pointwise": _run_pointwise,
+    "boundary-lemma": _run_pointwise,
     "certificate-recurrence": _run_telescoping,
     "antidifference": _run_telescoping,
     "double-sum-recurrence": _run_telescoping,
-    "boundary-lemma": _run_boundary,
 }
 
 
@@ -323,7 +273,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=C(s + b + jp, jp),
         antidifference=C(s + b + jp, jp - 1),
         index="jp", lower=Const(Fraction(0)), upper=u,
-        closed_form=C(s + b + u + 1, u),
+        inhom=C(s + b + u + 1, u),
         grid=lambda: [
             {"s": sv, "b": bv, "u": uv}
             for sv in range(1, 6) for bv in range(-3, 4) for uv in range(0, sv + 3)
@@ -336,31 +286,43 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(jp) * C(s, jp),
         antidifference=SG(jp + 1) * C(s - 1, jp - 1),
         index="jp", lower=Const(Fraction(0)), upper=u,
-        closed_form=SG(u) * C(s - 1, u),
+        inhom=SG(u) * C(s - 1, u),
         grid=lambda: [
             {"s": sv, "u": uv} for sv in range(1, 9) for uv in range(0, sv + 2)
         ],
     ))
 
     # ---- boundary bookkeeping for double sums --------------------------------
-    samples = (
-        (C(i + j, 2), i * j),
-        ((2 * i - j) ** 2, C(2 * j + i, 3)),
-    )
-    for shape, desc in (
-        ("rectangle", "independent lower/upper bounds"),
-        ("triangle", "inner upper bound equals the outer index"),
-        ("antitriangle", "inner upper bound is the complement of the outer index"),
+    vi, vj, w = syms("vi vj w")
+    zero = Const(Fraction(0))
+
+    # two sample pairs (A_i, A_j) and (B_i, B_j), blended as G = (1 - w) A + w B
+    def g_i(p, q) -> Expr:
+        return (1 - w) * C(p + q, 2) + w * (2 * p - q) ** 2
+
+    def g_j(p, q) -> Expr:
+        return (1 - w) * p * q + w * C(2 * q + p, 3)
+
+    # the inner upper bound of the region, and its boundary sum along i
+    for shape, desc, top, i_edge in (
+        ("rectangle", "independent lower/upper bounds", vj,
+         Sum("j", zero, vj, g_i(vi + 1, j) - g_i(0, j))),
+        ("triangle", "inner upper bound equals the outer index", i,
+         Sum("j", zero, vi, g_i(vi + 1, j) - g_i(j, j))),
+        ("antitriangle", "inner upper bound is the complement of the outer index", vi - i,
+         Sum("j", zero, vi, g_i(vi - j + 1, j) - g_i(0, j))),
     ):
         add(IdentityCheck(
             name=f"appendix-b/{shape}-boundary",
             kind="boundary-lemma",
             description=f"telescoped double sum over a {shape} region ({desc}) "
                         "equals its two single boundary sums",
-            shape=shape,
-            samples=samples,
+            lhs=Sum("i", zero, vi, Sum("j", zero, top,
+                                       g_i(i + 1, j) - g_i(i, j) + g_j(i, j + 1) - g_j(i, j))),
+            rhs=Sum("i", zero, vi, g_j(i, top + 1) - g_j(i, 0)) + i_edge,
             grid=lambda: [
-                {"vi": vi, "vj": vj} for vi in range(1, 7) for vj in range(1, 5)
+                {"vi": iv, "vj": jv, "w": wv}
+                for iv in range(1, 7) for jv in range(1, 5) for wv in (0, 1)
             ],
         ))
 
@@ -382,7 +344,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=f_one - f_two,
         antidifference=SG(i + t + 1) * C(2 * s, i + 1) * C(i, t - 1) * (1 / (1 - x) ** (s - t)),
         index="t", lower=Const(Fraction(0)), upper=i,
-        closed_form=C(2 * s, i + 1) * (1 - x) ** (i + 1 - s),
+        inhom=C(2 * s, i + 1) * (1 - x) ** (i + 1 - s),
         grid=lambda: [
             {"s": sv, "i": iv, "x": xv}
             for sv in range(1, 6) for iv in range(0, sv) for xv in _X_SAMPLES
@@ -769,8 +731,6 @@ def build_registry() -> dict[str, IdentityCheck]:
         coeffs=(Const(Fraction(-1)), Const(Fraction(1))),
         certificate=Const(Fraction(0)),
         certificate2=(s - jp - t + 1) * (s + t - 1) / (i * (-jp + i + 1 - s - t)),
-        gterm2=SG(i + t + jp) * (s + t - 1) / (i + 1 - s - t - jp) * C(2 * s, i)
-               * C(i - jp - 1, s + t - 1) * C(s, t - 1) * C(s, j - jp) / C(s - jp, t - 1),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(2, 6) for jv in range(sv, 2 * sv + 1)
@@ -826,7 +786,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=gt_boundary,
         antidifference=SG(i + jp) * C(2 * s, i) * C(i - jp, i - j) * C(i - j - 1, i - s - jp),
         index="jp", lower=Const(Fraction(0)), upper=s,
-        closed_form=Const(Fraction(0)),
+        inhom=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "j": jv, "i": iv}
             for sv in range(1, 7) for jv in range(sv, 2 * sv + 1)
@@ -872,7 +832,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         antidifference=SG(s + j + jp + t) * (s + t - 1) / t * C(2 * s - 1 - jp, s + t - 1)
                        * C(s, t - 1) * C(s, j - jp) / C(s - jp, t),
         index="t", lower=Const(Fraction(1)), upper=s - jp,
-        closed_form=None,
+        inhom=None,
         grid=lambda: [
             {"s": sv, "j": jv, "jp": jpv}
             for sv in range(1, 7) for jv in range(sv, 2 * sv + 1) for jpv in range(0, sv)
@@ -901,7 +861,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(s + jp + j) * C(s, j - jp) * C(2 * s - 1 - jp, s - 1),
         antidifference=SG(s + jp + j) * s / (j - 2 * s) * C(2 * s - jp, s) * C(s - 1, j - jp),
         index="jp", lower=Const(Fraction(0)), upper=s,
-        closed_form=Const(Fraction(0)),
+        inhom=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "j": jv} for sv in range(1, 8) for jv in range(sv, 2 * sv)
         ],
@@ -1032,7 +992,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         antidifference=SG(i + j + jp + 1) * C(2 * s, i + 1) * C(s + jp - i - 2, j - i - 1)
                        * C(j - i - 2, j - jp),
         index="jp", lower=Const(Fraction(1)), upper=s,
-        closed_form=SG(i + j + s) * C(2 * s, i + 1) * C(2 * s - i - 1, j - i - 1)
+        inhom=SG(i + j + s) * C(2 * s, i + 1) * C(2 * s - i - 1, j - i - 1)
                     * C(j - i - 2, j - s - 1),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -1228,30 +1188,6 @@ def run_registry(pattern: str = "*") -> Report:
             passed=out.passed,
         )
     return report
-
-
-def check_certificate(chk: IdentityCheck) -> CheckOutcome:
-    if chk.kind not in ("certificate-recurrence", "double-sum-recurrence"):
-        raise ValueError(f"{chk.name} is not a certificate check")
-    return run_check(chk)
-
-
-def check_antidifference(chk: IdentityCheck) -> CheckOutcome:
-    if chk.kind != "antidifference":
-        raise ValueError(f"{chk.name} is not an antidifference check")
-    return run_check(chk)
-
-
-def check_closed_form_sum(chk: IdentityCheck) -> CheckOutcome:
-    if chk.kind not in ("closed-form-sum", "pointwise"):
-        raise ValueError(f"{chk.name} is not a closed-form check")
-    return run_check(chk)
-
-
-def check_boundary_lemmas(chk: IdentityCheck) -> CheckOutcome:
-    if chk.kind != "boundary-lemma":
-        raise ValueError(f"{chk.name} is not a boundary lemma")
-    return run_check(chk)
 
 
 def _mutation_fields(chk: IdentityCheck) -> list[str]:

@@ -71,6 +71,11 @@ class CountTable:
         return self.counts[s]
 
 
+def rod_positions(n: int, m: int, k: int) -> int:
+    """Places for one rod on an n x m lattice: the k-runs in its rows and columns."""
+    return n * max(0, m - k + 1) + m * max(0, n - k + 1)
+
+
 def _overhangs(c: int, length: int, k: int) -> tuple[int, ...]:
     """Digits d a live profile may hold after column c (0-based) of a sweep to length.
 
@@ -155,7 +160,7 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
     whatever the values.  Every other column is swept plainly.
     """
     length = max(lengths)
-    positions = n * max(0, length - k + 1) + length * max(0, n - k + 1)
+    positions = rod_positions(n, length, k)
     bits = 1 + max(math.comb(positions, j).bit_length() for j in range(s_cap + 1))
     slot = (1 << bits) - 1
     keep = (1 << bits * (s_cap + 1)) - 1  # drops slots above s_cap rods

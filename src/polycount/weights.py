@@ -88,19 +88,22 @@ def build_weight_grid(s: int) -> WeightGrid:
     return WeightGrid(s=s, placements=tuple(placements))
 
 
-def _accumulate(grid: WeightGrid, tags: tuple[str, ...]) -> list[list[int]]:
-    s = grid.s
+def _footprint(s: int, orientation: str, i: int, j: int) -> list[tuple[int, int, int]]:
+    """The s+1 sites (i', j') of a strip identity placed at (i, j), each with
+    its coefficient (-1)**t C(s, t)."""
+    if orientation == "vertical":
+        return [(i, j + t, (-1) ** t * binom(s, t)) for t in range(s + 1)]
+    return [(i + t, j, (-1) ** t * binom(s, t)) for t in range(s + 1)]
+
+
+def _accumulate(grid: WeightGrid, tags: tuple[str, ...],
+                orientations: tuple[str, ...] = ("vertical", "horizontal")) -> list[list[int]]:
     n = grid.size
     cells = [[0] * n for _ in range(n)]
     for p in grid.placements:
-        if p.set_tag not in tags:
-            continue
-        for t in range(s + 1):
-            c = p.weight * (-1) ** t * binom(s, t)
-            if p.orientation == "vertical":
-                cells[p.i][p.j + t] += c
-            else:
-                cells[p.i + t][p.j] += c
+        if p.set_tag in tags and p.orientation in orientations:
+            for ci, cj, c in _footprint(grid.s, p.orientation, p.i, p.j):
+                cells[ci][cj] += p.weight * c
     return cells
 
 
@@ -158,19 +161,13 @@ def _per_term_cells(s: int) -> tuple[list[list[int]], list[list[int]], PerTermCe
     s takes the second-quadrant form: the corner cell belongs to the lower
     square's treatment.
     """
-    n = 2 * s + 1
-    alpha_v = [[0] * n for _ in range(n)]
-    alpha_h = [[0] * n for _ in range(n)]
+    grid = build_weight_grid(s)
+    alpha_v = _accumulate(grid, ("P1",), ("vertical",))
+    alpha_h = _accumulate(grid, ("P1",), ("horizontal",))
+    n = grid.size
     beta: PerTermCells = {
         (t, o): [[Fraction(0)] * n for _ in range(n)] for t in (1, 2, 3) for o in ("v", "h")
     }
-    for i in range(n):
-        for j in range(max(0, i - s), min(i, s) + 1):
-            w = (-1) ** j * binom(s, j)
-            for t in range(s + 1):
-                c = w * (-1) ** t * binom(s, t)
-                alpha_v[i][j + t] += c
-                alpha_h[j + t][i] += c
     for i in range(n):
         for j0 in range(s + 1):
             if i < s:
@@ -180,10 +177,10 @@ def _per_term_cells(s: int) -> tuple[list[list[int]], list[list[int]], PerTermCe
             for tn, w in zip((1, 2, 3), terms):
                 if w == 0:
                     continue
-                for t in range(s + 1):
-                    c = w * (-1) ** t * binom(s, t)
-                    beta[(tn, "v")][i][j0 + t] += c
-                    beta[(tn, "h")][j0 + t][i] += c
+                for o, orientation, at in (("v", "vertical", (i, j0)),
+                                           ("h", "horizontal", (j0, i))):
+                    for ci, cj, c in _footprint(s, orientation, *at):
+                        beta[(tn, o)][ci][cj] += w * c
     return alpha_v, alpha_h, beta
 
 
@@ -241,19 +238,33 @@ def verify_quadrant_lemmas(s: int) -> Report:
     def b_full(o: str, i: int, j: int) -> Fraction:
         return sum(beta[(t, o)][i][j] for t in (1, 2, 3))
 
+    alpha = {"v": alpha_v, "h": alpha_h}
+    name = {"v": "vertical", "h": "horizontal"}
+
+    def one_family(o: str, i: int, j: int) -> None:
+        # only the o-oriented h-family reaches the cell: its terms cancel the
+        # binomial family term by term, and the mirrored family is absent
+        other = "h" if o == "v" else "v"
+        rec(f"{name[o]}-first-term-cancels", i, j, alpha[o][i][j] + b(1, o, i, j), 0)
+        rec(f"{name[o]}-second-term-cancels", i, j, alpha[other][i][j] + b(2, o, i, j), 0)
+        rec(f"{name[o]}-third-term-vanishes", i, j, b(3, o, i, j), 0)
+        rec(f"{name[other]}-family-absent", i, j, b_full(other, i, j), 0)
+
     for i in range(n):
         for j in range(n):
             region = cell_region(s, i, j)
-            if region == "q1-lower":
-                rec("vertical-first-term-cancels", i, j, alpha_v[i][j] + b(1, "v", i, j), 0)
-                rec("vertical-second-term-cancels", i, j, alpha_h[i][j] + b(2, "v", i, j), 0)
-                rec("vertical-third-term-vanishes", i, j, b(3, "v", i, j), 0)
-                rec("horizontal-family-absent", i, j, b_full("h", i, j), 0)
-            elif region == "q1-upper":
-                rec("horizontal-first-term-cancels", i, j, alpha_h[i][j] + b(1, "h", i, j), 0)
-                rec("horizontal-second-term-cancels", i, j, alpha_v[i][j] + b(2, "h", i, j), 0)
-                rec("horizontal-third-term-vanishes", i, j, b(3, "h", i, j), 0)
-                rec("vertical-family-absent", i, j, b_full("v", i, j), 0)
+            if region in ("q1-lower", "q3-upper"):
+                one_family("v", i, j)
+                if region == "q3-upper":
+                    rec(
+                        "residual-double-sum-value",
+                        i,
+                        j,
+                        third_term_residual_sum(s, i, j),
+                        (-1) ** (j + 1) * binom(2 * s, j),
+                    )
+            elif region in ("q1-upper", "q3-lower"):
+                one_family("h", i, j)
             elif region == "q1-diagonal":
                 rec("h-family-avoids-diagonal", i, j, b_full("v", i, j) + b_full("h", i, j), 0)
                 rec(
@@ -268,23 +279,6 @@ def verify_quadrant_lemmas(s: int) -> Report:
                 rec("horizontal-first-term-cancels", i, j, alpha_h[i][j] + b(1, "h", i, j), 0)
                 rec("second-v-cancels-third-h", i, j, b(2, "v", i, j) + b(3, "h", i, j), 0)
                 rec("second-h-cancels-third-v", i, j, b(2, "h", i, j) + b(3, "v", i, j), 0)
-            elif region == "q3-upper":
-                rec("vertical-first-term-cancels", i, j, alpha_v[i][j] + b(1, "v", i, j), 0)
-                rec("vertical-second-term-cancels", i, j, alpha_h[i][j] + b(2, "v", i, j), 0)
-                rec("vertical-third-term-vanishes", i, j, b(3, "v", i, j), 0)
-                rec("horizontal-family-absent", i, j, b_full("h", i, j), 0)
-                rec(
-                    "residual-double-sum-value",
-                    i,
-                    j,
-                    third_term_residual_sum(s, i, j),
-                    (-1) ** (j + 1) * binom(2 * s, j),
-                )
-            elif region == "q3-lower":
-                rec("horizontal-first-term-cancels", i, j, alpha_h[i][j] + b(1, "h", i, j), 0)
-                rec("horizontal-second-term-cancels", i, j, alpha_v[i][j] + b(2, "h", i, j), 0)
-                rec("horizontal-third-term-vanishes", i, j, b(3, "h", i, j), 0)
-                rec("vertical-family-absent", i, j, b_full("v", i, j), 0)
             else:  # q3-diagonal
                 sign = (-1) ** i * binom(2 * s, i)
                 rec("first-term-diagonal", i, j, b(1, "v", i, j), -sign)
@@ -376,13 +370,8 @@ def grid_applied_to_counts(grid: WeightGrid, k: int, n: int, m: int) -> int:
         raise ParameterError(
             f"lattice {n}x{m} too small for every strip precondition at k={k}, s={s}"
         )
-    terms: list[tuple[int, tuple[int, int]]] = []
-    for p in grid.placements:
-        for t in range(s + 1):
-            c = p.weight * (-1) ** t * binom(s, t)
-            if p.orientation == "vertical":
-                terms.append((c, (n - p.i, m - p.j - t)))
-            else:
-                terms.append((c, (n - p.i - t, m - p.j)))
+    terms = [(p.weight * c, (n - ci, m - cj))
+             for p in grid.placements
+             for ci, cj, c in _footprint(s, p.orientation, p.i, p.j)]
     tables = count_tables(k, (point for _, point in terms), s_max=s)
     return sum(c * tables[point].count(s) for c, point in terms)

@@ -4,18 +4,12 @@ import fnmatch
 from dataclasses import replace
 from fractions import Fraction
 
-import pytest
-
 from polycount.identities import (
     Const,
     IdentityCheck,
     _mutants,
     _mutation_fields,
     build_registry,
-    check_antidifference,
-    check_boundary_lemmas,
-    check_certificate,
-    check_closed_form_sum,
     mutation_survivors,
     registry,
     run_check,
@@ -96,7 +90,7 @@ def test_alternating_antidifference_point():
     env = {"s": 4, "u": 2}
     total = sum(eval_term(chk.summand, {**env, "jp": v}) for v in range(0, 3))
     assert total == 3
-    assert eval_term(chk.closed_form, env) == 3
+    assert eval_term(chk.inhom, env) == 3
 
 
 def test_inner_sum_certificate_point():
@@ -114,18 +108,6 @@ def test_beta2h_step_point():
     chk = registry()["q4/beta2h-step"]
     env = {"s": 3, "i": 1, "j": 5}
     assert eval_term(chk.lhs, env) == eval_term(chk.rhs, env) == 120
-
-
-def test_kind_dispatch():
-    reg = registry()
-    assert check_certificate(reg["q3/second-term-recurrence"]).passed
-    assert check_antidifference(reg["appendix-d/rising-binomial-antidifference"]).passed
-    assert check_closed_form_sum(reg["q1/second-term-value"]).passed
-    assert check_boundary_lemmas(reg["appendix-b/triangle-boundary"]).passed
-    with pytest.raises(ValueError):
-        check_certificate(reg["appendix-c/chu-vandermonde"])
-    with pytest.raises(ValueError):
-        check_antidifference(reg["q3/second-term-recurrence"])
 
 
 def test_degenerate_grid_fails():
@@ -189,6 +171,30 @@ def test_wrong_closed_form_detected():
     chk = registry()["q1/second-term-value"]
     broken = replace(chk, rhs=Const(Fraction(2)))
     assert not run_check(broken).passed
+
+
+def test_boundary_lemmas_tell_their_shapes_apart():
+    # each region's double sum fails against another region's boundary sums
+    reg = registry()
+    shapes = ("rectangle", "triangle", "antitriangle")
+    for shape, other in zip(shapes, shapes[1:] + shapes[:1]):
+        chk = reg[f"appendix-b/{shape}-boundary"]
+        broken = replace(chk, rhs=reg[f"appendix-b/{other}-boundary"].rhs)
+        assert not run_check(broken).passed, (shape, other)
+
+
+def test_gterm2_tracks_its_certificate():
+    # the pole-free inner G must agree with certificate2 * summand wherever
+    # the latter is defined, or a mutant run (which drops gterm2) checks a
+    # different identity from the registry run
+    checks = [chk for chk in registry().values() if chk.gterm2 is not None]
+    assert [chk.name for chk in checks] == ["q4/beta3v-recurrence"]
+    for chk in checks:
+        simplified = run_check(chk)
+        plain = run_check(replace(chk, gterm2=None))
+        assert simplified.passed and plain.passed, chk.name
+        assert (simplified.tested, simplified.skipped) == (601, 0)
+        assert (plain.tested, plain.skipped) == (377, 224)
 
 
 def test_mutation_detection_samples():

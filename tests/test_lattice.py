@@ -48,7 +48,8 @@ def test_one_rod_closed_form():
         for m in range(1, 7):
             for k in (2, 3, 4):
                 expected = n * max(0, m - k + 1) + m * max(0, n - k + 1)
-                assert a(n, m, k, 1) == expected
+                assert a(n, m, k, 1) == expected == lattice.rod_positions(n, m, k)
+                assert len(lattice._rod_masks(LatticeSpec(n, m, k))) == expected
 
 
 def test_transpose_symmetry():
