@@ -98,6 +98,8 @@ def _emit_report(report: Report, args, command: str, started: float) -> int:
 def cmd_count(args) -> int:
     spec = LatticeSpec(n=args.n, m=args.m, k=args.k)
     if args.all_s:
+        if args.method == "brute":
+            raise ParameterError("--method brute counts one s; it cannot be used with --all-s")
         table = count_polynomial(spec, state_cap=args.state_cap)
         counts = table.counts
         if args.format == "json":

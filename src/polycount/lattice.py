@@ -13,9 +13,9 @@ The strip is symmetric left to right, so a sweep of width n runs only to
 column ceil(L/2) and joins the frontiers on either side of each cut; that
 one half sweep gives the whole strip row a(n, 1..L).  Away from the ends of
 a long strip every column makes the same moves on the same profiles, so the
-sweep records one such column as index lists and masks and replays it for
-the later ones.  count_tables groups many points into one sweep per
-distinct shorter side.
+sweep records those moves once, from the profiles alone, as index lists and
+masks, and replays that plan on the counts of every such column.
+count_tables groups many points into one sweep per distinct shorter side.
 """
 
 from __future__ import annotations
@@ -141,23 +141,20 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
     rods than s_cap is never stored.  Every slot, partial or joined, counts
     sets of j disjoint rods among the P rod positions of n x max(lengths), so
     it is at most C(P, j), and a join's products carry only into the masked
-    slots above s_cap.  Each configuration has one profile, so a slot summed
-    over any profiles of one frontier is at most C(P, j) too, and never
-    carries.
+    slots above s_cap.
 
     The live profiles after column c are fixed by the overhang digits a
     profile may hold there (_overhangs, the rule the state cap counts by).
     A column with the same digits before and after it maps its profiles
-    onto themselves, and a later column with the same digits and the same
+    onto themselves, and every column with the same digits and the same
     room to start a horizontal rod (its shape) makes the same moves.  When
-    at least two later columns share its shape, the sweep records the
-    column once (_record) and replays it for them (_replay): each cell
-    becomes a few list, mask and shift operations on the values in a fixed
-    order, with nothing computed per profile.  A replay first checks, cell
-    by cell, that every profile recorded idle (no count below s_cap, so no
-    rod started) still is; if one is not, the plan is dropped and the
-    column is swept plainly from its start values, so the counts stay exact
-    whatever the values.  Every other column is swept plainly.
+    at least three columns share that shape, the sweep records the moves of
+    the first from its profiles alone (_record) and replays that plan for
+    it and for the later ones (_replay): each cell becomes a few list, mask
+    and shift operations on the counts in a fixed order, with nothing
+    computed per profile.  The plan starts a rod wherever the profile's own
+    rods leave room below s_cap, which covers every rod the counts allow,
+    so it serves any counts.  Every other column is swept plainly.
     """
     length = max(lengths)
     positions = rod_positions(n, length, k)
@@ -193,17 +190,11 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
         previous = frontier if 2 * c - 1 in lengths else None
         shape = shapes[c - 1]
         hstart = shape[2]
-        vals = None
+        if plan is None and shape[0] == shape[1] and shapes[c:].count(shape) >= 2:
+            plan = _record(list(frontier), n, k, shape, s_cap)
         if plan is not None and plan.shape == shape:
-            vals = _replay(plan, list(frontier.values()), bits, s_cap)
-        elif shape[0] == shape[1] and shapes[c:].count(shape) >= 2:
-            recorded = _record(frontier, n, k, shape, bits, s_cap)
-            if recorded is not None:
-                plan, vals = recorded
-        if vals is not None:
-            frontier = dict(zip(frontier, vals))
-        else:  # no plan for this column, or its guard fired: the plain column
-            plan = None
+            frontier = dict(zip(frontier, _replay(plan, list(frontier.values()), bits, s_cap)))
+        else:
             for r in range(n):
                 shift = w * r
                 vertical = r + k <= n
@@ -232,53 +223,38 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
     return rows
 
 
-#: One recorded cell: (first, extra_src, extra_dst, across, down, idle); see _apply.
-_Cell = tuple[bytes, array, array, bytes, bytes, bytes]
+#: One recorded cell: (first, extra_src, extra_dst, across, down); see _replay.
+_Cell = tuple[bytes, array, array, bytes, bytes]
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """A recorded column, for the columns after it that have the same shape."""
+    """A recorded column, for every column of the same shape."""
 
     shape: tuple
     cells: list[_Cell]
     order: array  # the position after the last cell of each profile, in input order
 
 
-def _apply(cell: _Cell, vals: list[int], bits: int) -> list[int]:
-    """The values after one recorded cell, from the values before it.
-
-    first, across, down and idle are masks over the cell's sources.  Its
-    targets are, in order: the profiles that the first-marked sources reach
-    first, then one new profile per rod started across and per rod started
-    down, holding its source's counts shifted up one slot.  Slots past the
-    cap are left for the caller to drop.  Each extra_src is a source that
-    reaches target extra_dst after that target's first source; its value is
-    added there.
-    """
-    first, extra_src, extra_dst, across, down, _ = cell
-    nxt = list(compress(vals, first))
-    for a, b in zip(extra_src, extra_dst):
-        nxt[b] += vals[a]
-    nxt += map(lshift, compress(vals, across), repeat(bits))
-    nxt += map(lshift, compress(vals, down), repeat(bits))
-    return nxt
-
-
-def _replay(plan: _Plan, vals: list[int], bits: int, s_cap: int) -> list[int] | None:
-    """The column plan recorded, applied to the values of a later column; None if the guard fires.
+def _replay(plan: _Plan, vals: list[int], bits: int, s_cap: int) -> list[int]:
+    """The values after a column of the plan's shape, from the values before it.
 
     vals and the result list the values in the order of the recorded
-    column's input.  The guard: a source recorded idle (no count below
-    s_cap, so it started no rod) must still be idle, else the cell misses
-    its rods.  No slot of a sum of counts carries (see _sweep), so one sum
-    over a cell's idle sources checks them all.
+    column's input.  In each cell, first, across and down are masks over
+    the cell's sources.  Its targets are, in order: the profiles that the
+    first-marked sources reach first, then one new profile per rod started
+    across and per rod started down, holding its source's counts shifted up
+    one slot.  Each extra_src is a source that reaches target extra_dst
+    after that target's first source; its value is added there.  Slots past
+    the cap carry only upwards, and are dropped after the last cell.
     """
-    low = (1 << bits * s_cap) - 1
-    for cell in plan.cells:
-        if sum(compress(vals, cell[5])) & low:
-            return None
-        vals = _apply(cell, vals, bits)
+    for first, extra_src, extra_dst, across, down in plan.cells:
+        nxt = list(compress(vals, first))
+        for a, b in zip(extra_src, extra_dst):
+            nxt[b] += vals[a]
+        nxt += map(lshift, compress(vals, across), repeat(bits))
+        nxt += map(lshift, compress(vals, down), repeat(bits))
+        vals = nxt
     keep = (1 << bits * (s_cap + 1)) - 1
     return list(map(keep.__and__, map(vals.__getitem__, plan.order)))
 
@@ -291,73 +267,70 @@ def _mask(size: int, positions: Iterable[int], value: int = 1) -> bytes:
     return bytes(mask)
 
 
-def _record(
-    frontier: dict[int, int], n: int, k: int, shape: tuple, bits: int, s_cap: int
-) -> tuple[_Plan, list[int]] | None:
-    """Sweep one column as a plan: (plan, the values after the column in frontier order).
+def _record(keys: list[int], n: int, k: int, shape: tuple, s_cap: int) -> _Plan:
+    """The plan of a column of this shape that starts from the profiles keys; it reads no counts.
 
     Each cell makes the moves of the plain column's cell, but records them
     by the positions of their sources.  Every profile has exactly one move
-    that keeps its counts; a profile with a free cell and a count below the
-    cap also starts a rod, and that always makes a profile no other move
-    reaches.  None when that fails, or when the column does not map its
-    profiles onto themselves; the caller then sweeps the column plainly.
+    that keeps its counts.  A profile with a free cell also starts a rod
+    while the rods it shows (one per row with an overhang, plus a vertical
+    rod under way) number fewer than s_cap, and a started rod makes a
+    profile that no other move reaches.  A count never sits in a slot below
+    the rods its profile shows, so every rod the plain column starts (from
+    a nonzero slot below s_cap) is started here too, and a rod started here
+    from no such slot only adds to the slots past the cap.  The column's
+    digits are the same before and after it, so it maps keys onto
+    themselves.
     """
     hstart = shape[2]
-    low = (1 << bits * s_cap) - 1  # the slots a rod can still be added to
     w = k.bit_length()
     digit = (1 << w) - 1
+    ones = sum(1 << w * r for r in range(n))
     below = (1 << w * (k - 1)) - 1
     covered = sum(k << w * i for i in range(k - 1))
-    start = keys = list(frontier)
-    vals = list(frontier.values())
+    start = keys
+    shown = []  # the rods each profile shows: at the column edge, its nonzero digits
+    for profile in keys:
+        nonzero = profile
+        for i in range(1, w):
+            nonzero |= profile >> i
+        shown.append((nonzero & ones).bit_count())
     cells: list[_Cell] = []
     for r in range(n):
         shift = w * r
         under = shift + w
         vertical = r + k <= n
         reached: dict[int, int] = {}  # target -> the source that reached it first
+        after: list[int] = []  # the rods each target shows, in the order of reached
         extra_src: list[int] = []
         extra_dst: list[int] = []
         across: list[int] = []
         down: list[int] = []
-        idle: list[int] = []
         for a, profile in enumerate(keys):
             d = (profile >> shift) & digit
             b = reached.setdefault(profile - ((d if d == k else 1) << shift) if d else profile, a)
             if b != a:
                 extra_src.append(a)
                 extra_dst.append(b)
-            if d:
-                continue
-            free = vertical and not (profile >> under) & below
-            if not vals[a] & low:
-                if hstart or free:
-                    idle.append(a)
+            else:  # a horizontal rod ends, or a vertical rod leaves its last row
+                after.append(shown[a] - (d == 1 or d == k and (profile >> under) & digit != k))
+            if d or shown[a] >= s_cap:
                 continue
             if hstart:
                 across.append(a)
-            if free:
+            if vertical and not (profile >> under) & below:
                 down.append(a)
-        size = len(reached)
-        rank = dict(zip(reached.values(), range(size))).__getitem__  # first source -> target
-        cell = (_mask(len(keys), extra_src, 0), array("q", extra_src),
-                array("q", map(rank, extra_dst)),
-                _mask(len(keys), across), _mask(len(keys), down), _mask(len(keys), idle))
+        rank = dict(zip(reached.values(), range(len(reached)))).__getitem__
+        cells.append((_mask(len(keys), extra_src, 0), array("q", extra_src),
+                      array("q", map(rank, extra_dst)),
+                      _mask(len(keys), across), _mask(len(keys), down)))
         del rank
         reached.update(zip(map(((k - 1) << shift).__or__, map(keys.__getitem__, across)), across))
         reached.update(zip(map((covered << under).__or__, map(keys.__getitem__, down)), down))
-        if len(reached) != size + len(across) + len(down):
-            return None
-        vals = _apply(cell, vals, bits)
-        cells.append(cell)
+        shown = after + [shown[a] + 1 for a in across + down]
         keys = list(reached)
     position = dict(zip(keys, range(len(keys))))
-    if len(keys) != len(start) or not position.keys() >= set(start):
-        return None
-    plan = _Plan(shape, cells, array("q", map(position.__getitem__, start)))
-    keep = (1 << bits * (s_cap + 1)) - 1
-    return plan, list(map(keep.__and__, map(vals.__getitem__, plan.order)))
+    return _Plan(shape, cells, array("q", map(position.__getitem__, start)))
 
 
 def _check_state_cap(state_cap: int) -> None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ParameterError
 from .exact import binom
@@ -151,7 +150,6 @@ def rhs_closed_form(s: int, lam: Fraction) -> Fraction:
 PerTermCells = dict[tuple[int, str], list[list[Fraction]]]
 
 
-@lru_cache(maxsize=None)
 def _per_term_cells(s: int) -> tuple[list[list[int]], list[list[int]], PerTermCells]:
     """alpha_v, alpha_h, and the h-family coefficients split by explicit term.
 

@@ -61,6 +61,10 @@ def test_count_s_and_all_s_are_exclusive(capsys):
         main(["count", "--n", "3", "--m", "3", "--k", "2", "--s", "1", "--all-s"])
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+    # the brute-force oracle counts one s at a time, so it has no --all-s
+    code, out, err = run_cli(capsys, "count", "--n", "3", "--m", "3", "--k", "2",
+                             "--all-s", "--method", "brute")
+    assert code == 2 and out == "" and "--method brute" in err
 
 
 def test_resource_cap_exit(capsys):

@@ -31,3 +31,46 @@ def test_every_private_helper_is_referenced():
     ]
     assert trees
     assert dead == []
+
+
+#: Imports kept on purpose although their module never names them.
+#: perfbench/tracing.py times the symbolic layer by wrapping identities.eval_term,
+#: so that name must stay bound in identities until the tracer wraps something else.
+UNUSED_IMPORTS_ALLOWED = {("identities.py", "eval_term")}
+
+
+def _bound_by_imports(tree: ast.Module):
+    """(name, line) of every name a module-level import binds, __future__ aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The strings listed in a module-level __all__."""
+    return {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in ast.walk(node.value)
+        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+    }
+
+
+def test_every_import_is_named():
+    # a module-level import that its module never names (nor lists in __all__) is dead
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = _names(tree).keys() | _exported(tree)
+        unused += [
+            f"{path.name}:{line}:{name}"
+            for name, line in _bound_by_imports(tree)
+            if name not in named and (path.name, name) not in UNUSED_IMPORTS_ALLOWED
+        ]
+    assert unused == []

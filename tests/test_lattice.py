@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -11,7 +10,6 @@ from polycount.lattice import (
     LatticeSpec,
     _frontier_sizes,
     _overhangs,
-    _replay,
     _sweep,
     brute_force_count,
     count_configurations,
@@ -271,10 +269,10 @@ def test_a_repeating_column_is_recorded_once_and_replayed(monkeypatch):
     spy(monkeypatch, "_record", records)
     spy(monkeypatch, "_replay", replays)
     rows = _sweep(n, {length}, k, s_cap)
-    assert len(records) == 1 and records[0][1] is not None  # column 2
-    plan = records[0][1][0]
-    assert len(replays) == 18  # columns 3..20
-    assert all(args[0] is plan and result is not None for args, result in replays)
+    assert len(records) == 1  # column 2
+    plan = records[0][1]
+    assert len(replays) == 19  # columns 2..20, the recorded column included
+    assert all(args[0] is plan for args, _ in replays)
     assert rows[length][:3] == (1, one_rod(n, length, k), two_rods(n, length, k))
     assert rows[length] == _sweep(length, {n}, k, s_cap)[n]
 
@@ -289,56 +287,31 @@ def test_short_runs_of_a_shape_are_never_recorded(monkeypatch):
     assert len(records) == 1
 
 
-def test_a_column_that_changes_its_profiles_is_not_recorded():
-    # the first column of a strip adds overhangs: its profiles are not the ones it started from
-    n, length, k, s_cap = 3, 20, 2, 2
-    shape = (_overhangs(-1, length, k), _overhangs(0, length, k), True)
-    assert shape[0] != shape[1]
-    assert lattice._record({0: 1}, n, k, shape, 40, s_cap) is None
-
-
-def idle_sources(cell):
-    return [a for a, flag in enumerate(cell[5]) if flag]
-
-
-def test_replay_guard_refuses_an_idle_source_with_a_lower_slot(monkeypatch):
-    n, length, k, s_cap = 3, 20, 2, 2
+def test_a_column_that_changes_its_profiles_is_not_recorded(monkeypatch):
+    # a plan maps its column's profiles onto themselves, so only a column with the
+    # same overhang digits before and after it may be recorded
     records = []
     spy(monkeypatch, "_record", records)
-    _sweep(n, {length}, k, s_cap)
-    (*_, bits, _), (plan, vals) = records[0]
-    assert all(idle_sources(cell) for cell in plan.cells)  # sources with no count below the cap
-    assert _replay(plan, vals, bits, s_cap) is not None
-    for a in idle_sources(plan.cells[0]):
-        bad = list(vals)
-        bad[a] += 1 << bits * (s_cap - 1)  # one configuration with a rod fewer
-        assert _replay(plan, bad, bits, s_cap) is None
+    for k in (2, 3, 4):
+        for n in range(1, 6):
+            _sweep(n, range(1, 31), k, 3)
+    assert len(records) == 15
+    for (keys, *_, shape, _), plan in records:
+        assert shape[0] == shape[1]
+        # onto themselves exactly: the rod cap lets no extra profile through the column
+        first, _, _, across, down = plan.cells[-1]
+        assert sum(first) + sum(across) + sum(down) == len(keys)
+        assert sorted(plan.order) == list(range(len(keys)))
 
 
-def test_sweep_falls_back_to_the_plain_column_when_the_guard_fires(monkeypatch):
-    # the first replay gets a plan that records a source with a count below the cap as
-    # idle; the sweep must finish that column plainly, then record and replay afresh
-    n, length, k = 3, 24, 2
-    original = lattice._replay
-    for s_cap in (1, 2, 3, 9):
-        expected = _sweep(n, range(1, length + 1), k, s_cap)
-        fired = []
-
-        def forged(plan, vals, bits, s_cap):
-            if not fired:
-                busy = next(a for a, v in enumerate(vals) if v & ((1 << bits * s_cap) - 1))
-                *head, idle = plan.cells[0]
-                idle = bytearray(idle)
-                idle[busy] = 1
-                plan = dataclasses.replace(plan, cells=[(*head, bytes(idle))] + plan.cells[1:])
-            result = original(plan, vals, bits, s_cap)
-            fired.append(result is None)
-            return result
-
-        monkeypatch.setattr(lattice, "_replay", forged)
-        assert _sweep(n, range(1, length + 1), k, s_cap) == expected
-        assert fired[0] and len(fired) > 1 and not any(fired[1:])
-        monkeypatch.setattr(lattice, "_replay", original)
+def test_plain_columns_match_the_replaying_sweep(monkeypatch):
+    # with no plan every column runs plainly, which reads the counts themselves
+    lengths = range(1, 41)
+    expected = {(n, k, s_cap): _sweep(n, lengths, k, s_cap)
+                for n in range(1, 7) for k in (2, 3, 4) for s_cap in range(6)}
+    monkeypatch.setattr(lattice, "_record", lambda *args: None)
+    for (n, k, s_cap), rows in expected.items():
+        assert _sweep(n, lengths, k, s_cap) == rows, (n, k, s_cap)
 
 
 def test_count_tables_matches_per_point_counts():
