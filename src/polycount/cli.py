@@ -66,6 +66,16 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """An exact rational such as '2', '-1' or '7/3'."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+
+
 def _emit_report(report: Report, args, command: str, started: float) -> int:
     doc = {
         "command": command,
@@ -309,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_parse_range, default=[1])
     p.add_argument("--n", type=_parse_range, default=None)
     p.add_argument("--m", type=_parse_range, default=None)
-    p.add_argument("--lambda", dest="lam", type=Fraction, default=Fraction(2))
-    p.add_argument("--eta", type=Fraction, default=Fraction(-1))
+    p.add_argument("--lambda", dest="lam", type=_parse_fraction, default=Fraction(2))
+    p.add_argument("--eta", type=_parse_fraction, default=Fraction(-1))
     p.add_argument("--anchor-n", type=int, default=30)
     p.add_argument("--filter", default="*")
     p.add_argument("--unsafe-range", action="store_true",

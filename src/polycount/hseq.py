@@ -48,26 +48,30 @@ def h_recursive(s: int, i: int, j: int) -> int:
     return as_integer(_h_frac(s, i, j), f"h({s},{i},{j})")
 
 
-def h_terms(s: int, i: int, j: int) -> tuple[Fraction, Fraction, Fraction]:
-    """The three addends of the explicit formula, as exact rationals.
+def h_terms(s: int, i: int, j: int) -> tuple[int, int, Fraction]:
+    """The three addends of the explicit formula, exactly.
 
-    Valid for any i, j >= 0, not just the domain triangle: the cancellation
-    proofs apply the individual terms at shifted indices where the full h
-    vanishes.  The second term is gated on s+j-i-1 >= 0; inside the triangle
-    the gate never fires, but at i = s it stops the generalized binomial
-    C(-1, s) from leaking in.
+    Defined for 0 <= i < 2s and j >= 0, not just the domain triangle: the
+    cancellation proofs apply the individual terms at shifted indices where
+    the full h vanishes.  Outside that range the third term's 1/(2s - t)
+    has a pole at t = 2s, and ParameterError is raised.  The first two terms
+    are integer products.  The second is gated on s+j-i-1 >= 0; inside the
+    triangle the gate never fires, but at i = s it stops the generalized
+    binomial C(-1, s) from leaking in.  The third term's sum runs over one
+    common denominator, (2s - i)(2s - i + 1)...(2s), which every 2s - t with
+    t <= i divides, so it costs one Fraction.
     """
     _require_s(s)
-    t1 = Fraction(0)
-    if j <= i:
-        t1 = Fraction((-1) ** (j + 1)) * binom(s, j)
-    t2 = Fraction(0)
+    if not (0 <= i < 2 * s and j >= 0):
+        raise ParameterError(f"h_terms needs 0 <= i < {2 * s} and j >= 0, got ({i}, {j})")
+    t1 = (-1) ** (j + 1) * binom(s, j) if j <= i else 0
+    t2 = 0
     if s + j - i - 1 >= 0:
-        t2 = Fraction((-1) ** (i + 1)) * binom(2 * s, i) * binom(s + j - i - 1, s)
-    acc = Fraction(0)
-    for t in range(i + 1):
-        acc += Fraction((-1) ** t, 2 * s - t) * binom(i, t) * binom(s - t - 1 + j, j)
-    t3 = Fraction((-1) ** i * (2 * s - i)) * binom(2 * s, i) * acc
+        t2 = (-1) ** (i + 1) * binom(2 * s, i) * binom(s + j - i - 1, s)
+    den = math.prod(range(2 * s - i, 2 * s + 1))
+    num = sum((-1) ** t * (den // (2 * s - t)) * binom(i, t) * binom(s - t - 1 + j, j)
+              for t in range(i + 1))
+    t3 = Fraction((-1) ** i * (2 * s - i) * binom(2 * s, i) * num, den)
     return t1, t2, t3
 
 

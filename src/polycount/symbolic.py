@@ -2,12 +2,18 @@
 
 Expression trees over named integer (or rational) variables, with binomials,
 factorials, sign factors, integer powers and finite sums.  ``compile_term``
-turns a tree into one generated straight-line Python function that carries
-every value as an unreduced int pair (numerator, denominator > 0), knows
-statically which denominators are 1, and normalises once per call into an
-int or a reduced Fraction, with no float anywhere.  Generated code is
-compiled once per tree shape: constants are parameters and variable names
-are string literals, never code.  ``eval_term`` is the one-shot form and
+turns a tree into one generated straight-line Python function.  Its
+variable reads are typed int, so every value that is known to be integral
+is a plain int expression, written inline where it is used once; only
+where a division, a negative power or a non-integral constant needs one
+does a value become an unreduced int pair (numerator, denominator > 0),
+normalised once per call into an int or a reduced Fraction, with no float
+anywhere.  A call that binds a variable to anything but an int (a
+Fraction, float or bool) runs the tree's rational variant instead, which
+reads every variable as an exact int pair; it is compiled lazily, the first
+time a call needs it.  Generated code is compiled once per tree shape:
+constants are parameters and variable names are string literals, never
+code.  ``eval_term`` is the one-shot form and
 returns a Fraction.  Division by zero or other undefined points raise
 PoleError so callers can skip or report them.  Integer constants in a tree
 are enumerable and individually perturbable, which the identity harness uses
@@ -174,8 +180,14 @@ _NAMESPACE = {"PoleError": PoleError, "_comb": math.comb, "_binom": binom,
               "_factorial": math.factorial, "_pair": _pair, "_int": _int,
               "_value": _value}
 
-# tree shape (see _shape) -> factory taking the tree's constants, returning its evaluator
+# tree shape (see _shape) -> factory taking the tree's constants, returning its evaluator;
+# the shape plus _RATIONAL -> the factory of the shape's rational variant
 _FACTORIES: dict[tuple, Callable[..., Compiled]] = {}
+_RATIONAL = object()
+
+# an inline expression with more opening parentheses than this is bound to a
+# temp, so deep trees stay well inside the parser's limit of 200 nested ones
+_MAX_PARENS = 50
 
 Pair = tuple[str, Union[str, None]]
 
@@ -185,13 +197,18 @@ class _Emitter:
 
     Each node becomes a pair of Python expressions ``(num, den)`` holding an
     unreduced value ``num / den`` with ``den > 0``; ``den`` is None where the
-    denominator is statically 1.  Constants become parameters ``k0, k1, ...``
-    of the factory, numbered in the order ``_shape`` lists them, env reads
-    use ``repr`` of the variable name, and every other identifier is
-    generated, so no text of the tree is ever code.
+    denominator is statically 1.  Such an integral ``num`` may be an inline
+    expression, evaluated where it is used; every other ``num`` and ``den`` is
+    a name.  With ``ints`` set, an env read that is not an int hands the call
+    to ``general`` (the rational variant), so every read is integral;
+    otherwise reads go through ``_pair``.  Constants become parameters
+    ``k0, k1, ...`` of the factory, numbered in the order ``_shape`` lists
+    them, env reads use ``repr`` of the variable name, and every other
+    identifier is generated, so no text of the tree is ever code.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, ints: bool) -> None:
+        self.ints = ints
         self.lines: list[str] = []
         self.params = 0
         self.temps = 0
@@ -199,6 +216,7 @@ class _Emitter:
         # per block: repr of a variable name -> its pair (env read or sum
         # index), and the num of a pair -> the int it was checked to be
         self.scopes: list[dict] = [{}]
+        self.sums: set[str] = set()  # inline expressions whose outermost operator is +
 
     def temp(self, prefix: str) -> str:
         self.temps += 1
@@ -212,6 +230,22 @@ class _Emitter:
             if key in scope:
                 return scope[key]
         return None
+
+    def named(self, num: str) -> str:
+        """A name holding the integral value num: for a value used twice."""
+        if num.isidentifier():
+            return num
+        name = self.temp("t")
+        self.emit(f"{name} = {num}")
+        return name
+
+    def inline(self, num: str) -> str:
+        """num, or a name holding it once its parentheses nest too deep."""
+        return self.named(num) if num.count("(") > _MAX_PARENS else num
+
+    def factor(self, num: str) -> str:
+        """num as an operand of ``*`` or ``%``."""
+        return f"({num})" if num in self.sums else num
 
     def as_int(self, pair: Pair, where: str) -> str:
         num, den = pair
@@ -243,23 +277,32 @@ class _Emitter:
         key = repr(expr.name)
         pair = self.lookup(key)
         if pair is None:
-            num, den = pair = self.scopes[-1][key] = self.temp("n"), self.temp("d")
-            self.emit(f"{num} = env[{key}]; {den} = 1")
-            self.emit(f"if type({num}) is not int: {num}, {den} = _pair({num})")
+            num = self.temp("n")
+            if self.ints:
+                pair = num, None
+                self.emit(f"{num} = env[{key}]")
+                self.emit(f"if type({num}) is not int: return general(env)")
+            else:
+                pair = num, den = num, self.temp("d")
+                self.emit(f"{num} = env[{key}]; {den} = 1")
+                self.emit(f"if type({num}) is not int: {num}, {den} = _pair({num})")
+            self.scopes[-1][key] = pair
         return pair
 
     def div_node(self, expr: Div) -> Pair:
         (a, da), (b, db) = self.node(expr.num), self.node(expr.den)
+        b = self.named(b)
         num, den = self.temp("n"), self.temp("d")
         self.emit(f"if not {b}: raise PoleError('division by zero')")
-        self.emit(f"{num} = {a}" + ("" if db is None else f" * {db}"))
+        self.emit(f"{num} = {a}" if db is None else f"{num} = {self.factor(a)} * {db}")
         self.emit(f"{den} = {b}" + ("" if da is None else f" * {da}"))
         self.emit(f"if {den} < 0: {num} = -{num}; {den} = -{den}")
         return num, den
 
     def pow_node(self, expr: Pow) -> Pair:
         b, db = self.node(expr.base)
-        e = self.as_int(self.node(expr.exp), "exponent")
+        b = self.named(b)
+        e = self.named(self.as_int(self.node(expr.exp), "exponent"))
         num, den = self.temp("n"), self.temp("d")
         self.emit(f"if {e} >= 0: {num} = {b} ** {e}; {den} = "
                   + ("1" if db is None else f"{db} ** {e}"))
@@ -271,31 +314,26 @@ class _Emitter:
         return num, den
 
     def binom_node(self, expr: Binom) -> Pair:
-        upper = self.as_int(self.node(expr.upper), "binomial upper index")
-        lower = self.as_int(self.node(expr.lower), "binomial lower index")
-        num = self.temp("n")
-        self.emit(f"{num} = _comb({upper}, {lower}) if {upper} >= 0 <= {lower}"
-                  f" else _binom({upper}, {lower})")
-        return num, None
+        upper = self.named(self.as_int(self.node(expr.upper), "binomial upper index"))
+        lower = self.named(self.as_int(self.node(expr.lower), "binomial lower index"))
+        return (f"(_comb({upper}, {lower}) if {upper} >= 0 <= {lower}"
+                f" else _binom({upper}, {lower}))"), None
 
     def fact_node(self, expr: Fact) -> Pair:
-        a = self.as_int(self.node(expr.arg), "factorial argument")
-        num = self.temp("n")
+        a = self.named(self.as_int(self.node(expr.arg), "factorial argument"))
         self.emit(f"if {a} < 0: raise PoleError(f'factorial of negative {{{a}}}')")
-        self.emit(f"{num} = _factorial({a})")
-        return num, None
+        return f"_factorial({a})", None
 
     def sign_node(self, expr: Sign) -> Pair:
         e = self.as_int(self.node(expr.exp), "sign exponent")
-        num = self.temp("n")
-        self.emit(f"{num} = -1 if {e} % 2 else 1")
-        return num, None
+        return self.inline(f"(-1 if {self.factor(e)} % 2 else 1)"), None
 
     def sum_node(self, expr: Sum) -> Pair:
         lo = self.as_int(self.node(expr.lower), "sum lower bound")
         hi = self.as_int(self.node(expr.upper), "sum upper bound")
         num, den, index = self.temp("n"), self.temp("d"), self.temp("i")
-        self.emit(f"{num} = 0; {den} = 1")
+        start = len(self.lines)
+        self.emit(f"{num} = 0")
         self.emit(f"for {index} in range({lo}, {hi} + 1):")
         self.indent += "    "
         self.scopes.append({repr(expr.index): (index, None)})
@@ -303,6 +341,7 @@ class _Emitter:
         if bd is None:
             self.emit(f"{num} += {bn}")
         else:  # keep one denominator while the terms share it
+            self.lines[start] += f"; {den} = 1"
             self.emit(f"if {bd} == {den}: {num} += {bn}")
             self.emit(f"elif not {num}: {num} = {bn}; {den} = {bd}")
             self.emit(f"else: {num} = {num} * {bd} + {bn} * {den}; {den} *= {bd}")
@@ -312,11 +351,12 @@ class _Emitter:
 
     def mul_node(self, expr: Mul) -> Pair:
         pairs = [self.node(f) for f in expr.factors]
-        num = self.temp("n")
-        self.emit(f"{num} = {' * '.join(n for n, _ in pairs)}")
+        product = " * ".join(self.factor(n) for n, _ in pairs)
         dens = [d for _, d in pairs if d is not None]
         if not dens:
-            return num, None
+            return self.inline(product), None
+        num = self.temp("n")
+        self.emit(f"{num} = {product}")
         if len(dens) == 1:
             return num, dens[0]
         den = self.temp("d")
@@ -326,10 +366,10 @@ class _Emitter:
     def add_node(self, expr: Add) -> Pair:
         pairs = [self.node(t) for t in expr.terms]
         ints = [n for n, d in pairs if d is None]
-        whole = ints[0] if len(ints) == 1 else None
+        whole = " + ".join(ints) if ints else None
         if len(ints) > 1:
-            whole = self.temp("n")
-            self.emit(f"{whole} = {' + '.join(ints)}")
+            self.sums.add(whole)
+            whole = self.inline(whole)
         fracs = [(n, d) for n, d in pairs if d is not None]
         if not fracs:
             return whole, None
@@ -341,7 +381,7 @@ class _Emitter:
             num, den = n3, d3
         if whole is not None:
             n3 = self.temp("n")
-            self.emit(f"{n3} = {num} + {whole} * {den}")
+            self.emit(f"{n3} = {num} + {self.factor(whole)} * {den}")
             num = n3
         return num, den
 
@@ -349,7 +389,8 @@ class _Emitter:
         num, den = self.node(expr)
         self.emit(f"return {num}" if den is None
                   else f"return {num} if {den} == 1 else _value({num}, {den})")
-        params = ", ".join(f"k{k}" for k in range(self.params))
+        params = ", ".join((["general"] if self.ints else [])
+                           + [f"k{k}" for k in range(self.params)])
         return "\n".join([
             f"def _make({params}):",
             "    def term(env):",
@@ -406,21 +447,43 @@ def _shape(expr: Expr, key: list, consts: list[int]) -> None:
             key.append(value)
 
 
+def _factory(key: tuple, expr: Expr, ints: bool) -> Callable[..., Compiled]:
+    """The factory cached under key, compiled from the tree on first use."""
+    make = _FACTORIES.get(key)
+    if make is None:
+        namespace = dict(_NAMESPACE)
+        exec(compile(_Emitter(ints).source(expr), "<polycount.symbolic>", "exec"), namespace)
+        make = _FACTORIES[key] = namespace["_make"]
+    return make
+
+
 def compile_term(expr: Expr) -> Compiled:
     """Turn the tree into one function ``env -> int | Fraction``.
 
-    The tree is walked once into straight-line Python source: a statement
-    or two per node and a ``for`` loop per ``Sum``, carrying each value as an
-    unreduced int pair ``(num, den > 0)`` and knowing statically which
-    denominators are 1.  A call normalises once, at the end: an int when the
-    value is integral, else a reduced Fraction.  No text of the tree becomes
-    code: constants are parameters of a factory, variable names appear only
-    as ``repr`` string literals in ``env`` lookups, and every identifier is
-    generated.  The source thus depends only on the tree's shape: its nodes,
-    variable names and which constants are integral.  Factories are cached
-    by that shape, so a tree with one constant bumped (a certificate mutant)
-    costs one light tree walk and a factory call, never a ``compile``.
-    Python's block nesting limit caps ``Sum`` nesting at 19.
+    The tree is walked once into straight-line Python source, with a
+    ``for`` loop per ``Sum``, knowing statically which values are
+    integral.  Those are plain int expressions, written inline
+    where they are used once and bound to a temp where they are used twice
+    (binomial indices, a factorial argument, a power's base and exponent, a
+    divisor).  Only where a division, a negative power or a non-integral
+    constant needs one does a value become an unreduced int pair
+    ``(num, den > 0)``; a call normalises it once, at the end: an int when
+    the value is integral, else a reduced Fraction.
+
+    Every variable read is typed int.  A read that finds anything else (a
+    Fraction, float or bool) hands the whole call to the tree's rational
+    variant, the same shape emitted with every read turned into an exact
+    int pair, so such bindings get the same values and the same PoleErrors.
+    That variant is compiled the first time a call needs it, once per shape.
+
+    No text of the tree becomes code: constants are parameters of a
+    factory, variable names appear only as ``repr`` string literals in
+    ``env`` lookups, and every identifier is generated.  The source thus
+    depends only on the tree's shape: its nodes, variable names and which
+    constants are integral.  Factories are cached by that shape, so a tree
+    with one constant bumped (a certificate mutant) costs one light tree
+    walk and a factory call, never a ``compile``.  Python's block nesting
+    limit caps ``Sum`` nesting at 19.
 
     Binomials follow the falling-factorial convention: C(a, b) = 0 for
     b < 0 and the product a(a-1)...(a-b+1)/b! otherwise, so negative upper
@@ -435,12 +498,15 @@ def compile_term(expr: Expr) -> Compiled:
     consts: list[int] = []
     _shape(expr, shape, consts)
     key = tuple(shape)
-    make = _FACTORIES.get(key)
-    if make is None:
-        namespace = dict(_NAMESPACE)
-        exec(compile(_Emitter().source(expr), "<polycount.symbolic>", "exec"), namespace)
-        make = _FACTORIES[key] = namespace["_make"]
-    return make(*consts)
+    variant = None
+
+    def general(env: Mapping[str, Number]) -> Number:
+        nonlocal variant
+        if variant is None:
+            variant = _factory(key + (_RATIONAL,), expr, False)(*consts)
+        return variant(env)
+
+    return _factory(key, expr, True)(general, *consts)
 
 
 def eval_term(expr: Expr, env: Mapping[str, Number]) -> Fraction:

@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Union
 
 from .errors import ParameterError
-from .exact import binom
+from .exact import as_integer, binom
 from .hseq import h_recursive, h_terms
 from .reports import Report
 
@@ -146,8 +147,9 @@ def rhs_closed_form(s: int, lam: Fraction) -> Fraction:
 
 # -- per-term coefficient accumulation ---------------------------------------
 
-#: keys: (term, orientation) with term in {1,2,3} and orientation "v"/"h"
-PerTermCells = dict[tuple[int, str], list[list[Fraction]]]
+#: keys: (term, orientation) with term in {1,2,3} and orientation "v"/"h";
+#: the cells of terms 1 and 2 are ints, those of term 3 Fractions
+PerTermCells = dict[tuple[int, str], list[list[Union[int, Fraction]]]]
 
 
 def _per_term_cells(s: int) -> tuple[list[list[int]], list[list[int]], PerTermCells]:
@@ -157,28 +159,35 @@ def _per_term_cells(s: int) -> tuple[list[list[int]], list[list[int]], PerTermCe
     row) 0..2s with the full offset range 0..s, so each explicit term can be
     tracked separately; the extra placements carry zero total weight.  Column
     s takes the second-quadrant form: the corner cell belongs to the lower
-    square's treatment.
+    square's treatment.  Terms 1 and 2 are integers.  Every third term read
+    here has i <= s, so its denominator divides D = s(s+1)...(2s): term 3
+    accumulates integer numerators over D and becomes a Fraction once per
+    cell, at the end.
     """
     grid = build_weight_grid(s)
     alpha_v = _accumulate(grid, ("P1",), ("vertical",))
     alpha_h = _accumulate(grid, ("P1",), ("horizontal",))
     n = grid.size
+    common = math.prod(range(s, 2 * s + 1))
     beta: PerTermCells = {
-        (t, o): [[Fraction(0)] * n for _ in range(n)] for t in (1, 2, 3) for o in ("v", "h")
+        (t, o): [[0] * n for _ in range(n)] for t in (1, 2, 3) for o in ("v", "h")
     }
     for i in range(n):
         for j0 in range(s + 1):
-            if i < s:
-                terms = h_terms(s, i, j0)
-            else:
-                terms = tuple((-1) ** s * x for x in h_terms(s, 2 * s - i, s - j0))
-            for tn, w in zip((1, 2, 3), terms):
+            at, sign = ((i, j0), 1) if i < s else ((2 * s - i, s - j0), (-1) ** s)
+            t1, t2, t3 = h_terms(s, *at)
+            scaled = as_integer(t3 * common, f"D * h_terms({s}, {at[0]}, {at[1]})[2]")
+            for tn, w in ((1, t1), (2, t2), (3, scaled)):
                 if w == 0:
                     continue
-                for o, orientation, at in (("v", "vertical", (i, j0)),
-                                           ("h", "horizontal", (j0, i))):
-                    for ci, cj, c in _footprint(s, orientation, *at):
-                        beta[(tn, o)][ci][cj] += w * c
+                w *= sign
+                for o, orientation, place in (("v", "vertical", (i, j0)),
+                                              ("h", "horizontal", (j0, i))):
+                    cells = beta[(tn, o)]
+                    for ci, cj, c in _footprint(s, orientation, *place):
+                        cells[ci][cj] += w * c
+    for o in ("v", "h"):
+        beta[(3, o)] = [[Fraction(x, common) for x in row] for row in beta[(3, o)]]
     return alpha_v, alpha_h, beta
 
 
@@ -197,19 +206,21 @@ def third_term_residual_sum(s: int, i: int, j: int) -> Fraction:
     """The double sum left over after the closed-form part of the third term.
 
     Vanishes on the diagonal; equals (-1)**(j+1) C(2s, j) strictly above it
-    in the lower square (i > j >= s).
+    in the lower square (i > j >= s).  Each summand's denominator
+    t * C(s - jp, t) divides s!**2, so the sum is one integer over s!**2.
     """
-    total = Fraction(0)
+    common = math.factorial(s) ** 2
+    total = 0
     for jp in range(s + 1):
         for t in range(1, s - jp + 1):
             total += (
-                Fraction((-1) ** (jp + t + 1), t)
+                (-1) ** (jp + t + 1)
+                * (common // (t * binom(s - jp, t)))
                 * binom(i - jp - 1, s + t - 1)
                 * binom(s, t - 1)
                 * binom(s, j - jp)
-                / binom(s - jp, t)
             )
-    return Fraction((-1) ** (s + i + j) * i) * binom(2 * s, i) * total
+    return Fraction((-1) ** (s + i + j) * i * binom(2 * s, i) * total, common)
 
 
 def verify_quadrant_lemmas(s: int) -> Report:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -127,6 +128,35 @@ def test_verify_weights(capsys):
                            "--eta", "-1", "--anchor-n", "30")
     assert code == 0
     assert "26880" in out
+
+
+@pytest.mark.parametrize("flag,value", [("--lambda", "1/0"), ("--eta", "3/0"), ("--eta", "x")])
+def test_bad_fraction_is_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "weights", "--s", "2", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and repr(value) in err and "Traceback" not in err
+
+
+#: sha256 of the --format json output, wall_time line removed: the proof
+#: checkers' reports are fixed byte for byte
+GOLDEN_JSON = {
+    ("quadrants", "--s", "1..7"):
+        "e1b759cca1f2ed8c5eb65bbc764f28b4371268c48424aaf0d8065e7634f21884",
+    ("weights", "--s", "1..7"):
+        "f276b02dcf01428537b7768c8e17599058b3587894c84651794e3b4a8f0ffe69",
+    ("identities",):
+        "04a108a237ea7c98b5b7449056a12222bd14fd7715844f94197d5cc2b4b087c4",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_JSON), ids="_".join)
+def test_proof_checker_json_is_unchanged(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    kept = "".join(line for line in out.splitlines(keepends=True) if '"wall_time"' not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN_JSON[argv]
 
 
 def test_verify_quadrants(capsys):

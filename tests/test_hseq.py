@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from polycount.errors import ParameterError
+from polycount.exact import binom
 from polycount.hseq import (
     column_sum,
     column_sum_closed_form,
@@ -134,3 +137,36 @@ def test_parameter_validation():
         h_from_gf(4, 1, 5)  # beyond the coherent range
     with pytest.raises(ParameterError):
         h_from_double_gf(3, 1, 0)
+
+
+def fraction_h_terms(s, i, j):
+    """The explicit formula's three addends, term by term over Fractions."""
+    t1 = Fraction(0)
+    if j <= i:
+        t1 = Fraction((-1) ** (j + 1)) * binom(s, j)
+    t2 = Fraction(0)
+    if s + j - i - 1 >= 0:
+        t2 = Fraction((-1) ** (i + 1)) * binom(2 * s, i) * binom(s + j - i - 1, s)
+    acc = Fraction(0)
+    for t in range(i + 1):
+        acc += Fraction((-1) ** t, 2 * s - t) * binom(i, t) * binom(s - t - 1 + j, j)
+    return t1, t2, Fraction((-1) ** i * (2 * s - i)) * binom(2 * s, i) * acc
+
+
+def test_h_terms_match_the_fraction_form():
+    # every (i, j) the quadrant lemmas read, the shifted (2s - i, s - j0) included
+    for s in range(1, 8):
+        for i in range(s + 1):
+            for j in range(s + 1):
+                terms = h_terms(s, i, j)
+                assert terms == fraction_h_terms(s, i, j), (s, i, j)
+                assert [type(t) for t in terms] == [int, int, Fraction]
+        for i in range(s + 1, 2 * s):  # the rest of the documented domain
+            assert h_terms(s, i, s + 3) == fraction_h_terms(s, i, s + 3)
+
+
+def test_h_terms_domain():
+    for s, i, j in ((2, 4, 0), (1, 2, 0), (3, -1, 1), (3, 0, -1)):
+        with pytest.raises(ParameterError):
+            h_terms(s, i, j)
+    assert h_terms(2, 3, 0) == fraction_h_terms(2, 3, 0)

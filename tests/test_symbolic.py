@@ -188,7 +188,8 @@ def _oracle(expr, env) -> Fraction:
 
 
 _NAMES = ("a", "b", "c")
-_VALUES = (-2, -1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 3), 0.5, -1.25, 2.0)
+_VALUES = (-2, -1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 3), 0.5, -1.25, 2.0,
+           True)
 
 
 def _random_const(rng):
@@ -310,3 +311,78 @@ def test_compiled_code_is_shared_by_shape_alone():
     assert compile_term(Mul((Add((s, i, j)),)))(env) == 6
     assert compile_term(Const(Fraction(1, 2)) * s)(env) == Fraction(1, 2)
     assert compile_term(Const(Fraction(2)) * s)(env) == 2
+
+
+def test_one_tree_has_one_value_under_every_binding_type():
+    expr = Sum("j", Const(Fraction(0)), s, SG(j) * C(s, j) * i ** j) / (s + 1) + fact_expr(s) * i
+    for ints, others in (({"s": 3, "i": 2}, ({"s": Fraction(3), "i": Fraction(2)},
+                                             {"s": 3.0, "i": 2.0}, {"s": 3, "i": 2.0})),
+                         ({"s": 1, "i": 1}, ({"s": True, "i": True}, {"s": 1, "i": True}))):
+        want = compile_term(expr)(ints)
+        assert want == _oracle(expr, ints)
+        for env in others:
+            got = compile_term(expr)(env)
+            assert got == want and type(got) is type(want), env
+    # the same pole, at the same point, whatever the binding's type
+    for env in ({"s": 3, "i": 2}, {"s": Fraction(3), "i": 2}, {"s": 3.0, "i": True}):
+        with pytest.raises(PoleError):
+            compile_term(expr + fact_expr(s - 4))(env)
+    assert compile_term(i / 2)({"i": True}) == Fraction(1, 2)
+
+
+def test_a_deep_alternating_chain_compiles():
+    expr, want = Var("x"), 2
+    for level in range(160):
+        if level % 2:
+            expr, want = Mul((expr, Var("y"))), -want
+        else:
+            expr, want = Add((expr, Const(Fraction(level % 3 - 1)))), want + level % 3 - 1
+    assert compile_term(expr)({"x": 2, "y": -1}) == want
+    assert compile_term(expr)({"x": Fraction(2), "y": -1.0}) == want
+
+
+def test_rational_variants_compile_once_where_a_binding_needs_one(monkeypatch):
+    from polycount import identities, symbolic
+
+    sources = []
+
+    def spy_compile(source, *rest):
+        sources.append(source)
+        return compile(source, *rest)
+
+    monkeypatch.setattr(symbolic, "_FACTORIES", {})
+    monkeypatch.setattr(symbolic, "compile", spy_compile, raising=False)
+    non_int = set()  # shapes called with some non-int value in the binding
+    real_compile_term = identities.compile_term
+
+    def spy_compile_term(expr):
+        key = []
+        symbolic._shape(expr, key, [])
+        term = real_compile_term(expr)
+
+        def traced(env):
+            if any(type(v) is not int for v in env.values()):
+                non_int.add(tuple(key))
+            return term(env)
+
+        return traced
+
+    monkeypatch.setattr(identities, "compile_term", spy_compile_term)
+    assert identities.run_registry().ok
+    keys = set(symbolic._FACTORIES)
+    assert len(sources) == len(keys)  # each factory compiled once
+    rational = {key[:-1] for key in keys if key[-1] is symbolic._RATIONAL}
+    assert rational and rational <= non_int
+    assert sorted(name for name, chk in identities.registry().items()
+                  if any(type(v) is not int for env in chk.grid() for v in env.values())) == [
+        "double-gf/inner-coefficient-closed-form", "double-gf/inner-coefficient-recurrence",
+        "double-gf/outer-assembly", "double-gf/outer-sum-recurrence",
+        "gf/product-rule-antidifference"]
+
+    # mutants bump constants, so they reuse every factory and need no rational
+    # variant; only mutants that drop a simplified gterm2 evaluate a new shape
+    compiled = len(sources)
+    assert identities.certificate_mutation_report("*").ok
+    new = set(symbolic._FACTORIES) - keys
+    assert all(key[-1] is not symbolic._RATIONAL for key in new)
+    assert len(sources) == compiled + len(new) <= compiled + 1

@@ -20,6 +20,8 @@ from polycount.weights import (
     verify_quadrant_lemmas,
     verify_rhs_column_sums,
 )
+from polycount.weights import _footprint, _per_term_cells
+from tests.test_hseq import fraction_h_terms
 
 
 def _weight_map(grid, tag):
@@ -180,3 +182,48 @@ def test_grid_applied_to_real_counts():
         assert grid_applied_to_counts(grid, k, n, m + 2) == 2 * diagonal_rhs(s)
     with pytest.raises(Exception):
         grid_applied_to_counts(build_weight_grid(2), 2, 5, 5)
+
+
+def fraction_residual_sum(s, i, j):
+    """third_term_residual_sum summand by summand over Fractions."""
+    total = Fraction(0)
+    for jp in range(s + 1):
+        for t in range(1, s - jp + 1):
+            total += (
+                Fraction((-1) ** (jp + t + 1), t)
+                * binom(i - jp - 1, s + t - 1)
+                * binom(s, t - 1)
+                * binom(s, j - jp)
+                / binom(s - jp, t)
+            )
+    return Fraction((-1) ** (s + i + j) * i) * binom(2 * s, i) * total
+
+
+def test_residual_double_sum_matches_the_fraction_form():
+    for s in range(1, 8):
+        for i in range(2 * s + 1):
+            for j in range(2 * s + 1):
+                got = third_term_residual_sum(s, i, j)
+                assert got == fraction_residual_sum(s, i, j), (s, i, j)
+                assert type(got) is Fraction
+
+
+def test_per_term_cells_match_a_fraction_accumulation():
+    for s in range(1, 8):
+        n = 2 * s + 1
+        want = {(t, o): [[Fraction(0)] * n for _ in range(n)] for t in (1, 2, 3) for o in "vh"}
+        for i in range(n):
+            for j0 in range(s + 1):
+                if i < s:
+                    terms = fraction_h_terms(s, i, j0)
+                else:
+                    terms = [(-1) ** s * x for x in fraction_h_terms(s, 2 * s - i, s - j0)]
+                for tn, w in zip((1, 2, 3), terms):
+                    for o, orientation, at in (("v", "vertical", (i, j0)),
+                                               ("h", "horizontal", (j0, i))):
+                        for ci, cj, c in _footprint(s, orientation, *at):
+                            want[(tn, o)][ci][cj] += w * c
+        _, _, beta = _per_term_cells(s)
+        assert beta == want, s
+        assert {type(x) for row in beta[(1, "v")] + beta[(2, "h")] for x in row} == {int}
+        assert {type(x) for row in beta[(3, "v")] + beta[(3, "h")] for x in row} == {Fraction}
