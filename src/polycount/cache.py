@@ -1,7 +1,10 @@
-"""Persistent cache of exact count tables, one JSON file per (k, n, m).
+"""Persistent cache of exact count tables, one JSON file per (k, min(n, m), max(n, m)).
 
-Counts are serialized as decimal strings so values of any size round-trip
-losslessly.  Writes go through a temp file and an atomic rename.
+a(n, m, k, s) = a(m, n, k, s), so an n x m table and its transpose share
+one entry, stored with the shorter side as n; a lookup either way round
+returns the counts under the spec it asked for.  Counts are serialized as
+decimal strings so values of any size round-trip losslessly.  Writes go
+through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
 
 
 def entry_path(cache_dir: Path, k: int, n: int, m: int) -> Path:
-    return cache_dir / f"k{k}_n{n}_m{m}.json"
+    """The one file of n x m and of m x n."""
+    return cache_dir / f"k{k}_n{min(n, m)}_m{max(n, m)}.json"
 
 
 def entry_payload(table: CountTable) -> dict:
@@ -51,7 +55,10 @@ def entry_payload(table: CountTable) -> dict:
 
 
 def save_entry(cache_dir: Path, table: CountTable) -> Path:
+    """Write the table as its canonical entry, the transpose when n > m."""
     spec = table.spec
+    if spec.n > spec.m:
+        table = CountTable(spec=LatticeSpec(n=spec.m, m=spec.n, k=spec.k), counts=table.counts)
     path = entry_path(cache_dir, spec.k, spec.n, spec.m)
     data = json.dumps(entry_payload(table), sort_keys=True, indent=None)
     try:
@@ -70,7 +77,11 @@ def save_entry(cache_dir: Path, table: CountTable) -> Path:
 
 
 def load_entry(cache_dir: Path, k: int, n: int, m: int) -> CountTable | None:
-    """Load a full table, or None on a miss or a stale, partial or corrupt entry."""
+    """Load the full n x m table, or None on a miss or a stale, partial or corrupt entry.
+
+    The entry is read from the canonical file and returned with the spec
+    LatticeSpec(n, m, k); the checks on its counts are the same either way round.
+    """
     path = entry_path(cache_dir, k, n, m)
     if not path.exists():
         return None
@@ -83,7 +94,7 @@ def load_entry(cache_dir: Path, k: int, n: int, m: int) -> CountTable | None:
     key = (data.get("k"), data.get("n"), data.get("m"))
     if any(type(v) is not int for v in key):
         return None  # no key to compare: corrupt, not someone else's entry
-    if key != (k, n, m):
+    if key != (k, min(n, m), max(n, m)):
         raise ParameterError(f"cache entry {path} does not match its key")
     spec = LatticeSpec(n=n, m=m, k=k)
     raw = data.get("counts")

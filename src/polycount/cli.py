@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from .cache import load_entry, resolve_cache_dir, save_entry
 from .errors import CheckFailedError, ParameterError, ResourceLimitError
@@ -142,14 +144,31 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out that cannot be written, before any sweep or cache write."""
+    out = Path(path)
+    if not out.parent.is_dir():
+        problem = "no such directory"
+    elif out.is_dir():
+        problem = "is a directory"
+    elif not os.access(out if out.exists() else out.parent, os.W_OK):
+        problem = "not writable"
+    else:
+        return
+    raise ParameterError(f"cannot write --out {path}: {problem}")
+
+
 def cmd_table(args) -> int:
     # the largest entry: rejects a bad k or an empty range before any work
     LatticeSpec(n=args.n_max, m=args.m_max, k=args.k)
+    if args.out:
+        _check_out(args.out)
     cache_dir = resolve_cache_dir(args.cache_dir)
     points = [(n, m) for n in range(1, args.n_max + 1) for m in range(1, args.m_max + 1)]
     tables = count_tables(args.k, points, state_cap=args.state_cap)
     entries = [tables[p] for p in points]
-    for table in entries:
+    # one entry per unordered lattice; (6, 2) goes in as (2, 6) whether or not (2, 6) is asked for
+    for table in {(min(p), max(p)): tables[p] for p in points}.values():
         save_entry(cache_dir, table)
     if args.format == "csv":
         lines = ["n,m,s,count"]
@@ -303,13 +322,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("table", help="tabulate counts and populate the cache")
+    p = sub.add_parser(
+        "table", help="tabulate counts and populate the cache",
+        description="Print a(n, m, k, s) for every s on each n x m lattice with n <= "
+                    "--n-max and m <= --m-max, and store each table in the cache. "
+                    "The cache holds one file per (k, min(n, m), max(n, m)); a lattice "
+                    "and its transpose share it.")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", help="write the table here instead of stdout; checked "
+                                 "for writability before any work")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--cache-dir")
+    p.add_argument("--cache-dir", help="cache directory (default: $POLYCOUNT_CACHE, "
+                                       "else the platform cache directory)")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="verify recurrences, weights, identities")

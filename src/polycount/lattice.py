@@ -14,8 +14,11 @@ column ceil(L/2) and joins the frontiers on either side of each cut; that
 one half sweep gives the whole strip row a(n, 1..L).  Away from the ends of
 a long strip every column makes the same moves on the same profiles, so the
 sweep records those moves once, from the profiles alone, as index lists and
-masks, and replays that plan on the counts of every such column.
-count_tables groups many points into one sweep per distinct shorter side.
+masks, and replays that plan on the counts of every such column.  When
+nearly every profile is live and no column repeats, as in a full table of
+short strips, the sweep holds all k**n profiles in one list instead and
+moves them with slices and maps.  count_tables groups many points into one
+sweep per distinct shorter side.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import lshift
+from operator import add, lshift, mul
 from typing import Collection, Iterable
 
 from .errors import ParameterError, ResourceLimitError
@@ -134,13 +137,16 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
     F_{c-1} and F_c and reads rows[2c-1] = join(F_c, F_{c-1}) and
     rows[2c] = join(F_c, F_c) (Stanley, EC1 section 4.7), where
     join(A, B) sums B[P] * A[mirror(P)] over P, each product shifted down one
-    slot per nonzero digit of P.
+    slot per nonzero digit of P.  In the even join A and B are both F_c, so
+    P and mirror(P) give equal terms: each mirror pair is counted once,
+    doubled, and a profile that is its own mirror (0, or every digit k/2)
+    once.
 
     A profile's counts by rods placed are packed into one integer, `bits` per
     slot, and slots above s_cap are masked off, so a profile that needs more
     rods than s_cap is never stored.  Every slot, partial or joined, counts
-    sets of j disjoint rods among the P rod positions of n x max(lengths), so
-    it is at most C(P, j), and a join's products carry only into the masked
+    sets of j disjoint rods on n x max(lengths), so it is at most the bound
+    _slot_bits takes, and a join's products carry only into the masked
     slots above s_cap.
 
     The live profiles after column c are fixed by the overhang digits a
@@ -154,11 +160,25 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
     and shift operations on the counts in a fixed order, with nothing
     computed per profile.  The plan starts a rod wherever the profile's own
     rods leave room below s_cap, which covers every rod the counts allow,
-    so it serves any counts.  Every other column is swept plainly.
+    so it serves any counts.  Every other column is swept plainly, with what
+    each digit takes off and the marks of a rod started across or down
+    worked out once per row, not per profile.
+
+    A sweep with no such run of columns, and whose live frontier fills at
+    least half of the k**n profiles after some column (a table of short
+    strips at full capacity, say), goes to _dense_sweep instead, which holds
+    every profile in one list and makes each cell a few list operations.  A
+    sweep with a run of repeating columns keeps its recorded plan.
     """
     length = max(lengths)
-    positions = rod_positions(n, length, k)
-    bits = 1 + max(math.comb(positions, j).bit_length() for j in range(s_cap + 1))
+    half = (length + 1) // 2
+    shapes = [(_overhangs(c - 1, length, k), _overhangs(c, length, k), c + k <= length)
+              for c in range(half)]
+    repeating = next((shape for shape in shapes
+                      if shape[0] == shape[1] and shapes.count(shape) >= 3), None)
+    if repeating is None and k**n <= 2 * max(_frontier_sizes(n, length, k, s_cap)):
+        return _dense_sweep(n, lengths, k, s_cap)
+    bits = _slot_bits(n, length, k, s_cap)
     slot = (1 << bits) - 1
     keep = (1 << bits * (s_cap + 1)) - 1  # drops slots above s_cap rods
     w = k.bit_length()
@@ -168,21 +188,25 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
     covered = sum(k << w * i for i in range(k - 1))
 
     def join(left: dict[int, int], right: dict[int, int]) -> tuple[int, ...]:
+        square = left is right and k > 2  # for k = 2 every profile is its own mirror
         total = 0
         for profile, packed in right.items():
             nonzero = profile
             for i in range(1, w):
                 nonzero |= profile >> i
             nonzero &= ones
-            other = left.get(k * nonzero - profile)  # the mirror: d -> k - d
+            mirror = k * nonzero - profile  # d -> k - d
+            if square:
+                if mirror < profile:
+                    continue  # counted, doubled, at its mirror
+                if mirror != profile:
+                    packed <<= 1
+            other = left.get(mirror)
             if other:
                 total += (packed * other) >> bits * nonzero.bit_count()
         total &= keep
         return tuple((total >> s * bits) & slot for s in range(s_cap + 1))
 
-    half = (length + 1) // 2
-    shapes = [(_overhangs(c - 1, length, k), _overhangs(c, length, k), c + k <= length)
-              for c in range(half)]
     frontier: dict[int, int] = {0: 1}
     rows: dict[int, tuple[int, ...]] = {}
     plan: _Plan | None = None
@@ -190,36 +214,133 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
         previous = frontier if 2 * c - 1 in lengths else None
         shape = shapes[c - 1]
         hstart = shape[2]
-        if plan is None and shape[0] == shape[1] and shapes[c:].count(shape) >= 2:
+        if plan is None and shape == repeating:
             plan = _record(list(frontier), n, k, shape, s_cap)
         if plan is not None and plan.shape == shape:
             frontier = dict(zip(frontier, _replay(plan, list(frontier.values()), bits, s_cap)))
         else:
             for r in range(n):
                 shift = w * r
-                vertical = r + k <= n
+                under = shift + w
+                step = [1 << shift] * k + [k << shift]  # by digit: what leaving the cell takes off
+                across = (k - 1) << shift if hstart else 0
+                down = covered << under if r + k <= n else 0
                 nxt: dict[int, int] = {}
+                get = nxt.get
                 for profile, packed in frontier.items():
                     d = (profile >> shift) & digit
                     if d:  # covered from the left or from above: nothing to place
-                        out = profile - ((d if d == k else 1) << shift)
-                        nxt[out] = nxt.get(out, 0) + packed
+                        out = profile - step[d]
+                        nxt[out] = get(out, 0) + packed
                         continue
-                    nxt[profile] = nxt.get(profile, 0) + packed  # monomer
+                    nxt[profile] = get(profile, 0) + packed  # monomer
                     more = (packed << bits) & keep
                     if not more:
                         continue
-                    if hstart:
-                        out = profile | ((k - 1) << shift)
-                        nxt[out] = nxt.get(out, 0) + more
-                    if vertical and not (profile >> (shift + w)) & below:
-                        out = profile | (covered << (shift + w))
-                        nxt[out] = nxt.get(out, 0) + more
+                    # a started rod makes a profile no other move reaches (_record)
+                    if across:
+                        nxt[profile | across] = more
+                    if down and not (profile >> under) & below:
+                        nxt[profile | down] = more
                 frontier = nxt
         if previous is not None:
             rows[2 * c - 1] = join(frontier, previous)
         if 2 * c in lengths:
             rows[2 * c] = join(frontier, frontier)
+    return rows
+
+
+def _slot_bits(n: int, length: int, k: int, s_cap: int) -> int:
+    """Bits per slot of a packed count: one more than a count of j <= s_cap rods needs.
+
+    A set of j disjoint rods on n x length is a choice of j of its P rod
+    positions.  Read cell by cell, row by row, it is also a word over the
+    N - (k-1)j cells that no earlier rod covers, each a monomer or the
+    first cell of a rod across or down.  So it counts at most C(P, j) and
+    at most C(N - (k-1)j, j) 2^j, which is far smaller near capacity.
+    """
+    positions = rod_positions(n, length, k)
+    cells = n * length
+    return 1 + max(min(math.comb(positions, j), math.comb(max(0, cells - (k - 1) * j), j) << j)
+                   .bit_length() for j in range(s_cap + 1))
+
+
+def _dense_sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tuple[int, ...]]:
+    """_sweep's rows, with each frontier held as one list over all k**n profiles.
+
+    Profile i has digit (i // k**r) % k in row r, 0..k-1 as in _sweep, so
+    its position is its profile.  While row r is swept the list is rotated
+    to make row r the lowest digit: the profiles with digit d there are
+    frontier[d::k], indexed by their other rows, and the outgoing lists
+    joined in order of the new digit make row r + 1 the lowest.  Digit
+    d >= 2 becomes d - 1, digits 0 (a monomer) and 1 (a rod ends) both
+    become 0, and a rod started across turns a 0 into k - 1.  A rod started
+    down at row r needs rows r+1..r+k-1 free, the free profiles [::k**(k-1)],
+    and covers them with digit 0, so it joins the list after row r+k-1, on
+    its first k**(n-k) positions.  Each cell is a few maps and slices over
+    the list, with nothing computed per profile, which pays when most of
+    the k**n profiles are live; _sweep sends a sweep here only when at
+    least half are, so the list is at most twice the frontier the state
+    cap bounds.
+
+    The mask only keeps the counts short, since a slot past the cap carries
+    only into slots the join drops.  The rods of a configuration through
+    column c lie in its first c + k - 1 columns, so while those hold at most
+    s_cap rods no slot past the cap fills and a started rod's counts go
+    unmasked.  The joins are _sweep's, summed in one pass over the list and
+    its mirror positions.
+    """
+    length = max(lengths)
+    bits = _slot_bits(n, length, k, s_cap)
+    slot = (1 << bits) - 1
+    keep = (1 << bits * (s_cap + 1)) - 1
+    mirror, up = [0], [bits * n]  # up: a join's product shifted up one slot per zero digit
+    for r in range(n):
+        mirror = [off + i for off in [0] + [(k - d) * k**r for d in range(1, k)] for i in mirror]
+        up = [u - drop for drop in [0] + [bits] * (k - 1) for u in up]
+    lo = [i for i, j in enumerate(mirror) if i < j]
+    hi = list(map(mirror.__getitem__, lo))
+    own = [i for i, j in enumerate(mirror) if i == j]
+
+    def unpack(total: int) -> tuple[int, ...]:
+        total = (total >> bits * n) & keep
+        return tuple((total >> s * bits) & slot for s in range(s_cap + 1))
+
+    def join(left: list[int], right: list[int]) -> tuple[int, ...]:
+        return unpack(sum(map(lshift, map(mul, right, map(left.__getitem__, mirror)), up)))
+
+    def square(frontier: list[int]) -> tuple[int, ...]:  # join(frontier, frontier)
+        get = frontier.__getitem__
+        twice = sum(map(lshift, map(mul, map(get, lo), map(get, hi)), map(up.__getitem__, lo)))
+        once = sum(map(lshift, map(mul, map(get, own), map(get, own)), map(up.__getitem__, own)))
+        return unpack(2 * twice + once)
+
+    def started(counts: list[int], masked: bool) -> Iterable[int]:  # one slot up: the new rod
+        shifted = map(lshift, counts, repeat(bits))
+        return map(keep.__and__, shifted) if masked else shifted
+
+    frontier = [1] + [0] * (k**n - 1)
+    rows: dict[int, tuple[int, ...]] = {}
+    for c in range(1, (length + 1) // 2 + 1):
+        previous = frontier if 2 * c - 1 in lengths else None
+        hstart = c - 1 + k <= length
+        masked = s_cap < n * min(c + k - 1, length) // k
+        landing: dict[int, list[int]] = {}
+        for r in range(n):
+            free, *rest = (frontier[d::k] for d in range(k))
+            if r + k <= n:
+                landing[r + k - 1] = list(started(free[:: k ** (k - 1)], masked))
+            frontier = list(map(add, free, rest[0]))
+            for part in rest[1:]:
+                frontier += part
+            frontier += started(free, masked) if hstart else repeat(0, len(free))
+            down = landing.pop(r, None)
+            if down is not None:
+                frontier[: len(down)] = map(add, frontier, down)
+        if previous is not None:
+            rows[2 * c - 1] = join(frontier, previous)
+        if 2 * c in lengths:
+            rows[2 * c] = square(frontier)
     return rows
 
 

@@ -11,7 +11,7 @@ from polycount.cache import (
     save_entry,
 )
 from polycount.errors import ParameterError
-from polycount.lattice import LatticeSpec, count_polynomial
+from polycount.lattice import CountTable, LatticeSpec, count_polynomial
 
 
 def test_round_trip(tmp_path):
@@ -85,3 +85,31 @@ def test_dir_resolution(tmp_path, monkeypatch):
     monkeypatch.delenv("POLYCOUNT_CACHE")
     default = resolve_cache_dir(None)
     assert default.name == "polycount"
+
+
+def test_a_table_and_its_transpose_share_one_entry(tmp_path):
+    table = count_polynomial(LatticeSpec(5, 3, 2))
+    path = save_entry(tmp_path, table)
+    assert path == entry_path(tmp_path, 2, 3, 5) == entry_path(tmp_path, 2, 5, 3)
+    assert [p.name for p in tmp_path.iterdir()] == ["k2_n3_m5.json"]
+    assert json.loads(path.read_text())["n"] == 3
+    for n, m in ((5, 3), (3, 5)):
+        loaded = load_entry(tmp_path, 2, n, m)
+        assert loaded == CountTable(spec=LatticeSpec(n, m, 2), counts=table.counts)
+
+
+def test_an_entry_under_a_transposed_name_is_a_miss(tmp_path):
+    # the name an n > m entry had when every ordered pair had its own file
+    table = count_polynomial(LatticeSpec(5, 3, 2))
+    (tmp_path / "k2_n5_m3.json").write_text(json.dumps(
+        {"version": 1, "k": 2, "n": 5, "m": 3, "counts": [str(c) for c in table.counts]}))
+    assert load_entry(tmp_path, 2, 5, 3) is None
+    assert load_entry(tmp_path, 2, 3, 5) is None
+
+
+def test_a_transposed_key_in_the_canonical_file_is_a_mismatch(tmp_path):
+    table = count_polynomial(LatticeSpec(5, 3, 2))
+    entry_path(tmp_path, 2, 3, 5).write_text(json.dumps(
+        {"version": 1, "k": 2, "n": 5, "m": 3, "counts": [str(c) for c in table.counts]}))
+    with pytest.raises(ParameterError):
+        load_entry(tmp_path, 2, 5, 3)

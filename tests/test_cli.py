@@ -7,7 +7,7 @@ import random
 import pytest
 
 from polycount.cli import main
-from polycount.lattice import LatticeSpec, count_configurations
+from polycount.lattice import LatticeSpec, count_configurations, count_polynomial
 
 
 @pytest.fixture(autouse=True)
@@ -417,6 +417,55 @@ def test_table_out_into_missing_dir(capsys, tmp_path):
                            "--cache-dir", str(tmp_path / "cache"), "--out", str(out_path))
     assert code == 2 and "--out" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("where", ["missing/x.csv", "."])
+def test_table_unwritable_out_fails_before_any_work(capsys, tmp_path, monkeypatch, where):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("--out must be checked before the sweep")
+
+    monkeypatch.setattr("polycount.cli.count_tables", no_sweep)
+    cache_dir = tmp_path / "cache"
+    code, out, err = run_cli(capsys, "table", "--k", "2", "--n-max", "3", "--m-max", "3",
+                             "--out", str(tmp_path / where), "--cache-dir", str(cache_dir))
+    assert code == 2 and "--out" in err and out == ""
+    assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+
+def test_table_writes_one_entry_per_unordered_lattice(capsys, tmp_path):
+    from polycount.cache import load_entry
+
+    cache_dir = tmp_path / "unordered"
+    code, _, _ = run_cli(capsys, "table", "--k", "2", "--n-max", "6", "--m-max", "4",
+                         "--cache-dir", str(cache_dir))
+    assert code == 0
+    # 1..4 x 1..6 as unordered pairs; (6, 2) is stored as (2, 6) with no (2, 6) requested
+    assert len(list(cache_dir.iterdir())) == 18
+    assert (cache_dir / "k2_n2_m6.json").exists()
+    for n in range(1, 7):
+        for m in range(1, 5):
+            spec = LatticeSpec(n, m, 2)
+            table = load_entry(cache_dir, 2, n, m)
+            assert table.spec == spec
+            assert table.counts == count_polynomial(spec).counts
+
+
+#: sha256 of table's stdout: the printed table stays per ordered pair, byte for byte
+GOLDEN_TABLES = {
+    ("--k", "2", "--n-max", "9", "--m-max", "9", "--format", "csv"):
+        "0e5b6ea5c6d245d547ae0f1f8b143b6bfb5fb27f8374bf980cbc1dbeb3b39624",
+    ("--k", "3", "--n-max", "8", "--m-max", "8", "--format", "json"):
+        "3ec4673fdadeab48ce10bcad434c354d76d01c57379a30529ae6e0473640e92d",
+    ("--k", "2", "--n-max", "6", "--m-max", "4"):
+        "53e7d881cd9d267ca9040dc2cecb7eb131994c8e2200b13dc78ecd9db6fe32c9",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_TABLES), ids=" ".join)
+def test_table_stdout_is_unchanged(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, "table", *argv, "--cache-dir", str(tmp_path / "golden"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLES[argv]
 
 
 def test_table_csv_and_idempotence(capsys, tmp_path):

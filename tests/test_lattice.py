@@ -51,10 +51,12 @@ def test_one_rod_closed_form():
 
 
 def test_transpose_symmetry():
-    # two sweeps of different widths: n wide to length m, and m wide to length n
+    # two sweeps of different widths: n wide to length m, and m wide to length n, odd
+    # and even; at full capacity, where the even join halves its products, and k = 4,
+    # whose all-2 profiles are their own mirrors
     for n in range(1, 7):
         for m in range(n, 7):
-            for k in (2, 3):
+            for k in (2, 3, 4):
                 cap = LatticeSpec(n, m, k).capacity
                 assert _sweep(n, {m}, k, cap)[m] == _sweep(m, {n}, k, cap)[n]
 
@@ -236,6 +238,53 @@ def test_pinned_exact_counts():
     assert digest == "bfd5369b489e48197ae77479e3020e845acc8cf556e83f5130253f24e700dc62"
 
 
+#: sha256 of count_tables(k, 1..8 x 1..10, s_max), one "n,m:c0,c1,..." line per
+#: lattice in row order, as the sweep gave before the even join was halved
+GRID_DIGESTS = {
+    (2, None): "25de5cb95d750ba5627195246ab18e76f9703689946e811448170337a6b37aef",
+    (2, 1): "f79c89207fee354c9b114f8f4d37293d52b3c7503d25b650f48b34609ebda35c",
+    (2, 2): "f0e385a3450184ac07043a0d57cf3a97580ffc600fb70b83846e2140c9092e31",
+    (2, 3): "19391c52366d77ea9a7fa5d8def76b8d2307770f9450c2162b8375be3f189fe8",
+    (2, 5): "d82a9bdbcb5192bbfdba2867c6c2cfa81a0384355a46ec09f2783c1dbe3236c2",
+    (3, None): "0ae136aeccefc1be3dbf1def6bd21b0f00433d434116b1fd3fc9d755fe461ddb",
+    (3, 1): "05a9c12ee31d1ef255013c7c36dffaf9661028b4144ff76af6851a118d8befd0",
+    (3, 2): "4f9927b930bf2ed0297f50c9c374e1d9310c3e83d3f855fd430517adacadc81c",
+    (3, 3): "7f735a33624fdbc0f096090e34bec377bef857585b7f9660f3d85535dc0ffd30",
+    (3, 5): "32d5a8e3571ca43f24953e565e57591f7883b3c915a121d5f4be59c38a67f148",
+    (4, None): "6a63a4549605aedfecfb95935c84bc38fa4c8a466c1d6e1b6d584ba374a30be8",
+    (4, 1): "e8cb1ed4b2d5e586206ef9be10c4f101610f60797a755876669c780b4a4a3968",
+    (4, 2): "32ea99b20b79f1255ef60fbca7f8f970c1146ddfd51b1a76a62df9ea371b5d87",
+    (4, 3): "974bf0e4a5891436073b6c798d5c596fa2c8fc5c431979e13ace58648f5dde54",
+    (4, 5): "baabad807adbcea62169a319276fd03d1cce541bd76e047f1c98ab30dd80f784",
+}
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_pinned_grid_at_every_s_max(k):
+    points = [(n, m) for n in range(1, 9) for m in range(1, 11)]
+    for s_max in (None, 1, 2, 3, 5):
+        tables = count_tables(k, points, s_max)
+        text = "\n".join(f"{n},{m}:" + ",".join(map(str, tables[n, m].counts))
+                         for n, m in points)
+        assert hashlib.sha256(text.encode()).hexdigest() == GRID_DIGESTS[k, s_max], s_max
+
+
+def test_slot_bits_bound_every_count():
+    # every a(n, m, k, j) must fit a slot with its spare bit, including the widest
+    # counts at full capacity, where the cell-word bound is far below C(P, j)
+    for k, top in ((2, 9), (3, 8), (4, 7)):
+        points = [(n, m) for n in range(1, top + 1) for m in range(n, top + 1)]
+        tables = count_tables(k, points)
+        for n, m in points:
+            counts = tables[n, m].counts
+            bits = lattice._slot_bits(n, m, k, len(counts) - 1)
+            assert max(counts).bit_length() < bits, (k, n, m)
+    for n, m, k in ((2, 5, 2), (3, 4, 2), (3, 3, 3), (2, 6, 3)):
+        spec = LatticeSpec(n, m, k)
+        bits = lattice._slot_bits(n, m, k, spec.capacity)
+        assert all(brute_force_count(spec, j).bit_length() < bits for j in range(spec.capacity + 1))
+
+
 def test_pinned_long_strip_rows():
     # every row of n <= 5 to length 32, k in {2, 3, 4}, s_cap <= 3, as the sweep gave
     # before it replayed columns
@@ -312,6 +361,29 @@ def test_plain_columns_match_the_replaying_sweep(monkeypatch):
     monkeypatch.setattr(lattice, "_record", lambda *args: None)
     for (n, k, s_cap), rows in expected.items():
         assert _sweep(n, lengths, k, s_cap) == rows, (n, k, s_cap)
+
+
+def test_dense_sweep_matches_the_dict_sweep(monkeypatch):
+    # every profile in one list against the live-profile dicts (plain, recorded and
+    # replayed columns), at full capacity and far below it, on odd and even lengths
+    lengths = range(1, 15)
+    cases = [(n, k, s_cap) for n in range(1, 6) for k in (2, 3, 4)
+             for s_cap in (0, 1, 2, 3, 6, LatticeSpec(n, 14, k).capacity)]
+    dense = {case: lattice._dense_sweep(case[0], lengths, case[1], case[2]) for case in cases}
+    monkeypatch.setattr(lattice, "_frontier_sizes", lambda *args: [0])  # no frontier is full
+    for (n, k, s_cap), rows in dense.items():
+        assert _sweep(n, lengths, k, s_cap) == rows, (n, k, s_cap)
+
+
+def test_only_a_full_frontier_without_repeating_columns_is_swept_dense(monkeypatch):
+    calls = []
+    spy(monkeypatch, "_dense_sweep", calls)
+    count_tables(3, [(n, m) for n in range(1, 9) for m in range(1, 9)])
+    assert sorted(args[0] for args, _ in calls) == list(range(1, 9))  # one sweep per width
+    calls.clear()
+    count_tables(2, [(16, 16)], s_max=2)  # 137 live profiles of 2**16
+    _sweep(3, {40}, 2, 3)  # every profile live, but its columns repeat: replayed
+    assert calls == []
 
 
 def test_count_tables_matches_per_point_counts():
