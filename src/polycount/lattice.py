@@ -14,11 +14,11 @@ column ceil(L/2) and joins the frontiers on either side of each cut; that
 one half sweep gives the whole strip row a(n, 1..L).  Away from the ends of
 a long strip every column makes the same moves on the same profiles, so the
 sweep records those moves once, from the profiles alone, as index lists and
-masks, and replays that plan on the counts of every such column.  When
-nearly every profile is live and no column repeats, as in a full table of
-short strips, the sweep holds all k**n profiles in one list instead and
-moves them with slices and maps.  count_tables groups many points into one
-sweep per distinct shorter side.
+masks, and replays that plan on the counts of every such column.  When at
+least half of the k**n profiles are live after some column, as on a strip at
+full capacity, the sweep holds all of them in one list instead and moves
+them with slices and maps, whether its columns repeat or not.  count_tables
+groups many points into one sweep per distinct shorter side.
 """
 
 from __future__ import annotations
@@ -137,10 +137,7 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
     F_{c-1} and F_c and reads rows[2c-1] = join(F_c, F_{c-1}) and
     rows[2c] = join(F_c, F_c) (Stanley, EC1 section 4.7), where
     join(A, B) sums B[P] * A[mirror(P)] over P, each product shifted down one
-    slot per nonzero digit of P.  In the even join A and B are both F_c, so
-    P and mirror(P) give equal terms: each mirror pair is counted once,
-    doubled, and a profile that is its own mirror (0, or every digit k/2)
-    once.
+    slot per nonzero digit of P.
 
     A profile's counts by rods placed are packed into one integer, `bits` per
     slot, and slots above s_cap are masked off, so a profile that needs more
@@ -164,20 +161,20 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
     each digit takes off and the marks of a rod started across or down
     worked out once per row, not per profile.
 
-    A sweep with no such run of columns, and whose live frontier fills at
-    least half of the k**n profiles after some column (a table of short
-    strips at full capacity, say), goes to _dense_sweep instead, which holds
-    every profile in one list and makes each cell a few list operations.  A
-    sweep with a run of repeating columns keeps its recorded plan.
+    A sweep whose live frontier fills at least half of the k**n profiles
+    after some column (a strip at full capacity, say) goes to _dense_sweep
+    instead, which holds every profile in one list and makes each cell a few
+    list operations, whether its columns repeat or not; so a plan is only
+    ever recorded for a sparse frontier.
     """
     length = max(lengths)
+    if k**n <= 2 * max(_frontier_sizes(n, length, k, s_cap)):
+        return _dense_sweep(n, lengths, k, s_cap)
     half = (length + 1) // 2
     shapes = [(_overhangs(c - 1, length, k), _overhangs(c, length, k), c + k <= length)
               for c in range(half)]
     repeating = next((shape for shape in shapes
                       if shape[0] == shape[1] and shapes.count(shape) >= 3), None)
-    if repeating is None and k**n <= 2 * max(_frontier_sizes(n, length, k, s_cap)):
-        return _dense_sweep(n, lengths, k, s_cap)
     bits = _slot_bits(n, length, k, s_cap)
     slot = (1 << bits) - 1
     keep = (1 << bits * (s_cap + 1)) - 1  # drops slots above s_cap rods
@@ -188,7 +185,6 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
     covered = sum(k << w * i for i in range(k - 1))
 
     def join(left: dict[int, int], right: dict[int, int]) -> tuple[int, ...]:
-        square = left is right and k > 2  # for k = 2 every profile is its own mirror
         total = 0
         for profile, packed in right.items():
             nonzero = profile
@@ -196,11 +192,6 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
                 nonzero |= profile >> i
             nonzero &= ones
             mirror = k * nonzero - profile  # d -> k - d
-            if square:
-                if mirror < profile:
-                    continue  # counted, doubled, at its mirror
-                if mirror != profile:
-                    packed <<= 1
             other = left.get(mirror)
             if other:
                 total += (packed * other) >> bits * nonzero.bit_count()
@@ -288,7 +279,10 @@ def _dense_sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[i
     column c lie in its first c + k - 1 columns, so while those hold at most
     s_cap rods no slot past the cap fills and a started rod's counts go
     unmasked.  The joins are _sweep's, summed in one pass over the list and
-    its mirror positions.
+    its mirror positions.  In the even join both sides are F_c, so P and
+    mirror(P) give equal terms: each mirror pair is multiplied once and
+    doubled, and a profile that is its own mirror (0, or every digit k/2)
+    once.
     """
     length = max(lengths)
     bits = _slot_bits(n, length, k, s_cap)

@@ -62,7 +62,8 @@ def test_transpose_symmetry():
 
 
 def test_transpose_symmetry_on_long_strips():
-    # the n-wide sweep to L replays most of its columns; the L-wide one runs at most two
+    # the n-wide sweep to L runs dense where its frontier is full and otherwise replays
+    # most of its columns; the L-wide one runs at most two columns
     for n in range(1, 5):
         for length in range(n, 31):
             for k in (2, 3, 4):
@@ -285,6 +286,18 @@ def test_slot_bits_bound_every_count():
         assert all(brute_force_count(spec, j).bit_length() < bits for j in range(spec.capacity + 1))
 
 
+def test_pinned_full_capacity_strip_rows():
+    # every row of n <= 6 to length 24, k in {2, 3, 4}, at full capacity, as the sweep
+    # gave when it replayed their columns; they now run dense (about 0.5 s, 2 cores)
+    lines = []
+    for k in (2, 3, 4):
+        for n in range(1, 7):
+            rows = _sweep(n, range(1, 25), k, n * 24 // k)
+            lines += [f"{k} {n} {m} " + ",".join(map(str, row)) for m, row in rows.items()]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b06504d947465121a3722f1e3e8909796fa7cc8ab64723ba1056836d1c06e1df"
+
+
 def test_pinned_long_strip_rows():
     # every row of n <= 5 to length 32, k in {2, 3, 4}, s_cap <= 3, as the sweep gave
     # before it replayed columns
@@ -311,7 +324,9 @@ def spy(monkeypatch, name, calls):
 
 
 def test_a_repeating_column_is_recorded_once_and_replayed(monkeypatch):
-    n, length, k, s_cap = 3, 40, 2, 3
+    # 93 live profiles of 2**8, so the sweep keeps its dicts and replays
+    n, length, k, s_cap = 8, 40, 2, 3
+    assert 2 * max(_frontier_sizes(n, length, k, s_cap)) < k**n
     shapes = [(_overhangs(c - 1, length, k), _overhangs(c, length, k)) for c in range(20)]
     assert shapes[0] != shapes[1] and len(set(shapes[1:])) == 1  # 19 columns of one shape
     records, replays = [], []
@@ -323,7 +338,7 @@ def test_a_repeating_column_is_recorded_once_and_replayed(monkeypatch):
     assert len(replays) == 19  # columns 2..20, the recorded column included
     assert all(args[0] is plan for args, _ in replays)
     assert rows[length][:3] == (1, one_rod(n, length, k), two_rods(n, length, k))
-    assert rows[length] == _sweep(length, {n}, k, s_cap)[n]
+    assert rows[length] == lattice._dense_sweep(n, {length}, k, s_cap)[length]
 
 
 def test_short_runs_of_a_shape_are_never_recorded(monkeypatch):
@@ -341,10 +356,11 @@ def test_a_column_that_changes_its_profiles_is_not_recorded(monkeypatch):
     # same overhang digits before and after it may be recorded
     records = []
     spy(monkeypatch, "_record", records)
-    for k in (2, 3, 4):
-        for n in range(1, 6):
+    for k, widths in ((2, (8, 9)), (3, (6, 7)), (4, (5, 6))):
+        for n in widths:
+            assert 2 * max(_frontier_sizes(n, 30, k, 3)) < k**n  # a dict sweep
             _sweep(n, range(1, 31), k, 3)
-    assert len(records) == 15
+    assert len(records) == 6
     for (keys, *_, shape, _), plan in records:
         assert shape[0] == shape[1]
         # onto themselves exactly: the rod cap lets no extra profile through the column
@@ -354,8 +370,10 @@ def test_a_column_that_changes_its_profiles_is_not_recorded(monkeypatch):
 
 
 def test_plain_columns_match_the_replaying_sweep(monkeypatch):
-    # with no plan every column runs plainly, which reads the counts themselves
+    # with no plan every column runs plainly, which reads the counts themselves; no
+    # frontier counts as full, so both sides sweep dicts
     lengths = range(1, 41)
+    monkeypatch.setattr(lattice, "_frontier_sizes", lambda *args: [0])
     expected = {(n, k, s_cap): _sweep(n, lengths, k, s_cap)
                 for n in range(1, 7) for k in (2, 3, 4) for s_cap in range(6)}
     monkeypatch.setattr(lattice, "_record", lambda *args: None)
@@ -375,15 +393,37 @@ def test_dense_sweep_matches_the_dict_sweep(monkeypatch):
         assert _sweep(n, lengths, k, s_cap) == rows, (n, k, s_cap)
 
 
-def test_only_a_full_frontier_without_repeating_columns_is_swept_dense(monkeypatch):
-    calls = []
+def test_a_sweep_is_dense_exactly_when_its_frontier_fills_half_the_profiles(monkeypatch):
+    # whether its columns repeat or not: repetition only decides whether a dict sweep
+    # records a plan
+    calls, records = [], []
     spy(monkeypatch, "_dense_sweep", calls)
-    count_tables(3, [(n, m) for n in range(1, 9) for m in range(1, 9)])
-    assert sorted(args[0] for args, _ in calls) == list(range(1, 9))  # one sweep per width
+    spy(monkeypatch, "_record", records)
+    _sweep(3, {40}, 2, 3)  # every profile live, and its columns repeat
+    assert [args for args, _ in calls] == [(3, {40}, 2, 3)] and records == []
     calls.clear()
     count_tables(2, [(16, 16)], s_max=2)  # 137 live profiles of 2**16
-    _sweep(3, {40}, 2, 3)  # every profile live, but its columns repeat: replayed
-    assert calls == []
+    assert calls == [] and len(records) == 1
+    calls.clear()
+    for k, top in ((2, 9), (3, 8)):  # the two full tables of the dense-table benchmark
+        count_tables(k, [(n, m) for n in range(1, top + 1) for m in range(1, top + 1)])
+        assert sorted(args[0] for args, _ in calls) == list(range(1, top + 1)), k
+        calls.clear()
+    monkeypatch.setattr(lattice, "_dense_sweep", lambda *args: calls.append(args) or {})
+    seen = set()
+    for k in (2, 3, 4):
+        for length in (6, 16):  # columns that do not repeat, and columns that do
+            records.clear()
+            _sweep(2, {length}, k, 0)  # one live profile of k**2: a dict sweep
+            repeats = bool(records)
+            for n in range(1, 9):
+                for s_cap in (*range(5), LatticeSpec(n, length, k).capacity):
+                    full = k**n <= 2 * max(_frontier_sizes(n, length, k, s_cap))
+                    calls.clear()
+                    _sweep(n, {length}, k, s_cap)
+                    assert calls == ([(n, {length}, k, s_cap)] if full else []), (n, length, k, s_cap)
+                    seen.add((full, repeats))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_count_tables_matches_per_point_counts():
