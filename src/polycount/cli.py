@@ -164,6 +164,12 @@ def cmd_table(args) -> int:
     if args.out:
         _check_out(args.out)
     cache_dir = resolve_cache_dir(args.cache_dir)
+    try:  # as save_entry would, but before any sweep
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot write cache directory {cache_dir}: {exc}") from exc
+    if not os.access(cache_dir, os.W_OK):
+        raise ParameterError(f"cannot write cache directory {cache_dir}: not writable")
     points = [(n, m) for n in range(1, args.n_max + 1) for m in range(1, args.m_max + 1)]
     tables = count_tables(args.k, points, state_cap=args.state_cap)
     entries = [tables[p] for p in points]

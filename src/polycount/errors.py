@@ -11,9 +11,9 @@ class ResourceLimitError(RuntimeError):
     """A computation would exceed its configured state/work cap."""
 
 
-class IntegralityError(ArithmeticError):
-    """An exact-rational pipeline produced a non-integer where an integer is required."""
-
-
 class CheckFailedError(ArithmeticError):
     """An exact value disagreed with the independent route that certifies it."""
+
+
+class IntegralityError(CheckFailedError):
+    """An exact-rational pipeline produced a non-integer where an integer is required."""

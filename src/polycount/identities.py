@@ -30,23 +30,25 @@ runners:
 Each ``run_check`` call compiles the check's expressions once
 (``symbolic.compile_term``) and then walks the grid.  Grid points that hit a
 pole, or whose summation bounds are not integers, are skipped and counted; a
-check whose grid is entirely skipped fails as degenerate.  Certificates are
-expression trees, so the harness can perturb any single integer coefficient
-and confirm the check then fails (a wrong certificate cannot slip through).
-One failing point is enough for that, so each mutant runs with
-``fail_fast`` and stops at its first failing point; the registry run itself
-keeps the full failure list.
+check whose grid is entirely skipped fails as degenerate.  The harness also
+adds one to each constant of each certificate, one at a time, and confirms
+the check then fails (a wrong certificate cannot slip through).  A mutant is
+the certificate's own compiled code called with the bumped constant
+(``symbolic.mutants``), which ``run_check`` uses in place of the compiled
+field.  One failing point is enough, so each mutant runs with ``fail_fast``
+and stops at its first failing point; the registry run keeps every failure.
 """
 
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .reports import Report
 from .symbolic import (
+    Compiled,
     Const,
     Expr,
     Number,
@@ -59,7 +61,7 @@ from .symbolic import (
     # import once the benchmark wraps compile_term instead (see CHANGES.md).
     eval_term,  # noqa: F401
     fact_expr,
-    perturbations,
+    mutants,
     sign_expr as SG,
     syms,
 )
@@ -67,6 +69,8 @@ from .symbolic import (
 s, i, j, jp, ip, t, n, x, z, a, b, c, u = syms("s i j jp ip t n x z a b c u")
 
 GridFn = Callable[[], Iterable[dict]]
+# a certificate mutant: the field it replaces and the evaluator that stands in for it
+Mutant = tuple[str, Compiled]
 
 
 @dataclass
@@ -111,7 +115,8 @@ class CheckOutcome:
         return not self.failures and self.tested > 0
 
 
-def _run_pointwise(chk: IdentityCheck, out: CheckOutcome) -> Iterator[str]:
+def _run_pointwise(chk: IdentityCheck, out: CheckOutcome, mutant: None) -> Iterator[str]:
+    # a pointwise check has no certificate, so it never runs a mutant
     if chk.kind == "closed-form-sum":
         lhs_expr = Sum(chk.index, chk.lower, chk.upper, chk.summand)
     else:
@@ -129,19 +134,27 @@ def _run_pointwise(chk: IdentityCheck, out: CheckOutcome) -> Iterator[str]:
             yield f"{env}: lhs={lhs} rhs={rhs}"
 
 
-def _run_telescoping(chk: IdentityCheck, out: CheckOutcome) -> Iterator[str]:
+def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
+                     mutant: Mutant | None) -> Iterator[str]:
     """sum_d b_d F(p+d) = sum over the axes of Delta G, pointwise and summed."""
+    bumped, stand_in = mutant or (None, None)
+    summand, param = compile_term(chk.summand), chk.param
+
+    def g_of(name: str) -> Compiled:
+        # G is the field itself, or R*F for a certificate R
+        term = stand_in if name == bumped else compile_term(getattr(chk, name))
+        return (lambda e: term(e) * summand(e)) if name.startswith("certificate") else term
+
     axes = [(chk.index, chk.lower, chk.upper,
-             chk.antidifference if chk.antidifference is not None
-             else chk.certificate * chk.summand)]
+             g_of("certificate" if chk.antidifference is None else "antidifference"))]
     if chk.index2 is not None:
+        # a certificate2 mutant also replaces the simplified inner G that encodes it
         axes.append((chk.index2, chk.lower2, chk.upper2,
-                     chk.gterm2 if chk.gterm2 is not None
-                     else chk.certificate2 * chk.summand))
-    axes = [(index, compile_term(lower), compile_term(upper), compile_term(g))
+                     g_of("gterm2" if chk.gterm2 is not None and bumped != "certificate2"
+                          else "certificate2")))
+    axes = [(index, compile_term(lower), compile_term(upper), g)
             for index, lower, upper, g in axes]
     target = None if chk.inhom is None else compile_term(chk.inhom)
-    summand, param = compile_term(chk.summand), chk.param
     coeffs = None if chk.coeffs is None else [compile_term(bd) for bd in chk.coeffs]
 
     def combination(coeff_env: dict, points: list[dict]) -> Number:
@@ -199,14 +212,15 @@ _RUNNERS = {
 }
 
 
-def run_check(chk: IdentityCheck, fail_fast: bool = False) -> CheckOutcome:
+def run_check(chk: IdentityCheck, fail_fast: bool = False,
+              mutant: Mutant | None = None) -> CheckOutcome:
     """Run the check over its whole grid; with fail_fast, stop at its first failure.
 
     Expressions are compiled here, once per call, so building the registry
-    stays cheap.
+    stays cheap.  A mutant stands in for the compiled field it names.
     """
     out = CheckOutcome(name=chk.name, tested=0, skipped=0)
-    for failure in _RUNNERS[chk.kind](chk, out):
+    for failure in _RUNNERS[chk.kind](chk, out, mutant):
         out.failures.append(failure)
         if fail_fast:
             break
@@ -1201,27 +1215,23 @@ def _mutation_fields(chk: IdentityCheck) -> list[str]:
     return fields
 
 
-def _mutants(chk: IdentityCheck) -> Iterator[tuple[str, IdentityCheck]]:
-    """Each single-constant perturbation of the check's certificates, labelled."""
+def _mutants(chk: IdentityCheck) -> Iterator[tuple[str, Mutant]]:
+    """Each single-constant bump of the check's certificates, labelled."""
     for fname in _mutation_fields(chk):
-        for idx, mutated in enumerate(perturbations(getattr(chk, fname))):
-            trial = replace(chk, **{fname: mutated})
-            if fname == "certificate2" and chk.gterm2 is not None:
-                # the simplified inner G must track the certificate it encodes
-                trial = replace(trial, gterm2=None)
-            yield f"{chk.name}:{fname}[{idx}]", trial
+        for idx, evaluator in enumerate(mutants(getattr(chk, fname))):
+            yield f"{chk.name}:{fname}[{idx}]", (fname, evaluator)
 
 
 def mutation_survivors(chk: IdentityCheck) -> list[str]:
     """Names of single-coefficient certificate perturbations that go undetected.
 
-    Each integer constant in each certificate/antidifference expression is
+    Each constant in each certificate/antidifference expression is
     bumped by one; the check must then fail.  One failing point is enough,
     so each mutant runs only up to its first failure.  An empty list means
     the harness catches every such corruption.
     """
-    return [label for label, trial in _mutants(chk)
-            if run_check(trial, fail_fast=True).passed]
+    return [label for label, mutant in _mutants(chk)
+            if run_check(chk, fail_fast=True, mutant=mutant).passed]
 
 
 def certificate_mutation_report(pattern: str = "*") -> Report:

@@ -15,17 +15,18 @@ time a call needs it.  Generated code is compiled once per tree shape:
 constants are parameters and variable names are string literals, never
 code.  ``eval_term`` is the one-shot form and
 returns a Fraction.  Division by zero or other undefined points raise
-PoleError so callers can skip or report them.  Integer constants in a tree
-are enumerable and individually perturbable, which the identity harness uses
-to prove it would detect a wrong certificate.
+PoleError so callers can skip or report them.  ``mutants`` gives one
+evaluator per constant of a tree, with that constant plus one, from the
+tree's own compiled code; the identity harness uses them to prove it would
+detect a wrong certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .exact import binom
 
@@ -414,16 +415,18 @@ _FIELDS = {cls: tuple(f.name for f in fields(cls))
            for cls in (Var, Add, Mul, Div, Pow, Binom, Fact, Sign, Sum)}
 
 
-def _shape(expr: Expr, key: list, consts: list[int]) -> None:
+def _shape(expr: Expr, key: list, consts: list[int], starts: list[int]) -> None:
     """Append the tree's shape to key and its constants to consts, in field order.
 
     The key holds node classes, operand counts, names and whether each
     constant is integral: everything the emitted source depends on, and no
-    constant's value.
+    constant's value.  An integral constant fills one slot of consts, any
+    other its numerator and denominator; starts gets each one's first slot.
     """
     cls = type(expr)
     if cls is Const:
         q = expr.value if type(expr.value) is Fraction else Fraction(expr.value)
+        starts.append(len(consts))
         if q.denominator == 1:
             key.append(1)
             consts.append(q.numerator)
@@ -440,9 +443,9 @@ def _shape(expr: Expr, key: list, consts: list[int]) -> None:
         if type(value) is tuple:
             key.append(len(value))
             for part in value:
-                _shape(part, key, consts)
+                _shape(part, key, consts, starts)
         elif isinstance(value, Expr):
-            _shape(value, key, consts)
+            _shape(value, key, consts, starts)
         else:
             key.append(value)
 
@@ -480,10 +483,9 @@ def compile_term(expr: Expr) -> Compiled:
     factory, variable names appear only as ``repr`` string literals in
     ``env`` lookups, and every identifier is generated.  The source thus
     depends only on the tree's shape: its nodes, variable names and which
-    constants are integral.  Factories are cached by that shape, so a tree
-    with one constant bumped (a certificate mutant) costs one light tree
-    walk and a factory call, never a ``compile``.  Python's block nesting
-    limit caps ``Sum`` nesting at 19.
+    constants are integral.  Factories are cached by that shape, so each
+    shape is compiled once, and ``mutants`` calls the same factory with one
+    constant bumped.  Python's block nesting limit caps ``Sum`` nesting at 19.
 
     Binomials follow the falling-factorial convention: C(a, b) = 0 for
     b < 0 and the product a(a-1)...(a-b+1)/b! otherwise, so negative upper
@@ -496,8 +498,31 @@ def compile_term(expr: Expr) -> Compiled:
     """
     shape: list = []
     consts: list[int] = []
-    _shape(expr, shape, consts)
-    key = tuple(shape)
+    _shape(expr, shape, consts, [])
+    return _evaluator(tuple(shape), expr, consts)
+
+
+def mutants(expr: Expr) -> list[Compiled]:
+    """One evaluator per constant of the tree, in DFS order, with that constant plus one.
+
+    An integral constant k becomes k + 1 and a fraction p/q becomes
+    (p + q)/q, so each stays integral or not and every mutant runs its
+    tree's compiled code: no tree is copied and nothing is compiled anew.
+    """
+    shape: list = []
+    consts: list[int] = []
+    starts: list[int] = []
+    _shape(expr, shape, consts, starts)
+    key, out = tuple(shape), []
+    for at, end in zip(starts, starts[1:] + [len(consts)]):
+        bumped = list(consts)
+        bumped[at] += 1 if end - at == 1 else bumped[at + 1]
+        out.append(_evaluator(key, expr, bumped))
+    return out
+
+
+def _evaluator(key: tuple, expr: Expr, consts: list[int]) -> Compiled:
+    """The shape's factory called with these constants, its rational variant made lazily."""
     variant = None
 
     def general(env: Mapping[str, Number]) -> Number:
@@ -512,46 +537,3 @@ def compile_term(expr: Expr) -> Compiled:
 def eval_term(expr: Expr, env: Mapping[str, Number]) -> Fraction:
     """Evaluate once, exactly, as a Fraction; raise PoleError when undefined."""
     return Fraction(compile_term(expr)(env))
-
-
-def _map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
-    """The node rebuilt with fn applied to each child, in field order."""
-    changes = {}
-    for f in fields(expr):
-        value = getattr(expr, f.name)
-        if isinstance(value, Expr):
-            changes[f.name] = fn(value)
-        elif isinstance(value, tuple):
-            changes[f.name] = tuple(fn(v) for v in value)
-    return replace(expr, **changes) if changes else expr
-
-
-def _bump(expr: Expr, index: int) -> tuple[Expr, int]:
-    """Copy with 1 added to the index-th constant (DFS order), and the constant count."""
-    seen = 0
-
-    def walk(node: Expr) -> Expr:
-        nonlocal seen
-        if isinstance(node, Const):
-            seen += 1
-            return Const(node.value + 1) if seen - 1 == index else node
-        return _map_children(node, walk)
-
-    return walk(expr), seen
-
-
-def count_constants(expr: Expr) -> int:
-    return _bump(expr, -1)[1]  # index -1 bumps nothing
-
-
-def perturb_constant(expr: Expr, index: int) -> Expr:
-    """Copy of the tree with 1 added to the index-th constant (DFS order)."""
-    out, seen = _bump(expr, index)
-    if index >= seen:
-        raise IndexError(f"constant index {index} out of range ({seen} constants)")
-    return out
-
-
-def perturbations(expr: Expr) -> Iterator[Expr]:
-    for idx in range(count_constants(expr)):
-        yield perturb_constant(expr, idx)

@@ -10,6 +10,7 @@ a traced benchmark run.
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -26,11 +27,16 @@ def test_perfbench_selftest_passes():
     assert "selftest: ok" in done.stdout
 
 
-def test_tracer_installs_on_every_hook_and_restores_them():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_installs_on_every_hook_and_restores_them():
+    tracing = _tracing()
     from polycount import cli, recurrences
 
     before = (cli.verify_strip, cli.window_residuals, recurrences.count_configurations)
@@ -41,3 +47,22 @@ def test_tracer_installs_on_every_hook_and_restores_them():
     finally:
         tracer.close()
     assert (cli.verify_strip, cli.window_residuals, recurrences.count_configurations) == before
+
+
+def test_tracer_counts_every_certificate_mutant():
+    # the tracer counts mutants as calls of the module attribute
+    # identities.run_check under certificate_mutation_report
+    tracing = _tracing()
+    from polycount import identities
+
+    pinned = json.loads((PERFBENCH / "pinned.json").read_text(encoding="utf-8"))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, polycount)
+        for pattern in ("gf/*", "double-gf/*", "rhs/*", "appendix-d/*"):
+            assert identities.certificate_mutation_report(pattern).ok, pattern
+    finally:
+        tracer.close()
+    metrics = tracing.layer_metrics(tracer.spans, 0, 0)
+    assert metrics["identities.mutants"] == pinned["mutants"] == 43
+    assert metrics["identities.detected_ratio"] == 1

@@ -3,9 +3,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from polycount import hseq
 from polycount.cli import main
 from polycount.lattice import LatticeSpec, count_configurations, count_polynomial
 
@@ -128,6 +130,14 @@ def test_verify_weights(capsys):
                            "--eta", "-1", "--anchor-n", "30")
     assert code == 0
     assert "26880" in out
+
+
+@pytest.mark.parametrize("target", ["weights", "quadrants"])
+def test_a_failed_integrality_check_exits_1(capsys, monkeypatch, target):
+    monkeypatch.setattr(hseq, "_h_frac", lambda s, i, j: Fraction(1, 2))
+    code, out, err = run_cli(capsys, "verify", target, "--s", "2")
+    assert code == 1 and out == ""
+    assert err == "check failed: h(2,0,1) is not an integer: 1/2\n"
 
 
 @pytest.mark.parametrize("flag,value", [("--lambda", "1/0"), ("--eta", "3/0"), ("--eta", "x")])
@@ -430,6 +440,18 @@ def test_table_unwritable_out_fails_before_any_work(capsys, tmp_path, monkeypatc
                              "--out", str(tmp_path / where), "--cache-dir", str(cache_dir))
     assert code == 2 and "--out" in err and out == ""
     assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+
+@pytest.mark.parametrize("where", ["file/sub", "file"])
+def test_table_unwritable_cache_dir_fails_before_any_work(capsys, tmp_path, monkeypatch, where):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("--cache-dir must be checked before the sweep")
+
+    monkeypatch.setattr("polycount.cli.count_tables", no_sweep)
+    (tmp_path / "file").write_text("")
+    code, out, err = run_cli(capsys, "table", "--k", "2", "--n-max", "3", "--m-max", "3",
+                             "--cache-dir", str(tmp_path / where))
+    assert code == 2 and "cache directory" in err and out == ""
 
 
 def test_table_writes_one_entry_per_unordered_lattice(capsys, tmp_path):

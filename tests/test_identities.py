@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import fnmatch
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,9 +21,8 @@ from polycount.symbolic import (
     Sum,
     binom_expr as C,
     compile_term,
-    count_constants,
     eval_term,
-    perturbations,
+    mutants,
     syms,
 )
 
@@ -162,9 +162,8 @@ def test_registry_point_accounting():
         "double-sum-recurrence": [2, 853, 488],
         "pointwise": [19, 1422, 0],
     }
-    mutants = sum(count_constants(getattr(chk, f))
-                  for chk in registry().values() for f in _mutation_fields(chk))
-    assert mutants == 134
+    labels = [label for chk in registry().values() for label, _ in _mutants(chk)]
+    assert len(labels) == len(set(labels)) == 134
 
 
 def test_wrong_closed_form_detected():
@@ -212,9 +211,9 @@ def test_fail_fast_stops_at_the_first_failure():
               if name == "q3/second-term-recurrence" or fnmatch.fnmatch(name, "double-gf/*")]
     seen = 0
     for chk in checks:
-        for label, trial in _mutants(chk):
-            full = run_check(trial)
-            fast = run_check(trial, fail_fast=True)
+        for label, mutant in _mutants(chk):
+            full = run_check(chk, mutant=mutant)
+            fast = run_check(chk, fail_fast=True, mutant=mutant)
             assert not fast.passed, label
             assert len(fast.failures) == 1, (label, fast.failures)
             assert fast.failures[0] == full.failures[0], label
@@ -224,13 +223,26 @@ def test_fail_fast_stops_at_the_first_failure():
 
     # the normal run keeps every failing point
     chk = registry()["q3/second-term-recurrence"]
-    label, trial = next(_mutants(chk))
+    label, mutant = next(_mutants(chk))
     assert label == "q3/second-term-recurrence:certificate[0]"
-    full = run_check(trial)
-    fast = run_check(trial, fail_fast=True)
+    full = run_check(chk, mutant=mutant)
+    fast = run_check(chk, fail_fast=True, mutant=mutant)
     assert (full.tested, full.skipped, len(full.failures)) == (310, 55, 75)
     assert len(set(full.failures)) == 75
     assert fast.tested == 6 and fast.failures == full.failures[:1]
+
+
+def test_every_mutant_outcome_is_pinned():
+    # (label, tested, skipped, failures) of all 134 fail-fast mutant runs, as
+    # the tree-copying mutants gave them
+    rows = []
+    for _, chk in sorted(registry().items()):
+        for label, mutant in _mutants(chk):
+            out = run_check(chk, fail_fast=True, mutant=mutant)
+            rows.append((label, out.tested, out.skipped, out.failures))
+    assert len(rows) == 134
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "9d759985a21a32f15320cb36398fc60fa717e43309a306258bf2836b1d92e012")
 
 
 def test_certificate_mutants_reuse_the_compiled_code():
@@ -239,8 +251,8 @@ def test_certificate_mutants_reuse_the_compiled_code():
     for name, chk in registry().items():
         for f in _mutation_fields(chk):
             code = compile_term(getattr(chk, f)).__code__
-            for mutant in perturbations(getattr(chk, f)):
-                assert compile_term(mutant).__code__ is code, (name, f)
+            for mutant in mutants(getattr(chk, f)):
+                assert mutant.__code__ is code, (name, f)
 
     chk = registry()["q3/second-term-recurrence"]
     points = [{**env, "jp": v} for env in chk.grid() for v in range(0, env["i"])]
@@ -255,7 +267,7 @@ def test_certificate_mutants_reuse_the_compiled_code():
         return out
 
     original = values(compile_term(chk.certificate))
-    mutants = list(perturbations(chk.certificate))
-    assert len(mutants) == count_constants(chk.certificate) >= 5
-    for mutant in mutants:
-        assert values(compile_term(mutant)) != original
+    bumped = mutants(chk.certificate)
+    assert len(bumped) == 5
+    for mutant in bumped:
+        assert values(mutant) != original

@@ -22,11 +22,9 @@ from polycount.symbolic import (
     Var,
     binom_expr as C,
     compile_term,
-    count_constants,
     eval_term,
     fact_expr,
-    perturb_constant,
-    perturbations,
+    mutants,
     sign_expr as SG,
     syms,
 )
@@ -78,19 +76,28 @@ def test_poles():
 
 
 def test_perturbations():
-    expr = (i - j) * (2 * s - j) / (j + 1)
-    total = count_constants(expr)
-    assert total >= 2
-    originals = eval_term(expr, {"i": 5, "j": 2, "s": 4})
-    mutated_values = set()
-    for idx in range(total):
-        mutated = perturb_constant(expr, idx)
-        mutated_values.add(eval_term(mutated, {"i": 5, "j": 2, "s": 4}))
-    assert originals == Fraction(18, 3)
-    assert all(v != originals for v in mutated_values)
-    assert len(list(perturbations(expr))) == total
-    with pytest.raises(IndexError):
-        perturb_constant(expr, total)
+    # constants in DFS order: -1 (i - j), 2, -1 (2s - j), 1 (j + 1), 1/2
+    expr = (i - j) * (2 * s - j) / (j + 1) + Const(Fraction(1, 2))
+    env = {"i": 5, "j": 2, "s": 4}
+    base = compile_term(expr)
+    assert base(env) == Fraction(13, 2)
+    bumped = [
+        (i + 0 * j) * (2 * s - j) / (j + 1) + Const(Fraction(1, 2)),
+        (i - j) * (3 * s - j) / (j + 1) + Const(Fraction(1, 2)),
+        (i - j) * (2 * s + 0 * j) / (j + 1) + Const(Fraction(1, 2)),
+        (i - j) * (2 * s - j) / (j + 2) + Const(Fraction(1, 2)),
+        (i - j) * (2 * s - j) / (j + 1) + Const(Fraction(3, 2)),
+    ]
+    got = mutants(expr)
+    assert [m(env) for m in got] == [compile_term(e)(env) for e in bumped] == [
+        Fraction(21, 2), Fraction(21, 2), Fraction(17, 2), 5, Fraction(15, 2)]
+    assert type(got[3](env)) is int
+    for m in got:
+        assert m.__code__ is base.__code__
+        assert m(env) != base(env)
+        # a non-int binding runs the mutant's own rational variant
+        assert m({**env, "s": Fraction(4)}) == m(env)
+    assert mutants(i * j) == []
 
 
 def test_compiled_evaluation_is_exact():
@@ -303,8 +310,9 @@ def test_names_are_looked_up_never_executed():
 def test_compiled_code_is_shared_by_shape_alone():
     expr = (i - j) * (2 * s - j) / (j + 1) + C(s, 2) * Const(Fraction(1, 2))
     base = compile_term(expr)
-    for mutant in perturbations(expr):
-        assert compile_term(mutant).__code__ is base.__code__
+    other = (i - j) * (5 * s - j) / (j + 7) + C(s, -3) * Const(Fraction(-7, 3))
+    assert compile_term(other).__code__ is base.__code__
+    assert all(mutant.__code__ is base.__code__ for mutant in mutants(expr))
     # same nodes and leaves, grouped differently: a different shape
     env = {"s": 1, "i": 2, "j": 3}
     assert compile_term(Mul((Add((s, i)), j)))(env) == 9
@@ -357,7 +365,7 @@ def test_rational_variants_compile_once_where_a_binding_needs_one(monkeypatch):
 
     def spy_compile_term(expr):
         key = []
-        symbolic._shape(expr, key, [])
+        symbolic._shape(expr, key, [], [])
         term = real_compile_term(expr)
 
         def traced(env):
@@ -380,9 +388,12 @@ def test_rational_variants_compile_once_where_a_binding_needs_one(monkeypatch):
         "gf/product-rule-antidifference"]
 
     # mutants bump constants, so they reuse every factory and need no rational
-    # variant; only mutants that drop a simplified gterm2 evaluate a new shape
+    # variant; only certificate2 of the one check whose registry run reads
+    # the simplified gterm2 instead is compiled anew
     compiled = len(sources)
     assert identities.certificate_mutation_report("*").ok
     new = set(symbolic._FACTORIES) - keys
-    assert all(key[-1] is not symbolic._RATIONAL for key in new)
-    assert len(sources) == compiled + len(new) <= compiled + 1
+    key = []
+    symbolic._shape(identities.registry()["q4/beta3v-recurrence"].certificate2, key, [], [])
+    assert new == {tuple(key)}
+    assert len(sources) == compiled + 1
