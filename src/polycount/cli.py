@@ -2,7 +2,8 @@
 
 Subcommands: count, table, extend, and verify {strip, diagonal, corollary,
 weights, quadrants, identities}.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 usage error, 3 resource cap exceeded.
+failed, 2 usage error (also an unwritable --out or a closed stdout), 3
+resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -375,6 +376,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point a closed stdout at the null device, so the interpreter's last flush succeeds."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file: nothing flushes it at exit
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -384,7 +396,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.target == "strip" and args.m is None:
             parser.error("verify strip requires --m")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`): the output is cut short, which no check decides
+        _discard_stdout()
+        print("error: standard output was closed before the output was written",
+              file=sys.stderr)
+        return EXIT_USAGE
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -42,10 +42,10 @@ and stops at its first failing point; the registry run keeps every failure.
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
+from .records import Record
 from .reports import Report
 from .symbolic import (
     Compiled,
@@ -73,42 +73,70 @@ GridFn = Callable[[], Iterable[dict]]
 Mutant = tuple[str, Compiled]
 
 
-@dataclass
-class IdentityCheck:
-    name: str
-    kind: str
-    description: str
-    grid: GridFn
-    # closed-form-sum / pointwise / boundary-lemma
-    lhs: Expr | None = None
-    rhs: Expr | None = None
-    summand: Expr | None = None
-    index: str | None = None
-    lower: Expr | None = None
-    upper: Expr | None = None
-    # certificate-recurrence / double-sum-recurrence
-    param: str | None = None
-    coeffs: tuple[Expr, ...] | None = None
-    certificate: Expr | None = None
-    # the declared value of the summed combination; with no coeffs, the
-    # closed form of the sum itself
-    inhom: Expr | None = None
-    # double sums: outer index is `index`, inner is `index2`
-    index2: str | None = None
-    lower2: Expr | None = None
-    upper2: Expr | None = None
-    certificate2: Expr | None = None
-    gterm2: Expr | None = None  # simplified G for the inner index (pole-free form)
-    # antidifference
-    antidifference: Expr | None = None
+class IdentityCheck(Record):
+    __slots__ = ("name", "kind", "description", "grid", "lhs", "rhs", "summand", "index",
+                 "lower", "upper", "param", "coeffs", "certificate", "inhom", "index2",
+                 "lower2", "upper2", "certificate2", "gterm2", "antidifference")
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,
+        description: str,
+        grid: GridFn,
+        # closed-form-sum / pointwise / boundary-lemma
+        lhs: Expr | None = None,
+        rhs: Expr | None = None,
+        summand: Expr | None = None,
+        index: str | None = None,
+        lower: Expr | None = None,
+        upper: Expr | None = None,
+        # certificate-recurrence / double-sum-recurrence
+        param: str | None = None,
+        coeffs: tuple[Expr, ...] | None = None,
+        certificate: Expr | None = None,
+        # the declared value of the summed combination; with no coeffs, the
+        # closed form of the sum itself
+        inhom: Expr | None = None,
+        # double sums: outer index is `index`, inner is `index2`
+        index2: str | None = None,
+        lower2: Expr | None = None,
+        upper2: Expr | None = None,
+        certificate2: Expr | None = None,
+        gterm2: Expr | None = None,  # simplified G for the inner index (pole-free form)
+        # antidifference
+        antidifference: Expr | None = None,
+    ) -> None:
+        self.name = name
+        self.kind = kind
+        self.description = description
+        self.grid = grid
+        self.lhs = lhs
+        self.rhs = rhs
+        self.summand = summand
+        self.index = index
+        self.lower = lower
+        self.upper = upper
+        self.param = param
+        self.coeffs = coeffs
+        self.certificate = certificate
+        self.inhom = inhom
+        self.index2 = index2
+        self.lower2 = lower2
+        self.upper2 = upper2
+        self.certificate2 = certificate2
+        self.gterm2 = gterm2
+        self.antidifference = antidifference
 
 
-@dataclass
-class CheckOutcome:
-    name: str
-    tested: int
-    skipped: int
-    failures: list[str] = field(default_factory=list)
+class CheckOutcome(Record):
+    __slots__ = ("name", "tested", "skipped", "failures")
+
+    def __init__(self, name: str, tested: int, skipped: int) -> None:
+        self.name = name
+        self.tested = tested
+        self.skipped = skipped
+        self.failures: list[str] = []
 
     @property
     def passed(self) -> bool:

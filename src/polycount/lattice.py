@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, lshift, mul
 from typing import Collection, Iterable
 
 from .errors import ParameterError, ResourceLimitError
+from .records import Frozen, set_field
 
 #: Ceiling on the live profiles the dynamic program carries after any column.
 DEFAULT_STATE_CAP = 2**24
@@ -39,19 +39,19 @@ DEFAULT_STATE_CAP = 2**24
 DEFAULT_WORK_CAP = 2 * 10**6
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(Frozen):
     """An n-row by m-column lattice holding rods of length k, open boundaries."""
 
-    n: int
-    m: int
-    k: int
+    __slots__ = ("n", "m", "k")
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ParameterError(f"lattice dimensions must be >= 1, got {self.n}x{self.m}")
-        if self.k < 2:
-            raise ParameterError(f"rod length must be >= 2, got k={self.k}")
+    def __init__(self, n: int, m: int, k: int) -> None:
+        if n < 1 or m < 1:
+            raise ParameterError(f"lattice dimensions must be >= 1, got {n}x{m}")
+        if k < 2:
+            raise ParameterError(f"rod length must be >= 2, got k={k}")
+        set_field(self, "n", n)
+        set_field(self, "m", m)
+        set_field(self, "k", k)
 
     @property
     def capacity(self) -> int:
@@ -59,12 +59,14 @@ class LatticeSpec:
         return (self.n * self.m) // self.k
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(Frozen):
     """counts[s] = number of configurations of exactly s rods on spec."""
 
-    spec: LatticeSpec
-    counts: tuple[int, ...]
+    __slots__ = ("spec", "counts")
+
+    def __init__(self, spec: LatticeSpec, counts: tuple[int, ...]) -> None:
+        set_field(self, "spec", spec)
+        set_field(self, "counts", counts)
 
     def count(self, s: int) -> int:
         if s < 0:
@@ -342,13 +344,16 @@ def _dense_sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[i
 _Cell = tuple[bytes, array, array, bytes, bytes]
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(Frozen):
     """A recorded column, for every column of the same shape."""
 
-    shape: tuple
-    cells: list[_Cell]
-    order: array  # the position after the last cell of each profile, in input order
+    __slots__ = ("shape", "cells", "order")
+
+    def __init__(self, shape: tuple, cells: list[_Cell], order: array) -> None:
+        set_field(self, "shape", shape)
+        set_field(self, "cells", cells)
+        # the position after the last cell of each profile, in input order
+        set_field(self, "order", order)
 
 
 def _replay(plan: _Plan, vals: list[int], bits: int, s_cap: int) -> list[int]:

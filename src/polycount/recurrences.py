@@ -15,7 +15,6 @@ independent route: the quadrant polynomial that the strip theorem implies
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CheckFailedError, ParameterError
@@ -26,19 +25,20 @@ from .lattice import (
     count_configurations,
     count_tables,
 )
+from .records import Frozen, set_field
 from .reports import Report
 
 
-@dataclass(frozen=True)
-class StripConstant:
+class StripConstant(Frozen):
     """c(n, k) = 2n - k + 1, defined for strips at least as wide as the rod."""
 
-    n: int
-    k: int
+    __slots__ = ("n", "k")
 
-    def __post_init__(self) -> None:
-        if self.n < self.k:
-            raise ParameterError(f"strip constant needs n >= k, got n={self.n}, k={self.k}")
+    def __init__(self, n: int, k: int) -> None:
+        if n < k:
+            raise ParameterError(f"strip constant needs n >= k, got n={n}, k={k}")
+        set_field(self, "n", n)
+        set_field(self, "k", k)
 
     @property
     def value(self) -> int:
@@ -56,8 +56,7 @@ def _alternating_sum(terms: Sequence[int]) -> int:
     return sum((-1) ** i * math.comb(w, i) * t for i, t in enumerate(terms))
 
 
-@dataclass(frozen=True)
-class WindowPlan:
+class WindowPlan(Frozen):
     """The validated windows of one verifier call.
 
     checked holds (n, m, in_range) for each point; its window is
@@ -65,14 +64,18 @@ class WindowPlan:
     and compared with rhs.
     """
 
-    title: str
-    name: str
-    k: int
-    s: int
-    dn: int
-    width: int
-    rhs: int
-    checked: tuple[tuple[int, int, bool], ...]
+    __slots__ = ("title", "name", "k", "s", "dn", "width", "rhs", "checked")
+
+    def __init__(self, title: str, name: str, k: int, s: int, dn: int, width: int, rhs: int,
+                 checked: tuple[tuple[int, int, bool], ...]) -> None:
+        set_field(self, "title", title)
+        set_field(self, "name", name)
+        set_field(self, "k", k)
+        set_field(self, "s", s)
+        set_field(self, "dn", dn)
+        set_field(self, "width", width)
+        set_field(self, "rhs", rhs)
+        set_field(self, "checked", checked)
 
     def window(self, n: int, m: int) -> list[tuple[int, int]]:
         return [(n - i * self.dn, m - i) for i in range(self.width + 1)]
@@ -236,8 +239,7 @@ def _check_seed_window(k: int, s: int, anchor_n: int, anchor_m: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DiagonalSeed:
+class DiagonalSeed(Frozen):
     """A window of 2s consecutive diagonal counts ending at the anchor.
 
     counts[t] = a(anchor_n - (2s-1) + t, anchor_m - (2s-1) + t) for
@@ -245,20 +247,20 @@ class DiagonalSeed:
     onward.  Every seed entry must sit inside the recurrence's proven range.
     """
 
-    k: int
-    s: int
-    anchor_n: int
-    anchor_m: int
-    counts: tuple[int, ...]
+    __slots__ = ("k", "s", "anchor_n", "anchor_m", "counts")
 
-    def __post_init__(self) -> None:
-        if self.s < 1:
-            raise ParameterError(f"seed needs s >= 1, got {self.s}")
-        if len(self.counts) != 2 * self.s:
-            raise ParameterError(
-                f"seed must hold exactly {2 * self.s} counts, got {len(self.counts)}"
-            )
-        _check_seed_window(self.k, self.s, self.anchor_n, self.anchor_m)
+    def __init__(self, k: int, s: int, anchor_n: int, anchor_m: int,
+                 counts: tuple[int, ...]) -> None:
+        if s < 1:
+            raise ParameterError(f"seed needs s >= 1, got {s}")
+        if len(counts) != 2 * s:
+            raise ParameterError(f"seed must hold exactly {2 * s} counts, got {len(counts)}")
+        _check_seed_window(k, s, anchor_n, anchor_m)
+        set_field(self, "k", k)
+        set_field(self, "s", s)
+        set_field(self, "anchor_n", anchor_n)
+        set_field(self, "anchor_m", anchor_m)
+        set_field(self, "counts", counts)
 
 
 def seed_from_enumeration(

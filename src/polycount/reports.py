@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
+from .records import Record
 
-@dataclass
-class CheckRecord:
-    name: str
-    params: dict[str, Any]
-    expected: str
-    actual: str
-    passed: bool
-    skipped: bool = False
-    info: bool = False  # reported outside the proven range, never asserted
+
+class CheckRecord(Record):
+    __slots__ = ("name", "params", "expected", "actual", "passed", "skipped", "info")
+
+    def __init__(self, name: str, params: dict[str, Any], expected: str, actual: str,
+                 passed: bool, skipped: bool = False, info: bool = False) -> None:
+        self.name = name
+        self.params = params
+        self.expected = expected
+        self.actual = actual
+        self.passed = passed
+        self.skipped = skipped
+        self.info = info  # reported outside the proven range, never asserted
 
     @property
     def status(self) -> str:
@@ -34,10 +38,12 @@ class CheckRecord:
         }
 
 
-@dataclass
-class Report:
-    title: str
-    checks: list[CheckRecord] = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("title", "checks")
+
+    def __init__(self, title: str) -> None:
+        self.title = title
+        self.checks: list[CheckRecord] = []
 
     def record(
         self,

@@ -24,11 +24,11 @@ detect a wrong certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
 from .exact import binom
+from .records import Frozen, set_field
 
 Number = Union[int, Fraction]
 Compiled = Callable[[Mapping[str, Number]], Number]
@@ -38,7 +38,11 @@ class PoleError(ArithmeticError):
     """Evaluation hit a pole (zero denominator, factorial of a negative, ...)."""
 
 
-class Expr:
+class Expr(Frozen):
+    """A node of an expression tree; its __slots__ are its fields, in the order walks visit them."""
+
+    __slots__ = ()
+
     def __add__(self, other):
         return Add((self, wrap(other)))
 
@@ -70,60 +74,80 @@ class Expr:
         return Pow(self, wrap(other))
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: Fraction
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction) -> None:
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    terms: tuple[Expr, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[Expr, ...]) -> None:
+        set_field(self, "terms", terms)
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    factors: tuple[Expr, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[Expr, ...]) -> None:
+        set_field(self, "factors", factors)
 
 
-@dataclass(frozen=True)
 class Div(Expr):
-    num: Expr
-    den: Expr
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Expr, den: Expr) -> None:
+        set_field(self, "num", num)
+        set_field(self, "den", den)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exp: Expr  # must evaluate to an integer
+    __slots__ = ("base", "exp")
+
+    def __init__(self, base: Expr, exp: Expr) -> None:
+        set_field(self, "base", base)
+        set_field(self, "exp", exp)  # must evaluate to an integer
 
 
-@dataclass(frozen=True)
 class Binom(Expr):
-    upper: Expr
-    lower: Expr
+    __slots__ = ("upper", "lower")
+
+    def __init__(self, upper: Expr, lower: Expr) -> None:
+        set_field(self, "upper", upper)
+        set_field(self, "lower", lower)
 
 
-@dataclass(frozen=True)
 class Fact(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr) -> None:
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Sign(Expr):
-    exp: Expr  # (-1)**exp, any integer exponent
+    __slots__ = ("exp",)
+
+    def __init__(self, exp: Expr) -> None:
+        set_field(self, "exp", exp)  # (-1)**exp, any integer exponent
 
 
-@dataclass(frozen=True)
 class Sum(Expr):
-    index: str
-    lower: Expr
-    upper: Expr
-    body: Expr
+    __slots__ = ("index", "lower", "upper", "body")
+
+    def __init__(self, index: str, lower: Expr, upper: Expr, body: Expr) -> None:
+        set_field(self, "index", index)
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)
+        set_field(self, "body", body)
 
 
 def wrap(x) -> Expr:
@@ -410,11 +434,6 @@ _EMIT = {Const: _Emitter.const_node, Var: _Emitter.var_node, Add: _Emitter.add_n
          Sum: _Emitter.sum_node}
 
 
-# every node class but Const -> its fields, in the order both walks visit them
-_FIELDS = {cls: tuple(f.name for f in fields(cls))
-           for cls in (Var, Add, Mul, Div, Pow, Binom, Fact, Sign, Sum)}
-
-
 def _shape(expr: Expr, key: list, consts: list[int], starts: list[int]) -> None:
     """Append the tree's shape to key and its constants to consts, in field order.
 
@@ -434,11 +453,10 @@ def _shape(expr: Expr, key: list, consts: list[int], starts: list[int]) -> None:
             key.append(2)
             consts += (q.numerator, q.denominator)
         return
-    names = _FIELDS.get(cls)
-    if names is None:
+    if cls not in _EMIT:
         raise TypeError(f"unknown expression node {expr!r}")
     key.append(cls)
-    for name in names:
+    for name in cls.__slots__:
         value = getattr(expr, name)
         if type(value) is tuple:
             key.append(len(value))

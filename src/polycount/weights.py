@@ -17,29 +17,33 @@ horizontal one spans (i, j) .. (i + s, j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import ParameterError
 from .exact import as_integer, binom
 from .hseq import h_recursive, h_terms
+from .records import Frozen, set_field
 from .reports import Report
 
 
-@dataclass(frozen=True)
-class PlacedIdentity:
-    orientation: str  # "vertical" | "horizontal"
-    i: int
-    j: int
-    set_tag: str  # "P1" | "P2"
-    weight: int
+class PlacedIdentity(Frozen):
+    __slots__ = ("orientation", "i", "j", "set_tag", "weight")
+
+    def __init__(self, orientation: str, i: int, j: int, set_tag: str, weight: int) -> None:
+        set_field(self, "orientation", orientation)  # "vertical" | "horizontal"
+        set_field(self, "i", i)
+        set_field(self, "j", j)
+        set_field(self, "set_tag", set_tag)  # "P1" | "P2"
+        set_field(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class WeightGrid:
-    s: int
-    placements: tuple[PlacedIdentity, ...]
+class WeightGrid(Frozen):
+    __slots__ = ("s", "placements")
+
+    def __init__(self, s: int, placements: tuple[PlacedIdentity, ...]) -> None:
+        set_field(self, "s", s)
+        set_field(self, "placements", placements)
 
     @property
     def size(self) -> int:
@@ -49,13 +53,15 @@ class WeightGrid:
         return [p for p in self.placements if p.orientation == "vertical"]
 
 
-@dataclass(frozen=True)
-class RhsModel:
+class RhsModel(Frozen):
     """Strip right-hand side c(x) = lam*x + eta, evaluated at column n - i."""
 
-    lam: Fraction
-    eta: Fraction
-    n: int
+    __slots__ = ("lam", "eta", "n")
+
+    def __init__(self, lam: Fraction, eta: Fraction, n: int) -> None:
+        set_field(self, "lam", lam)
+        set_field(self, "eta", eta)
+        set_field(self, "n", n)
 
 
 def build_weight_grid(s: int) -> WeightGrid:

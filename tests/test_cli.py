@@ -2,14 +2,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from polycount import hseq
 from polycount.cli import main
 from polycount.lattice import LatticeSpec, count_configurations, count_polynomial
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(autouse=True)
@@ -452,6 +458,41 @@ def test_table_unwritable_cache_dir_fails_before_any_work(capsys, tmp_path, monk
     code, out, err = run_cli(capsys, "table", "--k", "2", "--n-max", "3", "--m-max", "3",
                              "--cache-dir", str(tmp_path / where))
     assert code == 2 and "cache directory" in err and out == ""
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, as under `polycount ... | head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_a_closed_stdout_is_a_usage_error_not_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    code = main(["verify", "quadrants", "--s", "2..6", "--format", "json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_closed_stdout_leaves_nothing_for_interpreter_exit():
+    # no reader from the start, so the first write or flush fails whatever the timing;
+    # the output is one short line, still in the buffer when main's flush fails, so the
+    # interpreter's own flush at exit would fail again (and exit 120) had main left it there
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); from polycount.cli import main; "
+              "sys.exit(main(['count', '--n', '2', '--m', '3', '--k', '2', '--s', '1']))")
+    try:
+        proc = subprocess.run([sys.executable, "-I", "-c", script, SRC], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_table_writes_one_entry_per_unordered_lattice(capsys, tmp_path):

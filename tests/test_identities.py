@@ -1,8 +1,8 @@
 from __future__ import annotations
 
+import copy
 import fnmatch
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 
 from polycount.identities import (
@@ -27,6 +27,14 @@ from polycount.symbolic import (
 )
 
 s, i, j, jp, t, k = syms("s i j jp t k")
+
+
+def replace(chk: IdentityCheck, **changes) -> IdentityCheck:
+    """A copy of chk with the given fields changed; the registry's check stays as it is."""
+    changed = copy.copy(chk)
+    for name, value in changes.items():
+        setattr(changed, name, value)
+    return changed
 
 
 def test_registry_builds_uniquely():

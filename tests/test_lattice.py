@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -296,6 +298,56 @@ def test_pinned_full_capacity_strip_rows():
             lines += [f"{k} {n} {m} " + ",".join(map(str, row)) for m, row in rows.items()]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "b06504d947465121a3722f1e3e8909796fa7cc8ab64723ba1056836d1c06e1df"
+
+
+def _three_term(n: int, sign: int) -> list[int]:
+    """Q_n for Q_{j+1} = x Q_j + sign Q_{j-1}, Q_0 = 1, Q_1 = x; coefficients, lowest first."""
+    prev, cur = [1], [0, 1]
+    for _ in range(n - 1):
+        nxt = [0] + cur
+        for d, c in enumerate(prev):
+            nxt[d] += sign * c
+        prev, cur = cur, nxt
+    return cur if n else prev
+
+
+def _resultant(a: list[int], b: list[int]) -> Fraction:
+    """Res(a, b) of two nonzero polynomials (coefficients lowest first), by Euclid over Fraction.
+
+    With r = a mod b, Res(a, b) = (-1)**(deg a deg b) lc(b)**(deg a - deg r) Res(b, r),
+    and Res(a, c) = c**deg a for a constant c.
+    """
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    res = Fraction(1)
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):
+            q, shift = r[-1] / b[-1], len(r) - len(b)
+            for d, c in enumerate(b):
+                r[shift + d] -= q * c
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            return Fraction(0)
+        res *= (-1) ** ((len(a) - 1) * (len(b) - 1)) * b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    return res * b[0] ** (len(a) - 1)
+
+
+def test_full_coverings_match_the_resultant_route():
+    # the number of domino tilings of n x m is isqrt(|Res(P_n, S_m)|), with P_n and
+    # S_m the three-term polynomials above (P_n(2 cos t) = sin((n+1)t)/sin t): a route
+    # that shares nothing with the transfer DP; every even-area n <= 8, n <= m <= 12
+    points = [(n, m) for n in range(1, 9) for m in range(n, 13) if n * m % 2 == 0]
+    assert len(points) == 50
+    tables = count_tables(2, points)
+    for n, m in points:
+        res = _resultant(_three_term(n, -1), _three_term(m, 1))
+        assert res.denominator == 1, (n, m)
+        root = isqrt(abs(res.numerator))
+        assert root * root == abs(res), (n, m)
+        assert tables[n, m].counts[n * m // 2] == root, (n, m)
+    assert tables[8, 8].counts[32] == 12_988_816
 
 
 def test_pinned_long_strip_rows():

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -245,8 +244,8 @@ def _random_expr(rng, depth, names):
 
 def _kinds(expr) -> set[str]:
     out = {type(expr).__name__}
-    for f in fields(expr):
-        value = getattr(expr, f.name)
+    for name in type(expr).__slots__:
+        value = getattr(expr, name)
         for child in value if isinstance(value, tuple) else (value,):
             if isinstance(child, Expr):
                 out |= _kinds(child)
