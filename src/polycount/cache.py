@@ -16,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 from .errors import ParameterError
-from .lattice import CountTable, LatticeSpec, rod_positions
+from .lattice import CountTable, LatticeSpec, rod_pairs, rod_positions
 
 ENV_VAR = "POLYCOUNT_CACHE"
 FORMAT_VERSION = 1
@@ -103,6 +103,6 @@ def load_entry(cache_dir: Path, k: int, n: int, m: int) -> CountTable | None:
     if not all(isinstance(c, str) and c.isascii() and c.isdigit() for c in raw):
         return None
     counts = tuple(int(c) for c in raw)
-    if counts[0] != 1 or (len(counts) > 1 and counts[1] != rod_positions(n, m, k)):
-        return None
+    if counts[:3] != (1, rod_positions(n, m, k), rod_pairs(n, m, k))[:len(counts)]:
+        return None  # a(n, m, k, s) for s <= 2 has a closed form
     return CountTable(spec=spec, counts=counts)

@@ -2,14 +2,15 @@
 antidifferences used by the cancellation proofs.
 
 Each entry is a named, self-contained check over a grid of integer (or
-rational) assignments, evaluated in exact arithmetic.  Six kinds share two
-runners:
+rational) assignments, evaluated in exact arithmetic.  A check's data picks
+its runner: a check with summation axes telescopes, any other is pointwise.
+Its ``kind`` is only the label the reports print.
 
-* ``_run_pointwise``: two expressions agree at every grid point.
+* ``_run_pointwise``: ``lhs`` and ``rhs`` agree at every grid point.
 
-  - ``pointwise``: ``lhs`` against ``rhs``;
-  - ``closed-form-sum``: the finite sum ``Sum(index, lower, upper, summand)``
-    against the closed form ``rhs``;
+  - ``pointwise``: any two expressions;
+  - ``closed-form-sum``: ``lhs`` is a finite ``Sum`` and ``rhs`` its closed
+    form;
   - ``boundary-lemma``: generic summation-by-parts bookkeeping for double
     sums over rectangles and triangles: the double sum of
     ``Delta_i G_i + Delta_j G_j`` over the region against its two single
@@ -19,24 +20,28 @@ runners:
 * ``_run_telescoping``: at every summation point,
   sum_d b_d(p) F(p+d, k) = sum over the axes of G(k+1) - G(k), then the
   declared ``inhom`` against the same combination of definite sums (bounds
-  taken at the grid point):
+  taken at the grid point).  Each axis ``(index, lower, upper, label, g,
+  pole_free)`` is one summation index, outer first.  Its G is ``g * F`` for
+  the labels ``certificate`` and ``certificate2`` and ``g`` itself for
+  ``antidifference``; a ``pole_free`` expression, where given, is a form of
+  that G without its removable poles, and the runner reads it instead.
 
-  - ``certificate-recurrence``: one axis, G = R*F for the certificate R;
-  - ``double-sum-recurrence``: two axes, one certificate per summation
-    index (``gterm2`` is a pole-free form of the inner G);
-  - ``antidifference``: one axis, G given directly, and no coefficients, so
+  - ``certificate-recurrence``: one ``certificate`` axis;
+  - ``double-sum-recurrence``: a ``certificate`` and a ``certificate2``
+    axis, one certificate per summation index;
+  - ``antidifference``: one ``antidifference`` axis and no coefficients, so
     the left side is F itself and ``inhom`` is the closed form of the sum.
 
 Each ``run_check`` call compiles the check's expressions once
 (``symbolic.compile_term``) and then walks the grid.  Grid points that hit a
 pole, or whose summation bounds are not integers, are skipped and counted; a
 check whose grid is entirely skipped fails as degenerate.  The harness also
-adds one to each constant of each certificate, one at a time, and confirms
-the check then fails (a wrong certificate cannot slip through).  A mutant is
-the certificate's own compiled code called with the bumped constant
-(``symbolic.mutants``), which ``run_check`` uses in place of the compiled
-field.  One failing point is enough, so each mutant runs with ``fail_fast``
-and stops at its first failing point; the registry run keeps every failure.
+adds one to each constant of each axis's g, one at a time, and confirms the
+check then fails (a wrong certificate cannot slip through).  A mutant is
+g's own compiled code called with the bumped constant (``symbolic.mutants``),
+which ``run_check`` uses in place of g and of the axis's ``pole_free``.  One
+failing point is enough, so each mutant runs with ``fail_fast`` and stops at
+its first failure; the registry run keeps every failure.
 """
 
 from __future__ import annotations
@@ -69,14 +74,16 @@ from .symbolic import (
 s, i, j, jp, ip, t, n, x, z, a, b, c, u = syms("s i j jp ip t n x z a b c u")
 
 GridFn = Callable[[], Iterable[dict]]
-# a certificate mutant: the field it replaces and the evaluator that stands in for it
+# one summation index: (index, lower, upper, label, g, pole_free)
+Axis = tuple[str, Expr, Expr, str, Expr, Expr | None]
+# a certificate mutant: the label of the axis whose g it replaces, and the
+# evaluator that stands in for that g
 Mutant = tuple[str, Compiled]
 
 
 class IdentityCheck(Record):
-    __slots__ = ("name", "kind", "description", "grid", "lhs", "rhs", "summand", "index",
-                 "lower", "upper", "param", "coeffs", "certificate", "inhom", "index2",
-                 "lower2", "upper2", "certificate2", "gterm2", "antidifference")
+    __slots__ = ("name", "kind", "description", "grid", "lhs", "rhs", "summand", "param",
+                 "coeffs", "axes", "inhom")
 
     def __init__(
         self,
@@ -84,28 +91,17 @@ class IdentityCheck(Record):
         kind: str,
         description: str,
         grid: GridFn,
-        # closed-form-sum / pointwise / boundary-lemma
+        # pointwise kinds: lhs against rhs
         lhs: Expr | None = None,
         rhs: Expr | None = None,
+        # telescoping kinds: sum_d coeffs[d] F(param + d) against the axes' G
         summand: Expr | None = None,
-        index: str | None = None,
-        lower: Expr | None = None,
-        upper: Expr | None = None,
-        # certificate-recurrence / double-sum-recurrence
         param: str | None = None,
         coeffs: tuple[Expr, ...] | None = None,
-        certificate: Expr | None = None,
+        axes: tuple[Axis, ...] = (),
         # the declared value of the summed combination; with no coeffs, the
         # closed form of the sum itself
         inhom: Expr | None = None,
-        # double sums: outer index is `index`, inner is `index2`
-        index2: str | None = None,
-        lower2: Expr | None = None,
-        upper2: Expr | None = None,
-        certificate2: Expr | None = None,
-        gterm2: Expr | None = None,  # simplified G for the inner index (pole-free form)
-        # antidifference
-        antidifference: Expr | None = None,
     ) -> None:
         self.name = name
         self.kind = kind
@@ -114,19 +110,10 @@ class IdentityCheck(Record):
         self.lhs = lhs
         self.rhs = rhs
         self.summand = summand
-        self.index = index
-        self.lower = lower
-        self.upper = upper
         self.param = param
         self.coeffs = coeffs
-        self.certificate = certificate
+        self.axes = axes
         self.inhom = inhom
-        self.index2 = index2
-        self.lower2 = lower2
-        self.upper2 = upper2
-        self.certificate2 = certificate2
-        self.gterm2 = gterm2
-        self.antidifference = antidifference
 
 
 class CheckOutcome(Record):
@@ -143,13 +130,8 @@ class CheckOutcome(Record):
         return not self.failures and self.tested > 0
 
 
-def _run_pointwise(chk: IdentityCheck, out: CheckOutcome, mutant: None) -> Iterator[str]:
-    # a pointwise check has no certificate, so it never runs a mutant
-    if chk.kind == "closed-form-sum":
-        lhs_expr = Sum(chk.index, chk.lower, chk.upper, chk.summand)
-    else:
-        lhs_expr = chk.lhs
-    lhs_of, rhs_of = compile_term(lhs_expr), compile_term(chk.rhs)
+def _run_pointwise(chk: IdentityCheck, out: CheckOutcome) -> Iterator[str]:
+    lhs_of, rhs_of = compile_term(chk.lhs), compile_term(chk.rhs)
     for env in chk.grid():
         try:
             lhs = lhs_of(env)
@@ -168,20 +150,19 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
     bumped, stand_in = mutant or (None, None)
     summand, param = compile_term(chk.summand), chk.param
 
-    def g_of(name: str) -> Compiled:
-        # G is the field itself, or R*F for a certificate R
-        term = stand_in if name == bumped else compile_term(getattr(chk, name))
-        return (lambda e: term(e) * summand(e)) if name.startswith("certificate") else term
+    def g_of(label: str, g: Expr, pole_free: Expr | None) -> Compiled:
+        # G is g itself, or R*F for a certificate R = g; a mutant of g also
+        # replaces the pole-free G that encodes it
+        if label == bumped:
+            term = stand_in
+        elif pole_free is not None:
+            return compile_term(pole_free)
+        else:
+            term = compile_term(g)
+        return term if label == "antidifference" else (lambda e: term(e) * summand(e))
 
-    axes = [(chk.index, chk.lower, chk.upper,
-             g_of("certificate" if chk.antidifference is None else "antidifference"))]
-    if chk.index2 is not None:
-        # a certificate2 mutant also replaces the simplified inner G that encodes it
-        axes.append((chk.index2, chk.lower2, chk.upper2,
-                     g_of("gterm2" if chk.gterm2 is not None and bumped != "certificate2"
-                          else "certificate2")))
-    axes = [(index, compile_term(lower), compile_term(upper), g)
-            for index, lower, upper, g in axes]
+    axes = [(index, compile_term(lower), compile_term(upper), g_of(label, g, pole_free))
+            for index, lower, upper, label, g, pole_free in chk.axes]
     target = None if chk.inhom is None else compile_term(chk.inhom)
     coeffs = None if chk.coeffs is None else [compile_term(bd) for bd in chk.coeffs]
 
@@ -230,25 +211,17 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
                 yield f"{env}: summed={lhs} declared={rhs}"
 
 
-_RUNNERS = {
-    "closed-form-sum": _run_pointwise,
-    "pointwise": _run_pointwise,
-    "boundary-lemma": _run_pointwise,
-    "certificate-recurrence": _run_telescoping,
-    "antidifference": _run_telescoping,
-    "double-sum-recurrence": _run_telescoping,
-}
-
-
 def run_check(chk: IdentityCheck, fail_fast: bool = False,
               mutant: Mutant | None = None) -> CheckOutcome:
     """Run the check over its whole grid; with fail_fast, stop at its first failure.
 
-    Expressions are compiled here, once per call, so building the registry
-    stays cheap.  A mutant stands in for the compiled field it names.
+    A check with axes telescopes, any other is pointwise.  Expressions are
+    compiled here, once per call, so building the registry stays cheap.  A
+    mutant stands in for the g of the axis it names.
     """
     out = CheckOutcome(name=chk.name, tested=0, skipped=0)
-    for failure in _RUNNERS[chk.kind](chk, out, mutant):
+    runner = _run_telescoping(chk, out, mutant) if chk.axes else _run_pointwise(chk, out)
+    for failure in runner:
         out.failures.append(failure)
         if fail_fast:
             break
@@ -274,8 +247,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="appendix-c/chu-vandermonde",
         kind="closed-form-sum",
         description="sum_j C(a,j) C(b,c-j) = C(a+b,c)",
-        summand=C(a, j) * C(b, c - j),
-        index="j", lower=Const(Fraction(0)), upper=a,
+        lhs=Sum("j", Const(Fraction(0)), a, C(a, j) * C(b, c - j)),
         rhs=C(a + b, c),
         grid=lambda: [
             {"a": av, "b": bv, "c": cv}
@@ -286,8 +258,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="appendix-c/alternating-shifted",
         kind="closed-form-sum",
         description="sum_k (-1)^k C(n,k) C(a+k,c) = (-1)^n C(a, c-n)",
-        summand=SG(j) * C(n, j) * C(a + j, c),
-        index="j", lower=Const(Fraction(0)), upper=n,
+        lhs=Sum("j", Const(Fraction(0)), n, SG(j) * C(n, j) * C(a + j, c)),
         rhs=SG(n) * C(a, c - n),
         grid=lambda: [
             {"n": nv, "a": av, "c": cv}
@@ -298,8 +269,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="appendix-c/convolution-vanishing",
         kind="closed-form-sum",
         description="sum_{jp} (-1)^jp C(s-t+jp,jp) C(s,j-jp) = (-1)^j C(j-t,j)",
-        summand=SG(jp) * C(s - t + jp, jp) * C(s, j - jp),
-        index="jp", lower=Const(Fraction(0)), upper=j,
+        lhs=Sum("jp", Const(Fraction(0)), j, SG(jp) * C(s - t + jp, jp) * C(s, j - jp)),
         rhs=SG(j) * C(j - t, j),
         grid=lambda: [
             {"s": sv, "t": tv, "j": jv}
@@ -313,8 +283,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="antidifference",
         description="C(s+b+jp, jp-1) is an antidifference of C(s+b+jp, jp)",
         summand=C(s + b + jp, jp),
-        antidifference=C(s + b + jp, jp - 1),
-        index="jp", lower=Const(Fraction(0)), upper=u,
+        axes=(("jp", Const(Fraction(0)), u, "antidifference", C(s + b + jp, jp - 1), None),),
         inhom=C(s + b + u + 1, u),
         grid=lambda: [
             {"s": sv, "b": bv, "u": uv}
@@ -326,8 +295,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="antidifference",
         description="(-1)^(jp+1) C(s-1,jp-1) is an antidifference of (-1)^jp C(s,jp)",
         summand=SG(jp) * C(s, jp),
-        antidifference=SG(jp + 1) * C(s - 1, jp - 1),
-        index="jp", lower=Const(Fraction(0)), upper=u,
+        axes=(
+            ("jp", Const(Fraction(0)), u, "antidifference", SG(jp + 1) * C(s - 1, jp - 1), None),
+        ),
         inhom=SG(u) * C(s - 1, u),
         grid=lambda: [
             {"s": sv, "u": uv} for sv in range(1, 9) for uv in range(0, sv + 2)
@@ -384,8 +354,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         description="difference of the two third-part summands in the row "
                     "recursion telescopes via (-1)^(i+t+1) C(2s,i+1) C(i,t-1) (1-x)^(t-s)",
         summand=f_one - f_two,
-        antidifference=SG(i + t + 1) * C(2 * s, i + 1) * C(i, t - 1) * (1 / (1 - x) ** (s - t)),
-        index="t", lower=Const(Fraction(0)), upper=i,
+        axes=(
+            ("t", Const(Fraction(0)), i, "antidifference",
+             SG(i + t + 1) * C(2 * s, i + 1) * C(i, t - 1) * (1 / (1 - x) ** (s - t)), None),
+        ),
         inhom=C(2 * s, i + 1) * (1 - x) ** (i + 1 - s),
         grid=lambda: [
             {"s": sv, "i": iv, "x": xv}
@@ -400,10 +372,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         description="the z-coefficient sum S(t) of the third part satisfies "
                     "-(2s-t-1) z S(t) + (z-1)(t+1) S(t+1) = 0",
         summand=SG(i) * (2 * s - i) * C(2 * s, i) * C(i, t) * z**i,
-        param="t", index="i",
-        lower=Const(Fraction(0)), upper=2 * s,
+        param="t",
         coeffs=(-(2 * s - t - 1) * z, (z - 1) * (t + 1)),
-        certificate=i - t,
+        axes=(("i", Const(Fraction(0)), 2 * s, "certificate", i - t, None),),
         inhom=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "t": tv, "z": zv}
@@ -414,8 +385,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="double-gf/inner-coefficient-closed-form",
         kind="closed-form-sum",
         description="S(t) = -2s z^t (z-1)^(2s-t-1) C(2s-1,t)",
-        summand=SG(i) * (2 * s - i) * C(2 * s, i) * C(i, t) * z**i,
-        index="i", lower=Const(Fraction(0)), upper=2 * s,
+        lhs=Sum("i", Const(Fraction(0)), 2 * s, SG(i) * (2 * s - i) * C(2 * s, i) * C(i, t) * z**i),
         rhs=-2 * s * z**t * (z - 1) ** (2 * s - t - 1) * C(2 * s - 1, t),
         grid=lambda: [
             {"s": sv, "t": tv, "z": zv}
@@ -429,12 +399,13 @@ def build_registry() -> dict[str, IdentityCheck]:
                     "(xz-1)^2 S(s) + (x-1) S(s+1) = 0 via its certificate",
         summand=SG(t) * 2 * s * z**t * (z - 1) ** (2 * s - t - 1) * C(2 * s - 1, t)
                 / ((2 * s - t) * (1 - x) ** (s - t)),
-        param="s", index="t",
-        lower=Const(Fraction(0)), upper=2 * s - 1,
+        param="s",
         coeffs=((x * z - 1) ** 2, x - 1),
-        certificate=t * (z - 1)
-                    * (2 * x * z + 2 * z * s - 3 + 2 * z * s * x + z - 4 * s - z * x * t + t)
-                    / ((2 * s + 2 - t) * (2 * s - t + 1)),
+        axes=(
+            ("t", Const(Fraction(0)), 2 * s - 1, "certificate",
+             t * (z - 1) * (2 * x * z + 2 * z * s - 3 + 2 * z * s * x + z - 4 * s - z * x * t + t)
+             / ((2 * s + 2 - t) * (2 * s - t + 1)), None),
+        ),
         inhom=None,
         grid=lambda: [
             {"s": sv, "z": zv, "x": xv}
@@ -446,8 +417,8 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="closed-form-sum",
         description="sum_t (-1)^t z^t (z-1)^(2s-t-1) C(2s,t) (1-x)^(t-s) "
                     "= (xz-1)^(2s) / ((1-x)^s (z-1))",
-        summand=SG(t) * z**t * (z - 1) ** (2 * s - t - 1) * C(2 * s, t) * (1 - x) ** (t - s),
-        index="t", lower=Const(Fraction(0)), upper=2 * s,
+        lhs=Sum("t", Const(Fraction(0)), 2 * s,
+                SG(t) * z**t * (z - 1) ** (2 * s - t - 1) * C(2 * s, t) * (1 - x) ** (t - s)),
         rhs=(x * z - 1) ** (2 * s) / ((1 - x) ** s * (z - 1)),
         grid=lambda: [
             {"s": sv, "z": zv, "x": xv}
@@ -460,8 +431,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="q1/vertical-convolution",
         kind="closed-form-sum",
         description="sum_{i'=0}^{i} C(s,i') C(s,i-i') = C(2s,i) for i <= s",
-        summand=C(s, ip) * C(s, i - ip),
-        index="ip", lower=Const(Fraction(0)), upper=i,
+        lhs=Sum("ip", Const(Fraction(0)), i, C(s, ip) * C(s, i - ip)),
         rhs=C(2 * s, i),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 8) for iv in range(0, sv + 1)
@@ -499,8 +469,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="q1/second-term-value",
         kind="closed-form-sum",
         description="sum_{jp=i+1}^{j} (-1)^(j-jp) C(s+jp-i-1,s) C(s,j-jp) = 1",
-        summand=SG(j - jp) * C(s + jp - i - 1, s) * C(s, j - jp),
-        index="jp", lower=i + 1, upper=j,
+        lhs=Sum("jp", i + 1, j, SG(j - jp) * C(s + jp - i - 1, s) * C(s, j - jp)),
         rhs=Const(Fraction(1)),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -511,8 +480,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="q1/third-term-vanishes",
         kind="closed-form-sum",
         description="sum_{jp=0}^{j} (-1)^jp C(s-t-1+jp,jp) C(s,j-jp) = 0 for 0 <= t < j",
-        summand=SG(jp) * C(s - t - 1 + jp, jp) * C(s, j - jp),
-        index="jp", lower=Const(Fraction(0)), upper=j,
+        lhs=Sum("jp", Const(Fraction(0)), j, SG(jp) * C(s - t - 1 + jp, jp) * C(s, j - jp)),
         rhs=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "t": tv, "j": jv}
@@ -525,8 +493,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="q3/horizontal-chu",
         kind="closed-form-sum",
         description="sum_{i'=j-s}^{s} C(s,i') C(s,i-i') = C(2s,i) when i >= j",
-        summand=C(s, ip) * C(s, i - ip),
-        index="ip", lower=j - s, upper=s,
+        lhs=Sum("ip", j - s, s, C(s, ip) * C(s, i - ip)),
         rhs=C(2 * s, i),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -538,8 +505,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="closed-form-sum",
         description="sum_{jp=0}^{i-1} (-1)^jp C(i-jp-1,s) C(s,j-jp) = (-1)^(s+j) "
                     "for s <= j < i",
-        summand=SG(jp) * C(i - jp - 1, s) * C(s, j - jp),
-        index="jp", lower=Const(Fraction(0)), upper=i - 1,
+        lhs=Sum("jp", Const(Fraction(0)), i - 1, SG(jp) * C(i - jp - 1, s) * C(s, j - jp)),
         rhs=SG(s + j),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -550,8 +516,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="q3/second-term-sum-boundary",
         kind="closed-form-sum",
         description="the same sum vanishes once j >= i (in the band j >= s)",
-        summand=SG(jp) * C(i - jp - 1, s) * C(s, j - jp),
-        index="jp", lower=Const(Fraction(0)), upper=i - 1,
+        lhs=Sum("jp", Const(Fraction(0)), i - 1, SG(jp) * C(i - jp - 1, s) * C(s, j - jp)),
         rhs=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -565,10 +530,12 @@ def build_registry() -> dict[str, IdentityCheck]:
         description="the second-term summand satisfies a first-order recurrence "
                     "in j with equal coefficient polynomials",
         summand=SG(jp) * C(i - jp - 1, s) * C(s, j - jp),
-        param="j", index="jp",
-        lower=Const(Fraction(0)), upper=i - 1,
+        param="j",
         coeffs=(i - j - 1, i - j - 1),
-        certificate=(i - jp) * (-s + j - jp) / (j + 1 - jp),
+        axes=(
+            ("jp", Const(Fraction(0)), i - 1, "certificate",
+             (i - jp) * (-s + j - jp) / (j + 1 - jp), None),
+        ),
         inhom=None,
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -582,14 +549,16 @@ def build_registry() -> dict[str, IdentityCheck]:
         description="the inner t-sum of the third-term double sum obeys a "
                     "second-order recurrence in jp",
         summand=SG(t) / (2 * s - t) * C(2 * s - i, t) * C(2 * s - t - 1 - jp, s - jp),
-        param="jp", index="t",
-        lower=Const(Fraction(0)), upper=2 * s - i,
+        param="jp",
         coeffs=(
             -(jp - s) * (i - jp - s - 1),
             2 * i * jp - i * s - 2 * jp * jp + 2 * i - 5 * jp + s - 3,
             -(jp + 2) * (i - jp - 2),
         ),
-        certificate=t * (jp - s) * (2 * s - t) / (-2 * s + t + 1 + jp),
+        axes=(
+            ("t", Const(Fraction(0)), 2 * s - i, "certificate",
+             t * (jp - s) * (2 * s - t) / (-2 * s + t + 1 + jp), None),
+        ),
         inhom=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
@@ -602,8 +571,8 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="closed-form-sum",
         description="for jp >= i-s the inner t-sum equals "
                     "(-1)^(s+i+jp)/i * C(s,jp)/C(2s,i)",
-        summand=SG(t) / (2 * s - t) * C(2 * s - i, t) * C(2 * s - t - 1 - jp, s - jp),
-        index="t", lower=Const(Fraction(0)), upper=2 * s - i,
+        lhs=Sum("t", Const(Fraction(0)), 2 * s - i,
+                SG(t) / (2 * s - t) * C(2 * s - i, t) * C(2 * s - t - 1 - jp, s - jp)),
         rhs=SG(s + i + jp) / i * C(s, jp) / C(2 * s, i),
         grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
@@ -646,11 +615,13 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="certificate-recurrence",
         description="the correction summand obeys a first-order recurrence in jp",
         summand=SG(t + 1) / t * C(i - jp - 1, s + t - 1) * C(s, t - 1) / C(s - jp, t),
-        param="jp", index="t",
-        lower=Const(Fraction(1)), upper=s - jp,
+        param="jp",
         coeffs=(s - jp, jp + 1),
-        certificate=(s + t - 1) * (jp - s) / (i - jp - 1),
-        inhom=None,  # the summation range depends on jp; see correction-summed-step
+        axes=(
+            ("t", Const(Fraction(1)), s - jp, "certificate",
+             (s + t - 1) * (jp - s) / (i - jp - 1), None),
+        ),
+        inhom=None,
         grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
             for sv in range(2, 7) for iv in range(sv + 1, 2 * sv + 1)
@@ -678,8 +649,8 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="closed-form-sum",
         description="at jp = i-s-1 the inner t-sum equals 1/(2s-i+1) "
                     "- C(s,i-s-1)/(i C(2s,i))",
-        summand=SG(t) / (2 * s - t) * C(2 * s - i, t) * C(3 * s - t - i, 2 * s - i + 1),
-        index="t", lower=Const(Fraction(0)), upper=2 * s - i,
+        lhs=Sum("t", Const(Fraction(0)), 2 * s - i,
+                SG(t) / (2 * s - t) * C(2 * s - i, t) * C(3 * s - t - i, 2 * s - i + 1)),
         rhs=1 / (2 * s - i + 1) - C(s, i - s - 1) / (i * C(2 * s, i)),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(2, 8) for iv in range(sv + 1, 2 * sv + 1)
@@ -690,14 +661,16 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="certificate-recurrence",
         description="the jp = i-s-1 summand obeys a second-order recurrence in i",
         summand=SG(t) / (2 * s - t) * C(2 * s - i, t) * C(3 * s - t - i, 2 * s - i + 1),
-        param="i", index="t",
-        lower=Const(Fraction(0)), upper=2 * s - i,
+        param="i",
         coeffs=(
             (i - 2 * s - 1) * i,
             -(2 * i - s + 1) * (i - 2 * s),
             (i - s + 1) * (i - 2 * s + 1),
         ),
-        certificate=-(i - 2 * s - 1) * s * (2 * s - t) * t / ((i - 2 * s) * (-3 * s + t + i)),
+        axes=(
+            ("t", Const(Fraction(0)), 2 * s - i, "certificate",
+             -(i - 2 * s - 1) * s * (2 * s - t) * t / ((i - 2 * s) * (-3 * s + t + i)), None),
+        ),
         inhom=None,
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(2, 8) for iv in range(sv + 1, 2 * sv - 1)
@@ -768,11 +741,12 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(i + t + jp) * (i / t) * C(2 * s, i) * C(i - jp - 1, s + t - 1)
                 * C(s, t - 1) * C(s, j - jp) / C(s - jp, t),
         param="i",
-        index="jp", lower=Const(Fraction(0)), upper=s,
-        index2="t", lower2=Const(Fraction(1)), upper2=s - jp,
         coeffs=(Const(Fraction(-1)), Const(Fraction(1))),
-        certificate=Const(Fraction(0)),
-        certificate2=(s - jp - t + 1) * (s + t - 1) / (i * (-jp + i + 1 - s - t)),
+        axes=(
+            ("jp", Const(Fraction(0)), s, "certificate", Const(Fraction(0)), None),
+            ("t", Const(Fraction(1)), s - jp, "certificate2",
+             (s - jp - t + 1) * (s + t - 1) / (i * (-jp + i + 1 - s - t)), None),
+        ),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(2, 6) for jv in range(sv, 2 * sv + 1)
@@ -826,8 +800,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         description="above the diagonal the t=1 boundary term telescopes in jp "
                     "via (-1)^(i+jp) C(2s,i) C(i-jp,i-j) C(i-j-1,i-s-jp)",
         summand=gt_boundary,
-        antidifference=SG(i + jp) * C(2 * s, i) * C(i - jp, i - j) * C(i - j - 1, i - s - jp),
-        index="jp", lower=Const(Fraction(0)), upper=s,
+        axes=(
+            ("jp", Const(Fraction(0)), s, "antidifference",
+             SG(i + jp) * C(2 * s, i) * C(i - jp, i - j) * C(i - j - 1, i - s - jp), None),
+        ),
         inhom=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "j": jv, "i": iv}
@@ -857,8 +833,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="closed-form-sum",
         description="on the diagonal the jp-sum of the boundary term equals "
                     "(-1)^(s+1) C(2s,i) for s <= i <= 2s-1",
-        summand=gt_diag,
-        index="jp", lower=Const(Fraction(0)), upper=s - 1,
+        lhs=Sum("jp", Const(Fraction(0)), s - 1, gt_diag),
         rhs=SG(s + 1) * C(2 * s, i),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 8) for iv in range(sv, 2 * sv)
@@ -871,9 +846,11 @@ def build_registry() -> dict[str, IdentityCheck]:
                     "directly",
         summand=SG(s + j) * 2 * s * SG(jp + t + 1) / t * C(2 * s - jp - 1, s + t - 1)
                 * C(s, t - 1) * C(s, j - jp) / C(s - jp, t),
-        antidifference=SG(s + j + jp + t) * (s + t - 1) / t * C(2 * s - 1 - jp, s + t - 1)
-                       * C(s, t - 1) * C(s, j - jp) / C(s - jp, t),
-        index="t", lower=Const(Fraction(1)), upper=s - jp,
+        axes=(
+            ("t", Const(Fraction(1)), s - jp, "antidifference",
+             SG(s + j + jp + t) * (s + t - 1) / t * C(2 * s - 1 - jp, s + t - 1)
+             * C(s, t - 1) * C(s, j - jp) / C(s - jp, t), None),
+        ),
         inhom=None,
         grid=lambda: [
             {"s": sv, "j": jv, "jp": jpv}
@@ -901,8 +878,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         description="the second piece telescopes in jp via "
                     "(-1)^(s+jp+j) s/(j-2s) C(2s-jp,s) C(s-1,j-jp)",
         summand=SG(s + jp + j) * C(s, j - jp) * C(2 * s - 1 - jp, s - 1),
-        antidifference=SG(s + jp + j) * s / (j - 2 * s) * C(2 * s - jp, s) * C(s - 1, j - jp),
-        index="jp", lower=Const(Fraction(0)), upper=s,
+        axes=(
+            ("jp", Const(Fraction(0)), s, "antidifference",
+             SG(s + jp + j) * s / (j - 2 * s) * C(2 * s - jp, s) * C(s - 1, j - jp), None),
+        ),
         inhom=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "j": jv} for sv in range(1, 8) for jv in range(sv, 2 * sv)
@@ -915,8 +894,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="pointwise",
         description="the inner t-sum in the mixed quadrant splits into a closed "
                     "form plus a correction over t <= jp",
-        lhs=Sum("t", Const(Fraction(0)), i,
-                SG(t) / (2 * s - t) * C(i, t) * C(s - t - 1 + jp, jp)),
+        lhs=Sum("t", Const(Fraction(0)), i, SG(t) / (2 * s - t) * C(i, t) * C(s - t - 1 + jp, jp)),
         rhs=SG(i + jp) / (2 * s - i) * C(s, jp) / C(2 * s, i)
             + Sum("t", Const(Fraction(1)), jp,
                   SG(t + 1) / t * C(s, t - 1) * C(s + jp - i - 1, s + t - 1) / C(jp, t)),
@@ -963,10 +941,12 @@ def build_registry() -> dict[str, IdentityCheck]:
         description="the horizontal second-term sum satisfies a first-order "
                     "recurrence in i",
         summand=SG(s + i + j + ip) * C(2 * s, j) * C(j - ip - 1, s) * C(s, i - ip),
-        param="i", index="ip",
-        lower=Const(Fraction(0)), upper=s,
+        param="i",
         coeffs=(-i - 1 + j, i - j + 1),
-        certificate=(j - ip) * (-s + i - ip) / (i + 1 - ip),
+        axes=(
+            ("ip", Const(Fraction(0)), s, "certificate",
+             (j - ip) * (-s + i - ip) / (i + 1 - ip), None),
+        ),
         inhom=None,
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -1011,14 +991,16 @@ def build_registry() -> dict[str, IdentityCheck]:
         summand=SG(i + j + jp + t) * ((2 * s - i) / t) * C(2 * s, i) * C(s, t - 1)
                 * C(s + jp - i - 1, s + t - 1) * C(s, j - jp) / C(jp, t),
         param="i",
-        index="jp", lower=Const(Fraction(0)), upper=s,
-        index2="t", lower2=Const(Fraction(1)), upper2=jp,
         coeffs=(Const(Fraction(-1)), Const(Fraction(1))),
-        certificate=Const(Fraction(0)),
-        certificate2=-(jp - t + 1) * (s + t - 1) / ((-s - jp + i + 1) * (i + 1)),
-        gterm2=-SG(i + j + jp + t) * (s + t - 1) * (2 * s - i)
-               / ((i + 1 - s - jp) * (i + 1)) * C(2 * s, i) * C(s, t - 1)
-               * C(s + jp - i - 1, s + t - 1) * C(s, j - jp) / C(jp, t - 1),
+        axes=(
+            ("jp", Const(Fraction(0)), s, "certificate", Const(Fraction(0)), None),
+            # the last field is a pole-free form of G = certificate2 * summand
+            ("t", Const(Fraction(1)), jp, "certificate2",
+             -(jp - t + 1) * (s + t - 1) / ((-s - jp + i + 1) * (i + 1)),
+             -SG(i + j + jp + t) * (s + t - 1) * (2 * s - i)
+             / ((i + 1 - s - jp) * (i + 1)) * C(2 * s, i) * C(s, t - 1)
+             * C(s + jp - i - 1, s + t - 1) * C(s, j - jp) / C(jp, t - 1)),
+        ),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(2, 6) for iv in range(0, sv) for jv in range(sv + 1, 2 * sv + 1)
@@ -1031,9 +1013,11 @@ def build_registry() -> dict[str, IdentityCheck]:
                     "telescoping in jp",
         summand=SG(i + j + jp) * s * (i - 2 * s) / ((-s - jp + i + 1) * (i + 1))
                 * C(2 * s, i) * C(s + jp - i - 1, s) * C(s, j - jp),
-        antidifference=SG(i + j + jp + 1) * C(2 * s, i + 1) * C(s + jp - i - 2, j - i - 1)
-                       * C(j - i - 2, j - jp),
-        index="jp", lower=Const(Fraction(1)), upper=s,
+        axes=(
+            ("jp", Const(Fraction(1)), s, "antidifference",
+             SG(i + j + jp + 1) * C(2 * s, i + 1) * C(s + jp - i - 2, j - i - 1)
+             * C(j - i - 2, j - jp), None),
+        ),
         inhom=SG(i + j + s) * C(2 * s, i + 1) * C(2 * s - i - 1, j - i - 1)
                     * C(j - i - 2, j - s - 1),
         grid=lambda: [
@@ -1057,8 +1041,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="q4/initial-value-third-vertical",
         kind="closed-form-sum",
         description="sum_jp (-1)^jp C(s-1+jp,jp) C(s,j-jp) = (-1)^s C(2s,j) C(j-1,s)",
-        summand=SG(jp) * C(s - 1 + jp, jp) * C(s, j - jp),
-        index="jp", lower=Const(Fraction(0)), upper=s,
+        lhs=Sum("jp", Const(Fraction(0)), s, SG(jp) * C(s - 1 + jp, jp) * C(s, j - jp)),
         rhs=SG(s) * C(2 * s, j) * C(j - 1, s),
         grid=lambda: [
             {"s": sv, "j": jv} for sv in range(1, 8) for jv in range(sv, 2 * sv + 1)
@@ -1070,8 +1053,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="rhs/alternating-partial-sum",
         kind="closed-form-sum",
         description="sum_{jp=0}^{i} (-1)^jp C(s,jp) = (-1)^i C(s-1,i)",
-        summand=SG(jp) * C(s, jp),
-        index="jp", lower=Const(Fraction(0)), upper=i,
+        lhs=Sum("jp", Const(Fraction(0)), i, SG(jp) * C(s, jp)),
         rhs=SG(i) * C(s - 1, i),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv + 1)
@@ -1081,8 +1063,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="rhs/alternating-partial-sum-upper",
         kind="closed-form-sum",
         description="sum_{jp=i-s}^{s} (-1)^jp C(s,jp) = (-1)^(s+i) C(s-1,2s-i)",
-        summand=SG(jp) * C(s, jp),
-        index="jp", lower=i - s, upper=s,
+        lhs=Sum("jp", i - s, s, SG(jp) * C(s, jp)),
         rhs=SG(s + i) * C(s - 1, 2 * s - i),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(sv + 1, 2 * sv + 1)
@@ -1092,8 +1073,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="rhs/stirling-t0",
         kind="closed-form-sum",
         description="sum_i (-1)^(i+s) i^(s+1) C(s,i) = s (s+1)!/2",
-        summand=SG(i + s) * i ** (s + 1) * C(s, i),
-        index="i", lower=Const(Fraction(0)), upper=s,
+        lhs=Sum("i", Const(Fraction(0)), s, SG(i + s) * i ** (s + 1) * C(s, i)),
         rhs=s * fact_expr(s + 1) / 2,
         grid=lambda: [{"s": sv} for sv in range(1, 11)],
     ))
@@ -1101,8 +1081,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="rhs/stirling-t1",
         kind="closed-form-sum",
         description="sum_i (-1)^(i+s) i^s C(s,i) = s!",
-        summand=SG(i + s) * i**s * C(s, i),
-        index="i", lower=Const(Fraction(0)), upper=s,
+        lhs=Sum("i", Const(Fraction(0)), s, SG(i + s) * i**s * C(s, i)),
         rhs=fact_expr(s),
         grid=lambda: [{"s": sv} for sv in range(1, 11)],
     ))
@@ -1110,8 +1089,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="rhs/stirling-higher",
         kind="closed-form-sum",
         description="sum_i (-1)^(i+s) i^(s+1-t) C(s,i) = 0 for t > 1",
-        summand=SG(i + s) * i ** (s + 1 - t) * C(s, i),
-        index="i", lower=Const(Fraction(0)), upper=s,
+        lhs=Sum("i", Const(Fraction(0)), s, SG(i + s) * i ** (s + 1 - t) * C(s, i)),
         rhs=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "t": tv} for sv in range(2, 11) for tv in range(2, sv + 1)
@@ -1121,8 +1099,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="rhs/second-term-column",
         kind="closed-form-sum",
         description="sum_{jp=i+1}^{s} C(s+jp-i-1,s) = C(2s-i,s+1)",
-        summand=C(s + jp - i - 1, s),
-        index="jp", lower=i + 1, upper=s,
+        lhs=Sum("jp", i + 1, s, C(s + jp - i - 1, s)),
         rhs=C(2 * s - i, s + 1),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv)
@@ -1147,8 +1124,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="rhs/h3-first-sum",
         kind="closed-form-sum",
         description="sum_t (-1)^t/(2s-t) C(i,t) C(2s-t,s-t) = C(2s-i-1,s)/s",
-        summand=SG(t) / (2 * s - t) * C(i, t) * C(2 * s - t, s - t),
-        index="t", lower=Const(Fraction(0)), upper=i,
+        lhs=Sum("t", Const(Fraction(0)), i, SG(t) / (2 * s - t) * C(i, t) * C(2 * s - t, s - t)),
         rhs=C(2 * s - i - 1, s) / s,
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv)
@@ -1159,8 +1135,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="closed-form-sum",
         description="sum_t (-1)^t/(2s-t) C(i,t) C(s-t+i,s-t) "
                     "= C(2s-i-1,s)/(2s C(2s-1,s))",
-        summand=SG(t) / (2 * s - t) * C(i, t) * C(s - t + i, s - t),
-        index="t", lower=Const(Fraction(0)), upper=i,
+        lhs=Sum("t", Const(Fraction(0)), i, SG(t) / (2 * s - t) * C(i, t) * C(s - t + i, s - t)),
         rhs=C(2 * s - i - 1, s) / (2 * s * C(2 * s - 1, s)),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv)
@@ -1172,10 +1147,9 @@ def build_registry() -> dict[str, IdentityCheck]:
         description="the first column-sum summand obeys "
                     "(s-i-1) F(i) + (i-2s+1) F(i+1) = Delta_t(R F)",
         summand=SG(t) / (2 * s - t) * C(i, t) * C(2 * s - t, s - t),
-        param="i", index="t",
-        lower=Const(Fraction(0)), upper=s,
+        param="i",
         coeffs=(s - i - 1, i - 2 * s + 1),
-        certificate=t * (2 * s - t) / (i - t + 1),
+        axes=(("t", Const(Fraction(0)), s, "certificate", t * (2 * s - t) / (i - t + 1), None),),
         inhom=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv - 1)
@@ -1187,10 +1161,12 @@ def build_registry() -> dict[str, IdentityCheck]:
         description="the second column-sum summand obeys "
                     "-(i+1)(i-s+1) F(i) + (i+1)(i-2s+1) F(i+1) = Delta_t(R F)",
         summand=SG(t) / (2 * s - t) * C(i, t) * C(s - t + i, s - t),
-        param="i", index="t",
-        lower=Const(Fraction(0)), upper=s,
+        param="i",
         coeffs=(-(i + 1) * (i - s + 1), (i + 1) * (i - 2 * s + 1)),
-        certificate=t * (2 * s - t) * (s - t + i + 1) / (i - t + 1),
+        axes=(
+            ("t", Const(Fraction(0)), s, "certificate",
+             t * (2 * s - t) * (s - t + i + 1) / (i - t + 1), None),
+        ),
         inhom=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv - 1)
@@ -1232,28 +1208,17 @@ def run_registry(pattern: str = "*") -> Report:
     return report
 
 
-def _mutation_fields(chk: IdentityCheck) -> list[str]:
-    fields = []
-    if chk.certificate is not None:
-        fields.append("certificate")
-    if chk.certificate2 is not None:
-        fields.append("certificate2")
-    if chk.antidifference is not None:
-        fields.append("antidifference")
-    return fields
-
-
 def _mutants(chk: IdentityCheck) -> Iterator[tuple[str, Mutant]]:
     """Each single-constant bump of the check's certificates, labelled."""
-    for fname in _mutation_fields(chk):
-        for idx, evaluator in enumerate(mutants(getattr(chk, fname))):
-            yield f"{chk.name}:{fname}[{idx}]", (fname, evaluator)
+    for _, _, _, label, g, _ in chk.axes:
+        for idx, evaluator in enumerate(mutants(g)):
+            yield f"{chk.name}:{label}[{idx}]", (label, evaluator)
 
 
 def mutation_survivors(chk: IdentityCheck) -> list[str]:
     """Names of single-coefficient certificate perturbations that go undetected.
 
-    Each constant in each certificate/antidifference expression is
+    Each constant of each axis's g (a certificate or an antidifference) is
     bumped by one; the check must then fail.  One failing point is enough,
     so each mutant runs only up to its first failure.  An empty list means
     the harness catches every such corruption.
@@ -1265,9 +1230,7 @@ def mutation_survivors(chk: IdentityCheck) -> list[str]:
 def certificate_mutation_report(pattern: str = "*") -> Report:
     report = Report(title=f"certificate mutation detection [{pattern}]")
     for name, chk in sorted(registry().items()):
-        if not fnmatch.fnmatch(name, pattern):
-            continue
-        if not _mutation_fields(chk):
+        if not chk.axes or not fnmatch.fnmatch(name, pattern):
             continue
         bad = mutation_survivors(chk)
         report.record(

@@ -81,6 +81,20 @@ def rod_positions(n: int, m: int, k: int) -> int:
     return n * max(0, m - k + 1) + m * max(0, n - k + 1)
 
 
+def rod_pairs(n: int, m: int, k: int) -> int:
+    """Places for two rods on an n x m lattice, a(n, m, k, 2).
+
+    All pairs of positions less the overlapping ones: two rods in one row
+    overlap when their starts differ by less than k, and so in one column; a
+    horizontal and a vertical rod share at most one cell, so the crossing
+    pairs number (cells under horizontals) x (cells under verticals).
+    """
+    h, v = max(0, m - k + 1), max(0, n - k + 1)  # starts per row, per column
+    same_row = n * sum(max(0, h - d) for d in range(1, k))
+    same_column = m * sum(max(0, v - d) for d in range(1, k))
+    return math.comb(rod_positions(n, m, k), 2) - same_row - same_column - (k * h) * (k * v)
+
+
 def _overhangs(c: int, length: int, k: int) -> tuple[int, ...]:
     """Digits d a live profile may hold after column c (0-based) of a sweep to length.
 

@@ -59,11 +59,6 @@ class Report(Record):
         self.checks.append(rec)
         return rec
 
-    def skip(self, name: str, params: dict[str, Any], reason: str) -> CheckRecord:
-        rec = CheckRecord(name, params, "", reason, True, skipped=True)
-        self.checks.append(rec)
-        return rec
-
     def merge(self, *reports: Report) -> Report:
         """Append the checks of each report in turn; returns self."""
         for other in reports:

@@ -51,6 +51,7 @@ def test_miss_and_partial(tmp_path):
     ["1", "4", "-2"],  # not a decimal
     ["2", "4", "2"],  # counts[0] must be 1
     ["1", "5", "2"],  # counts[1] must be the one-rod count
+    ["1", "4", "3"],  # counts[2] must be the two-rod count
 ])
 def test_corrupt_entry_is_miss(tmp_path, counts):
     path = entry_path(tmp_path, 2, 2, 2)

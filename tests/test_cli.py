@@ -315,18 +315,36 @@ def test_extend_catches_corrupt_seed_in_cache(capsys, tmp_path):
     from polycount.lattice import CountTable, count_polynomial
 
     cache_dir = tmp_path / "bad-seed"
-    good = count_polynomial(LatticeSpec(8, 8, 2))
+    good = count_polynomial(LatticeSpec(12, 12, 2))
     counts = list(good.counts)
-    counts[2] += 1  # still passes the cache's own checks on counts[0] and counts[1]
+    counts[3] += 1  # still passes the cache's own checks on counts[0..2]
     save_entry(cache_dir, CountTable(spec=good.spec, counts=tuple(counts)))
-    assert load_entry(cache_dir, 2, 8, 8).counts[2] == counts[2]
-    argv = ["extend", "--k", "2", "--s", "2", "--anchor-n", "10", "--anchor-m", "10",
+    assert load_entry(cache_dir, 2, 12, 12).counts[3] == counts[3]
+    argv = ["extend", "--k", "2", "--s", "3", "--anchor-n", "14", "--anchor-m", "14",
             "--steps", "3", "--cache-dir", str(cache_dir)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert "extension mismatch at (11,11)" in err and "quadrant polynomial" in err
+    assert "extension mismatch at (15,15)" in err and "quadrant polynomial" in err
     code, _, _ = run_cli(capsys, *argv, "--no-crosscheck")
     assert code == 0  # the recurrence alone cannot see a bad seed
+
+
+def test_extend_recounts_a_seed_whose_two_rod_count_is_corrupt(capsys, tmp_path):
+    # a(n, m, k, 2) has a closed form, so without the crosscheck a corrupt s = 2
+    # seed in the cache is a miss, recounted, and the extension stays right
+    cache_dir = tmp_path / "cache"
+    code, _, _ = run_cli(capsys, "table", "--k", "2", "--n-max", "9", "--m-max", "10",
+                         "--cache-dir", str(cache_dir))
+    assert code == 0
+    path = cache_dir / "k2_n8_m9.json"
+    data = json.loads(path.read_text())
+    data["counts"][2] = str(int(data["counts"][2]) + 1)
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "extend", "--k", "2", "--s", "2", "--anchor-n", "9",
+                           "--anchor-m", "10", "--steps", "3", "--cache-dir", str(cache_dir),
+                           "--no-crosscheck", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["extended"] == ["19163", "28262", "40251"]
 
 
 def test_extend_refuses_an_uncertified_polynomial(capsys, monkeypatch):

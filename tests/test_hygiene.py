@@ -6,7 +6,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polycount"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "polycount"
 
 
 def _names(node: ast.AST) -> Counter:
@@ -74,3 +75,22 @@ def test_every_import_is_named():
             if name not in named and (path.name, name) not in UNUSED_IMPORTS_ALLOWED
         ]
     assert unused == []
+
+
+def test_every_public_method_is_named():
+    # a public method of a package class that no file of the package, the
+    # tests or the benchmark names is dead API
+    named = sum((_names(ast.parse(path.read_text(encoding="utf-8")))
+                 for folder in (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+                 for path in sorted(folder.rglob("*.py"))), Counter())
+    methods = [
+        (path.name, cls.name, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+    assert methods
+    assert [f"{module}:{cls}.{name}" for module, cls, name in methods if not named[name]] == []

@@ -9,7 +9,6 @@ from polycount.identities import (
     Const,
     IdentityCheck,
     _mutants,
-    _mutation_fields,
     build_registry,
     mutation_survivors,
     registry,
@@ -26,7 +25,7 @@ from polycount.symbolic import (
     syms,
 )
 
-s, i, j, jp, t, k = syms("s i j jp t k")
+a, s, i, j, jp, t, k = syms("a s i j jp t k")
 
 
 def replace(chk: IdentityCheck, **changes) -> IdentityCheck:
@@ -68,21 +67,25 @@ def test_empty_filter_is_success():
 
 def test_chu_vandermonde_point():
     chk = registry()["appendix-c/chu-vandermonde"]
+    assert (chk.lhs.index, chk.lhs.lower, chk.lhs.upper) == ("j", Const(Fraction(0)), a)
     total = eval_term(
-        Sum("j", Const(Fraction(0)), Const(Fraction(3)), chk.summand),
+        Sum("j", Const(Fraction(0)), Const(Fraction(3)), chk.lhs.body),
         {"a": 3, "b": 4, "c": 2},
     )
     assert total == 21
+    assert eval_term(chk.lhs, {"a": 3, "b": 4, "c": 2}) == 21
     assert eval_term(chk.rhs, {"a": 3, "b": 4, "c": 2}) == 21
 
 
 def test_convolution_vanishing_point():
     chk = registry()["appendix-c/convolution-vanishing"]
     env = {"s": 5, "t": 2, "j": 3}
+    assert (chk.lhs.index, chk.lhs.lower, chk.lhs.upper) == ("jp", Const(Fraction(0)), j)
     total = sum(
-        eval_term(chk.summand, {**env, "jp": v}) for v in range(0, 4)
+        eval_term(chk.lhs.body, {**env, "jp": v}) for v in range(0, 4)
     )
     assert total == 0
+    assert eval_term(chk.lhs, env) == 0
     assert eval_term(chk.rhs, env) == 0
 
 
@@ -107,7 +110,9 @@ def test_inner_sum_certificate_point():
     lhs = Fraction(0)
     for d, bd in enumerate(chk.coeffs):
         lhs += eval_term(bd, env) * eval_term(chk.summand, {**env, "jp": 2 + d})
-    g = chk.certificate * chk.summand
+    ((index, _, _, label, certificate, pole_free),) = chk.axes
+    assert (index, label, pole_free) == ("t", "certificate", None)
+    g = certificate * chk.summand
     rhs = eval_term(g, {**env, "t": 2}) - eval_term(g, env)
     assert lhs == rhs
 
@@ -123,10 +128,7 @@ def test_degenerate_grid_fails():
         name="degenerate",
         kind="closed-form-sum",
         description="every point poles out",
-        summand=s / (s - s),
-        index="j",
-        lower=Const(Fraction(0)),
-        upper=Const(Fraction(1)),
+        lhs=Sum("j", Const(Fraction(0)), Const(Fraction(1)), s / (s - s)),
         rhs=Const(Fraction(0)),
         grid=lambda: [{"s": 1}, {"s": 2}],
     )
@@ -142,10 +144,9 @@ def test_non_integer_bound_skips_the_grid_point():
         kind="certificate-recurrence",
         description="the upper bound s/2 is an integer only for even s",
         summand=k,
-        param="s", index="k",
-        lower=Const(Fraction(0)), upper=s / 2,
+        param="s",
         coeffs=(Const(Fraction(1)),),
-        certificate=(k - 1) / 2,
+        axes=(("k", Const(Fraction(0)), s / 2, "certificate", (k - 1) / 2, None),),
         inhom=C(s / 2 + 1, 2),
         grid=lambda: [{"s": sv} for sv in range(1, 5)],
     )
@@ -153,6 +154,28 @@ def test_non_integer_bound_skips_the_grid_point():
     assert out.passed, out.failures
     # s = 2: points k = 0, 1 and the summed check; s = 4: k = 0, 1, 2 and the summed check
     assert (out.tested, out.skipped) == (7, 2)
+
+
+def test_each_check_carries_the_data_of_its_kind():
+    # the data picks the runner, so each kind must carry exactly the data its runner reads
+    labels = {
+        "certificate-recurrence": ("certificate",),
+        "antidifference": ("antidifference",),
+        "double-sum-recurrence": ("certificate", "certificate2"),
+    }
+    reg = registry()
+    assert len(reg) == 63
+    for name, chk in reg.items():
+        if chk.kind in ("pointwise", "boundary-lemma", "closed-form-sum"):
+            assert chk.lhs is not None and chk.rhs is not None and chk.axes == (), name
+            assert (chk.summand, chk.param, chk.coeffs, chk.inhom) == (None,) * 4, name
+            assert isinstance(chk.lhs, Sum) or chk.kind != "closed-form-sum", name
+        else:
+            assert [axis[3] for axis in chk.axes] == list(labels[chk.kind]), name
+            assert all(len(axis) == 6 for axis in chk.axes), name
+            assert chk.lhs is None and chk.rhs is None and chk.summand is not None, name
+            assert (chk.coeffs is None) == (chk.kind == "antidifference"), name
+            assert (chk.param is None) == (chk.coeffs is None), name
 
 
 def test_registry_point_accounting():
@@ -192,13 +215,16 @@ def test_boundary_lemmas_tell_their_shapes_apart():
 
 def test_gterm2_tracks_its_certificate():
     # the pole-free inner G must agree with certificate2 * summand wherever
-    # the latter is defined, or a mutant run (which drops gterm2) checks a
+    # the latter is defined, or a mutant run (which drops it) checks a
     # different identity from the registry run
-    checks = [chk for chk in registry().values() if chk.gterm2 is not None]
+    checks = [chk for chk in registry().values()
+              if any(axis[5] is not None for axis in chk.axes)]
     assert [chk.name for chk in checks] == ["q4/beta3v-recurrence"]
     for chk in checks:
+        outer, inner = chk.axes
+        assert (outer[3], outer[5], inner[3]) == ("certificate", None, "certificate2")
         simplified = run_check(chk)
-        plain = run_check(replace(chk, gterm2=None))
+        plain = run_check(replace(chk, axes=(outer, inner[:5] + (None,))))
         assert simplified.passed and plain.passed, chk.name
         assert (simplified.tested, simplified.skipped) == (601, 0)
         assert (plain.tested, plain.skipped) == (377, 224)
@@ -257,12 +283,13 @@ def test_certificate_mutants_reuse_the_compiled_code():
     # a mutant differs from its certificate in one constant, which the compiled
     # code takes as a parameter, so re-running a mutant never recompiles
     for name, chk in registry().items():
-        for f in _mutation_fields(chk):
-            code = compile_term(getattr(chk, f)).__code__
-            for mutant in mutants(getattr(chk, f)):
-                assert mutant.__code__ is code, (name, f)
+        for _, _, _, label, g, _ in chk.axes:
+            code = compile_term(g).__code__
+            for mutant in mutants(g):
+                assert mutant.__code__ is code, (name, label)
 
     chk = registry()["q3/second-term-recurrence"]
+    ((_, _, _, _, certificate, _),) = chk.axes
     points = [{**env, "jp": v} for env in chk.grid() for v in range(0, env["i"])]
 
     def values(term):
@@ -274,8 +301,8 @@ def test_certificate_mutants_reuse_the_compiled_code():
                 out.append(None)
         return out
 
-    original = values(compile_term(chk.certificate))
-    bumped = mutants(chk.certificate)
+    original = values(compile_term(certificate))
+    bumped = mutants(certificate)
     assert len(bumped) == 5
     for mutant in bumped:
         assert values(mutant) != original

@@ -228,6 +228,7 @@ def test_two_rod_closed_form_past_brute_force():
         tables = count_tables(k, points, s_max=2)
         for n, m in points:
             assert tables[n, m].counts == (1, one_rod(n, m, k), two_rods(n, m, k))
+            assert lattice.rod_pairs(n, m, k) == two_rods(n, m, k)
 
 
 def test_pinned_exact_counts():

@@ -93,7 +93,7 @@ def test_identity_checks_keep_their_defaults_and_stay_mutable():
     chk = IdentityCheck("c", "pointwise", "d", grid, rhs=Const(Fraction(1)))
     assert chk == IdentityCheck(name="c", kind="pointwise", description="d", grid=grid,
                                 lhs=None, rhs=Const(Fraction(1)))
-    assert chk.summand is None and chk.antidifference is None
+    assert chk.summand is None and chk.param is None and chk.axes == ()
     chk.rhs = None
     assert chk.rhs is None
     with pytest.raises(TypeError):

@@ -388,11 +388,13 @@ def test_rational_variants_compile_once_where_a_binding_needs_one(monkeypatch):
 
     # mutants bump constants, so they reuse every factory and need no rational
     # variant; only certificate2 of the one check whose registry run reads
-    # the simplified gterm2 instead is compiled anew
+    # its pole-free G instead is compiled anew
     compiled = len(sources)
     assert identities.certificate_mutation_report("*").ok
     new = set(symbolic._FACTORIES) - keys
     key = []
-    symbolic._shape(identities.registry()["q4/beta3v-recurrence"].certificate2, key, [], [])
+    _, inner = identities.registry()["q4/beta3v-recurrence"].axes
+    assert inner[3] == "certificate2" and inner[5] is not None
+    symbolic._shape(inner[4], key, [], [])
     assert new == {tuple(key)}
     assert len(sources) == compiled + 1
