@@ -22,7 +22,6 @@ from .hseq import (
 )
 from .recurrences import (
     DiagonalSeed,
-    StripConstant,
     diagonal_rhs,
     extend_diagonal,
     fit_polynomial,
@@ -63,7 +62,6 @@ __all__ = [
     "PoleError",
     "ResourceLimitError",
     "RhsModel",
-    "StripConstant",
     "WeightGrid",
     "accumulate_lhs",
     "accumulate_rhs",

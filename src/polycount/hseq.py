@@ -1,11 +1,20 @@
 """The two-dimensional integer coefficient sequence h(s, i, j).
 
 Defined for s >= 1 on the triangle 0 <= i <= s-1, 1 <= j <= s, with
-h(s, i, j) = 0 whenever j <= i.  Four independent computation routes are
-provided: the defining recursion, an explicit three-term formula, expansion
-of the per-row ordinary generating function, and expansion of the bivariate
-generating function.  All arithmetic is exact; integrality is asserted, not
-assumed.
+h(s, i, j) = 0 whenever j <= i.  Four computation routes are provided: the
+defining recursion, an explicit three-term formula (h_terms), expansion of
+the per-row ordinary generating function, and expansion of the bivariate
+generating function.  They are not equally independent:
+
+* gf_series expands the same three terms as h_terms, with C(p-1+j, j) as
+  the binomial, so h_from_gf checks the code of h_terms, not the formula;
+* gf_recursion_residual ties the row generating functions to the defining
+  recursion;
+* the bivariate function shares the first two terms with h_terms and
+  reaches the third by a different sum, which the double-gf/* identities
+  prove equal.
+
+All arithmetic is exact; integrality is asserted where a route divides.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import ParameterError
 from .exact import as_integer, binom
@@ -84,63 +94,37 @@ def h_explicit(s: int, i: int, j: int) -> int:
     return as_integer(t1 + t2 + t3, f"h({s},{i},{j})")
 
 
-# -- truncated power series over exact rationals ----------------------------
+# -- truncated power series --------------------------------------------------
+# A series is its coefficient list, x**0 first; entries are ints or Fractions,
+# whichever the inputs hold.  A bivariate series is a list of such rows, row i
+# holding the z**i coefficients.
 
-def _ser_zero(order: int) -> list[Fraction]:
-    return [Fraction(0)] * (order + 1)
-
-
-def _ser_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    return [x + y for x, y in zip(a, b)]
-
-
-def _ser_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = _ser_zero(order)
-    for p, x in enumerate(a):
-        if x == 0 or p > order:
-            continue
-        for q, y in enumerate(b):
-            if p + q > order:
-                break
-            if y:
-                out[p + q] += x * y
+def _ser_mul(a: list, b: list, order: int) -> list:
+    out = [0] * (order + 1)
+    for p, x in enumerate(a[: order + 1]):
+        for q, y in enumerate(b[: order + 1 - p]):
+            out[p + q] += x * y
     return out
 
 
-def _ser_diff(a: list[Fraction]) -> list[Fraction]:
-    return [Fraction(p + 1) * a[p + 1] for p in range(len(a) - 1)] + [Fraction(0)]
+def _inv_one_minus_x_pow(p: int, order: int) -> list[int]:
+    """1/(1 - x)**p truncated to x**order, for p >= 1: C(p-1+j, j)."""
+    return [math.comb(p - 1 + j, j) for j in range(order + 1)]
 
 
-def _ser_one_minus_x_pow(e: int, order: int) -> list[Fraction]:
-    """(1 - x)**e truncated to x**order, for any integer exponent e."""
-    out = _ser_zero(order)
-    if e >= 0:
-        for j in range(min(e, order) + 1):
-            out[j] = Fraction((-1) ** j * math.comb(e, j))
-    else:
-        p = -e
-        for j in range(order + 1):
-            out[j] = Fraction(binom(p - 1 + j, j))
-    return out
-
-
-def gf_series(s: int, i: int, order: int) -> list[Fraction]:
+def gf_series(s: int, i: int, order: int) -> list:
     """Coefficients x**0..x**order of the row generating function H_i(x)."""
     _require_s(s)
     if not 0 <= i <= s - 1:
         raise ParameterError(f"i must be in [0, {s - 1}], got {i}")
-    out = _ser_zero(order)
-    for j in range(min(i, order) + 1):
-        out[j] += Fraction((-1) ** (j + 1)) * binom(s, j)
-    if i + 1 <= order:
-        tail = _ser_one_minus_x_pow(-(s + 1), order - i - 1)
-        c2 = Fraction((-1) ** (i + 1)) * binom(2 * s, i)
-        for q, y in enumerate(tail):
-            out[i + 1 + q] += c2 * y
-    c3 = Fraction((-1) ** i * (2 * s - i)) * binom(2 * s, i)
+    out = [(-1) ** (j + 1) * binom(s, j) if j <= i else 0 for j in range(order + 1)]
+    c2 = (-1) ** (i + 1) * binom(2 * s, i)
+    for q, y in enumerate(_inv_one_minus_x_pow(s + 1, order - i - 1)):
+        out[i + 1 + q] += c2 * y
+    c3 = (-1) ** i * (2 * s - i) * binom(2 * s, i)
     for t in range(i + 1):
-        w = c3 * Fraction((-1) ** t, 2 * s - t) * binom(i, t)
-        for q, y in enumerate(_ser_one_minus_x_pow(-(s - t), order)):
+        w = Fraction((-1) ** t * c3 * binom(i, t), 2 * s - t)
+        for q, y in enumerate(_inv_one_minus_x_pow(s - t, order)):
             out[q] += w * y
     return out
 
@@ -160,7 +144,7 @@ def h_from_gf(s: int, i: int, j_max: int) -> list[int]:
     return [as_integer(ser[j], f"[x^{j}] H_{i}") for j in range(1, j_max + 1)]
 
 
-def gf_recursion_residual(s: int, i: int, order: int) -> list[Fraction]:
+def gf_recursion_residual(s: int, i: int, order: int) -> list:
     """Coefficientwise residual of the generating-function recursion.
 
     Returns H_i - ( -(s*x/i - 1)*H_{i-1} + x*(x-1)/i * H_{i-1}' ), truncated
@@ -170,36 +154,10 @@ def gf_recursion_residual(s: int, i: int, order: int) -> list[Fraction]:
     if not 1 <= i <= s - 1:
         raise ParameterError(f"i must be in [1, {s - 1}], got {i}")
     prev = gf_series(s, i - 1, order)
-    cur = gf_series(s, i, order)
-    lin = [Fraction(0)] * (order + 1)
-    lin[0] = Fraction(1)
-    if order >= 1:
-        lin[1] = Fraction(-s, i)
-    rhs = _ser_mul(lin, prev, order)
-    xx = _ser_zero(order)
-    if order >= 1:
-        xx[1] = Fraction(-1, i)
-    if order >= 2:
-        xx[2] = Fraction(1, i)
-    rhs = _ser_add(rhs, _ser_mul(xx, _ser_diff(prev), order))
-    return [c - r for c, r in zip(cur, rhs)]
-
-
-# -- bivariate route ---------------------------------------------------------
-
-def _biv_mul(a, b, zi: int, xj: int):
-    out = [[Fraction(0)] * (xj + 1) for _ in range(zi + 1)]
-    for pi, row in enumerate(a):
-        for pj, x in enumerate(row):
-            if x == 0:
-                continue
-            for qi in range(zi + 1 - pi):
-                brow = b[qi]
-                for qj in range(xj + 1 - pj):
-                    y = brow[qj]
-                    if y:
-                        out[pi + qi][pj + qj] += x * y
-    return out
+    deriv = [q * prev[q] for q in range(1, order + 1)] + [0]
+    rhs = zip(_ser_mul([1, Fraction(-s, i)], prev, order),
+              _ser_mul([0, Fraction(-1, i), Fraction(1, i)], deriv, order))
+    return [c - u - v for c, (u, v) in zip(gf_series(s, i, order), rhs)]
 
 
 def h_from_double_gf(s: int, i_max: int, j_max: int) -> dict[tuple[int, int], int]:
@@ -208,45 +166,26 @@ def h_from_double_gf(s: int, i_max: int, j_max: int) -> dict[tuple[int, int], in
     Expands -(1-xz)**s/(1-z) - x(1-xz)**(2s)/(1-x)**(s+1)
     + (1-xz)**(2s)/((1-x)**s (1-z)) and reads off h(s, i, j).  The mapping is
     clamped to the domain triangle (i <= s-1, j <= s): beyond it the series
-    keeps going but no longer tracks the recursion.
+    keeps going but no longer tracks the recursion.  Every factor has integer
+    coefficients, so the expansion runs in ints.
     """
     _require_s(s)
     if i_max < 0 or j_max < 1:
         raise ParameterError("truncation orders must cover at least one coefficient")
     zi, xj = min(i_max, s - 1), min(j_max, s)
 
-    def one_minus_xz_pow(e: int):
-        m = [[Fraction(0)] * (xj + 1) for _ in range(zi + 1)]
-        for a in range(min(e, zi, xj) + 1):
-            m[a][a] = Fraction((-1) ** a * math.comb(e, a))
-        return m
+    def times_one_minus_xz_pow(e: int, b: list[int]) -> list[list[int]]:
+        # row a of (1 - xz)**e * b(x) is (-1)**a C(e, a) x**a * b(x)
+        return [_ser_mul([0] * a + [(-1) ** a * math.comb(e, a)], b, xj) for a in range(zi + 1)]
 
-    inv_one_minus_z = [[Fraction(1 if j == 0 else 0) for j in range(xj + 1)] for _ in range(zi + 1)]
-    def inv_one_minus_x_pow(p: int):
-        return [
-            [Fraction(binom(p - 1 + j, j)) if i == 0 else Fraction(0) for j in range(xj + 1)]
-            for i in range(zi + 1)
-        ]
+    def over_one_minus_z(rows: list[list[int]]) -> list[list[int]]:
+        return list(accumulate(rows, lambda u, v: [p + q for p, q in zip(u, v)]))
 
-    total = [[Fraction(0)] * (xj + 1) for _ in range(zi + 1)]
-
-    part1 = _biv_mul(one_minus_xz_pow(s), inv_one_minus_z, zi, xj)
-    part2 = _biv_mul(one_minus_xz_pow(2 * s), inv_one_minus_x_pow(s + 1), zi, xj)
-    part3 = _biv_mul(
-        _biv_mul(one_minus_xz_pow(2 * s), inv_one_minus_x_pow(s), zi, xj),
-        inv_one_minus_z,
-        zi,
-        xj,
-    )
-    for i in range(zi + 1):
-        for j in range(xj + 1):
-            v = -part1[i][j] + part3[i][j]
-            if j >= 1:
-                v -= part2[i][j - 1]
-            total[i][j] = v
-
+    part1 = over_one_minus_z(times_one_minus_xz_pow(s, [1]))
+    part2 = times_one_minus_xz_pow(2 * s, [0] + _inv_one_minus_x_pow(s + 1, xj - 1))
+    part3 = over_one_minus_z(times_one_minus_xz_pow(2 * s, _inv_one_minus_x_pow(s, xj)))
     return {
-        (i, j): as_integer(total[i][j], f"[x^{j} z^{i}]")
+        (i, j): part3[i][j] - part1[i][j] - part2[i][j]
         for i in range(zi + 1)
         for j in range(1, xj + 1)
     }

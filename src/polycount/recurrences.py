@@ -29,22 +29,6 @@ from .records import Frozen, set_field
 from .reports import Report
 
 
-class StripConstant(Frozen):
-    """c(n, k) = 2n - k + 1, defined for strips at least as wide as the rod."""
-
-    __slots__ = ("n", "k")
-
-    def __init__(self, n: int, k: int) -> None:
-        if n < k:
-            raise ParameterError(f"strip constant needs n >= k, got n={n}, k={k}")
-        set_field(self, "n", n)
-        set_field(self, "k", k)
-
-    @property
-    def value(self) -> int:
-        return 2 * self.n - self.k + 1
-
-
 def diagonal_rhs(s: int) -> int:
     """2**s (2s)!/s!, the diagonal alternating-sum constant."""
     return 2**s * math.factorial(2 * s) // math.factorial(s)
@@ -145,7 +129,7 @@ def strip_windows(
         raise ParameterError(f"s must be >= 0, got {s}")
     return _plan(
         f"strip recurrence k={k} n={n} s={s}", "strip", k, s, [(n, m) for m in m_range],
-        dn=0, width=s, rhs=StripConstant(n, k).value ** s, bound=(k, k * s),
+        dn=0, width=s, rhs=(2 * n - k + 1) ** s, bound=(k, k * s),
         enforce_range=enforce_range,
     )
 

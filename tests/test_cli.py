@@ -31,13 +31,20 @@ def run_cli(capsys, *argv):
 
 
 def test_count_single(capsys):
-    code, out, _ = run_cli(capsys, "count", "--n", "2", "--m", "3", "--k", "2", "--s", "1")
-    assert code == 0 and out.strip() == "7"
+    for argv, expected in [(["--s", "1"], "7\n"),
+                           (["--s", "2", "--format", "csv"], "n,m,s,count\n2,3,2,11\n")]:
+        code, out, _ = run_cli(capsys, "count", "--n", "2", "--m", "3", "--k", "2", *argv)
+        assert code == 0 and out == expected, argv
 
 
 def test_count_all(capsys):
-    code, out, _ = run_cli(capsys, "count", "--n", "2", "--m", "2", "--k", "2", "--all-s")
-    assert code == 0 and out.strip() == "1 4 2"
+    for argv, expected in [
+        (["--m", "2"], "1 4 2\n"),
+        (["--m", "3", "--format", "csv"],
+         "n,m,s,count\n2,3,0,1\n2,3,1,7\n2,3,2,11\n2,3,3,3\n"),
+    ]:
+        code, out, _ = run_cli(capsys, "count", "--n", "2", "--k", "2", "--all-s", *argv)
+        assert code == 0 and out == expected, argv
 
 
 def test_count_brute_method(capsys):
@@ -53,6 +60,9 @@ def test_count_json_uses_strings(capsys):
     data = json.loads(out)
     assert data["counts"][0] == "1"
     assert all(isinstance(c, str) for c in data["counts"])
+    code, out, _ = run_cli(capsys, "count", "--n", "2", "--m", "3", "--k", "2", "--s", "2",
+                           "--format", "json")
+    assert code == 0 and out == '{"count": "11", "k": 2, "m": 3, "n": 2, "s": 2}\n'
 
 
 def test_count_usage_error(capsys):
@@ -129,6 +139,24 @@ def test_verify_requires_ranges(capsys):
         main(["verify", "diagonal", "--k", "2", "--s", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagonal", "--k", "2", "--n", "5", "--s", "0"],
+    ["corollary", "--k", "2", "--n", "5", "--s", "0"],
+    ["strip", "--k", "2", "--n", "3", "--m", "5", "--s=-1"],
+    ["strip", "--k", "2", "--n", "3"],
+    ["strip", "--k", "2", "--n", "3", "--m", "9..5"],
+], ids=" ".join)
+def test_verify_usage_errors(capsys, argv):
+    try:
+        code = main(["verify", *argv])
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert code == 2 and captured.out == "" and len(errors) == 1
+    assert "Traceback" not in captured.err
 
 
 def test_verify_weights(capsys):

@@ -230,6 +230,23 @@ def test_gterm2_tracks_its_certificate():
         assert (plain.tested, plain.skipped) == (377, 224)
 
 
+def test_summed_checks_fail_on_a_wrong_target_and_skip_its_poles():
+    # the mutants bump only an axis's g, so the summed half of the runner
+    # (the definite sums against the declared inhom) is tested here
+    checks = [chk for chk in registry().values() if chk.axes and chk.inhom is not None]
+    assert len(checks) == 10
+    for chk in checks:
+        out = run_check(chk)
+        assert out.passed, (chk.name, out.failures[:1])
+        wrong = run_check(replace(chk, inhom=chk.inhom + Const(Fraction(1))))
+        assert not wrong.passed and "summed=" in wrong.failures[0], chk.name
+        # a target that poles everywhere skips the summed test at every grid point
+        poled = run_check(replace(chk, inhom=chk.inhom / Const(Fraction(0))))
+        assert poled.passed, (chk.name, poled.failures[:1])
+        assert poled.tested + poled.skipped == out.tested + out.skipped, chk.name
+        assert poled.skipped - out.skipped == len(wrong.failures), chk.name
+
+
 def test_mutation_detection_samples():
     reg = registry()
     for name in (

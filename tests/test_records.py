@@ -16,7 +16,6 @@ from polycount import (
     LatticeSpec,
     PlacedIdentity,
     RhsModel,
-    StripConstant,
     WeightGrid,
 )
 from polycount.errors import ParameterError
@@ -79,7 +78,6 @@ def test_public_records_construct_by_position_and_keyword():
     assert LatticeSpec(2, 3, 2) == LatticeSpec(n=2, m=3, k=2) == LatticeSpec(2, k=2, m=3)
     spec = LatticeSpec(2, 3, 2)
     assert CountTable(spec, (1, 7)) == CountTable(spec=spec, counts=(1, 7))
-    assert StripConstant(3, 2) == StripConstant(n=3, k=2) and StripConstant(3, 2).value == 5
     assert RhsModel(Fraction(2), Fraction(-1), 30) == RhsModel(lam=2, eta=-1, n=30)
     placed = PlacedIdentity("vertical", 1, 0, "P1", -2)
     assert WeightGrid(1, (placed,)) == WeightGrid(s=1, placements=(placed,))
@@ -105,7 +103,5 @@ def test_identity_checks_keep_their_defaults_and_stay_mutable():
 def test_validation_runs_in_the_constructor():
     with pytest.raises(ParameterError):
         LatticeSpec(0, 1, 2)
-    with pytest.raises(ParameterError):
-        StripConstant(1, 2)
     with pytest.raises(ParameterError):
         DiagonalSeed(2, 1, 9, 9, (4, 5, 6))

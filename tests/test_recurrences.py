@@ -9,7 +9,6 @@ from polycount.errors import CheckFailedError, ParameterError
 from polycount.lattice import CountTable, LatticeSpec, count_configurations, count_tables
 from polycount.recurrences import (
     DiagonalSeed,
-    StripConstant,
     diagonal_rhs,
     extend_diagonal,
     fit_polynomial,
@@ -19,13 +18,6 @@ from polycount.recurrences import (
     verify_strip,
     window_residuals,
 )
-
-
-def test_strip_constant():
-    assert StripConstant(2, 2).value == 3
-    assert StripConstant(3, 2).value == 5
-    with pytest.raises(ParameterError):
-        StripConstant(2, 3)
 
 
 def test_strip_examples():
