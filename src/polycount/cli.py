@@ -113,35 +113,25 @@ def cmd_count(args) -> int:
     if args.all_s:
         if args.method == "brute":
             raise ParameterError("--method brute counts one s; it cannot be used with --all-s")
-        table = count_polynomial(spec, state_cap=args.state_cap)
-        counts = table.counts
-        if args.format == "json":
-            print(json.dumps({
-                "k": spec.k, "n": spec.n, "m": spec.m,
-                "counts": [str(c) for c in counts],
-            }, sort_keys=True))
-        elif args.format == "csv":
-            print("n,m,s,count")
-            for sv, cv in enumerate(counts):
-                print(f"{spec.n},{spec.m},{sv},{cv}")
-        else:
-            print(" ".join(str(c) for c in counts))
-        return EXIT_OK
-    if args.s is None:
-        raise ParameterError("one of --s or --all-s is required")
-    if args.method == "brute":
-        value = brute_force_count(spec, args.s)
+        rows = list(enumerate(count_polynomial(spec, state_cap=args.state_cap).counts))
+        doc = {"counts": [str(c) for _, c in rows]}
     else:
-        value = count_configurations(spec, args.s, state_cap=args.state_cap)
+        if args.s is None:
+            raise ParameterError("one of --s or --all-s is required")
+        if args.method == "brute":
+            value = brute_force_count(spec, args.s)
+        else:
+            value = count_configurations(spec, args.s, state_cap=args.state_cap)
+        rows = [(args.s, value)]
+        doc = {"s": args.s, "count": str(value)}
     if args.format == "json":
-        print(json.dumps({
-            "k": spec.k, "n": spec.n, "m": spec.m, "s": args.s, "count": str(value),
-        }, sort_keys=True))
+        print(json.dumps({"k": spec.k, "n": spec.n, "m": spec.m, **doc}, sort_keys=True))
     elif args.format == "csv":
         print("n,m,s,count")
-        print(f"{spec.n},{spec.m},{args.s},{value}")
+        for sv, cv in rows:
+            print(f"{spec.n},{spec.m},{sv},{cv}")
     else:
-        print(value)
+        print(" ".join(str(c) for _, c in rows))
     return EXIT_OK
 
 
@@ -206,6 +196,10 @@ def _verify_windows(args) -> Report:
     every window point at max(--s), at most one sweep per distinct shorter
     side, and each verifier reads its counts from that one set of tables.
     """
+    if args.n is None:
+        raise ParameterError(f"verify {args.target} requires --n")
+    if args.target == "strip" and args.m is None:
+        raise ParameterError("verify strip requires --m")
     enforce = {"enforce_range": not args.unsafe_range}
     if args.target == "strip":
         title, plan, verify = "strip recurrence", strip_windows, verify_strip
@@ -291,9 +285,6 @@ def cmd_extend(args) -> int:
                 )
                 return EXIT_CHECK_FAILED
     crosschecked = [] if args.no_crosscheck else list(range(1, len(extended) + 1))
-    if any(residuals):
-        print(f"nonzero recurrence residuals: {residuals}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
     if args.format == "json":
         print(json.dumps({
             "k": k, "s": s, "anchor_n": args.anchor_n, "anchor_m": args.anchor_m,
@@ -388,13 +379,7 @@ def _discard_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        if args.target in ("strip", "diagonal", "corollary") and args.n is None:
-            parser.error(f"verify {args.target} requires --n")
-        if args.target == "strip" and args.m is None:
-            parser.error("verify strip requires --m")
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

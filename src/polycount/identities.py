@@ -24,7 +24,9 @@ Its ``kind`` is only the label the reports print.
   pole_free)`` is one summation index, outer first.  Its G is ``g * F`` for
   the labels ``certificate`` and ``certificate2`` and ``g`` itself for
   ``antidifference``; a ``pole_free`` expression, where given, is a form of
-  that G without its removable poles, and the runner reads it instead.
+  that G without its removable poles.  The runner reads it instead, and
+  fails wherever G is defined and differs from it (at every point the
+  telescoping reads G).
 
   - ``certificate-recurrence``: one ``certificate`` axis;
   - ``double-sum-recurrence``: a ``certificate`` and a ``certificate2``
@@ -150,19 +152,21 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
     bumped, stand_in = mutant or (None, None)
     summand, param = compile_term(chk.summand), chk.param
 
-    def g_of(label: str, g: Expr, pole_free: Expr | None) -> Compiled:
-        # G is g itself, or R*F for a certificate R = g; a mutant of g also
-        # replaces the pole-free G that encodes it
-        if label == bumped:
-            term = stand_in
-        elif pole_free is not None:
-            return compile_term(pole_free)
-        else:
-            term = compile_term(g)
+    def g_of(label: str, g: Expr) -> Compiled:
+        # G is g itself, or R*F for a certificate R = g
+        term = stand_in if label == bumped else compile_term(g)
         return term if label == "antidifference" else (lambda e: term(e) * summand(e))
 
-    axes = [(index, compile_term(lower), compile_term(upper), g_of(label, g, pole_free))
-            for index, lower, upper, label, g, pole_free in chk.axes]
+    # a pole-free form stands in for the G that g gives, and is compared with
+    # it wherever that G is defined; a mutant of g replaces both
+    axes, declared = [], []
+    for index, lower, upper, label, g, pole_free in chk.axes:
+        gterm = g_of(label, g)
+        if pole_free is not None and label != bumped:
+            simplified = compile_term(pole_free)
+            declared.append((index, label, gterm, simplified))
+            gterm = simplified
+        axes.append((index, compile_term(lower), compile_term(upper), gterm))
     target = None if chk.inhom is None else compile_term(chk.inhom)
     coeffs = None if chk.coeffs is None else [compile_term(bd) for bd in chk.coeffs]
 
@@ -188,6 +192,14 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
             out.skipped += 1
             continue
         for e in points:
+            for index, label, from_g, pole_free in declared:
+                for p in (e, {**e, index: e[index] + 1}):
+                    try:
+                        expected, simplified = from_g(p), pole_free(p)
+                    except PoleError:
+                        continue  # a removable pole of the G that g gives
+                    if expected != simplified:
+                        yield f"{p}: {label} G={expected} pole-free={simplified}"
             try:
                 delta = 0
                 for index, _, _, g in axes:

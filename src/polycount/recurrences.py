@@ -98,11 +98,18 @@ def _plan(
     dn: int,
     width: int,
     rhs: int,
-    bound: tuple[int, int],
     enforce_range: bool,
 ) -> WindowPlan:
-    """Range-check every point before any count: a point below bound = (n_min, m_min)
-    raises unless enforce_range is off, and a window leaving the lattice always raises."""
+    """Range-check every point before any count.
+
+    A window's proven range is (k-1)s plus its width along each axis it
+    moves: n, m >= (k+1)s for the diagonal, (k+1)s + 1 for the corollary
+    and m >= ks for the strip, whose fixed width keeps n >= k.  A point
+    below it raises unless enforce_range is off, and a window leaving the
+    lattice always raises.
+    """
+    floor = (k - 1) * s
+    bound = (floor + width if dn else k, floor + width)
     checked = []
     for n, m in points:
         in_range = n >= bound[0] and m >= bound[1]
@@ -129,8 +136,7 @@ def strip_windows(
         raise ParameterError(f"s must be >= 0, got {s}")
     return _plan(
         f"strip recurrence k={k} n={n} s={s}", "strip", k, s, [(n, m) for m in m_range],
-        dn=0, width=s, rhs=(2 * n - k + 1) ** s, bound=(k, k * s),
-        enforce_range=enforce_range,
+        dn=0, width=s, rhs=(2 * n - k + 1) ** s, enforce_range=enforce_range,
     )
 
 
@@ -140,11 +146,9 @@ def diagonal_windows(
     """The windows verify_diagonal checks, validated."""
     if s < 1:
         raise ParameterError(f"diagonal recurrence needs s >= 1, got {s}")
-    bound = (k + 1) * s
     return _plan(
         f"diagonal recurrence k={k} s={s}", "diagonal", k, s, points,
-        dn=1, width=2 * s, rhs=diagonal_rhs(s), bound=(bound, bound),
-        enforce_range=enforce_range,
+        dn=1, width=2 * s, rhs=diagonal_rhs(s), enforce_range=enforce_range,
     )
 
 
@@ -154,11 +158,9 @@ def corollary_windows(
     """The windows verify_diagonal_corollary checks, validated."""
     if s < 1:
         raise ParameterError(f"diagonal corollary needs s >= 1, got {s}")
-    bound = (k + 1) * s + 1
     return _plan(
         f"diagonal corollary k={k} s={s}", "corollary", k, s, points,
-        dn=1, width=2 * s + 1, rhs=0, bound=(bound, bound),
-        enforce_range=enforce_range,
+        dn=1, width=2 * s + 1, rhs=0, enforce_range=enforce_range,
     )
 
 
@@ -212,34 +214,23 @@ def verify_diagonal_corollary(
     return corollary_windows(k, s, points, enforce_range).report(state_cap, tables)
 
 
-def _check_seed_window(k: int, s: int, anchor_n: int, anchor_m: int) -> None:
-    bound = (k + 1) * s
-    oldest_n = anchor_n - (2 * s - 1)
-    oldest_m = anchor_m - (2 * s - 1)
-    if oldest_n < bound or oldest_m < bound:
-        raise ParameterError(
-            f"seed window reaches ({oldest_n},{oldest_m}) below the proven "
-            f"range n,m >= {bound}"
-        )
-
-
 class DiagonalSeed(Frozen):
     """A window of 2s consecutive diagonal counts ending at the anchor.
 
     counts[t] = a(anchor_n - (2s-1) + t, anchor_m - (2s-1) + t) for
     t = 0..2s-1; extension appends values at (anchor_n + 1, anchor_m + 1)
-    onward.  Every seed entry must sit inside the recurrence's proven range.
+    onward.  The seed is the first extension window, topped at
+    (anchor_n + 1, anchor_m + 1), less its top, so that window must lie in
+    the diagonal recurrence's proven range (diagonal_windows).
     """
 
     __slots__ = ("k", "s", "anchor_n", "anchor_m", "counts")
 
     def __init__(self, k: int, s: int, anchor_n: int, anchor_m: int,
                  counts: tuple[int, ...]) -> None:
-        if s < 1:
-            raise ParameterError(f"seed needs s >= 1, got {s}")
+        diagonal_windows(k, s, [(anchor_n + 1, anchor_m + 1)])
         if len(counts) != 2 * s:
             raise ParameterError(f"seed must hold exactly {2 * s} counts, got {len(counts)}")
-        _check_seed_window(k, s, anchor_n, anchor_m)
         set_field(self, "k", k)
         set_field(self, "s", s)
         set_field(self, "anchor_n", anchor_n)
@@ -258,14 +249,15 @@ def seed_from_enumeration(
     """Build a seed from the 2s diagonal counts ending at the anchor.
 
     count(n, m) supplies a(n, m, k, s); by default it is direct enumeration.
-    The seed window's range is checked before any count is made.
+    The seed points are read off the first extension window, which
+    diagonal_windows range-checks before any count is made.
     """
-    _check_seed_window(k, s, anchor_n, anchor_m)
+    top = (anchor_n + 1, anchor_m + 1)
+    window = diagonal_windows(k, s, [top]).window(*top)
     if count is None:
         def count(n: int, m: int) -> int:
             return count_configurations(LatticeSpec(n, m, k), s, state_cap=state_cap)
-    w = 2 * s
-    counts = tuple(count(anchor_n - (w - 1) + t, anchor_m - (w - 1) + t) for t in range(w))
+    counts = tuple(count(n, m) for n, m in reversed(window[1:]))
     return DiagonalSeed(k=k, s=s, anchor_n=anchor_n, anchor_m=anchor_m, counts=counts)
 
 

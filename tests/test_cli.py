@@ -135,10 +135,15 @@ def test_verify_strip(capsys):
 
 
 def test_verify_requires_ranges(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "diagonal", "--k", "2", "--s", "1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    # like any other bad window argument: one error line, no usage text
+    for argv, message in [
+        (["diagonal", "--k", "2", "--s", "1"], "verify diagonal requires --n"),
+        (["corollary", "--s", "1"], "verify corollary requires --n"),
+        (["strip", "--m", "4..6"], "verify strip requires --n"),
+        (["strip", "--n", "3"], "verify strip requires --m"),
+    ]:
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "" and err == f"error: {message}\n", argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -397,10 +402,11 @@ def test_extend_checks_seed_range_before_counting(capsys, monkeypatch):
         raise AssertionError("range must be checked before any count")
 
     monkeypatch.setattr("polycount.cli.count_configurations", no_enumeration)
-    code, out, err = run_cli(capsys, "extend", "--k", "2", "--s", "4", "--anchor-n", "14",
+    code, out, err = run_cli(capsys, "extend", "--k", "2", "--s", "4", "--anchor-n", "10",
                              "--anchor-m", "200", "--steps", "1")
     assert code == 2 and out == ""
-    assert "seed window reaches (7,193) below the proven range" in err
+    assert err == ("error: diagonal window asserted only for n >= 12, m >= 12; "
+                   "got (11,201)\n")
 
 
 def test_extend_checks_steps_before_counting(capsys, monkeypatch):
@@ -415,9 +421,29 @@ def test_extend_checks_steps_before_counting(capsys, monkeypatch):
 
 
 def test_extend_range_violation(capsys):
-    code, _, err = run_cli(capsys, "extend", "--k", "2", "--s", "1",
-                           "--anchor-n", "3", "--anchor-m", "3", "--steps", "1")
-    assert code == 2
+    def extend(anchor):
+        return run_cli(capsys, "extend", "--k", "2", "--s", "1", "--anchor-n", anchor,
+                       "--anchor-m", anchor, "--steps", "1")
+
+    code, out, err = extend("1")
+    assert code == 2 and out == ""
+    assert "diagonal window asserted only for n >= 3, m >= 3; got (2,2)" in err
+    # the window (3,3), (2,2), (1,1) is in range, though its seed points are not
+    code, out, _ = extend("2")
+    assert code == 0 and out == "a(3,3) = 12\n"
+
+
+def test_extend_accepts_the_windows_verify_diagonal_asserts(capsys):
+    code, out, _ = run_cli(capsys, "verify", "diagonal", "--k", "2", "--s", "2", "--n", "7",
+                           "--format", "json")
+    (record,) = json.loads(out)["checks"]
+    assert code == 0 and record["params"]["in_range"] is True and record["actual"] == "48"
+    # that window's top is the first value this extension solves for
+    code, out, _ = run_cli(capsys, "extend", "--k", "2", "--s", "2", "--anchor-n", "6",
+                           "--anchor-m", "6", "--steps", "3", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["extended"] == ["3272", "5924", "9914"]
+    assert data["crosschecked_steps"] == [1, 2, 3] and data["residuals"] == [0, 0, 0]
 
 
 def test_extend_no_crosscheck(capsys):

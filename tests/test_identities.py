@@ -230,6 +230,18 @@ def test_gterm2_tracks_its_certificate():
         assert (plain.tested, plain.skipped) == (377, 224)
 
 
+def test_a_wrong_certificate_behind_a_pole_free_form_fails():
+    # the registry run telescopes through the pole-free G, so only its
+    # comparison with certificate2 * summand sees a wrong certificate2
+    chk = registry()["q4/beta3v-recurrence"]
+    outer, inner = chk.axes
+    wrong_g = Const(Fraction(7)) * inner[4] + Const(Fraction(3))
+    out = run_check(replace(chk, axes=(outer, inner[:4] + (wrong_g, inner[5]))))
+    assert not out.passed
+    assert (out.tested, out.skipped) == (601, 0)  # a mismatch fails, it is never skipped
+    assert "certificate2 G=" in out.failures[0] and "pole-free=" in out.failures[0]
+
+
 def test_summed_checks_fail_on_a_wrong_target_and_skip_its_poles():
     # the mutants bump only an axis's g, so the summed half of the runner
     # (the definite sums against the declared inhom) is tested here

@@ -9,10 +9,13 @@ from polycount.errors import CheckFailedError, ParameterError
 from polycount.lattice import CountTable, LatticeSpec, count_configurations, count_tables
 from polycount.recurrences import (
     DiagonalSeed,
+    corollary_windows,
+    diagonal_windows,
     diagonal_rhs,
     extend_diagonal,
     fit_polynomial,
     seed_from_enumeration,
+    strip_windows,
     verify_diagonal,
     verify_diagonal_corollary,
     verify_strip,
@@ -133,20 +136,78 @@ def test_extension_nonsquare_seed():
 
 
 def test_seed_validation():
-    with pytest.raises(ParameterError):
-        DiagonalSeed(k=2, s=1, anchor_n=3, anchor_m=3, counts=(4, 12))
+    # the first extension window, topped at (2, 2), lies below n, m >= 3
+    with pytest.raises(ParameterError, match=r"n >= 3, m >= 3; got \(2,2\)"):
+        DiagonalSeed(k=2, s=1, anchor_n=1, anchor_m=1, counts=(0, 4))
+    # one anchor further, its window (3,3), (2,2), (1,1) is asserted
+    assert extend_diagonal(DiagonalSeed(k=2, s=1, anchor_n=2, anchor_m=2, counts=(0, 4)), 1) \
+        == [12]
     with pytest.raises(ParameterError):
         DiagonalSeed(k=2, s=1, anchor_n=6, anchor_m=6, counts=(1, 2, 3))
     with pytest.raises(ParameterError):
         extend_diagonal(seed_from_enumeration(2, 1, 6, 6), 0)
 
 
-def test_seed_range_checked_before_any_count():
-    def count(n, m):
-        raise AssertionError(f"counted ({n},{m}) before checking the range")
+def _no_count(n, m):
+    raise AssertionError(f"counted ({n},{m}) before checking the range")
 
-    with pytest.raises(ParameterError, match=r"reaches \(7,193\) below the proven range"):
-        seed_from_enumeration(2, 4, 14, 200, count=count)
+
+def test_seed_range_checked_before_any_count():
+    # the first extension window tops at (11, 201), below n, m >= (k+1)s = 12
+    with pytest.raises(ParameterError, match=r"diagonal window asserted only for "
+                                             r"n >= 12, m >= 12; got \(11,201\)"):
+        seed_from_enumeration(2, 4, 10, 200, count=_no_count)
+
+
+def test_seeds_are_accepted_exactly_where_the_first_window_is_asserted():
+    # anchors (k+1)s - 1 .. (k+3)s - 2 hold seed points below (k+1)s, but the
+    # window each extension step solves lies in the diagonal range
+    cases = [(k, s, a, a + d) for k in (2, 3) for s in (1, 2)
+             for a in range((k + 1) * s - 1, (k + 3) * s - 1) for d in (0, 1, 3)]
+    assert len(cases) == 36
+    steps = 4
+    for k in (2, 3):
+        mine = [(s, an, am) for kk, s, an, am in cases if kk == k]
+        tables = count_tables(k, [(an + t, am + t) for s, an, am in mine
+                                  for t in range(1 - 2 * s, steps + 1)], 2)
+        for s, an, am in mine:
+            seed = seed_from_enumeration(
+                k, s, an, am, count=lambda n, m, s=s: tables[n, m].counts[s])
+            assert seed.counts == tuple(tables[an + t, am + t].counts[s]
+                                        for t in range(1 - 2 * s, 1))
+            assert extend_diagonal(seed, steps) == [
+                tables[an + t, am + t].counts[s] for t in range(1, steps + 1)], (k, s, an, am)
+        for s in (1, 2):
+            below = (k + 1) * s - 2  # its first window tops at (k+1)s - 1
+            for an, am in ((below, below + 5), (below + 5, below)):
+                with pytest.raises(ParameterError, match="diagonal window asserted only"):
+                    seed_from_enumeration(k, s, an, am, count=_no_count)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_window_bounds_are_k_minus_1_s_plus_the_width(k):
+    # each bound is (k-1)s plus the window's width along every axis it moves,
+    # which gives the paper's three; the strip's fixed width keeps n >= k
+    def in_range(plan):
+        return [flag for _, _, flag in plan.checked]
+
+    for s in range(0, 9):
+        ms = range(s + 1, k * s + 3)
+        for n in (k, k + 1):
+            plan = strip_windows(k, n, s, ms, enforce_range=False)
+            assert in_range(plan) == [m >= k * s for m in ms], (k, s)
+        if s:
+            with pytest.raises(ParameterError, match=f"n >= {k}, m >= {k * s};"):
+                strip_windows(k, k, s, [k * s - 1])
+    for s in range(1, 9):
+        for plan_of, bound, width in ((diagonal_windows, (k + 1) * s, 2 * s),
+                                      (corollary_windows, (k + 1) * s + 1, 2 * s + 1)):
+            around = range(max(width + 1, bound - 2), bound + 2)
+            points = [(n, m) for n in around for m in around]
+            plan = plan_of(k, s, points, enforce_range=False)
+            assert in_range(plan) == [n >= bound and m >= bound for n, m in points], (k, s)
+            with pytest.raises(ParameterError, match=f"n >= {bound}, m >= {bound};"):
+                plan_of(k, s, [(bound, bound - 1)])
 
 
 @pytest.mark.parametrize("k, s", [(2, 1), (2, 2), (3, 2), (2, 3), (4, 2)])

@@ -386,15 +386,14 @@ def test_rational_variants_compile_once_where_a_binding_needs_one(monkeypatch):
         "double-gf/outer-assembly", "double-gf/outer-sum-recurrence",
         "gf/product-rule-antidifference"]
 
-    # mutants bump constants, so they reuse every factory and need no rational
-    # variant; only certificate2 of the one check whose registry run reads
-    # its pole-free G instead is compiled anew
-    compiled = len(sources)
-    assert identities.certificate_mutation_report("*").ok
-    new = set(symbolic._FACTORIES) - keys
+    # the registry run compiles every axis's g, even certificate2 of the one
+    # check that telescopes through its pole-free G, since it compares the two
     key = []
     _, inner = identities.registry()["q4/beta3v-recurrence"].axes
     assert inner[3] == "certificate2" and inner[5] is not None
     symbolic._shape(inner[4], key, [], [])
-    assert new == {tuple(key)}
-    assert len(sources) == compiled + 1
+    assert tuple(key) in keys
+    # mutants bump constants, so they reuse every factory and need no rational variant
+    compiled = len(sources)
+    assert identities.certificate_mutation_report("*").ok
+    assert set(symbolic._FACTORIES) == keys and len(sources) == compiled
