@@ -60,7 +60,7 @@ def save_entry(cache_dir: Path, table: CountTable) -> Path:
     if spec.n > spec.m:
         table = CountTable(spec=LatticeSpec(n=spec.m, m=spec.n, k=spec.k), counts=table.counts)
     path = entry_path(cache_dir, spec.k, spec.n, spec.m)
-    data = json.dumps(entry_payload(table), sort_keys=True, indent=None)
+    data = json.dumps(entry_payload(table), sort_keys=True)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=path.name, suffix=".tmp")

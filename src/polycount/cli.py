@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .cache import load_entry, resolve_cache_dir, save_entry
+from .cache import entry_payload, load_entry, resolve_cache_dir, save_entry
 from .errors import CheckFailedError, ParameterError, ResourceLimitError
 from .exact import binom
 from .lattice import (
@@ -79,6 +79,30 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def _json_items(items: list, indent: str) -> str:
+    if not items:
+        return "[]"
+    return f"[\n{indent}  " + f",\n{indent}  ".join(map(_ENCODE, items)) + f"\n{indent}]"
+
+
+def _json_lines(doc: dict | list) -> str:
+    """doc as JSON with one record per line: each top-level key, in sorted order,
+    and each item of a top-level list on its own line, every line by the C encoder.
+
+    json.loads reads back the same document as from an indented dump, at a
+    fraction of the cost and without holding a chunk per token.
+    """
+    if isinstance(doc, list):
+        return _json_items(doc, "")
+    return "{\n" + ",\n".join(
+        f"  {_ENCODE(key)}: "
+        + (_json_items(value, "  ") if isinstance(value, list) else _ENCODE(value))
+        for key, value in sorted(doc.items())) + "\n}"
+
+
 def _emit_report(report: Report, args, command: str, started: float) -> int:
     doc = {
         "command": command,
@@ -88,10 +112,10 @@ def _emit_report(report: Report, args, command: str, started: float) -> int:
             if k not in ("func", "format") and v is not None
         },
         **report.to_dict(),
-        "wall_time": round(time.time() - started, 6),
+        "wall_time": round(time.perf_counter() - started, 6),
     }
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_lines(doc))
     else:
         for c in report.checks:
             d = c.to_dict()
@@ -174,10 +198,7 @@ def cmd_table(args) -> int:
                 lines.append(f"{table.spec.n},{table.spec.m},{sv},{cv}")
         payload = "\n".join(lines) + "\n"
     else:
-        from .cache import entry_payload
-
-        payload = json.dumps([entry_payload(t) for t in entries], sort_keys=True,
-                             indent=2) + "\n"
+        payload = _json_lines([entry_payload(t) for t in entries]) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -220,7 +241,7 @@ def _verify_windows(args) -> Report:
 
 
 def cmd_verify(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if args.target in ("strip", "diagonal", "corollary"):
         report = _verify_windows(args)
     elif args.target == "weights":

@@ -148,41 +148,47 @@ def _run_pointwise(chk: IdentityCheck, out: CheckOutcome) -> Iterator[str]:
 
 def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
                      mutant: Mutant | None) -> Iterator[str]:
-    """sum_d b_d F(p+d) = sum over the axes of Delta G, pointwise and summed."""
+    """sum_d b_d F(p+d) = sum over the axes of Delta G, pointwise and summed.
+
+    Each point keeps a row of F(p+d), each value evaluated when first read:
+    F(p) serves the d = 0 term and every certificate's G at p, and the
+    summed target adds up the rows.  Where G has a pole the point is skipped
+    before its row is read, so F is evaluated there only if the target
+    needs it.
+    """
     bumped, stand_in = mutant or (None, None)
     summand, param = compile_term(chk.summand), chk.param
-
-    def g_of(label: str, g: Expr) -> Compiled:
-        # G is g itself, or R*F for a certificate R = g
-        term = stand_in if label == bumped else compile_term(g)
-        return term if label == "antidifference" else (lambda e: term(e) * summand(e))
-
-    # a pole-free form stands in for the G that g gives, and is compared with
-    # it wherever that G is defined; a mutant of g replaces both
-    axes, declared = [], []
-    for index, lower, upper, label, g, pole_free in chk.axes:
-        gterm = g_of(label, g)
-        if pole_free is not None and label != bumped:
-            simplified = compile_term(pole_free)
-            declared.append((index, label, gterm, simplified))
-            gterm = simplified
-        axes.append((index, compile_term(lower), compile_term(upper), gterm))
+    # with no coeffs the left side is F itself: one coefficient, 1
+    coeffs = [compile_term(bd) for bd in chk.coeffs or (Const(Fraction(1)),)]
     target = None if chk.inhom is None else compile_term(chk.inhom)
-    coeffs = None if chk.coeffs is None else [compile_term(bd) for bd in chk.coeffs]
 
-    def combination(coeff_env: dict, points: list[dict]) -> Number:
-        # sum_d b_d(coeff_env) * sum over the points of F(p+d); F alone without coeffs
-        def summed(d: int) -> Number:
-            return sum(summand({**e, param: e[param] + d} if d else e) for e in points)
+    def f(e: dict, row: list, d: int = 0) -> Number:
+        # F(e + d along param), kept in e's row
+        if row[d] is None:
+            row[d] = summand({**e, param: e[param] + d} if d else e)
+        return row[d]
 
-        if coeffs is None:
-            return summed(0)
-        return sum(bd(coeff_env) * summed(d) for d, bd in enumerate(coeffs))
+    def g_at(g: Compiled, times_f: bool, p: dict, row: list | None = None) -> Number:
+        # G at p: g itself, or g*F for a certificate g, F read from p's row if given
+        value = g(p)
+        if times_f:
+            value *= summand(p) if row is None else f(p, row)
+        return value
+
+    # per axis: index, bounds, label, g, whether G = g*F, and a pole-free G,
+    # which stands in for the G that g gives and is compared with it wherever
+    # that G is defined; a mutant of g replaces both
+    axes = []
+    for index, lower, upper, label, g, pole_free in chk.axes:
+        axes.append((index, compile_term(lower), compile_term(upper), label,
+                     stand_in if label == bumped else compile_term(g),
+                     label != "antidifference",
+                     None if pole_free is None or label == bumped else compile_term(pole_free)))
 
     for env in chk.grid():
         try:
             points = [env]
-            for index, lower, upper, _ in axes:
+            for index, lower, upper, *_ in axes:
                 points = [
                     {**e, index: k} for e in points
                     for k in range(_as_int(lower(e), "sum bound"),
@@ -191,20 +197,29 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
         except PoleError:
             out.skipped += 1
             continue
-        for e in points:
-            for index, label, from_g, pole_free in declared:
-                for p in (e, {**e, index: e[index] + 1}):
+        rows = [[None] * len(coeffs) for _ in points]
+        for e, row in zip(points, rows):
+            for index, _, _, label, g, times_f, pole_free in axes:
+                if pole_free is None:
+                    continue
+                for p, p_row in ((e, row), ({**e, index: e[index] + 1}, None)):
                     try:
-                        expected, simplified = from_g(p), pole_free(p)
+                        expected, simplified = g_at(g, times_f, p, p_row), pole_free(p)
                     except PoleError:
                         continue  # a removable pole of the G that g gives
                     if expected != simplified:
                         yield f"{p}: {label} G={expected} pole-free={simplified}"
             try:
                 delta = 0
-                for index, _, _, g in axes:
-                    delta += g({**e, index: e[index] + 1}) - g(e)
-                lhs = combination(e, [e])
+                for index, _, _, _, g, times_f, pole_free in axes:
+                    up = {**e, index: e[index] + 1}
+                    if pole_free is None:
+                        delta += g_at(g, times_f, up) - g_at(g, times_f, e, row)
+                    else:
+                        delta += pole_free(up) - pole_free(e)
+                lhs = 0
+                for d, bd in enumerate(coeffs):
+                    lhs += bd(e) * f(e, row, d)
             except PoleError:
                 out.skipped += 1
                 continue
@@ -212,8 +227,9 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
             if lhs != delta:
                 yield f"{e}: recurrence={lhs} telescoped={delta}"
         if target is not None:
-            try:
-                lhs = combination(env, points)
+            try:  # sum_d b_d S_d, S_d = sum over the points of F(p+d), off their rows
+                lhs = sum(bd(env) * sum(f(e, row, d) for e, row in zip(points, rows))
+                          for d, bd in enumerate(coeffs))
                 rhs = target(env)
             except PoleError:
                 out.skipped += 1

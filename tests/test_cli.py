@@ -188,15 +188,29 @@ def test_bad_fraction_is_usage_error(capsys, flag, value):
     assert f"argument {flag}: " in err and repr(value) in err and "Traceback" not in err
 
 
-#: sha256 of the --format json output, wall_time line removed: the proof
-#: checkers' reports are fixed byte for byte
+def _content_hash(text: str) -> str:
+    """sha256 of the compact canonical dump of a JSON document, less its wall_time."""
+    doc = json.loads(text)
+    if isinstance(doc, dict):
+        doc.pop("wall_time")
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+#: the proof checkers' --format json reports: (sha256 of the output with the
+#: wall_time line removed, sha256 of its content) -- the bytes fix the
+#: one-record-per-line layout, the content what json.loads reads, which is
+#: also what the indented layout before it held
 GOLDEN_JSON = {
-    ("quadrants", "--s", "1..7"):
-        "e1b759cca1f2ed8c5eb65bbc764f28b4371268c48424aaf0d8065e7634f21884",
-    ("weights", "--s", "1..7"):
-        "f276b02dcf01428537b7768c8e17599058b3587894c84651794e3b4a8f0ffe69",
-    ("identities",):
-        "04a108a237ea7c98b5b7449056a12222bd14fd7715844f94197d5cc2b4b087c4",
+    ("quadrants", "--s", "1..7"): (
+        "06e996442932615bc66657b37565d2c9495afdf69494c1bc521f4263f4543758",
+        "ff2230a25239f01142c915b32c3f7eb06f2b66ad0d09dc99a17b901254ba4281"),
+    ("weights", "--s", "1..7"): (
+        "540e3fe14e6a3ff3fcd45b0c021c4780f8cfa50f005610bc918de1d4ab9e0ced",
+        "4615942a3b4362d89ed07d3bb500c109858a56dee6436a19a14371b76da581ae"),
+    ("identities",): (
+        "9e866d9116c1207284546a86c7ca4212ce23446df58ac2154dd5a82e11abbe77",
+        "5b2fde7c8ee9a311afa199103faebc183361b1ce50689c060d6b3bc318709057"),
 }
 
 
@@ -205,7 +219,42 @@ def test_proof_checker_json_is_unchanged(capsys, argv):
     code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
     assert code == 0
     kept = "".join(line for line in out.splitlines(keepends=True) if '"wall_time"' not in line)
-    assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN_JSON[argv]
+    assert (hashlib.sha256(kept.encode()).hexdigest(), _content_hash(out)) == GOLDEN_JSON[argv]
+
+
+def _records_one_per_line(out: str, records: list) -> None:
+    # every record is one line (less its separating comma) that json.loads parses alone
+    lines = [line.strip().removesuffix(",") for line in out.splitlines()]
+    assert [json.loads(line) for line in lines if line.startswith("{\"")] == records
+
+
+@pytest.mark.parametrize("argv", [
+    ("weights", "--s", "1..3"),
+    ("quadrants", "--s", "1..2"),
+    ("identities", "--filter", "q3/*"),
+    ("diagonal", "--k", "2", "--s", "1", "--n", "3..6"),
+], ids="_".join)
+def test_json_report_holds_one_record_per_line(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    _records_one_per_line(out, doc["checks"])
+    # the top-level keys, one per line in sorted order; wall_time alone on its line
+    lines = out.splitlines()
+    keys = [json.loads(line.split(":")[0]) for line in lines if line.startswith('  "')]
+    assert keys == sorted(doc) and lines[0] == "{" and lines[-1] == "}"
+    assert [json.loads("{" + line.removesuffix(",") + "}") for line in lines
+            if '"wall_time"' in line] == [{"wall_time": doc["wall_time"]}]
+
+
+def test_wall_time_is_never_negative(capsys, monkeypatch):
+    # a wall-clock step back during the run must not print a negative duration
+    import time
+
+    clock = iter(range(10**6, 0, -100))
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    code, out, _ = run_cli(capsys, "verify", "weights", "--s", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["wall_time"] >= 0
 
 
 def test_verify_quadrants(capsys):
@@ -585,12 +634,14 @@ def test_table_writes_one_entry_per_unordered_lattice(capsys, tmp_path):
             assert table.counts == count_polynomial(spec).counts
 
 
-#: sha256 of table's stdout: the printed table stays per ordered pair, byte for byte
+#: sha256 of table's stdout: the printed table stays per ordered pair, byte for
+#: byte; a JSON table also pins its content (see GOLDEN_JSON)
 GOLDEN_TABLES = {
     ("--k", "2", "--n-max", "9", "--m-max", "9", "--format", "csv"):
         "0e5b6ea5c6d245d547ae0f1f8b143b6bfb5fb27f8374bf980cbc1dbeb3b39624",
-    ("--k", "3", "--n-max", "8", "--m-max", "8", "--format", "json"):
-        "3ec4673fdadeab48ce10bcad434c354d76d01c57379a30529ae6e0473640e92d",
+    ("--k", "3", "--n-max", "8", "--m-max", "8", "--format", "json"): (
+        "f77e2478a8e979ba4714a684005fee2f029586f7ed1dd84f111b553c5700f53c",
+        "403bdfebb0231311a2dbab26d14d3087df7e755a2278655e71a605c8c9b77338"),
     ("--k", "2", "--n-max", "6", "--m-max", "4"):
         "53e7d881cd9d267ca9040dc2cecb7eb131994c8e2200b13dc78ecd9db6fe32c9",
 }
@@ -600,7 +651,11 @@ GOLDEN_TABLES = {
 def test_table_stdout_is_unchanged(capsys, tmp_path, argv):
     code, out, _ = run_cli(capsys, "table", *argv, "--cache-dir", str(tmp_path / "golden"))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLES[argv]
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    if "json" in argv:
+        assert (digest, _content_hash(out)) == GOLDEN_TABLES[argv]
+    else:
+        assert digest == GOLDEN_TABLES[argv]
 
 
 def test_table_csv_and_idempotence(capsys, tmp_path):
@@ -621,7 +676,10 @@ def test_table_json_schema(capsys, tmp_path):
     out_path = tmp_path / "table.json"
     assert main(["table", "--k", "3", "--n-max", "3", "--m-max", "3",
                  "--format", "json", "--out", str(out_path)]) == 0
-    entries = json.loads(out_path.read_text())
+    text = out_path.read_text()
+    entries = json.loads(text)
+    _records_one_per_line(text, entries)
+    assert text.startswith("[\n  {") and text.endswith("}\n]\n")
     by_key = {(e["n"], e["m"]): e for e in entries}
     assert by_key[(3, 3)]["counts"][1] == "6"
     assert all(e["version"] == 1 for e in entries)
@@ -638,7 +696,7 @@ def test_failing_report_exit_code(capsys):
     report = Report(title="synthetic")
     report.record("bad", {"s": 1}, 1, 2)
     args = argparse.Namespace(format="text")
-    code = _emit_report(report, args, "verify synthetic", time.time())
+    code = _emit_report(report, args, "verify synthetic", time.perf_counter())
     assert code == EXIT_CHECK_FAILED
     out = capsys.readouterr().out
     assert "FAIL" in out and "expected=1" in out

@@ -94,3 +94,19 @@ def test_every_public_method_is_named():
     ]
     assert methods
     assert [f"{module}:{cls}.{name}" for module, cls, name in methods if not named[name]] == []
+
+
+def test_no_json_dump_is_indented():
+    # an indent= sends json.dumps through the pure-Python encoder, which holds a
+    # chunk per token; reports go through cli._json_lines, one record per line
+    indented = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Attribute, ast.Name))
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("dump", "dumps", "JSONEncoder")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert indented == []

@@ -335,3 +335,55 @@ def test_certificate_mutants_reuse_the_compiled_code():
     assert len(bumped) == 5
     for mutant in bumped:
         assert values(mutant) != original
+
+
+#: summand calls of one registry run of each telescoping check: (before each
+#: point kept a row of its F values, now).  A runner that evaluates F where
+#: G has a pole, and the target does not need it, shows here as a rise.
+SUMMAND_CALLS = {
+    "appendix-d/alternating-binomial-antidifference": (432, 216),
+    "appendix-d/rising-binomial-antidifference": (1540, 770),
+    "double-gf/inner-coefficient-recurrence": (2088, 1044),
+    "double-gf/outer-sum-recurrence": (612, 468),
+    "gf/product-rule-antidifference": (210, 105),
+    "q3/breakpoint-recurrence": (325, 260),
+    "q3/correction-recurrence": (790, 615),
+    "q3/double-sum-recurrence": (2315, 1811),
+    "q3/inhom-antidifference": (644, 322),
+    "q3/inner-sum-recurrence": (840, 420),
+    "q3/second-term-recurrence": (1260, 950),
+    "q3/top-row-antidifference": (210, 210),
+    "q3/top-row-second-piece-antidifference": (336, 168),
+    "q4/beta2h-recurrence": (734, 564),
+    "q4/beta3v-recurrence": (3606, 2404),
+    "q4/step-inner-antidifference": (880, 440),
+    "rhs/h3-first-sum-recurrence": (980, 560),
+    "rhs/h3-second-sum-recurrence": (980, 560),
+}
+
+
+def test_summand_call_budget(monkeypatch):
+    from polycount import identities
+
+    calls = {}
+    for name, chk in sorted(registry().items()):
+        if not chk.axes:
+            continue
+
+        def spy(expr, chk=chk, real=identities.compile_term):
+            term = real(expr)
+            if expr is not chk.summand:
+                return term
+
+            def counted(env):
+                calls[chk.name] = calls.get(chk.name, 0) + 1
+                return term(env)
+            return counted
+
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "compile_term", spy)
+            assert run_check(chk).passed, name
+    assert calls == {name: now for name, (_, now) in SUMMAND_CALLS.items()}
+    assert all(now <= before for before, now in SUMMAND_CALLS.values())
+    assert sum(before for before, _ in SUMMAND_CALLS.values()) == 18782
+    assert sum(calls.values()) <= 12600
