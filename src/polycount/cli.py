@@ -118,16 +118,15 @@ def _emit_report(report: Report, args, command: str, started: float) -> int:
         print(_json_lines(doc))
     else:
         for c in report.checks:
-            d = c.to_dict()
-            params = " ".join(f"{k}={v}" for k, v in d["params"].items())
-            line = f"{d['status']:4s} {d['name']} {params}"
-            if d["status"] in ("FAIL", "info"):
-                line += f" expected={d['expected']} actual={d['actual']}"
-            elif d["actual"] not in ("ok", "") and len(d["actual"]) <= 48:
-                line += f" value={d['actual']}"
+            params = " ".join(f"{k}={v}" for k, v in c.params.items())
+            line = f"{c.status:4s} {c.name} {params}"
+            if c.status in ("FAIL", "info"):
+                line += f" expected={c.expected} actual={c.actual}"
+            elif c.actual not in ("ok", "") and len(c.actual) <= 48:
+                line += f" value={c.actual}"
             print(line)
         summ = report.summary()
-        footer = f"# {summ['passed']} passed, {summ['failed']} failed, {summ['skipped']} skipped"
+        footer = f"# {summ['passed']} passed, {summ['failed']} failed"
         print(footer + (f", {summ['info']} info" if summ["info"] else ""))
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 

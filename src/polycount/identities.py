@@ -119,17 +119,19 @@ class IdentityCheck(Record):
 
 
 class CheckOutcome(Record):
-    __slots__ = ("name", "tested", "skipped", "failures")
+    """Points tested and skipped by one run_check call, and its failures."""
 
-    def __init__(self, name: str, tested: int, skipped: int) -> None:
-        self.name = name
-        self.tested = tested
-        self.skipped = skipped
+    __slots__ = ("tested", "skipped", "failures")
+
+    def __init__(self) -> None:
+        self.tested = 0
+        self.skipped = 0
         self.failures: list[str] = []
 
     @property
     def passed(self) -> bool:
-        return not self.failures and self.tested > 0
+        # run_check records a grid with no tested point as a failure
+        return not self.failures
 
 
 def _run_pointwise(chk: IdentityCheck, out: CheckOutcome) -> Iterator[str]:
@@ -247,7 +249,7 @@ def run_check(chk: IdentityCheck, fail_fast: bool = False,
     compiled here, once per call, so building the registry stays cheap.  A
     mutant stands in for the g of the axis it names.
     """
-    out = CheckOutcome(name=chk.name, tested=0, skipped=0)
+    out = CheckOutcome()
     runner = _run_telescoping(chk, out, mutant) if chk.axes else _run_pointwise(chk, out)
     for failure in runner:
         out.failures.append(failure)

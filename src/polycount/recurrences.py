@@ -84,7 +84,7 @@ class WindowPlan(Frozen):
         for n, m, in_range in self.checked:
             lhs = _alternating_sum([tables[p].counts[self.s] for p in self.window(n, m)])
             params = {"k": self.k, "n": n, "m": m, "s": self.s, "in_range": in_range}
-            report.record(self.name, params, self.rhs, lhs).info = not in_range
+            report.record(self.name, params, self.rhs, lhs, info=not in_range)
         return report
 
 
@@ -261,13 +261,12 @@ def seed_from_enumeration(
     return DiagonalSeed(k=k, s=s, anchor_n=anchor_n, anchor_m=anchor_m, counts=counts)
 
 
-def _newton(values: list[int]) -> list[int]:
-    """Forward differences Delta**j values[0], j = 0..len-1: the Newton coefficients."""
-    out = []
-    while values:
-        out.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    return out
+def _newton(values: Sequence[int]) -> list[int]:
+    """Forward differences Delta**j values[0], j = 0..len-1: the Newton coefficients.
+
+    Delta**j values[0] is the alternating binomial sum of values[j], ..., values[0].
+    """
+    return [_alternating_sum(values[j::-1]) for j in range(len(values))]
 
 
 def fit_polynomial(
@@ -302,7 +301,7 @@ def fit_polynomial(
     tables = count_tables(k, block + held_out, s, state_cap)
     rows = [_newton([tables[lo + i, lo + j].counts[s] for j in range(s + 1)])
             for i in range(s + 1)]
-    coeffs = [_newton(list(column)) for column in zip(*rows)]  # coeffs[j][i], j in m
+    coeffs = [_newton(column) for column in zip(*rows)]  # coeffs[j][i], j in m
 
     def evaluate(n: int, m: int) -> int:
         if n < lo or m < lo:

@@ -8,25 +8,17 @@ from .records import Record
 
 
 class CheckRecord(Record):
-    __slots__ = ("name", "params", "expected", "actual", "passed", "skipped", "info")
+    """One check outcome: status is "pass", "FAIL" or "info" (reported, never asserted)."""
+
+    __slots__ = ("name", "params", "expected", "actual", "status")
 
     def __init__(self, name: str, params: dict[str, Any], expected: str, actual: str,
-                 passed: bool, skipped: bool = False, info: bool = False) -> None:
+                 status: str) -> None:
         self.name = name
         self.params = params
         self.expected = expected
         self.actual = actual
-        self.passed = passed
-        self.skipped = skipped
-        self.info = info  # reported outside the proven range, never asserted
-
-    @property
-    def status(self) -> str:
-        if self.skipped:
-            return "skip"
-        if self.info:
-            return "info"
-        return "pass" if self.passed else "FAIL"
+        self.status = status
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -52,12 +44,13 @@ class Report(Record):
         expected: Any,
         actual: Any,
         passed: bool | None = None,
-    ) -> CheckRecord:
+        info: bool = False,
+    ) -> None:
+        """Record one check; an info check is reported, never asserted."""
         if passed is None:
             passed = expected == actual
-        rec = CheckRecord(name, params, str(expected), str(actual), passed)
-        self.checks.append(rec)
-        return rec
+        status = "info" if info else "pass" if passed else "FAIL"
+        self.checks.append(CheckRecord(name, params, str(expected), str(actual), status))
 
     def merge(self, *reports: Report) -> Report:
         """Append the checks of each report in turn; returns self."""
@@ -79,7 +72,6 @@ class Report(Record):
             "total": len(statuses),
             "passed": statuses.count("pass"),
             "failed": statuses.count("FAIL"),
-            "skipped": statuses.count("skip"),
             "info": statuses.count("info"),
         }
 

@@ -200,17 +200,17 @@ def _content_hash(text: str) -> str:
 #: the proof checkers' --format json reports: (sha256 of the output with the
 #: wall_time line removed, sha256 of its content) -- the bytes fix the
 #: one-record-per-line layout, the content what json.loads reads, which is
-#: also what the indented layout before it held
+#: what the earlier indented layout held less its always-zero summary.skipped
 GOLDEN_JSON = {
     ("quadrants", "--s", "1..7"): (
-        "06e996442932615bc66657b37565d2c9495afdf69494c1bc521f4263f4543758",
-        "ff2230a25239f01142c915b32c3f7eb06f2b66ad0d09dc99a17b901254ba4281"),
+        "37097c12d1e8a886da5ce104535894beb762163529e3b4f788feb2171c9dee2b",
+        "1d0e5f37b4ce9dafb1b71872db6c7edbc00fb5eee631500efa08f5c28224a3c6"),
     ("weights", "--s", "1..7"): (
-        "540e3fe14e6a3ff3fcd45b0c021c4780f8cfa50f005610bc918de1d4ab9e0ced",
-        "4615942a3b4362d89ed07d3bb500c109858a56dee6436a19a14371b76da581ae"),
+        "55ce7748d9b65b7dcf50197163d079f699703a0212f309897fa8bc121bdac6db",
+        "5f2803add8a5308cbb10d628ca573266f153b78d9480201c072a6ee57d470eb8"),
     ("identities",): (
-        "9e866d9116c1207284546a86c7ca4212ce23446df58ac2154dd5a82e11abbe77",
-        "5b2fde7c8ee9a311afa199103faebc183361b1ce50689c060d6b3bc318709057"),
+        "a721d4a91e0ce973ee529553b13bfde0bcce52eb563d183e81d8c3b1e4dc4949",
+        "681c580211cde697c6f23be3e2a248765993d20e35f0c2b51862fdda5a4dac4c"),
 }
 
 
@@ -337,7 +337,7 @@ def test_verify_unsafe_range_reports_info(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("info diagonal") and "expected=48 actual=46" in lines[0]
-    assert lines[-1] == "# 0 passed, 0 failed, 0 skipped, 1 info"
+    assert lines[-1] == "# 0 passed, 0 failed, 1 info"
 
 
 def test_verify_strip_unsafe_range_reports_info(capsys):

@@ -96,6 +96,34 @@ def test_every_public_method_is_named():
     assert [f"{module}:{cls}.{name}" for module, cls, name in methods if not named[name]] == []
 
 
+def _named_with_imports(tree: ast.AST) -> Counter:
+    """_names, plus each name an import statement reads (binom_expr in `binom_expr as C`)."""
+    named = _names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return named
+
+
+def test_every_public_function_and_class_is_named():
+    # a public module-level function or class of the package that nothing
+    # names -- no file of the package outside its own body, of the tests or
+    # of the benchmark -- is dead API
+    named = sum((_named_with_imports(ast.parse(path.read_text(encoding="utf-8")))
+                 for folder in (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+                 for path in sorted(folder.rglob("*.py"))), Counter())
+    public = [
+        (path.name, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+    assert public
+    assert [f"{module}:{node.name}" for module, node in public
+            if named[node.name] == _names(node)[node.name]] == []
+
+
 def test_no_json_dump_is_indented():
     # an indent= sends json.dumps through the pure-Python encoder, which holds a
     # chunk per token; reports go through cli._json_lines, one record per line

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -69,9 +70,8 @@ def test_reprs_read_as_the_dataclass_ones_did():
     assert repr(LatticeSpec(2, 3, 2)) == "LatticeSpec(n=2, m=3, k=2)"
     assert repr(PlacedIdentity("vertical", 1, 0, "P1", -2)) == (
         "PlacedIdentity(orientation='vertical', i=1, j=0, set_tag='P1', weight=-2)")
-    assert repr(CheckRecord("c", {}, "1", "1", True)) == (
-        "CheckRecord(name='c', params={}, expected='1', actual='1', passed=True, "
-        "skipped=False, info=False)")
+    assert repr(CheckRecord("c", {}, "1", "1", "pass")) == (
+        "CheckRecord(name='c', params={}, expected='1', actual='1', status='pass')")
 
 
 def test_public_records_construct_by_position_and_keyword():
@@ -105,3 +105,19 @@ def test_validation_runs_in_the_constructor():
         LatticeSpec(0, 1, 2)
     with pytest.raises(ParameterError):
         DiagonalSeed(2, 1, 9, 9, (4, 5, 6))
+
+
+def test_every_status_a_record_can_take_is_counted_and_no_summary_key_is_dead():
+    # every (passed, info) pair on an equal and an unequal value: each status
+    # is decided once, when the check is recorded
+    report = Report("statuses")
+    for passed, info, (expected, actual) in itertools.product(
+            (None, True, False), (False, True), ((1, 1), (1, 2))):
+        assert report.record("c", {}, expected, actual, passed=passed, info=info) is None
+    assert {c.status for c in report.checks} == {"pass", "FAIL", "info"}
+    counts = report.summary()
+    total = counts.pop("total")
+    # each summary key counts a status that occurs, and the keys cover every check
+    assert all(counts.values()) and sum(counts.values()) == total == 12
+    assert counts == {"passed": 3, "failed": 3, "info": 6}
+    assert CheckRecord.__slots__ == ("name", "params", "expected", "actual", "status")

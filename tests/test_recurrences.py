@@ -102,7 +102,7 @@ def test_out_of_range_window_is_info():
     rec = r.checks[0].to_dict()
     assert rec["status"] == "info"
     assert (rec["expected"], rec["actual"]) == ("48", "46")
-    assert r.summary() == {"total": 1, "passed": 0, "failed": 0, "skipped": 0, "info": 1}
+    assert r.summary() == {"total": 1, "passed": 0, "failed": 0, "info": 1}
     assert r.ok and not r.failures  # reported, never asserted
 
 
