@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from .recurrences import (
     verify_strip,
     window_residuals,
 )
-from .reports import Report
+from .reports import CheckRecord, Report
 from .weights import (
     RhsModel,
     accumulate_lhs,
@@ -82,53 +83,78 @@ def _parse_fraction(text: str) -> Fraction:
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
-def _json_items(items: list, indent: str) -> str:
-    if not items:
-        return "[]"
-    return f"[\n{indent}  " + f",\n{indent}  ".join(map(_ENCODE, items)) + f"\n{indent}]"
+class _Writer:
+    """One record-holding output, written a part at a time as each part exists.
 
-
-def _json_lines(doc: dict | list) -> str:
-    """doc as JSON with one record per line: each top-level key, in sorted order,
-    and each item of a top-level list on its own line, every line by the C encoder.
-
-    json.loads reads back the same document as from an indented dump, at a
-    fraction of the cost and without holding a chunk per token.
+    The output is a head, one line per record and a tail.  With a JSON
+    `indent` the records form a list at that indent, each compact on its own
+    line; without one they are plain lines.  A part goes out as its opening
+    and then its joined lines, so nothing is written before the first part
+    exists, and no part is kept once written.
     """
-    if isinstance(doc, list):
-        return _json_items(doc, "")
-    return "{\n" + ",\n".join(
-        f"  {_ENCODE(key)}: "
-        + (_json_items(value, "  ") if isinstance(value, list) else _ENCODE(value))
-        for key, value in sorted(doc.items())) + "\n}"
+
+    def __init__(self, write, head: str = "", indent: str | None = None) -> None:
+        self.write = write
+        self.pending = head
+        if indent is None:
+            self.open, self.sep, self.end, self.bare = "", "\n", "\n", ""
+        else:
+            line = f"\n{indent}  "
+            self.open, self.sep, self.end, self.bare = "[" + line, "," + line, f"\n{indent}]", "[]"
+        self.empty = True
+
+    def part(self, lines: list[str]) -> None:
+        if lines:
+            self.write(self.pending + (self.open if self.empty else self.sep))
+            self.write(self.sep.join(lines))
+            self.pending, self.empty = "", False
+
+    def close(self, tail: str) -> None:
+        self.write(self.pending + (self.bare if self.empty else self.end) + tail)
 
 
-def _emit_report(report: Report, args, command: str, started: float) -> int:
-    doc = {
-        "command": command,
-        "params": {
-            k: str(v)
-            for k, v in sorted(vars(args).items())
-            if k not in ("func", "format") and v is not None
-        },
-        **report.to_dict(),
-        "wall_time": round(time.perf_counter() - started, 6),
-    }
-    if args.format == "json":
-        print(_json_lines(doc))
-    else:
+def _text_line(c: CheckRecord) -> str:
+    line = f"{c.status:4s} {c.name} " + " ".join(f"{k}={v}" for k, v in c.params.items())
+    if c.status in ("FAIL", "info"):
+        return line + f" expected={c.expected} actual={c.actual}"
+    if c.actual not in ("ok", "") and len(c.actual) <= 48:
+        return line + f" value={c.actual}"
+    return line
+
+
+def _write_report(parts: Iterable[Report], args, title: str, started: float) -> int:
+    """Write a verify report to stdout, each part's records as soon as the part exists.
+
+    Only the running count of each status is kept.  The text footer, and the
+    JSON keys that sort after "checks" (wall_time read after the last
+    record), are written from those counts.  Returns the exit code.
+    """
+    counts = {"pass": 0, "FAIL": 0, "info": 0}
+    as_json = args.format == "json"
+    writer = (_Writer(sys.stdout.write, '{\n  "checks": ', indent="  ") if as_json
+              else _Writer(sys.stdout.write))
+    for report in parts:
         for c in report.checks:
-            params = " ".join(f"{k}={v}" for k, v in c.params.items())
-            line = f"{c.status:4s} {c.name} {params}"
-            if c.status in ("FAIL", "info"):
-                line += f" expected={c.expected} actual={c.actual}"
-            elif c.actual not in ("ok", "") and len(c.actual) <= 48:
-                line += f" value={c.actual}"
-            print(line)
-        summ = report.summary()
-        footer = f"# {summ['passed']} passed, {summ['failed']} failed"
-        print(footer + (f", {summ['info']} info" if summ["info"] else ""))
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+            counts[c.status] += 1
+        writer.part(list(map(_ENCODE, map(CheckRecord.to_dict, report.checks))) if as_json
+                    else list(map(_text_line, report.checks)))
+    if not as_json:
+        info = f", {counts['info']} info" if counts["info"] else ""
+        writer.close(f"# {counts['pass']} passed, {counts['FAIL']} failed{info}\n")
+    else:
+        tail = {
+            "command": f"verify {args.target}",
+            "ok": not counts["FAIL"],
+            "params": {k: str(v) for k, v in sorted(vars(args).items())
+                       if k not in ("func", "format") and v is not None},
+            "summary": {"total": sum(counts.values()), "passed": counts["pass"],
+                        "failed": counts["FAIL"], "info": counts["info"]},
+            "title": title,
+            "wall_time": round(time.perf_counter() - started, 6),
+        }
+        writer.close("".join(f",\n  {_ENCODE(k)}: {_ENCODE(v)}" for k, v in tail.items())
+                     + "\n}\n")
+    return EXIT_CHECK_FAILED if counts["FAIL"] else EXIT_OK
 
 
 def cmd_count(args) -> int:
@@ -190,31 +216,38 @@ def cmd_table(args) -> int:
     # one entry per unordered lattice; (6, 2) goes in as (2, 6) whether or not (2, 6) is asked for
     for table in {(min(p), max(p)): tables[p] for p in points}.values():
         save_entry(cache_dir, table)
-    if args.format == "csv":
-        lines = ["n,m,s,count"]
-        for table in entries:
-            for sv, cv in enumerate(table.counts):
-                lines.append(f"{table.spec.n},{table.spec.m},{sv},{cv}")
-        payload = "\n".join(lines) + "\n"
-    else:
-        payload = _json_lines([entry_payload(t) for t in entries]) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(payload)
+                _write_table(fh.write, entries, args.format)
         except OSError as exc:
             raise ParameterError(f"cannot write --out {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(payload)
+        _write_table(sys.stdout.write, entries, args.format)
     return EXIT_OK
 
 
-def _verify_windows(args) -> Report:
-    """Run a strip, diagonal or corollary command's verifier calls off one count_tables call.
+def _write_table(write, entries: list, fmt: str) -> None:
+    """Write the table one entry at a time: CSV rows, or a JSON list of cache payloads."""
+    if fmt == "csv":
+        writer = _Writer(write, "n,m,s,count\n")
+        for table in entries:
+            n, m = table.spec.n, table.spec.m
+            writer.part([f"{n},{m},{sv},{cv}" for sv, cv in enumerate(table.counts)])
+    else:
+        writer = _Writer(write, indent="")
+        for table in entries:
+            writer.part([_ENCODE(entry_payload(table))])
+    writer.close("\n" if fmt == "json" else "")
 
-    Every call's windows are validated before the sweep; the sweep counts
-    every window point at max(--s), at most one sweep per distinct shorter
-    side, and each verifier reads its counts from that one set of tables.
+
+def _verify_windows(args) -> tuple[str, Iterator[Report]]:
+    """A strip, diagonal or corollary command's title and its verifier calls, one report each.
+
+    Every call's windows are validated, and the one count_tables sweep run,
+    before this returns; the sweep counts every window point at max(--s), at
+    most one sweep per distinct shorter side, and each verifier call, made as
+    its report is wanted, reads its counts from that one set of tables.
     """
     if args.n is None:
         raise ParameterError(f"verify {args.target} requires --n")
@@ -235,47 +268,59 @@ def _verify_windows(args) -> Report:
         calls = [((args.k, sv, points), enforce) for sv in args.s]
     window_points = [p for a, kw in calls for p in plan(*a, **kw).points()]
     tables = count_tables(args.k, window_points, max(args.s), args.state_cap)
-    return Report(title=title).merge(*(
-        verify(*a, tables=tables, **kw) for a, kw in calls))
+    return title, (verify(*a, tables=tables, **kw) for a, kw in calls)
+
+
+def _weight_parts(args) -> Iterator[Report]:
+    """verify weights, two reports per s: the grid's own checks, then its column sums."""
+    model = RhsModel(lam=args.lam, eta=args.eta, n=args.anchor_n)
+    for sv in args.s:
+        report = Report(title="weight grid")
+        grid = build_weight_grid(sv)
+        cells = accumulate_lhs(grid)
+        bad = []
+        for ii in range(2 * sv + 1):
+            for jj in range(2 * sv + 1):
+                want = 2 * (-1) ** ii * binom(2 * sv, ii) if ii == jj else 0
+                if cells[ii][jj] != want:
+                    bad.append((ii, jj, cells[ii][jj], want))
+        report.record("cancellation", {"s": sv}, "diagonal 2(-1)^i C(2s,i), zero elsewhere",
+                      "ok" if not bad else str(bad[:4]), passed=not bad)
+        total = accumulate_rhs(grid, model)
+        report.record(
+            "rhs-total",
+            {"s": sv, "lambda": str(args.lam), "eta": str(args.eta),
+             "anchor_n": args.anchor_n},
+            str(rhs_closed_form(sv, args.lam)),
+            str(total),
+        )
+        yield report
+        yield verify_rhs_column_sums(sv)
 
 
 def cmd_verify(args) -> int:
+    """Run a verify command, writing its report one part at a time.
+
+    Every parameter is checked before the first write: the window commands
+    plan every window before their one sweep, --s a..b runs from its lowest
+    s (the only one weights and quadrants can refuse), and an identity filter
+    is matched before its report is written.
+    """
     started = time.perf_counter()
     if args.target in ("strip", "diagonal", "corollary"):
-        report = _verify_windows(args)
+        title, parts = _verify_windows(args)
     elif args.target == "weights":
-        report = Report(title="weight grid")
-        for sv in args.s:
-            grid = build_weight_grid(sv)
-            cells = accumulate_lhs(grid)
-            bad = []
-            for ii in range(2 * sv + 1):
-                for jj in range(2 * sv + 1):
-                    want = 2 * (-1) ** ii * binom(2 * sv, ii) if ii == jj else 0
-                    if cells[ii][jj] != want:
-                        bad.append((ii, jj, cells[ii][jj], want))
-            report.record("cancellation", {"s": sv}, "diagonal 2(-1)^i C(2s,i), zero elsewhere",
-                          "ok" if not bad else str(bad[:4]), passed=not bad)
-            model = RhsModel(lam=args.lam, eta=args.eta, n=args.anchor_n)
-            total = accumulate_rhs(grid, model)
-            report.record(
-                "rhs-total",
-                {"s": sv, "lambda": str(args.lam), "eta": str(args.eta),
-                 "anchor_n": args.anchor_n},
-                str(rhs_closed_form(sv, args.lam)),
-                str(total),
-            )
-            report.merge(verify_rhs_column_sums(sv))
+        title, parts = "weight grid", _weight_parts(args)
     elif args.target == "quadrants":
-        report = Report(title="quadrant lemmas").merge(
-            *(verify_quadrant_lemmas(sv) for sv in args.s))
+        title, parts = "quadrant lemmas", (verify_quadrant_lemmas(sv) for sv in args.s)
     elif args.target == "identities":
         report = identities.run_registry(args.filter)
         if not report.checks:
             raise ParameterError(f"--filter {args.filter!r} matches no identity check")
+        title, parts = report.title, [report]
     else:  # pragma: no cover - argparse restricts choices
         raise ParameterError(f"unknown verify target {args.target}")
-    return _emit_report(report, args, f"verify {args.target}", started)
+    return _write_report(parts, args, title, started)
 
 
 def cmd_extend(args) -> int:

@@ -52,12 +52,6 @@ class Report(Record):
         status = "info" if info else "pass" if passed else "FAIL"
         self.checks.append(CheckRecord(name, params, str(expected), str(actual), status))
 
-    def merge(self, *reports: Report) -> Report:
-        """Append the checks of each report in turn; returns self."""
-        for other in reports:
-            self.checks.extend(other.checks)
-        return self
-
     @property
     def ok(self) -> bool:
         return not self.failures

@@ -222,6 +222,31 @@ def test_proof_checker_json_is_unchanged(capsys, argv):
     assert (hashlib.sha256(kept.encode()).hexdigest(), _content_hash(out)) == GOLDEN_JSON[argv]
 
 
+#: sha256 of the text reports and of the window commands' JSON reports (less
+#: the wall_time line), computed on the writer that joined a whole report
+#: before printing it: the streaming writer must reproduce them byte for byte
+GOLDEN_STREAMED = {
+    ("quadrants", "--s", "1..7"):
+        "87a751e28b7c4ad3844c5fa6af90a7aa5b05fca1d5fa8eb71e44552ee22081a3",
+    ("weights", "--s", "1..7"):
+        "964b4d4fdbb13f2e49968ac56161b921d43f1145ec7aa8c4d1164140580e718f",
+    ("strip", "--k", "2", "--n", "2..8", "--s", "1..3", "--m", "6..14"):
+        "098079a49cf1d6e328949e337f81f9bd8b31a11e96b90f4724f8e5b3acf40d7e",
+    ("strip", "--k", "2", "--n", "2..8", "--s", "1..3", "--m", "6..14", "--format", "json"):
+        "3bd86d44d85c6e05b17863d38e64259390e17ad31e405e7948886bde6f79ed74",
+    ("diagonal", "--k", "2", "--s", "1..2", "--n", "6..14", "--format", "json"):
+        "77bbec34e3764257f057422ca5fb74be7d62db05e5cd8c942b2f5af54980d52a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STREAMED), ids=" ".join)
+def test_streamed_reports_are_unchanged(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    kept = "".join(line for line in out.splitlines(keepends=True) if '"wall_time"' not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN_STREAMED[argv]
+
+
 def _records_one_per_line(out: str, records: list) -> None:
     # every record is one line (less its separating comma) that json.loads parses alone
     lines = [line.strip().removesuffix(",") for line in out.splitlines()]
@@ -295,7 +320,7 @@ def test_window_command_makes_one_count_tables_call(capsys, monkeypatch, argv):
     doc = json.loads(out)
     doc.pop("wall_time")
 
-    # the same command as the merge of one front-door call per (n, s) or per s
+    # the same records as one front-door call per (n, s) or per s, in turn
     args = cli.build_parser().parse_args(["verify", *argv])
     if args.target == "strip":
         title = "strip recurrence"
@@ -307,9 +332,17 @@ def test_window_command_makes_one_count_tables_call(capsys, monkeypatch, argv):
         points = [(n, m) for n in args.n for m in (args.m or args.n)]
         parts = [verify(args.k, sv, points, enforce_range=not args.unsafe_range)
                  for sv in args.s]
-    merged = Report(title=title).merge(*parts).to_dict()
-    assert {key: doc[key] for key in merged} == merged
-    assert set(doc) == set(merged) | {"command", "params"}
+    records = [c for part in parts for c in part.checks]
+    summaries = [part.summary() for part in parts]
+    assert doc == {
+        "checks": [c.to_dict() for c in records],
+        "command": f"verify {args.target}",
+        "ok": all(part.ok for part in parts),
+        "params": doc["params"],
+        "summary": {key: sum(summ[key] for summ in summaries) for key in summaries[0]},
+        "title": title,
+    }
+    assert doc["summary"]["total"] == len(records) > 0
 
 
 def test_verify_window_ranges_checked_before_the_sweep(capsys, monkeypatch):
@@ -690,16 +723,106 @@ def test_failing_report_exit_code(capsys):
     import argparse
     import time
 
-    from polycount.cli import EXIT_CHECK_FAILED, _emit_report
+    from polycount.cli import EXIT_CHECK_FAILED, EXIT_OK, _write_report
     from polycount.reports import Report
 
-    report = Report(title="synthetic")
-    report.record("bad", {"s": 1}, 1, 2)
-    args = argparse.Namespace(format="text")
-    code = _emit_report(report, args, "verify synthetic", time.perf_counter())
-    assert code == EXIT_CHECK_FAILED
-    out = capsys.readouterr().out
-    assert "FAIL" in out and "expected=1" in out
+    good, bad = Report(title="one"), Report(title="two")
+    good.record("good", {"s": 1}, 1, 1)
+    bad.record("bad", {"s": 2}, 1, 2)
+    bad.record("note", {"s": 2}, 1, 3, info=True)
+    for parts, code in (([good, bad], EXIT_CHECK_FAILED), ([good], EXIT_OK),
+                        ([bad, good], EXIT_CHECK_FAILED)):
+        args = argparse.Namespace(format="text", target="synthetic")
+        assert _write_report(parts, args, "synthetic", time.perf_counter()) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == sum(len(p.checks) for p in parts) + 1
+        if bad in parts:
+            assert "FAIL bad s=2 expected=1 actual=2" in lines
+            assert lines[-1] == f"# {len(parts) - 1} passed, 1 failed, 1 info"
+        args.format = "json"
+        assert _write_report(parts, args, "synthetic", time.perf_counter()) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is (code == EXIT_OK) and doc["command"] == "verify synthetic"
+        assert doc["checks"] == [c.to_dict() for p in parts for c in p.checks]
+        assert doc["summary"]["failed"] == (bad in parts) and doc["params"] == {
+            "target": "synthetic"}
+
+
+def _record_lines(text: str) -> int:
+    return sum(line.startswith(("pass ", "    {")) for line in text.splitlines())
+
+
+class _ReaderGoneAfter:
+    """A stdout whose reader takes writes until it has read `records` records, then goes away."""
+
+    def __init__(self, records):
+        self.records = records
+        self.taken = ""
+
+    def write(self, text):
+        if _record_lines(self.taken) >= self.records:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.taken += text
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_stdout_closed_after_the_first_part(capsys, monkeypatch, fmt):
+    from polycount.weights import verify_quadrant_lemmas
+
+    first = len(verify_quadrant_lemmas(2).checks)
+    pipe = _ReaderGoneAfter(first)
+    monkeypatch.setattr("sys.stdout", pipe)
+    code = main(["verify", "quadrants", "--s", "2..4", "--format", fmt])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    # the reader took the s = 2 part whole, and nothing of the parts after it had been written
+    assert _record_lines(pipe.taken) == first
+    assert pipe.taken.startswith('{\n  "checks": [\n    {' if fmt == "json" else "pass ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["quadrants", "--s", "0"],
+    ["weights", "--s", "0..2"],
+    ["identities", "--filter", "nomatch"],
+], ids=" ".join)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_usage_errors_write_nothing_to_stdout(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, "verify", *argv, "--format", fmt)
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_report_memory_stays_with_the_largest_part(monkeypatch):
+    # a streamed report holds one part at a time: quadrants at s = 2..9 peaks
+    # near s = 9 alone, not at the sum of every s (3.7 times it when joined whole)
+    import tracemalloc
+
+    monkeypatch.setattr("sys.stdout", _Discard())
+
+    def peak(s):
+        argv = ["verify", "quadrants", "--s", s, "--format", "json"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("9")  # warm: imports and first-use caches are not the report's
+    alone, ranged = peak("9"), peak("2..9")
+    assert ranged < 1.5 * alone, (ranged, alone)
 
 
 def test_cache_coherence(capsys, tmp_path, monkeypatch):

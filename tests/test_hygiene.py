@@ -126,7 +126,7 @@ def test_every_public_function_and_class_is_named():
 
 def test_no_json_dump_is_indented():
     # an indent= sends json.dumps through the pure-Python encoder, which holds a
-    # chunk per token; reports go through cli._json_lines, one record per line
+    # chunk per token; reports and tables go through cli._Writer, one record per line
     indented = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -138,3 +138,18 @@ def test_no_json_dump_is_indented():
         and any(kw.arg == "indent" for kw in node.keywords)
     ]
     assert indented == []
+
+
+def test_cli_holds_no_whole_report():
+    # the CLI writes each report as its parts are made; merging the parts, or
+    # turning a whole report into one dict, would hold every record of the run
+    # again.  The one to_dict it may name is a single check record's.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    held = [
+        f"cli.py:{node.lineno}:{ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("merge", "to_dict")
+        and not (node.attr == "to_dict" and isinstance(node.value, ast.Name)
+                 and node.value.id == "CheckRecord")
+    ]
+    assert held == []
