@@ -452,8 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader went away (`| head`): the output is cut short, which no check decides
         _discard_stdout()
-        print("error: standard output was closed before the output was written",
-              file=sys.stderr)
+        print("error: standard output was closed; the output is incomplete", file=sys.stderr)
         return EXIT_USAGE
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

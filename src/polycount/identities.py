@@ -156,7 +156,8 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
     F(p) serves the d = 0 term and every certificate's G at p, and the
     summed target adds up the rows.  Where G has a pole the point is skipped
     before its row is read, so F is evaluated there only if the target
-    needs it.
+    needs it.  A pole-free G is read once per point and step alike: the
+    telescoping reuses what the comparison with g's G read.
     """
     bumped, stand_in = mutant or (None, None)
     summand, param = compile_term(chk.summand), chk.param
@@ -175,6 +176,19 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
         value = g(p)
         if times_f:
             value *= summand(p) if row is None else f(p, row)
+        return value
+
+    def pole_free_at(seen: dict, at: int, step: int, p: dict) -> Number:
+        # axis at's pole-free G at p, a step up or not: read once per point, by
+        # the comparison or else by the telescoping; a pole it hit raises again
+        if (at, step) not in seen:
+            try:
+                seen[at, step] = axes[at][6](p)
+            except PoleError as exc:
+                seen[at, step] = exc
+        value = seen[at, step]
+        if isinstance(value, PoleError):
+            raise value
         return value
 
     # per axis: index, bounds, label, g, whether G = g*F, and a pole-free G,
@@ -201,24 +215,27 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
             continue
         rows = [[None] * len(coeffs) for _ in points]
         for e, row in zip(points, rows):
-            for index, _, _, label, g, times_f, pole_free in axes:
+            ups = [{**e, index: e[index] + 1} for index, *_ in axes]
+            seen: dict = {}
+            for at, (_, _, _, label, g, times_f, pole_free) in enumerate(axes):
                 if pole_free is None:
                     continue
-                for p, p_row in ((e, row), ({**e, index: e[index] + 1}, None)):
+                for step, (p, p_row) in enumerate(((e, row), (ups[at], None))):
                     try:
-                        expected, simplified = g_at(g, times_f, p, p_row), pole_free(p)
+                        expected = g_at(g, times_f, p, p_row)
+                        simplified = pole_free_at(seen, at, step, p)
                     except PoleError:
                         continue  # a removable pole of the G that g gives
                     if expected != simplified:
                         yield f"{p}: {label} G={expected} pole-free={simplified}"
             try:
                 delta = 0
-                for index, _, _, _, g, times_f, pole_free in axes:
-                    up = {**e, index: e[index] + 1}
+                for at, (_, _, _, _, g, times_f, pole_free) in enumerate(axes):
                     if pole_free is None:
-                        delta += g_at(g, times_f, up) - g_at(g, times_f, e, row)
+                        delta += g_at(g, times_f, ups[at]) - g_at(g, times_f, e, row)
                     else:
-                        delta += pole_free(up) - pole_free(e)
+                        delta += (pole_free_at(seen, at, 1, ups[at])
+                                  - pole_free_at(seen, at, 0, e))
                 lhs = 0
                 for d, bd in enumerate(coeffs):
                     lhs += bd(e) * f(e, row, d)

@@ -10,15 +10,18 @@ does a value become an unreduced int pair (numerator, denominator > 0),
 normalised once per call into an int or a reduced Fraction, with no float
 anywhere.  A call that binds a variable to anything but an int (a
 Fraction, float or bool) runs the tree's rational variant instead, which
-reads every variable as an exact int pair; it is compiled lazily, the first
-time a call needs it.  Generated code is compiled once per tree shape:
+reads every variable as an exact int pair; it is made lazily, the first
+time a call needs it.  Generated code is made once per tree shape:
 constants are parameters and variable names are string literals, never
-code.  ``eval_term`` is the one-shot form and
-returns a Fraction.  Division by zero or other undefined points raise
-PoleError so callers can skip or report them.  ``mutants`` gives one
-evaluator per constant of a tree, with that constant plus one, from the
-tree's own compiled code; the identity harness uses them to prove it would
-detect a wrong certificate.
+code.  The code of every shape that the identity registry and its mutants
+evaluate ships as modules in ``polycount.evaluators``, the emitter's own
+output written by ``python -m polycount.codegen``, so Python's bytecode
+cache serves it; only other shapes are compiled, once per process.
+``eval_term`` is the one-shot form and returns a Fraction.  Division by
+zero or other undefined points raise PoleError so callers can skip or
+report them.  ``mutants`` gives one evaluator per constant of a tree, with
+that constant plus one, from the tree's own compiled code; the identity
+harness uses them to prove it would detect a wrong certificate.
 """
 
 from __future__ import annotations
@@ -207,8 +210,8 @@ _NAMESPACE = {"PoleError": PoleError, "_comb": math.comb, "_binom": binom,
 
 # tree shape (see _shape) -> factory taking the tree's constants, returning its evaluator;
 # the shape plus _RATIONAL -> the factory of the shape's rational variant
-_FACTORIES: dict[tuple, Callable[..., Compiled]] = {}
-_RATIONAL = object()
+_FACTORIES: dict[str, Callable[..., Compiled]] = {}
+_RATIONAL = " rational"
 
 # an inline expression with more opening parentheses than this is bound to a
 # temp, so deep trees stay well inside the parser's limit of 200 nested ones
@@ -297,8 +300,6 @@ class _Emitter:
         return f"k{k}", f"k{k + 1}"
 
     def var_node(self, expr: Var) -> Pair:
-        if type(expr.name) is not str:
-            raise TypeError(f"variable name must be a str, got {expr.name!r}")
         key = repr(expr.name)
         pair = self.lookup(key)
         if pair is None:
@@ -410,14 +411,15 @@ class _Emitter:
             num = n3
         return num, den
 
-    def source(self, expr: Expr) -> str:
+    def source(self, expr: Expr, name: str = "_make") -> str:
+        """The source of the factory ``name``, for the tree's shape."""
         num, den = self.node(expr)
         self.emit(f"return {num}" if den is None
                   else f"return {num} if {den} == 1 else _value({num}, {den})")
         params = ", ".join((["general"] if self.ints else [])
                            + [f"k{k}" for k in range(self.params)])
         return "\n".join([
-            f"def _make({params}):",
+            f"def {name}({params}):",
             "    def term(env):",
             "        try:",
             *self.lines,
@@ -434,48 +436,77 @@ _EMIT = {Const: _Emitter.const_node, Var: _Emitter.var_node, Add: _Emitter.add_n
          Sum: _Emitter.sum_node}
 
 
-def _shape(expr: Expr, key: list, consts: list[int], starts: list[int]) -> None:
+# the key letter of each node class but Const, which is its slot count: 1 or 2
+_CODES = {Var: "V", Add: "A", Mul: "M", Div: "D", Pow: "P", Binom: "B", Fact: "F",
+          Sign: "G", Sum: "S"}
+
+
+def _shape(expr: Expr, key: list[str], consts: list[int], starts: list[int]) -> None:
     """Append the tree's shape to key and its constants to consts, in field order.
 
     The key holds node classes, operand counts, names and whether each
     constant is integral: everything the emitted source depends on, and no
-    constant's value.  An integral constant fills one slot of consts, any
-    other its numerator and denominator; starts gets each one's first slot.
+    constant's value.  Its parts join into one string, and no two shapes
+    join into the same one: a class is one letter, a count ends in ``:``, a
+    name is its ``repr`` and a constant its slot count.  An integral constant
+    fills one slot of consts, any other its numerator and denominator;
+    starts gets each one's first slot.
     """
     cls = type(expr)
     if cls is Const:
         q = expr.value if type(expr.value) is Fraction else Fraction(expr.value)
         starts.append(len(consts))
         if q.denominator == 1:
-            key.append(1)
+            key.append("1")
             consts.append(q.numerator)
         else:
-            key.append(2)
+            key.append("2")
             consts += (q.numerator, q.denominator)
         return
-    if cls not in _EMIT:
+    code = _CODES.get(cls)
+    if code is None:
         raise TypeError(f"unknown expression node {expr!r}")
-    key.append(cls)
+    key.append(code)
     for name in cls.__slots__:
         value = getattr(expr, name)
         if type(value) is tuple:
-            key.append(len(value))
+            key.append(f"{len(value)}:")
             for part in value:
                 _shape(part, key, consts, starts)
         elif isinstance(value, Expr):
             _shape(value, key, consts, starts)
+        elif type(value) is str:
+            key.append(repr(value))
         else:
-            key.append(value)
+            raise TypeError(f"variable name must be a str, got {value!r}")
 
 
-def _factory(key: tuple, expr: Expr, ints: bool) -> Callable[..., Compiled]:
-    """The factory cached under key, compiled from the tree on first use."""
+def _factory(key: str, expr: Expr, ints: bool) -> Callable[..., Compiled]:
+    """The factory cached under key: a shipped one, else compiled from the tree on first use."""
     make = _FACTORIES.get(key)
     if make is None:
-        namespace = dict(_NAMESPACE)
-        exec(compile(_Emitter(ints).source(expr), "<polycount.symbolic>", "exec"), namespace)
-        make = _FACTORIES[key] = namespace["_make"]
+        make = _FACTORIES[key] = _shipped(key) or _build(_Emitter(ints).source(expr))
     return make
+
+
+def _shipped(key: str) -> Callable[..., Compiled] | None:
+    """The factory that ``polycount.evaluators`` ships for key, importing its module, or None."""
+    from importlib import import_module
+
+    from . import evaluators
+
+    found = evaluators.SHAPES.get(key)
+    if found is None:
+        return None
+    family, at = found
+    return import_module(f"{evaluators.__name__}.{family}").FACTORIES[at]
+
+
+def _build(source: str, name: str = "_make") -> Callable[..., Compiled]:
+    """The factory that source defines under name, compiled."""
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<polycount.symbolic>", "exec"), namespace)
+    return namespace[name]
 
 
 def compile_term(expr: Expr) -> Compiled:
@@ -501,9 +532,12 @@ def compile_term(expr: Expr) -> Compiled:
     factory, variable names appear only as ``repr`` string literals in
     ``env`` lookups, and every identifier is generated.  The source thus
     depends only on the tree's shape: its nodes, variable names and which
-    constants are integral.  Factories are cached by that shape, so each
-    shape is compiled once, and ``mutants`` calls the same factory with one
-    constant bumped.  Python's block nesting limit caps ``Sum`` nesting at 19.
+    constants are integral.  Factories are cached by that shape's key, a
+    string (``_shape``), and ``mutants`` calls the same factory with one
+    constant bumped.  A key that ``polycount.evaluators`` ships loads that
+    module's factory, with no compiling; any other shape is compiled the
+    first time it is met.  Python's block nesting limit caps ``Sum`` nesting
+    at 19.
 
     Binomials follow the falling-factorial convention: C(a, b) = 0 for
     b < 0 and the product a(a-1)...(a-b+1)/b! otherwise, so negative upper
@@ -514,10 +548,10 @@ def compile_term(expr: Expr) -> Compiled:
     never at compile time.  Variables are read when first needed, so one read
     only inside an empty sum never raises; float bindings are read exactly.
     """
-    shape: list = []
+    shape: list[str] = []
     consts: list[int] = []
     _shape(expr, shape, consts, [])
-    return _evaluator(tuple(shape), expr, consts)
+    return _evaluator("".join(shape), expr, consts)
 
 
 def mutants(expr: Expr) -> list[Compiled]:
@@ -527,11 +561,11 @@ def mutants(expr: Expr) -> list[Compiled]:
     (p + q)/q, so each stays integral or not and every mutant runs its
     tree's compiled code: no tree is copied and nothing is compiled anew.
     """
-    shape: list = []
+    shape: list[str] = []
     consts: list[int] = []
     starts: list[int] = []
     _shape(expr, shape, consts, starts)
-    key, out = tuple(shape), []
+    key, out = "".join(shape), []
     for at, end in zip(starts, starts[1:] + [len(consts)]):
         bumped = list(consts)
         bumped[at] += 1 if end - at == 1 else bumped[at + 1]
@@ -539,14 +573,14 @@ def mutants(expr: Expr) -> list[Compiled]:
     return out
 
 
-def _evaluator(key: tuple, expr: Expr, consts: list[int]) -> Compiled:
+def _evaluator(key: str, expr: Expr, consts: list[int]) -> Compiled:
     """The shape's factory called with these constants, its rational variant made lazily."""
     variant = None
 
     def general(env: Mapping[str, Number]) -> Number:
         nonlocal variant
         if variant is None:
-            variant = _factory(key + (_RATIONAL,), expr, False)(*consts)
+            variant = _factory(key + _RATIONAL, expr, False)(*consts)
         return variant(env)
 
     return _factory(key, expr, True)(general, *consts)

@@ -624,12 +624,16 @@ class _ClosedPipe:
         pass
 
 
+CLOSED_STDOUT = "error: standard output was closed; the output is incomplete\n"
+
+
 def test_a_closed_stdout_is_a_usage_error_not_a_failed_check(capsys, monkeypatch):
+    # nothing was written: the message holds without claiming any part got out
     monkeypatch.setattr("sys.stdout", _ClosedPipe())
     code = main(["verify", "quadrants", "--s", "2..6", "--format", "json"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == CLOSED_STDOUT
 
 
 def test_a_closed_stdout_leaves_nothing_for_interpreter_exit():
@@ -646,7 +650,7 @@ def test_a_closed_stdout_leaves_nothing_for_interpreter_exit():
     finally:
         os.close(write_end)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr == CLOSED_STDOUT
 
 
 def test_table_writes_one_entry_per_unordered_lattice(capsys, tmp_path):
@@ -778,8 +782,8 @@ def test_a_stdout_closed_after_the_first_part(capsys, monkeypatch, fmt):
     monkeypatch.setattr("sys.stdout", pipe)
     code = main(["verify", "quadrants", "--s", "2..4", "--format", fmt])
     err = capsys.readouterr().err
-    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    # part of the output got out, and the message still holds
+    assert code == 2 and err == CLOSED_STDOUT
     # the reader took the s = 2 part whole, and nothing of the parts after it had been written
     assert _record_lines(pipe.taken) == first
     assert pipe.taken.startswith('{\n  "checks": [\n    {' if fmt == "json" else "pass ")

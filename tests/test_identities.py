@@ -308,6 +308,53 @@ def test_every_mutant_outcome_is_pinned():
         "9d759985a21a32f15320cb36398fc60fa717e43309a306258bf2836b1d92e012")
 
 
+def test_every_check_and_whole_mutant_run_is_pinned():
+    # (name, tested, skipped, failures) of all 63 registry checks, and of all
+    # 134 mutants run to the end of their grids, so every failure string counts
+    rows = []
+    for name, chk in sorted(registry().items()):
+        out = run_check(chk)
+        rows.append((name, out.tested, out.skipped, out.failures))
+    assert len(rows) == 63
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "8dd40f8b2a5790d540194a47c59cae477de7f798a5a3addb07d6bef999eaf692")
+    rows = []
+    for _, chk in sorted(registry().items()):
+        for label, mutant in _mutants(chk):
+            out = run_check(chk, mutant=mutant)
+            rows.append((label, out.tested, out.skipped, out.failures))
+    assert len(rows) == 134
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "a127b9e8961cdc4a70c3678ec922813e4fe34ff05caf66990a53bdd45563134f")
+
+
+def test_the_pole_free_g_is_read_once_per_point_and_step(monkeypatch):
+    # the comparison with g*F reads the pole-free G at each summation point and
+    # one step up, and the telescoping reuses those two values (it read them
+    # again before, 2,180 calls in all)
+    from polycount import identities
+
+    chk = registry()["q4/beta3v-recurrence"]
+    pole_free = chk.axes[1][5]
+    calls = 0
+
+    def spy(expr, real=identities.compile_term):
+        term = real(expr)
+        if expr is not pole_free:
+            return term
+
+        def counted(env):
+            nonlocal calls
+            calls += 1
+            return term(env)
+        return counted
+
+    monkeypatch.setattr(identities, "compile_term", spy)
+    out = run_check(chk)
+    assert out.passed and (out.tested, out.skipped) == (601, 0)
+    assert calls == 2 * 601
+
+
 def test_certificate_mutants_reuse_the_compiled_code():
     # a mutant differs from its certificate in one constant, which the compiled
     # code takes as a parameter, so re-running a mutant never recompiles

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,7 @@ from polycount.symbolic import (
 )
 
 s, j, i = syms("s j i")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_eval_examples():
@@ -349,7 +354,9 @@ def test_a_deep_alternating_chain_compiles():
 
 
 def test_rational_variants_compile_once_where_a_binding_needs_one(monkeypatch):
-    from polycount import identities, symbolic
+    # with no shipped factories every shape compiles from its tree, as any
+    # shape outside polycount.evaluators does
+    from polycount import evaluators, identities, symbolic
 
     sources = []
 
@@ -358,6 +365,7 @@ def test_rational_variants_compile_once_where_a_binding_needs_one(monkeypatch):
         return compile(source, *rest)
 
     monkeypatch.setattr(symbolic, "_FACTORIES", {})
+    monkeypatch.setattr(evaluators, "SHAPES", {})
     monkeypatch.setattr(symbolic, "compile", spy_compile, raising=False)
     non_int = set()  # shapes called with some non-int value in the binding
     real_compile_term = identities.compile_term
@@ -369,7 +377,7 @@ def test_rational_variants_compile_once_where_a_binding_needs_one(monkeypatch):
 
         def traced(env):
             if any(type(v) is not int for v in env.values()):
-                non_int.add(tuple(key))
+                non_int.add("".join(key))
             return term(env)
 
         return traced
@@ -378,7 +386,8 @@ def test_rational_variants_compile_once_where_a_binding_needs_one(monkeypatch):
     assert identities.run_registry().ok
     keys = set(symbolic._FACTORIES)
     assert len(sources) == len(keys)  # each factory compiled once
-    rational = {key[:-1] for key in keys if key[-1] is symbolic._RATIONAL}
+    rational = {key.removesuffix(symbolic._RATIONAL) for key in keys
+                if key.endswith(symbolic._RATIONAL)}
     assert rational and rational <= non_int
     assert sorted(name for name, chk in identities.registry().items()
                   if any(type(v) is not int for env in chk.grid() for v in env.values())) == [
@@ -392,8 +401,119 @@ def test_rational_variants_compile_once_where_a_binding_needs_one(monkeypatch):
     _, inner = identities.registry()["q4/beta3v-recurrence"].axes
     assert inner[3] == "certificate2" and inner[5] is not None
     symbolic._shape(inner[4], key, [], [])
-    assert tuple(key) in keys
+    assert "".join(key) in keys
     # mutants bump constants, so they reuse every factory and need no rational variant
     compiled = len(sources)
     assert identities.certificate_mutation_report("*").ok
     assert set(symbolic._FACTORIES) == keys and len(sources) == compiled
+    # and the shipped table holds exactly the factories the two runs build
+    monkeypatch.undo()
+    assert set(evaluators.SHAPES) == keys
+
+
+def test_shape_keys_tell_every_tree_apart():
+    # a key is a string, and trees whose emitted source differs never share one
+    from polycount import symbolic
+
+    def key(expr):
+        parts = []
+        symbolic._shape(expr, parts, [], [])
+        return "".join(parts)
+
+    trees = [
+        Add((s, Add((j, i)))), Add((Add((s, j)), i)), Add((s, j, i)),
+        Mul((Const(Fraction(1)), s)), Mul((Const(Fraction(1, 2)), s)),
+        Var("a'b"), Var('a"b'), Var("a:1"), Add((Var("a"), Const(Fraction(1)))),
+        Sum("j", Const(Fraction(0)), s, j), Sum("i", Const(Fraction(0)), s, j),
+    ]
+    keys = [key(tree) for tree in trees]
+    assert all(type(k) is str for k in keys)
+    assert len(set(keys)) == len(keys)
+    assert key(Mul((Const(Fraction(5)), s))) == key(Mul((Const(Fraction(-3)), s)))
+    with pytest.raises(TypeError, match="must be a str"):
+        compile_term(Var(3))
+    with pytest.raises(TypeError, match="must be a str"):
+        compile_term(Sum(3, Const(Fraction(0)), s, s))
+
+
+def _run_fresh(script: str) -> str:
+    """Run a script in a fresh, isolated interpreter that imports polycount from src/."""
+    proc = subprocess.run([sys.executable, "-I", "-c", script, SRC], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_a_registry_run_compiles_nothing_in_a_fresh_interpreter():
+    # every shape that a registry run and a mutation report build ships in
+    # polycount.evaluators, which only the first evaluation imports
+    out = _run_fresh(
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import polycount, polycount.cli\n"
+        "from polycount import identities, symbolic\n"
+        "identities.registry()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('polycount.evaluators')))\n"
+        "sources = []\n"
+        "def spy(source, *rest):\n"
+        "    sources.append(source)\n"
+        "    return compile(source, *rest)\n"
+        "symbolic.compile = spy\n"
+        "assert identities.run_registry().ok\n"
+        "assert identities.certificate_mutation_report('*').ok\n"
+        "print(len(sources), len(symbolic._FACTORIES))\n")
+    loaded, counts = out.splitlines()
+    assert loaded == "[]"
+    assert counts == "0 158"
+
+
+def test_a_tree_outside_the_table_still_compiles(monkeypatch):
+    from polycount import evaluators, symbolic
+
+    sources = []
+
+    def spy_compile(source, *rest):
+        sources.append(source)
+        return compile(source, *rest)
+
+    monkeypatch.setattr(symbolic, "compile", spy_compile, raising=False)
+    tree = Sum("q", Const(Fraction(0)), s, C(s, Var("q")) * Var("q") ** 3) / (s + 7)
+    parts = []
+    symbolic._shape(tree, parts, [], [])
+    assert "".join(parts) not in evaluators.SHAPES
+    env = {"s": 5}
+    want = _oracle(tree, env)
+    assert compile_term(tree)(env) == want and compile_term(tree)({"s": 5.0}) == want
+    assert len(sources) == 2  # the shape, and its rational variant for the float
+    assert "def _make(" in sources[0]
+
+
+def test_shipped_evaluators_match_the_emitter():
+    # polycount.evaluators is what codegen writes from the live registry and
+    # emitter, byte for byte; after a registry or emitter change, regenerate it
+    from polycount import codegen
+
+    want = {name: text.encode() for name, text in codegen.render().items()}
+    have = {path.name: path.read_bytes() for path in codegen.PACKAGE.glob("*.py")}
+    stale = sorted(name for name in want.keys() | have.keys() if want.get(name) != have.get(name))
+    assert stale == [], f"stale {stale}: run `python -m polycount.codegen` and commit the result"
+
+
+def test_compiling_a_shipped_module_costs_no_more_than_the_registry():
+    # without cached bytecode Python compiles a module from source; no generated
+    # one may take more memory for that than identities.py does.  tracemalloc
+    # sees the compiler's own allocations, where a child's ru_maxrss would
+    # start from this process's
+    from polycount import codegen
+
+    def peak(path):
+        text = path.read_text(encoding="utf-8")
+        tracemalloc.start()
+        try:
+            compile(text, str(path), "exec")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bound = peak(codegen.PACKAGE.parent / "identities.py")
+    peaks = {path.name: peak(path) for path in sorted(codegen.PACKAGE.glob("*.py"))}
+    assert len(peaks) > 2 and max(peaks.values()) < bound, (peaks, bound)
