@@ -2,8 +2,8 @@
 
 Subcommands: count, table, extend, and verify {strip, diagonal, corollary,
 weights, quadrants, identities}.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 usage error (also an unwritable --out or a closed stdout), 3
-resource cap exceeded.
+failed, 2 usage error (also an unwritable --out, or a standard output that
+is closed or cannot be written), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -83,6 +83,22 @@ def _parse_fraction(text: str) -> Fraction:
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
+def _stdout(text: str | None = None) -> None:
+    """Write text to standard output, or flush it; an OSError there is a usage error.
+
+    It cuts the output short (`| head`, a full device), which no check decides.
+    """
+    try:
+        if text is None:
+            sys.stdout.flush()
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        _discard_stdout()
+        why = "was closed" if isinstance(exc, BrokenPipeError) else f"could not be written ({exc})"
+        raise ParameterError(f"standard output {why}; the output is incomplete") from exc
+
+
 class _Writer:
     """One record-holding output, written a part at a time as each part exists.
 
@@ -131,8 +147,8 @@ def _write_report(parts: Iterable[Report], args, title: str, started: float) -> 
     """
     counts = {"pass": 0, "FAIL": 0, "info": 0}
     as_json = args.format == "json"
-    writer = (_Writer(sys.stdout.write, '{\n  "checks": ', indent="  ") if as_json
-              else _Writer(sys.stdout.write))
+    writer = (_Writer(_stdout, '{\n  "checks": ', indent="  ") if as_json
+              else _Writer(_stdout))
     for report in parts:
         for c in report.checks:
             counts[c.status] += 1
@@ -174,13 +190,11 @@ def cmd_count(args) -> int:
         rows = [(args.s, value)]
         doc = {"s": args.s, "count": str(value)}
     if args.format == "json":
-        print(json.dumps({"k": spec.k, "n": spec.n, "m": spec.m, **doc}, sort_keys=True))
+        _stdout(json.dumps({"k": spec.k, "n": spec.n, "m": spec.m, **doc}, sort_keys=True) + "\n")
     elif args.format == "csv":
-        print("n,m,s,count")
-        for sv, cv in rows:
-            print(f"{spec.n},{spec.m},{sv},{cv}")
+        _stdout("n,m,s,count\n" + "".join(f"{spec.n},{spec.m},{sv},{cv}\n" for sv, cv in rows))
     else:
-        print(" ".join(str(c) for _, c in rows))
+        _stdout(" ".join(str(c) for _, c in rows) + "\n")
     return EXIT_OK
 
 
@@ -223,7 +237,7 @@ def cmd_table(args) -> int:
         except OSError as exc:
             raise ParameterError(f"cannot write --out {args.out}: {exc}") from exc
     else:
-        _write_table(sys.stdout.write, entries, args.format)
+        _write_table(_stdout, entries, args.format)
     return EXIT_OK
 
 
@@ -351,16 +365,15 @@ def cmd_extend(args) -> int:
                 return EXIT_CHECK_FAILED
     crosschecked = [] if args.no_crosscheck else list(range(1, len(extended) + 1))
     if args.format == "json":
-        print(json.dumps({
+        _stdout(json.dumps({
             "k": k, "s": s, "anchor_n": args.anchor_n, "anchor_m": args.anchor_m,
             "extended": [str(v) for v in extended],
             "crosschecked_steps": crosschecked,
             "residuals": residuals,
-        }, sort_keys=True))
+        }, sort_keys=True) + "\n")
     else:
         for idx, value in enumerate(extended, start=1):
-            n, m = args.anchor_n + idx, args.anchor_m + idx
-            print(f"a({n},{m}) = {value}")
+            _stdout(f"a({args.anchor_n + idx},{args.anchor_m + idx}) = {value}\n")
     return EXIT_OK
 
 
@@ -433,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _discard_stdout() -> None:
-    """Point a closed stdout at the null device, so the interpreter's last flush succeeds."""
+    """Point a failed stdout at the null device, so the interpreter's last flush succeeds."""
     try:
         fd = sys.stdout.fileno()
     except (AttributeError, OSError, ValueError):
@@ -447,13 +460,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        _stdout()  # a closed pipe or a full device shows here, not at interpreter exit
         return code
-    except BrokenPipeError:
-        # the reader went away (`| head`): the output is cut short, which no check decides
-        _discard_stdout()
-        print("error: standard output was closed; the output is incomplete", file=sys.stderr)
-        return EXIT_USAGE
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,7 +26,8 @@ Its ``kind`` is only the label the reports print.
   ``antidifference``; a ``pole_free`` expression, where given, is a form of
   that G without its removable poles.  The runner reads it instead, and
   fails wherever G is defined and differs from it (at every point the
-  telescoping reads G).
+  telescoping reads G), reading it once per point and step for both uses.
+  A pole-free form that raises is read again, and raises again.
 
   - ``certificate-recurrence``: one ``certificate`` axis;
   - ``double-sum-recurrence``: a ``certificate`` and a ``certificate2``
@@ -156,8 +157,10 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
     F(p) serves the d = 0 term and every certificate's G at p, and the
     summed target adds up the rows.  Where G has a pole the point is skipped
     before its row is read, so F is evaluated there only if the target
-    needs it.  A pole-free G is read once per point and step alike: the
-    telescoping reuses what the comparison with g's G read.
+    needs it.  Every G, at a point and one step up, goes through one
+    reader: an axis's pole-free form, read once per point and step, or else
+    the G that g gives.  The comparison of the two reads both through it, so
+    the telescoping reuses the pole-free values the comparison read.
     """
     bumped, stand_in = mutant or (None, None)
     summand, param = compile_term(chk.summand), chk.param
@@ -171,35 +174,29 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
             row[d] = summand({**e, param: e[param] + d} if d else e)
         return row[d]
 
-    def g_at(g: Compiled, times_f: bool, p: dict, row: list | None = None) -> Number:
-        # G at p: g itself, or g*F for a certificate g, F read from p's row if given
-        value = g(p)
-        if times_f:
-            value *= summand(p) if row is None else f(p, row)
-        return value
-
-    def pole_free_at(seen: dict, at: int, step: int, p: dict) -> Number:
-        # axis at's pole-free G at p, a step up or not: read once per point, by
-        # the comparison or else by the telescoping; a pole it hit raises again
-        if (at, step) not in seen:
-            try:
-                seen[at, step] = axes[at][6](p)
-            except PoleError as exc:
-                seen[at, step] = exc
-        value = seen[at, step]
-        if isinstance(value, PoleError):
-            raise value
-        return value
-
-    # per axis: index, bounds, label, g, whether G = g*F, and a pole-free G,
-    # which stands in for the G that g gives and is compared with it wherever
-    # that G is defined; a mutant of g replaces both
-    axes = []
+    # per axis: index, bounds and label; and for read_g: g, whether G = g*F,
+    # and a pole-free G, which stands in for the G that g gives and is compared
+    # with it wherever that G is defined; a mutant of g replaces both
+    axes, reads = [], []
     for index, lower, upper, label, g, pole_free in chk.axes:
-        axes.append((index, compile_term(lower), compile_term(upper), label,
-                     stand_in if label == bumped else compile_term(g),
-                     label != "antidifference",
-                     None if pole_free is None or label == bumped else compile_term(pole_free)))
+        axes.append((index, compile_term(lower), compile_term(upper), label))
+        reads.append((stand_in if label == bumped else compile_term(g),
+                      label != "antidifference",
+                      None if pole_free is None or label == bumped else compile_term(pole_free)))
+
+    def read_g(at: int, p: dict, row: list | None, seen: dict, own: bool = False) -> Number:
+        # axis at's G at p, a point with its row or one step up (row None): its
+        # pole-free form, once per point and step, or (own, or none) g's G
+        g, times_f, pole_free = reads[at]
+        if pole_free is None or own:
+            value = g(p)
+            if times_f:
+                value *= summand(p) if row is None else f(p, row)
+            return value
+        key = at, row is None
+        if key not in seen:
+            seen[key] = pole_free(p)
+        return seen[key]
 
     for env in chk.grid():
         try:
@@ -217,25 +214,21 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
         for e, row in zip(points, rows):
             ups = [{**e, index: e[index] + 1} for index, *_ in axes]
             seen: dict = {}
-            for at, (_, _, _, label, g, times_f, pole_free) in enumerate(axes):
-                if pole_free is None:
+            for at, (_, _, _, label) in enumerate(axes):
+                if reads[at][2] is None:
                     continue
-                for step, (p, p_row) in enumerate(((e, row), (ups[at], None))):
+                for p, p_row in ((e, row), (ups[at], None)):
                     try:
-                        expected = g_at(g, times_f, p, p_row)
-                        simplified = pole_free_at(seen, at, step, p)
+                        expected = read_g(at, p, p_row, seen, own=True)
+                        simplified = read_g(at, p, p_row, seen)
                     except PoleError:
                         continue  # a removable pole of the G that g gives
                     if expected != simplified:
                         yield f"{p}: {label} G={expected} pole-free={simplified}"
             try:
                 delta = 0
-                for at, (_, _, _, _, g, times_f, pole_free) in enumerate(axes):
-                    if pole_free is None:
-                        delta += g_at(g, times_f, ups[at]) - g_at(g, times_f, e, row)
-                    else:
-                        delta += (pole_free_at(seen, at, 1, ups[at])
-                                  - pole_free_at(seen, at, 0, e))
+                for at in range(len(axes)):
+                    delta += read_g(at, ups[at], None, seen) - read_g(at, e, row, seen)
                 lhs = 0
                 for d, bd in enumerate(coeffs):
                     lhs += bd(e) * f(e, row, d)
@@ -413,12 +406,13 @@ def build_registry() -> dict[str, IdentityCheck]:
     ))
 
     # ---- bivariate generating function --------------------------------------
+    inner_coefficient = SG(i) * (2 * s - i) * C(2 * s, i) * C(i, t) * z**i
     add(IdentityCheck(
         name="double-gf/inner-coefficient-recurrence",
         kind="certificate-recurrence",
         description="the z-coefficient sum S(t) of the third part satisfies "
                     "-(2s-t-1) z S(t) + (z-1)(t+1) S(t+1) = 0",
-        summand=SG(i) * (2 * s - i) * C(2 * s, i) * C(i, t) * z**i,
+        summand=inner_coefficient,
         param="t",
         coeffs=(-(2 * s - t - 1) * z, (z - 1) * (t + 1)),
         axes=(("i", Const(Fraction(0)), 2 * s, "certificate", i - t, None),),
@@ -432,7 +426,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="double-gf/inner-coefficient-closed-form",
         kind="closed-form-sum",
         description="S(t) = -2s z^t (z-1)^(2s-t-1) C(2s-1,t)",
-        lhs=Sum("i", Const(Fraction(0)), 2 * s, SG(i) * (2 * s - i) * C(2 * s, i) * C(i, t) * z**i),
+        lhs=Sum("i", Const(Fraction(0)), 2 * s, inner_coefficient),
         rhs=-2 * s * z**t * (z - 1) ** (2 * s - t - 1) * C(2 * s - 1, t),
         grid=lambda: [
             {"s": sv, "t": tv, "z": zv}
@@ -547,12 +541,13 @@ def build_registry() -> dict[str, IdentityCheck]:
             for sv in range(1, 7) for jv in range(sv, 2 * sv + 1) for iv in range(jv, 2 * sv + 1)
         ],
     ))
+    second_term = SG(jp) * C(i - jp - 1, s) * C(s, j - jp)
     add(IdentityCheck(
         name="q3/second-term-sum-interior",
         kind="closed-form-sum",
         description="sum_{jp=0}^{i-1} (-1)^jp C(i-jp-1,s) C(s,j-jp) = (-1)^(s+j) "
                     "for s <= j < i",
-        lhs=Sum("jp", Const(Fraction(0)), i - 1, SG(jp) * C(i - jp - 1, s) * C(s, j - jp)),
+        lhs=Sum("jp", Const(Fraction(0)), i - 1, second_term),
         rhs=SG(s + j),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -563,7 +558,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="q3/second-term-sum-boundary",
         kind="closed-form-sum",
         description="the same sum vanishes once j >= i (in the band j >= s)",
-        lhs=Sum("jp", Const(Fraction(0)), i - 1, SG(jp) * C(i - jp - 1, s) * C(s, j - jp)),
+        lhs=Sum("jp", Const(Fraction(0)), i - 1, second_term),
         rhs=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -576,7 +571,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="certificate-recurrence",
         description="the second-term summand satisfies a first-order recurrence "
                     "in j with equal coefficient polynomials",
-        summand=SG(jp) * C(i - jp - 1, s) * C(s, j - jp),
+        summand=second_term,
         param="j",
         coeffs=(i - j - 1, i - j - 1),
         axes=(
@@ -590,12 +585,13 @@ def build_registry() -> dict[str, IdentityCheck]:
             for jv in range(sv, 2 * sv)
         ],
     ))
+    inner_term = SG(t) / (2 * s - t) * C(2 * s - i, t) * C(2 * s - t - 1 - jp, s - jp)
     add(IdentityCheck(
         name="q3/inner-sum-recurrence",
         kind="certificate-recurrence",
         description="the inner t-sum of the third-term double sum obeys a "
                     "second-order recurrence in jp",
-        summand=SG(t) / (2 * s - t) * C(2 * s - i, t) * C(2 * s - t - 1 - jp, s - jp),
+        summand=inner_term,
         param="jp",
         coeffs=(
             -(jp - s) * (i - jp - s - 1),
@@ -613,24 +609,22 @@ def build_registry() -> dict[str, IdentityCheck]:
             for jpv in range(0, sv - 1)
         ],
     ))
+    inner_closed = SG(s + i + jp) / i * C(s, jp) / C(2 * s, i)
     add(IdentityCheck(
         name="q3/inner-sum-closed-form",
         kind="closed-form-sum",
         description="for jp >= i-s the inner t-sum equals "
                     "(-1)^(s+i+jp)/i * C(s,jp)/C(2s,i)",
-        lhs=Sum("t", Const(Fraction(0)), 2 * s - i,
-                SG(t) / (2 * s - t) * C(2 * s - i, t) * C(2 * s - t - 1 - jp, s - jp)),
-        rhs=SG(s + i + jp) / i * C(s, jp) / C(2 * s, i),
+        lhs=Sum("t", Const(Fraction(0)), 2 * s - i, inner_term),
+        rhs=inner_closed,
         grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
             for sv in range(1, 7) for iv in range(sv + 1, 2 * sv + 1)
             for jpv in range(max(0, iv - sv), sv + 1)
         ],
     ))
-    correction = Sum(
-        "t", Const(Fraction(1)), s - jp,
-        SG(t + 1) / t * C(i - jp - 1, s + t - 1) * C(s, t - 1) / C(s - jp, t),
-    )
+    correction_term = SG(t + 1) / t * C(i - jp - 1, s + t - 1) * C(s, t - 1) / C(s - jp, t)
+    correction = Sum("t", Const(Fraction(1)), s - jp, correction_term)
     add(IdentityCheck(
         name="q3/correction-vanishes",
         kind="pointwise",
@@ -648,9 +642,8 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="pointwise",
         description="for every jp in [0,s] the inner t-sum equals the closed "
                     "form plus the correction sum",
-        lhs=Sum("t", Const(Fraction(0)), 2 * s - i,
-                SG(t) / (2 * s - t) * C(2 * s - i, t) * C(2 * s - t - 1 - jp, s - jp)),
-        rhs=SG(s + i + jp) / i * C(s, jp) / C(2 * s, i) + correction,
+        lhs=Sum("t", Const(Fraction(0)), 2 * s - i, inner_term),
+        rhs=inner_closed + correction,
         grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
             for sv in range(1, 7) for iv in range(sv + 1, 2 * sv + 1)
@@ -661,7 +654,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="q3/correction-recurrence",
         kind="certificate-recurrence",
         description="the correction summand obeys a first-order recurrence in jp",
-        summand=SG(t + 1) / t * C(i - jp - 1, s + t - 1) * C(s, t - 1) / C(s - jp, t),
+        summand=correction_term,
         param="jp",
         coeffs=(s - jp, jp + 1),
         axes=(
@@ -691,13 +684,13 @@ def build_registry() -> dict[str, IdentityCheck]:
             for jpv in range(0, sv)
         ],
     ))
+    breakpoint_term = SG(t) / (2 * s - t) * C(2 * s - i, t) * C(3 * s - t - i, 2 * s - i + 1)
     add(IdentityCheck(
         name="q3/breakpoint-value",
         kind="closed-form-sum",
         description="at jp = i-s-1 the inner t-sum equals 1/(2s-i+1) "
                     "- C(s,i-s-1)/(i C(2s,i))",
-        lhs=Sum("t", Const(Fraction(0)), 2 * s - i,
-                SG(t) / (2 * s - t) * C(2 * s - i, t) * C(3 * s - t - i, 2 * s - i + 1)),
+        lhs=Sum("t", Const(Fraction(0)), 2 * s - i, breakpoint_term),
         rhs=1 / (2 * s - i + 1) - C(s, i - s - 1) / (i * C(2 * s, i)),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(2, 8) for iv in range(sv + 1, 2 * sv + 1)
@@ -707,7 +700,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="q3/breakpoint-recurrence",
         kind="certificate-recurrence",
         description="the jp = i-s-1 summand obeys a second-order recurrence in i",
-        summand=SG(t) / (2 * s - t) * C(2 * s - i, t) * C(3 * s - t - i, 2 * s - i + 1),
+        summand=breakpoint_term,
         param="i",
         coeffs=(
             (i - 2 * s - 1) * i,
@@ -729,8 +722,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         description="the closed-form part of the inner sum, convolved over jp, "
                     "gives (-1)^j C(2s,j)",
         lhs=SG(s + i + j) * i * C(2 * s, i)
-            * Sum("jp", Const(Fraction(0)), s,
-                  SG(jp) * (SG(s + i + jp) / i * C(s, jp) / C(2 * s, i)) * C(s, j - jp)),
+            * Sum("jp", Const(Fraction(0)), s, SG(jp) * inner_closed * C(s, j - jp)),
         rhs=SG(j) * C(2 * s, j),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -886,13 +878,15 @@ def build_registry() -> dict[str, IdentityCheck]:
             {"s": sv, "i": iv} for sv in range(1, 8) for iv in range(sv, 2 * sv)
         ],
     ))
+    top_row_term = (SG(s + j) * 2 * s * SG(jp + t + 1) / t * C(2 * s - jp - 1, s + t - 1)
+                    * C(s, t - 1) * C(s, j - jp) / C(s - jp, t))
+    second_piece = SG(s + jp + j) * C(s, j - jp) * C(2 * s - 1 - jp, s - 1)
     add(IdentityCheck(
         name="q3/top-row-antidifference",
         kind="antidifference",
         description="in the bottom row of the square the inner t-sum telescopes "
                     "directly",
-        summand=SG(s + j) * 2 * s * SG(jp + t + 1) / t * C(2 * s - jp - 1, s + t - 1)
-                * C(s, t - 1) * C(s, j - jp) / C(s - jp, t),
+        summand=top_row_term,
         axes=(
             ("t", Const(Fraction(1)), s - jp, "antidifference",
              SG(s + j + jp + t) * (s + t - 1) / t * C(2 * s - 1 - jp, s + t - 1)
@@ -909,11 +903,8 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="pointwise",
         description="the telescoped bottom-row inner sum splits into a "
                     "convolution part and a second piece",
-        lhs=Sum("t", Const(Fraction(1)), s - jp,
-                SG(s + j) * 2 * s * SG(jp + t + 1) / t * C(2 * s - jp - 1, s + t - 1)
-                * C(s, t - 1) * C(s, j - jp) / C(s - jp, t)),
-        rhs=SG(j + 1) * C(s, jp) * C(s, j - jp)
-            + SG(s + jp + j) * C(s, j - jp) * C(2 * s - 1 - jp, s - 1),
+        lhs=Sum("t", Const(Fraction(1)), s - jp, top_row_term),
+        rhs=SG(j + 1) * C(s, jp) * C(s, j - jp) + second_piece,
         grid=lambda: [
             {"s": sv, "j": jv, "jp": jpv}
             for sv in range(1, 7) for jv in range(sv, 2 * sv + 1) for jpv in range(0, sv + 1)
@@ -924,7 +915,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="antidifference",
         description="the second piece telescopes in jp via "
                     "(-1)^(s+jp+j) s/(j-2s) C(2s-jp,s) C(s-1,j-jp)",
-        summand=SG(s + jp + j) * C(s, j - jp) * C(2 * s - 1 - jp, s - 1),
+        summand=second_piece,
         axes=(
             ("jp", Const(Fraction(0)), s, "antidifference",
              SG(s + jp + j) * s / (j - 2 * s) * C(2 * s - jp, s) * C(s - 1, j - jp), None),
@@ -982,12 +973,13 @@ def build_registry() -> dict[str, IdentityCheck]:
             for sv in range(1, 6) for iv in range(0, sv + 1) for jv in range(sv, 2 * sv + 1)
         ],
     ))
+    beta2h_term = SG(s + i + j + ip) * C(2 * s, j) * C(j - ip - 1, s) * C(s, i - ip)
     add(IdentityCheck(
         name="q4/beta2h-recurrence",
         kind="certificate-recurrence",
         description="the horizontal second-term sum satisfies a first-order "
                     "recurrence in i",
-        summand=SG(s + i + j + ip) * C(2 * s, j) * C(j - ip - 1, s) * C(s, i - ip),
+        summand=beta2h_term,
         param="i",
         coeffs=(-i - 1 + j, i - j + 1),
         axes=(
@@ -1000,8 +992,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             for sv in range(2, 6) for iv in range(0, sv) for jv in range(sv + 1, 2 * sv + 1)
         ],
     ))
-    beta2h = Sum("ip", Const(Fraction(0)), s,
-                 SG(s + i + j + ip) * C(2 * s, j) * C(j - ip - 1, s) * C(s, i - ip))
+    beta2h = Sum("ip", Const(Fraction(0)), s, beta2h_term)
     beta2h_next = Sum("ip", Const(Fraction(0)), s,
                       SG(s + i + 1 + j + ip) * C(2 * s, j) * C(j - ip - 1, s) * C(s, i + 1 - ip))
     step_rhs = C(2 * s, i + 1) * C(2 * s - i - 1, j - i - 1) * C(j - i - 2, j - s - 1)
@@ -1167,11 +1158,13 @@ def build_registry() -> dict[str, IdentityCheck]:
             {"s": sv, "i": iv} for sv in range(1, 8) for iv in range(0, sv)
         ],
     ))
+    h3_first = SG(t) / (2 * s - t) * C(i, t) * C(2 * s - t, s - t)
+    h3_second = SG(t) / (2 * s - t) * C(i, t) * C(s - t + i, s - t)
     add(IdentityCheck(
         name="rhs/h3-first-sum",
         kind="closed-form-sum",
         description="sum_t (-1)^t/(2s-t) C(i,t) C(2s-t,s-t) = C(2s-i-1,s)/s",
-        lhs=Sum("t", Const(Fraction(0)), i, SG(t) / (2 * s - t) * C(i, t) * C(2 * s - t, s - t)),
+        lhs=Sum("t", Const(Fraction(0)), i, h3_first),
         rhs=C(2 * s - i - 1, s) / s,
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv)
@@ -1182,7 +1175,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="closed-form-sum",
         description="sum_t (-1)^t/(2s-t) C(i,t) C(s-t+i,s-t) "
                     "= C(2s-i-1,s)/(2s C(2s-1,s))",
-        lhs=Sum("t", Const(Fraction(0)), i, SG(t) / (2 * s - t) * C(i, t) * C(s - t + i, s - t)),
+        lhs=Sum("t", Const(Fraction(0)), i, h3_second),
         rhs=C(2 * s - i - 1, s) / (2 * s * C(2 * s - 1, s)),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv)
@@ -1193,7 +1186,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="certificate-recurrence",
         description="the first column-sum summand obeys "
                     "(s-i-1) F(i) + (i-2s+1) F(i+1) = Delta_t(R F)",
-        summand=SG(t) / (2 * s - t) * C(i, t) * C(2 * s - t, s - t),
+        summand=h3_first,
         param="i",
         coeffs=(s - i - 1, i - 2 * s + 1),
         axes=(("t", Const(Fraction(0)), s, "certificate", t * (2 * s - t) / (i - t + 1), None),),
@@ -1207,7 +1200,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="certificate-recurrence",
         description="the second column-sum summand obeys "
                     "-(i+1)(i-s+1) F(i) + (i+1)(i-2s+1) F(i+1) = Delta_t(R F)",
-        summand=SG(t) / (2 * s - t) * C(i, t) * C(s - t + i, s - t),
+        summand=h3_second,
         param="i",
         coeffs=(-(i + 1) * (i - s + 1), (i + 1) * (i - 2 * s + 1)),
         axes=(

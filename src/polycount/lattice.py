@@ -553,10 +553,8 @@ def _rod_masks(spec: LatticeSpec) -> list[int]:
     return masks
 
 
-def brute_force_count(
-    spec: LatticeSpec, s: int, work_cap: int = DEFAULT_WORK_CAP
-) -> int:
-    """Oracle count by explicit subset search over rod placements."""
+def brute_force_count(spec: LatticeSpec, s: int) -> int:
+    """Oracle count by explicit subset search over rod placements, within DEFAULT_WORK_CAP."""
     if s < 0:
         raise ParameterError(f"s must be >= 0, got {s}")
     if s == 0:
@@ -565,9 +563,9 @@ def brute_force_count(
     p = len(masks)
     if s > p:
         return 0
-    if math.comb(p, s) > work_cap:
+    if math.comb(p, s) > DEFAULT_WORK_CAP:
         raise ResourceLimitError(
-            f"C({p},{s}) exceeds brute-force work cap {work_cap}"
+            f"C({p},{s}) exceeds brute-force work cap {DEFAULT_WORK_CAP}"
         )
 
     def rec(start: int, left: int, occupied: int) -> int:

@@ -68,18 +68,16 @@ class WindowPlan(Frozen):
         """Every lattice point a window of this call reads."""
         return [p for n, m, _ in self.checked for p in self.window(n, m)]
 
-    def report(
-        self,
-        state_cap: int = DEFAULT_STATE_CAP,
-        tables: Mapping[tuple[int, int], CountTable] | None = None,
-    ) -> Report:
+    def report(self, tables: Mapping[tuple[int, int], CountTable] | None = None) -> Report:
         """Record each window, reading counts from tables or, without them, one count_tables call.
 
-        A table counted at any s_max >= s serves.  An out-of-range window's
-        residual is recorded with status info, never asserted.
+        A table counted at any s_max >= s serves.  Without tables the counts
+        are made at the default state cap; a caller who needs another cap
+        passes tables=count_tables(..., state_cap=...).  An out-of-range
+        window's residual is recorded with status info, never asserted.
         """
         if tables is None:
-            tables = count_tables(self.k, self.points(), self.s, state_cap)
+            tables = count_tables(self.k, self.points(), self.s)
         report = Report(title=self.title)
         for n, m, in_range in self.checked:
             lhs = _alternating_sum([tables[p].counts[self.s] for p in self.window(n, m)])
@@ -169,24 +167,23 @@ def verify_strip(
     n: int,
     s: int,
     m_range: Iterable[int],
-    state_cap: int = DEFAULT_STATE_CAP,
     enforce_range: bool = True,
     tables: Mapping[tuple[int, int], CountTable] | None = None,
 ) -> Report:
     """Check sum_i (-1)**i C(s,i) a(n, m-i, s) == (2n-k+1)**s for each m >= k*s.
 
     Every m must be >= k*s unless enforce_range is off, in which case
-    out-of-range residuals are reported without being asserted.  Counts come
-    from tables when given (see WindowPlan.report).
+    out-of-range residuals are reported without being asserted.  Without
+    tables the counts are made at the default state cap; for another cap,
+    pass tables=count_tables(..., state_cap=...) (see WindowPlan.report).
     """
-    return strip_windows(k, n, s, m_range, enforce_range).report(state_cap, tables)
+    return strip_windows(k, n, s, m_range, enforce_range).report(tables)
 
 
 def verify_diagonal(
     k: int,
     s: int,
     points: Iterable[tuple[int, int]],
-    state_cap: int = DEFAULT_STATE_CAP,
     enforce_range: bool = True,
     tables: Mapping[tuple[int, int], CountTable] | None = None,
 ) -> Report:
@@ -194,24 +191,25 @@ def verify_diagonal(
 
     Each point (n, m) must satisfy n, m >= (k+1)s unless enforce_range is
     off, in which case out-of-range residuals are reported without being
-    asserted.  Counts come from tables when given (see WindowPlan.report).
+    asserted.  Without tables the counts are made at the default state cap;
+    for another cap, pass tables=count_tables(..., state_cap=...).
     """
-    return diagonal_windows(k, s, points, enforce_range).report(state_cap, tables)
+    return diagonal_windows(k, s, points, enforce_range).report(tables)
 
 
 def verify_diagonal_corollary(
     k: int,
     s: int,
     points: Iterable[tuple[int, int]],
-    state_cap: int = DEFAULT_STATE_CAP,
     enforce_range: bool = True,
     tables: Mapping[tuple[int, int], CountTable] | None = None,
 ) -> Report:
     """Check the (2s+2)-term alternating diagonal sum vanishes for n, m > (k+1)s.
 
-    Counts come from tables when given (see WindowPlan.report).
+    Without tables the counts are made at the default state cap; for
+    another cap, pass tables=count_tables(..., state_cap=...).
     """
-    return corollary_windows(k, s, points, enforce_range).report(state_cap, tables)
+    return corollary_windows(k, s, points, enforce_range).report(tables)
 
 
 class DiagonalSeed(Frozen):
@@ -243,20 +241,19 @@ def seed_from_enumeration(
     s: int,
     anchor_n: int,
     anchor_m: int,
-    state_cap: int = DEFAULT_STATE_CAP,
     count: Callable[[int, int], int] | None = None,
 ) -> DiagonalSeed:
     """Build a seed from the 2s diagonal counts ending at the anchor.
 
-    count(n, m) supplies a(n, m, k, s); by default it is direct enumeration.
-    The seed points are read off the first extension window, which
-    diagonal_windows range-checks before any count is made.
+    count(n, m) supplies a(n, m, k, s); by default it is direct enumeration
+    at the default state cap.  The seed points are read off the first
+    extension window, which diagonal_windows range-checks before any count.
     """
     top = (anchor_n + 1, anchor_m + 1)
     window = diagonal_windows(k, s, [top]).window(*top)
     if count is None:
         def count(n: int, m: int) -> int:
-            return count_configurations(LatticeSpec(n, m, k), s, state_cap=state_cap)
+            return count_configurations(LatticeSpec(n, m, k), s)
     counts = tuple(count(n, m) for n, m in reversed(window[1:]))
     return DiagonalSeed(k=k, s=s, anchor_n=anchor_n, anchor_m=anchor_m, counts=counts)
 

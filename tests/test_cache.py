@@ -59,6 +59,12 @@ def test_corrupt_entry_is_miss(tmp_path, counts):
     assert load_entry(tmp_path, 2, 2, 2) is None
 
 
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b'{"version": 1,'], ids=["not-utf8", "not-json"])
+def test_an_entry_that_is_not_utf8_json_is_a_miss(tmp_path, raw):
+    entry_path(tmp_path, 2, 2, 2).write_bytes(raw)
+    assert load_entry(tmp_path, 2, 2, 2) is None
+
+
 def test_one_rod_check_clamps_short_sides(tmp_path):
     # a 1x4 strip holds no vertical 3-rod, so a(1, 4, 3, 1) = 2
     for spec in (LatticeSpec(1, 4, 3), LatticeSpec(2, 2, 3), LatticeSpec(1, 1, 2)):

@@ -179,6 +179,14 @@ def test_a_failed_integrality_check_exits_1(capsys, monkeypatch, target):
     assert err == "check failed: h(2,0,1) is not an integer: 1/2\n"
 
 
+def test_a_failed_cancellation_writes_a_fail_record_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("polycount.cli.accumulate_lhs", lambda grid: [[0] * 5 for _ in range(5)])
+    code, out, _ = run_cli(capsys, "verify", "weights", "--s", "2")
+    assert code == 1
+    assert out.startswith("FAIL cancellation s=2 expected=diagonal 2(-1)^i C(2s,i), zero elsewhere")
+    assert out.endswith("# 15 passed, 1 failed\n")
+
+
 @pytest.mark.parametrize("flag,value", [("--lambda", "1/0"), ("--eta", "3/0"), ("--eta", "x")])
 def test_bad_fraction_is_usage_error(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -573,6 +581,31 @@ def test_extend_treats_corrupt_cache_entry_as_miss(capsys, tmp_path, payload):
     assert [line.split(" = ")[1] for line in out.strip().splitlines()] == ["84", "112", "144"]
 
 
+@pytest.mark.parametrize("flag", ["--out", "--cache-dir"])
+def test_table_refuses_an_unwritable_target_before_any_work(capsys, tmp_path, monkeypatch, flag):
+    # os.access grants every write to root, so the refusal is stubbed in
+    def no_sweep(*args, **kwargs):
+        raise AssertionError(f"{flag} must be checked before the sweep")
+
+    monkeypatch.setattr("polycount.cli.count_tables", no_sweep)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    argv = ["--cache-dir", str(tmp_path / "cache")]
+    if flag == "--out":
+        argv += ["--out", str(tmp_path / "table.csv")]
+    code, out, err = run_cli(capsys, "table", "--k", "2", "--n-max", "3", "--m-max", "3", *argv)
+    what = "--out" if flag == "--out" else "cache directory"
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {what} ") and err.endswith(": not writable\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_table_out_on_a_full_device_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "table", "--k", "2", "--n-max", "2", "--m-max", "2",
+                             "--cache-dir", str(tmp_path / "cache"), "--out", "/dev/full")
+    assert code == 2 and out == ""
+    assert err == "error: cannot write --out /dev/full: [Errno 28] No space left on device\n"
+
+
 def test_table_cache_dir_is_a_file(capsys, tmp_path):
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
@@ -651,6 +684,28 @@ def test_a_closed_stdout_leaves_nothing_for_interpreter_exit():
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == CLOSED_STDOUT
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [
+    ["verify", "quadrants", "--s", "2"],
+    ["count", "--n", "3", "--m", "3", "--k", "2", "--s", "1"],
+    ["table", "--k", "2", "--n-max", "3", "--m-max", "3"],
+    ["extend", "--k", "2", "--s", "1", "--anchor-n", "3", "--anchor-m", "3", "--steps", "2",
+     "--no-crosscheck"],
+], ids=lambda argv: argv[0])
+def test_a_full_stdout_is_a_usage_error_not_a_failed_check(tmp_path, argv):
+    # a write error other than a closed pipe: one line on stderr, exit 2, and
+    # nothing left for the interpreter's own flush at exit to fail on again
+    script = "import sys; sys.path.insert(0, sys.argv[1]); from polycount.cli import main; " \
+             "sys.exit(main(sys.argv[2:]))"
+    env = {**os.environ, "POLYCOUNT_CACHE": str(tmp_path / "cache")}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", script, SRC, *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: standard output could not be written ([Errno 28] No space "
+                           "left on device); the output is incomplete\n")
 
 
 def test_table_writes_one_entry_per_unordered_lattice(capsys, tmp_path):

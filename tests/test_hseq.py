@@ -10,6 +10,7 @@ from polycount.hseq import (
     column_sum,
     column_sum_closed_form,
     gf_recursion_residual,
+    gf_series,
     h_domain,
     h_explicit,
     h_from_double_gf,
@@ -137,6 +138,15 @@ def test_parameter_validation():
         h_from_gf(4, 1, 5)  # beyond the coherent range
     with pytest.raises(ParameterError):
         h_from_double_gf(3, 1, 0)
+    for s, i in ((3, -1), (3, 3)):
+        with pytest.raises(ParameterError):
+            gf_series(s, i, 4)
+    for s, i in ((3, 0), (3, 3)):
+        with pytest.raises(ParameterError):
+            gf_recursion_residual(s, i, 4)
+    for s, j in ((3, 0), (3, 4)):
+        with pytest.raises(ParameterError):
+            column_sum(s, j)
 
 
 def fraction_h_terms(s, i, j):

@@ -16,6 +16,7 @@ from polycount.identities import (
     run_registry,
 )
 from polycount.symbolic import (
+    Expr,
     PoleError,
     Sum,
     binom_expr as C,
@@ -195,6 +196,50 @@ def test_registry_point_accounting():
     }
     labels = [label for chk in registry().values() for label, _ in _mutants(chk)]
     assert len(labels) == len(set(labels)) == 134
+
+
+def _nodes(expr: Expr):
+    yield expr
+    for name in type(expr).__slots__:
+        value = getattr(expr, name)
+        for part in value if type(value) is tuple else (value,):
+            if isinstance(part, Expr):
+                yield from _nodes(part)
+
+
+#: each telescoping check -> the checks that state a sum of its summand: a
+#: closed form, a value or a step
+STATED_SUMS = {
+    "double-gf/inner-coefficient-recurrence": ["double-gf/inner-coefficient-closed-form"],
+    "q3/second-term-recurrence": ["q3/second-term-sum-interior", "q3/second-term-sum-boundary"],
+    "q3/inner-sum-recurrence": ["q3/inner-sum-closed-form", "q3/inner-sum-with-correction"],
+    "q3/correction-recurrence": ["q3/correction-vanishes", "q3/inner-sum-with-correction",
+                                 "q3/correction-summed-step"],
+    "q3/breakpoint-recurrence": ["q3/breakpoint-value"],
+    "q3/top-row-antidifference": ["q3/top-row-inner-value"],
+    "q4/beta2h-recurrence": ["q4/beta2h-step"],
+    "rhs/h3-first-sum-recurrence": ["rhs/h3-first-sum"],
+    "rhs/h3-second-sum-recurrence": ["rhs/h3-second-sum"],
+}
+
+
+def test_each_telescoped_summand_is_the_body_of_the_sums_it_proves():
+    # one object, not an equal copy, so a typo cannot split a proof chain
+    reg = registry()
+    for name, stating in STATED_SUMS.items():
+        summand = reg[name].summand
+        for other in stating:
+            bodies = [node.body for root in (reg[other].lhs, reg[other].rhs)
+                      for node in _nodes(root) if type(node) is Sum]
+            assert any(body is summand for body in bodies), (name, other)
+    # the top-row inner sum's second piece is what its antidifference telescopes
+    assert reg["q3/top-row-inner-value"].rhs.terms[-1] \
+        is reg["q3/top-row-second-piece-antidifference"].summand
+    # the inner sum's closed form is the one the correction and the outer sum use
+    closed = reg["q3/inner-sum-closed-form"].rhs
+    for name in ("q3/inner-sum-with-correction", "q3/first-term-outer-sum"):
+        chk = reg[name]
+        assert any(node is closed for root in (chk.lhs, chk.rhs) for node in _nodes(root)), name
 
 
 def test_wrong_closed_form_detected():

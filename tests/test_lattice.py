@@ -112,6 +112,12 @@ def test_invalid_parameters():
         LatticeSpec(3, 3, 1)
     with pytest.raises(ParameterError):
         count_configurations(LatticeSpec(2, 2, 2), -1)
+    with pytest.raises(ParameterError):
+        count_polynomial(LatticeSpec(2, 2, 2)).count(-1)
+    with pytest.raises(ParameterError):
+        count_tables(2, [(2, 2)], s_max=-1)
+    with pytest.raises(ParameterError):
+        brute_force_count(LatticeSpec(2, 2, 2), -1)
 
 
 def test_state_cap():
@@ -493,4 +499,4 @@ def test_count_tables_matches_per_point_counts():
 
 def test_work_cap():
     with pytest.raises(ResourceLimitError):
-        brute_force_count(LatticeSpec(6, 6, 2), 10, work_cap=1000)
+        brute_force_count(LatticeSpec(6, 6, 2), 10)  # C(60, 10) > DEFAULT_WORK_CAP

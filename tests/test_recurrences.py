@@ -37,6 +37,8 @@ def test_strip_preconditions():
         verify_strip(3, 2, 1, range(3, 5))  # n < k
     with pytest.raises(ParameterError):
         verify_strip(2, 2, 2, range(3, 5))  # m below k*s
+    with pytest.raises(ParameterError):
+        fit_polynomial(2, -1)
 
 
 def test_diagonal_examples():

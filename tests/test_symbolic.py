@@ -436,6 +436,20 @@ def test_shape_keys_tell_every_tree_apart():
         compile_term(Sum(3, Const(Fraction(0)), s, s))
 
 
+def test_what_is_not_an_expression_is_refused():
+    from polycount import symbolic
+
+    class Stray(Expr):
+        __slots__ = ()
+
+    with pytest.raises(TypeError, match="cannot use"):
+        s + "x"
+    with pytest.raises(TypeError, match="unknown expression node"):
+        compile_term(s * Stray())  # _shape meets it first
+    with pytest.raises(TypeError, match="unknown expression node"):
+        symbolic._Emitter(True).source(s * Stray())
+
+
 def _run_fresh(script: str) -> str:
     """Run a script in a fresh, isolated interpreter that imports polycount from src/."""
     proc = subprocess.run([sys.executable, "-I", "-c", script, SRC], capture_output=True,

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from polycount.errors import ParameterError
 from polycount.exact import binom
 from polycount.recurrences import diagonal_rhs
 from polycount.weights import (
@@ -101,6 +102,9 @@ def test_alpha_examples():
     assert alpha_p1(4, 3, 3) == 2 * (-1) ** 3 * binom(8, 3)
     assert alpha_p1(2, 0, 1) == -1
     assert alpha_p1(3, 6, 6) == 2
+    for i, j in ((-1, 0), (0, 7), (7, 7)):
+        with pytest.raises(ParameterError):
+            alpha_p1(3, i, j)
 
 
 def test_rhs_accumulation():
@@ -132,6 +136,8 @@ def test_rhs_column_sums():
     r2 = verify_rhs_column_sums(2)
     by_key = {(c.name, c.params["i"]): c for c in r2.checks}
     assert by_key[("binomial-column-sum", 2)].actual == "0"
+    with pytest.raises(ParameterError):
+        verify_rhs_column_sums(0)
 
 
 def test_quadrant_lemmas():
