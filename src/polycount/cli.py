@@ -15,6 +15,7 @@ import sys
 import time
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .cache import entry_payload, load_entry, resolve_cache_dir, save_entry
@@ -312,15 +313,31 @@ def _weight_parts(args) -> Iterator[Report]:
         yield verify_rhs_column_sums(sv)
 
 
-def cmd_verify(args) -> int:
+#: the verify options each target reads; it refuses any other that is not at its default
+_VERIFY_READS = {
+    "strip": ("k", "s", "n", "m", "unsafe_range"),
+    "diagonal": ("k", "s", "n", "m", "unsafe_range"),
+    "corollary": ("k", "s", "n", "m", "unsafe_range"),
+    "weights": ("s", "lam", "eta", "anchor_n"),
+    "quadrants": ("s",),
+    "identities": ("filter",),
+}
+
+
+def cmd_verify(args, options: Iterable[argparse.Action]) -> int:
     """Run a verify command, writing its report one part at a time.
 
-    Every parameter is checked before the first write: the window commands
-    plan every window before their one sweep, --s a..b runs from its lowest
-    s (the only one weights and quadrants can refuse), and an identity filter
-    is matched before its report is written.
+    Every parameter is checked before the first write: an option (of the
+    parser's actions in options) that the target does not read must keep its
+    default, the window commands plan every window before their one sweep,
+    --s a..b runs from its lowest s (the only one weights and quadrants can
+    refuse), and an identity filter is matched before its report is written.
     """
     started = time.perf_counter()
+    for action in options:
+        if (action.dest not in _VERIFY_READS[args.target]
+                and getattr(args, action.dest) != action.default):
+            raise ParameterError(f"verify {args.target} does not read {action.option_strings[0]}")
     if args.target in ("strip", "diagonal", "corollary"):
         title, parts = _verify_windows(args)
     elif args.target == "weights":
@@ -357,12 +374,8 @@ def cmd_extend(args) -> int:
             n, m = args.anchor_n + idx, args.anchor_m + idx
             expected = polynomial(n, m)
             if expected != value:
-                print(
-                    f"extension mismatch at ({n},{m}): recurrence {value} "
-                    f"!= quadrant polynomial {expected}",
-                    file=sys.stderr,
-                )
-                return EXIT_CHECK_FAILED
+                raise CheckFailedError(f"extension mismatch at ({n},{m}): recurrence {value} "
+                                       f"!= quadrant polynomial {expected}")
     crosschecked = [] if args.no_crosscheck else list(range(1, len(extended) + 1))
     if args.format == "json":
         _stdout(json.dumps({
@@ -417,18 +430,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify recurrences, weights, identities")
     p.add_argument("target", choices=(
         "strip", "diagonal", "corollary", "weights", "quadrants", "identities"))
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--s", type=_parse_range, default=[1])
-    p.add_argument("--n", type=_parse_range, default=None)
-    p.add_argument("--m", type=_parse_range, default=None)
-    p.add_argument("--lambda", dest="lam", type=_parse_fraction, default=Fraction(2))
-    p.add_argument("--eta", type=_parse_fraction, default=Fraction(-1))
-    p.add_argument("--anchor-n", type=int, default=30)
-    p.add_argument("--filter", default="*")
-    p.add_argument("--unsafe-range", action="store_true",
-                   help="report (without asserting) outside the proven range")
+    options = [
+        p.add_argument("--k", type=int, default=2),
+        p.add_argument("--s", type=_parse_range, default=[1]),
+        p.add_argument("--n", type=_parse_range, default=None),
+        p.add_argument("--m", type=_parse_range, default=None),
+        p.add_argument("--lambda", dest="lam", type=_parse_fraction, default=Fraction(2)),
+        p.add_argument("--eta", type=_parse_fraction, default=Fraction(-1)),
+        p.add_argument("--anchor-n", type=int, default=30),
+        p.add_argument("--filter", default="*"),
+        p.add_argument("--unsafe-range", action="store_true",
+                       help="report (without asserting) outside the proven range"),
+    ]
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=partial(cmd_verify, options=options))
 
     p = sub.add_parser("extend", help="extend counts along a diagonal")
     p.add_argument("--k", type=int, required=True)

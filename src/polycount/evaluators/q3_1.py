@@ -239,7 +239,7 @@ def _make70(general, k0, k1, k2, k3, k4, k5):
     return term
 
 
-def _make71(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27):
+def _make71(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26):
     def term(env):
         try:
             n1 = env['s']
@@ -270,19 +270,19 @@ def _make71(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13,
                 else: n3 = n3 * d17 + n16 * d4; d4 *= d17
             n18 = (n1 + k0 * n2) * n3
             n19 = 0; d20 = 1
-            for i21 in range(k13, n1 + k14 * n2 + k15 * k16 + 1):
+            for i21 in range(k13, n1 + k14 * (n2 + k15) + 1):
                 if not i21: raise PoleError('division by zero')
-                n22 = (-1 if (i21 + k17) % 2 else 1)
+                n22 = (-1 if (i21 + k16) % 2 else 1)
                 d23 = i21
                 if d23 < 0: n22 = -n22; d23 = -d23
                 n24 = env['i']
                 if type(n24) is not int: return general(env)
-                t25 = n24 + k18 * n2 + k19 * k20
+                t25 = n24 + k17 * (n2 + k18) + k19 * k20
                 t26 = n1 + i21 + k21 * k22
                 n27 = n22 * (_comb(t25, t26) if t25 >= 0 <= t26 else _binom(t25, t26))
                 t28 = i21 + k23 * k24
                 n29 = n27 * (_comb(n1, t28) if n1 >= 0 <= t28 else _binom(n1, t28))
-                t30 = n1 + k25 * n2 + k26 * k27
+                t30 = n1 + k25 * (n2 + k26)
                 t31 = (_comb(t30, i21) if t30 >= 0 <= i21 else _binom(t30, i21))
                 if not t31: raise PoleError('division by zero')
                 n32 = n29
@@ -400,40 +400,39 @@ def _make74(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13)
     return term
 
 
-def _make75(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
+def _make75(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
     def term(env):
         try:
-            n1 = env['i']
+            n1 = env['s']
             if type(n1) is not int: return general(env)
-            n2 = env['t']
+            n2 = env['j']
             if type(n2) is not int: return general(env)
-            n3 = env['jp']
+            n3 = env['i']
             if type(n3) is not int: return general(env)
-            if not n2: raise PoleError('division by zero')
-            n4 = n1
-            d5 = n2
-            if d5 < 0: n4 = -n4; d5 = -d5
-            n6 = (-1 if (n1 + n2 + n3) % 2 else 1) * n4
-            n7 = env['s']
-            if type(n7) is not int: return general(env)
-            t8 = k0 * n7
-            n9 = n6 * (_comb(t8, n1) if t8 >= 0 <= n1 else _binom(t8, n1))
-            t10 = n1 + k1 * n3 + k2 * k3
-            t11 = n7 + n2 + k4 * k5
-            n12 = n9 * (_comb(t10, t11) if t10 >= 0 <= t11 else _binom(t10, t11))
-            t13 = n2 + k6 * k7
-            n14 = n12 * (_comb(n7, t13) if n7 >= 0 <= t13 else _binom(n7, t13))
-            n15 = env['j']
-            if type(n15) is not int: return general(env)
-            t16 = n15 + k8 * n3
-            n17 = n14 * (_comb(n7, t16) if n7 >= 0 <= t16 else _binom(n7, t16))
-            t18 = n7 + k9 * n3
-            t19 = (_comb(t18, n2) if t18 >= 0 <= n2 else _binom(t18, n2))
-            if not t19: raise PoleError('division by zero')
-            n20 = n17
-            d21 = t19 * d5
-            if d21 < 0: n20 = -n20; d21 = -d21
-            return n20 if d21 == 1 else _value(n20, d21)
+            t4 = k1 * n1
+            n5 = env['jp']
+            if type(n5) is not int: return general(env)
+            n6 = env['t']
+            if type(n6) is not int: return general(env)
+            if not n6: raise PoleError('division by zero')
+            n7 = (-1 if (n5 + n6 + k2) % 2 else 1)
+            d8 = n6
+            if d8 < 0: n7 = -n7; d8 = -d8
+            t9 = n3 + k3 * n5 + k4 * k5
+            t10 = n1 + n6 + k6 * k7
+            n11 = n7 * (_comb(t9, t10) if t9 >= 0 <= t10 else _binom(t9, t10))
+            t12 = n6 + k8 * k9
+            n13 = n11 * (_comb(n1, t12) if n1 >= 0 <= t12 else _binom(n1, t12))
+            t14 = n2 + k10 * n5
+            n15 = n13 * (_comb(n1, t14) if n1 >= 0 <= t14 else _binom(n1, t14))
+            t16 = n1 + k11 * n5
+            t17 = (_comb(t16, n6) if t16 >= 0 <= n6 else _binom(t16, n6))
+            if not t17: raise PoleError('division by zero')
+            n18 = n15
+            d19 = t17 * d8
+            if d19 < 0: n18 = -n18; d19 = -d19
+            n20 = (-1 if (n1 + n2 + k0) % 2 else 1) * (-1 if (n1 + n3 + n2) % 2 else 1) * n3 * (_comb(t4, n3) if t4 >= 0 <= n3 else _binom(t4, n3)) * n18
+            return n20 if d19 == 1 else _value(n20, d19)
         except KeyError as missing:
             raise PoleError(f'unbound variable {missing.args[0]}') from None
     return term
@@ -719,7 +718,7 @@ def _make86(general, k0, k1, k2, k3, k4, k5, k6, k7):
     return term
 
 
-def _make87(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25):
+def _make87(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28):
     def term(env):
         try:
             n1 = env['i']
@@ -737,9 +736,9 @@ def _make87(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13,
             for i12 in range(k14, n2 + k15 * k16 + 1):
                 t13 = k19 * n2
                 t14 = n1 + k20
-                t15 = n1 + k21 * i12
-                t16 = n2 + k22 * k23
-                t17 = n1 + k24 + k25 * i12
+                t15 = n1 + k21 + k22 * i12 + k23 * k24
+                t16 = n2 + k25 * k26
+                t17 = n1 + k27 + k28 * i12
                 n10 += (-1 if (n1 + k17 + i12 + k18) % 2 else 1) * (_comb(t13, t14) if t13 >= 0 <= t14 else _binom(t13, t14)) * (_comb(t15, t16) if t15 >= 0 <= t16 else _binom(t15, t16)) * (_comb(n2, t17) if n2 >= 0 <= t17 else _binom(n2, t17))
             return (n1 + k0 * k1 * n2) * n3 + (n1 + k13) * n10
         except KeyError as missing:

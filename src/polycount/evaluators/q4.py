@@ -135,32 +135,31 @@ def _make116(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10):
             if type(n1) is not int: return general(env)
             n2 = env['j']
             if type(n2) is not int: return general(env)
-            n3 = env['jp']
+            n3 = env['s']
             if type(n3) is not int: return general(env)
-            n4 = env['t']
-            if type(n4) is not int: return general(env)
-            n5 = env['s']
+            t4 = k2 * n3
+            n5 = env['jp']
             if type(n5) is not int: return general(env)
-            if not n4: raise PoleError('division by zero')
-            n6 = k0 * n5 + k1 * n1
-            d7 = n4
-            if d7 < 0: n6 = -n6; d7 = -d7
-            n8 = (-1 if (n1 + n2 + n3 + n4) % 2 else 1) * n6
-            t9 = k2 * n5
-            n10 = n8 * (_comb(t9, n1) if t9 >= 0 <= n1 else _binom(t9, n1))
-            t11 = n4 + k3 * k4
-            n12 = n10 * (_comb(n5, t11) if n5 >= 0 <= t11 else _binom(n5, t11))
-            t13 = n5 + n3 + k5 * n1 + k6 * k7
-            t14 = n5 + n4 + k8 * k9
-            n15 = n12 * (_comb(t13, t14) if t13 >= 0 <= t14 else _binom(t13, t14))
-            t16 = n2 + k10 * n3
-            n17 = n15 * (_comb(n5, t16) if n5 >= 0 <= t16 else _binom(n5, t16))
-            t18 = (_comb(n3, n4) if n3 >= 0 <= n4 else _binom(n3, n4))
-            if not t18: raise PoleError('division by zero')
-            n19 = n17
-            d20 = t18 * d7
-            if d20 < 0: n19 = -n19; d20 = -d20
-            return n19 if d20 == 1 else _value(n19, d20)
+            n6 = env['t']
+            if type(n6) is not int: return general(env)
+            if not n6: raise PoleError('division by zero')
+            n7 = (-1 if (n5 + n6) % 2 else 1)
+            d8 = n6
+            if d8 < 0: n7 = -n7; d8 = -d8
+            t9 = n6 + k3 * k4
+            n10 = n7 * (_comb(n3, t9) if n3 >= 0 <= t9 else _binom(n3, t9))
+            t11 = n3 + n5 + k5 * n1 + k6 * k7
+            t12 = n3 + n6 + k8 * k9
+            n13 = n10 * (_comb(t11, t12) if t11 >= 0 <= t12 else _binom(t11, t12))
+            t14 = n2 + k10 * n5
+            n15 = n13 * (_comb(n3, t14) if n3 >= 0 <= t14 else _binom(n3, t14))
+            t16 = (_comb(n5, n6) if n5 >= 0 <= n6 else _binom(n5, n6))
+            if not t16: raise PoleError('division by zero')
+            n17 = n15
+            d18 = t16 * d8
+            if d18 < 0: n17 = -n17; d18 = -d18
+            n19 = (-1 if (n1 + n2) % 2 else 1) * (k0 * n3 + k1 * n1) * (_comb(t4, n1) if t4 >= 0 <= n1 else _binom(t4, n1)) * n17
+            return n19 if d18 == 1 else _value(n19, d18)
         except KeyError as missing:
             raise PoleError(f'unbound variable {missing.args[0]}') from None
     return term
@@ -238,7 +237,7 @@ def _make119(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
     return term
 
 
-def _make120(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28, k29, k30, k31, k32):
+def _make120(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28, k29, k30):
     def term(env):
         try:
             n1 = env['i']
@@ -247,22 +246,22 @@ def _make120(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
             if type(n2) is not int: return general(env)
             n3 = env['s']
             if type(n3) is not int: return general(env)
-            t4 = k5 * n3
-            t5 = n1 + k6
+            t4 = k4 * n3
+            t5 = n1 + k5
             n6 = 0; d7 = 1
-            for i8 in range(k7, n3 + 1):
+            for i8 in range(k6, n3 + 1):
                 n9 = 0; d10 = 1
-                for i11 in range(k8, i8 + 1):
+                for i11 in range(k7, i8 + 1):
                     if not i11: raise PoleError('division by zero')
                     n12 = (-1 if (i8 + i11) % 2 else 1)
                     d13 = i11
                     if d13 < 0: n12 = -n12; d13 = -d13
-                    t14 = i11 + k9 * k10
+                    t14 = i11 + k8 * k9
                     n15 = n12 * (_comb(n3, t14) if n3 >= 0 <= t14 else _binom(n3, t14))
-                    t16 = n3 + i8 + k11 * n1 + k12 * k13 + k14 * k15
-                    t17 = n3 + i11 + k16 * k17
+                    t16 = n3 + i8 + k10 * (n1 + k11) + k12 * k13
+                    t17 = n3 + i11 + k14 * k15
                     n18 = n15 * (_comb(t16, t17) if t16 >= 0 <= t17 else _binom(t16, t17))
-                    t19 = n2 + k18 * i8
+                    t19 = n2 + k16 * i8
                     n20 = n18 * (_comb(n3, t19) if n3 >= 0 <= t19 else _binom(n3, t19))
                     t21 = (_comb(i8, i11) if i8 >= 0 <= i11 else _binom(i8, i11))
                     if not t21: raise PoleError('division by zero')
@@ -275,22 +274,22 @@ def _make120(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
                 if d10 == d7: n6 += n9
                 elif not n6: n6 = n9; d7 = d10
                 else: n6 = n6 * d10 + n9 * d7; d7 *= d10
-            n24 = (-1 if (n1 + k0 + n2) % 2 else 1) * (k1 * n3 + k2 * n1 + k3 * k4) * (_comb(t4, t5) if t4 >= 0 <= t5 else _binom(t4, t5)) * n6
-            t25 = k22 * n3
+            n24 = (-1 if (n1 + k0 + n2) % 2 else 1) * (k1 * n3 + k2 * (n1 + k3)) * (_comb(t4, t5) if t4 >= 0 <= t5 else _binom(t4, t5)) * n6
+            t25 = k20 * n3
             n26 = 0; d27 = 1
-            for i28 in range(k23, n3 + 1):
+            for i28 in range(k21, n3 + 1):
                 n29 = 0; d30 = 1
-                for i31 in range(k24, i28 + 1):
+                for i31 in range(k22, i28 + 1):
                     if not i31: raise PoleError('division by zero')
                     n32 = (-1 if (i28 + i31) % 2 else 1)
                     d33 = i31
                     if d33 < 0: n32 = -n32; d33 = -d33
-                    t34 = i31 + k25 * k26
+                    t34 = i31 + k23 * k24
                     n35 = n32 * (_comb(n3, t34) if n3 >= 0 <= t34 else _binom(n3, t34))
-                    t36 = n3 + i28 + k27 * n1 + k28 * k29
-                    t37 = n3 + i31 + k30 * k31
+                    t36 = n3 + i28 + k25 * n1 + k26 * k27
+                    t37 = n3 + i31 + k28 * k29
                     n38 = n35 * (_comb(t36, t37) if t36 >= 0 <= t37 else _binom(t36, t37))
-                    t39 = n2 + k32 * i28
+                    t39 = n2 + k30 * i28
                     n40 = n38 * (_comb(n3, t39) if n3 >= 0 <= t39 else _binom(n3, t39))
                     t41 = (_comb(i28, i31) if i28 >= 0 <= i31 else _binom(i28, i31))
                     if not t41: raise PoleError('division by zero')
@@ -303,8 +302,8 @@ def _make120(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
                 if d30 == d27: n26 += n29
                 elif not n26: n26 = n29; d27 = d30
                 else: n26 = n26 * d30 + n29 * d27; d27 *= d30
-            n44 = (-1 if (n1 + n2) % 2 else 1) * (k20 * n3 + k21 * n1) * (_comb(t25, n1) if t25 >= 0 <= n1 else _binom(t25, n1)) * n26
-            n45 = k19 * n44
+            n44 = (-1 if (n1 + n2) % 2 else 1) * (k18 * n3 + k19 * n1) * (_comb(t25, n1) if t25 >= 0 <= n1 else _binom(t25, n1)) * n26
+            n45 = k17 * n44
             if d7 == d27: n46 = n24 + n45; d47 = d7
             else: n46 = n24 * d27 + n45 * d7; d47 = d7 * d27
             return n46 if d47 == 1 else _value(n46, d47)

@@ -1,10 +1,12 @@
 """Registry of exactly-checkable summation identities, certificates and
 antidifferences used by the cancellation proofs.
 
-Each entry is a named, self-contained check over a grid of integer (or
-rational) assignments, evaluated in exact arithmetic.  A check's data picks
-its runner: a check with summation axes telescopes, any other is pointwise.
-Its ``kind`` is only the label the reports print.
+Each entry is a named check over a grid of integer (or rational)
+assignments, evaluated in exact arithmetic.  A proof object is built once, and
+every check that states it, steps it (``symbolic.shift``) or sums its summand
+reads that one object.  A check's data picks its runner: a check with
+summation axes telescopes, any other is pointwise.  Its ``kind`` is only the
+label the reports print.
 
 * ``_run_pointwise``: ``lhs`` and ``rhs`` agree at every grid point.
 
@@ -70,6 +72,7 @@ from .symbolic import (
     eval_term,  # noqa: F401
     fact_expr,
     mutants,
+    shift,
     sign_expr as SG,
     syms,
 )
@@ -468,11 +471,13 @@ def build_registry() -> dict[str, IdentityCheck]:
     ))
 
     # ---- upper square, strict lower triangle ---------------------------------
+    vertical = Sum("ip", Const(Fraction(0)), i, C(s, ip) * C(s, i - ip))
+    horizontal = Sum("jp", Const(Fraction(0)), i, C(s, jp) * C(s, j - jp))
     add(IdentityCheck(
         name="q1/vertical-convolution",
         kind="closed-form-sum",
         description="sum_{i'=0}^{i} C(s,i') C(s,i-i') = C(2s,i) for i <= s",
-        lhs=Sum("ip", Const(Fraction(0)), i, C(s, ip) * C(s, i - ip)),
+        lhs=vertical,
         rhs=C(2 * s, i),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 8) for iv in range(0, sv + 1)
@@ -483,10 +488,8 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="pointwise",
         description="the horizontal half of the binomial-family coefficient "
                     "collapses to (-1)^i C(2s,i) above the diagonal",
-        lhs=SG(j) * Sum("jp", Const(Fraction(0)), i, C(s, jp) * C(s, j - jp))
-            + SG(i) * Sum("ip", Const(Fraction(0)), i, C(s, ip) * C(s, i - ip)),
-        rhs=SG(j) * Sum("jp", Const(Fraction(0)), i, C(s, jp) * C(s, j - jp))
-            + SG(i) * C(2 * s, i),
+        lhs=SG(j) * horizontal + SG(i) * vertical,
+        rhs=SG(j) * horizontal + SG(i) * C(2 * s, i),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 7) for iv in range(0, sv) for jv in range(iv + 1, sv + 1)
@@ -499,7 +502,7 @@ def build_registry() -> dict[str, IdentityCheck]:
                     "binomial-family coefficient vanishes above the diagonal",
         lhs=Sum("jp", Const(Fraction(0)), i,
                 SG(j - jp) * SG(jp + 1) * C(s, jp) * C(s, j - jp))
-            + SG(j) * Sum("jp", Const(Fraction(0)), i, C(s, jp) * C(s, j - jp)),
+            + SG(j) * horizontal,
         rhs=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -542,12 +545,13 @@ def build_registry() -> dict[str, IdentityCheck]:
         ],
     ))
     second_term = SG(jp) * C(i - jp - 1, s) * C(s, j - jp)
+    second_sum = Sum("jp", Const(Fraction(0)), i - 1, second_term)
     add(IdentityCheck(
         name="q3/second-term-sum-interior",
         kind="closed-form-sum",
         description="sum_{jp=0}^{i-1} (-1)^jp C(i-jp-1,s) C(s,j-jp) = (-1)^(s+j) "
                     "for s <= j < i",
-        lhs=Sum("jp", Const(Fraction(0)), i - 1, second_term),
+        lhs=second_sum,
         rhs=SG(s + j),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -558,7 +562,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="q3/second-term-sum-boundary",
         kind="closed-form-sum",
         description="the same sum vanishes once j >= i (in the band j >= s)",
-        lhs=Sum("jp", Const(Fraction(0)), i - 1, second_term),
+        lhs=second_sum,
         rhs=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -586,6 +590,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         ],
     ))
     inner_term = SG(t) / (2 * s - t) * C(2 * s - i, t) * C(2 * s - t - 1 - jp, s - jp)
+    inner_sum = Sum("t", Const(Fraction(0)), 2 * s - i, inner_term)
     add(IdentityCheck(
         name="q3/inner-sum-recurrence",
         kind="certificate-recurrence",
@@ -615,7 +620,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="closed-form-sum",
         description="for jp >= i-s the inner t-sum equals "
                     "(-1)^(s+i+jp)/i * C(s,jp)/C(2s,i)",
-        lhs=Sum("t", Const(Fraction(0)), 2 * s - i, inner_term),
+        lhs=inner_sum,
         rhs=inner_closed,
         grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
@@ -642,7 +647,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="pointwise",
         description="for every jp in [0,s] the inner t-sum equals the closed "
                     "form plus the correction sum",
-        lhs=Sum("t", Const(Fraction(0)), 2 * s - i, inner_term),
+        lhs=inner_sum,
         rhs=inner_closed + correction,
         grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
@@ -673,10 +678,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="pointwise",
         description="(s-jp) S(jp) + (jp+1) S(jp+1) = s C(i-jp-1,s)/(i-jp-1) "
                     "for the correction sums",
-        lhs=(s - jp) * correction
-            + (jp + 1) * Sum("t", Const(Fraction(1)), s - jp - 1,
-                             SG(t + 1) / t * C(i - jp - 2, s + t - 1) * C(s, t - 1)
-                             / C(s - jp - 1, t)),
+        lhs=(s - jp) * correction + (jp + 1) * shift(correction, "jp", 1),
         rhs=s * C(i - jp - 1, s) / (i - jp - 1),
         grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
@@ -716,12 +718,14 @@ def build_registry() -> dict[str, IdentityCheck]:
             {"s": sv, "i": iv} for sv in range(2, 8) for iv in range(sv + 1, 2 * sv - 1)
         ],
     ))
+    # the factor of the jp-convolution of the inner sum's closed form and of its residual
+    residual_factor = SG(s + i + j) * i * C(2 * s, i)
     add(IdentityCheck(
         name="q3/first-term-outer-sum",
         kind="pointwise",
         description="the closed-form part of the inner sum, convolved over jp, "
                     "gives (-1)^j C(2s,j)",
-        lhs=SG(s + i + j) * i * C(2 * s, i)
+        lhs=residual_factor
             * Sum("jp", Const(Fraction(0)), s, SG(jp) * inner_closed * C(s, j - jp)),
         rhs=SG(j) * C(2 * s, j),
         grid=lambda: [
@@ -731,22 +735,12 @@ def build_registry() -> dict[str, IdentityCheck]:
         ],
     ))
 
-    # the residual double sum and its recurrence
-    residual = SG(s + i + j) * i * C(2 * s, i) * Sum(
-        "jp", Const(Fraction(0)), s,
-        Sum("t", Const(Fraction(1)), s - jp,
-            SG(jp + t + 1) / t * C(i - jp - 1, s + t - 1) * C(s, t - 1)
-            * C(s, j - jp) / C(s - jp, t)),
-    )
-
-    def _residual_shift(delta: int) -> Expr:
-        # the same double sum with i replaced by i + delta
-        return SG(s + i + delta + j) * (i + delta) * C(2 * s, i + delta) * Sum(
-            "jp", Const(Fraction(0)), s,
-            Sum("t", Const(Fraction(1)), s - jp,
-                SG(jp + t + 1) / t * C(i + delta - jp - 1, s + t - 1) * C(s, t - 1)
-                * C(s, j - jp) / C(s - jp, t)),
-        )
+    # the residual double sum, its i-step and its recurrence
+    residual_body = (SG(jp + t + 1) / t * C(i - jp - 1, s + t - 1) * C(s, t - 1)
+                     * C(s, j - jp) / C(s - jp, t))
+    residual = residual_factor * Sum(
+        "jp", Const(Fraction(0)), s, Sum("t", Const(Fraction(1)), s - jp, residual_body))
+    residual_step = shift(residual, "i", 1) - residual
 
     add(IdentityCheck(
         name="q3/double-sum-value",
@@ -777,8 +771,8 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="double-sum-recurrence",
         description="the residual double-sum summand satisfies -F(i)+F(i+1) = "
                     "Delta_t(R_t F) with R_jp = 0",
-        summand=SG(i + t + jp) * (i / t) * C(2 * s, i) * C(i - jp - 1, s + t - 1)
-                * C(s, t - 1) * C(s, j - jp) / C(s - jp, t),
+        # (-1)^(s+j+1) times the residual's own factor and body: its sign is free of i
+        summand=SG(s + j + 1) * residual_factor * residual_body,
         param="i",
         coeffs=(Const(Fraction(-1)), Const(Fraction(1))),
         axes=(
@@ -797,7 +791,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="pointwise",
         description="one i-step of the residual double sum is homogeneous "
                     "strictly above the diagonal",
-        lhs=_residual_shift(1) - residual,
+        lhs=residual_step,
         rhs=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "j": jv, "i": iv}
@@ -810,7 +804,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="pointwise",
         description="on the diagonal the i-step of the residual double sum "
                     "produces (-1)^(j+1) C(2s,i)",
-        lhs=_residual_shift(1) - residual,
+        lhs=residual_step,
         rhs=SG(j + 1) * C(2 * s, i),
         grid=lambda: [
             {"s": sv, "j": iv, "i": iv}
@@ -850,8 +844,8 @@ def build_registry() -> dict[str, IdentityCheck]:
             for iv in range(jv + 1, 2 * sv + 1)
         ],
     ))
-    gt_diag = SG(i + jp + 1) * C(2 * s, i) * C(i - jp - 1, s - 1) * C(s, i - jp)
-    gt_diag_next = SG(i + 1 + jp + 1) * C(2 * s, i + 1) * C(i - jp, s - 1) * C(s, i + 1 - jp)
+    gt_diag = Sum("jp", Const(Fraction(0)), s - 1,
+                  SG(i + jp + 1) * C(2 * s, i) * C(i - jp - 1, s - 1) * C(s, i - jp))
     add(IdentityCheck(
         name="q3/inhom-diagonal-recurrence",
         kind="pointwise",
@@ -860,8 +854,7 @@ def build_registry() -> dict[str, IdentityCheck]:
                     "certificate is vacuous over the integers (its zero factor "
                     "covers the summand's whole support), so the summed "
                     "recurrence is checked instead",
-        lhs=(i - 2 * s) * Sum("jp", Const(Fraction(0)), s - 1, gt_diag)
-            + (i + 1) * Sum("jp", Const(Fraction(0)), s - 1, gt_diag_next),
+        lhs=(i - 2 * s) * gt_diag + (i + 1) * shift(gt_diag, "i", 1),
         rhs=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 8) for iv in range(sv, 2 * sv - 1)
@@ -872,7 +865,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="closed-form-sum",
         description="on the diagonal the jp-sum of the boundary term equals "
                     "(-1)^(s+1) C(2s,i) for s <= i <= 2s-1",
-        lhs=Sum("jp", Const(Fraction(0)), s - 1, gt_diag),
+        lhs=gt_diag,
         rhs=SG(s + 1) * C(2 * s, i),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 8) for iv in range(sv, 2 * sv)
@@ -946,20 +939,11 @@ def build_registry() -> dict[str, IdentityCheck]:
         Sum("t", Const(Fraction(0)), i,
             SG(t + jp) / (2 * s - t) * C(i, t) * C(s - t - 1 + jp, jp) * C(s, j - jp)),
     )
-    beta3v_ds = Sum(
-        "jp", Const(Fraction(0)), s,
-        Sum("t", Const(Fraction(1)), jp,
-            SG(jp + t) / t * C(s, t - 1) * C(s + jp - i - 1, s + t - 1)
-            * C(s, j - jp) / C(jp, t)),
-    )
-
-    def _beta3v_ds_shift(delta: int) -> Expr:
-        return Sum(
-            "jp", Const(Fraction(0)), s,
-            Sum("t", Const(Fraction(1)), jp,
-                SG(jp + t) / t * C(s, t - 1) * C(s + jp - i - delta - 1, s + t - 1)
-                * C(s, j - jp) / C(jp, t)),
-        )
+    beta3v_factor = SG(i + j) * (2 * s - i) * C(2 * s, i)
+    beta3v_body = (SG(jp + t) / t * C(s, t - 1) * C(s + jp - i - 1, s + t - 1)
+                   * C(s, j - jp) / C(jp, t))
+    beta3v = beta3v_factor * Sum(
+        "jp", Const(Fraction(0)), s, Sum("t", Const(Fraction(1)), jp, beta3v_body))
 
     add(IdentityCheck(
         name="q4/transformed-double-sum",
@@ -967,7 +951,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         description="the raw third-term double sum equals its transformed form "
                     "with the extracted (-1)^(j+1) C(2s,j)",
         lhs=beta3v_raw,
-        rhs=SG(j + 1) * C(2 * s, j) + SG(i + j) * (2 * s - i) * C(2 * s, i) * beta3v_ds,
+        rhs=SG(j + 1) * C(2 * s, j) + beta3v,
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 6) for iv in range(0, sv + 1) for jv in range(sv, 2 * sv + 1)
@@ -993,15 +977,13 @@ def build_registry() -> dict[str, IdentityCheck]:
         ],
     ))
     beta2h = Sum("ip", Const(Fraction(0)), s, beta2h_term)
-    beta2h_next = Sum("ip", Const(Fraction(0)), s,
-                      SG(s + i + 1 + j + ip) * C(2 * s, j) * C(j - ip - 1, s) * C(s, i + 1 - ip))
     step_rhs = C(2 * s, i + 1) * C(2 * s - i - 1, j - i - 1) * C(j - i - 2, j - s - 1)
     add(IdentityCheck(
         name="q4/beta2h-step",
         kind="pointwise",
         description="one i-step of the horizontal second-term sum equals "
                     "(-1)^(i+j+s+1) C(2s,i+1) C(2s-i-1,j-i-1) C(j-i-2,j-s-1)",
-        lhs=beta2h_next - beta2h,
+        lhs=shift(beta2h, "i", 1) - beta2h,
         rhs=SG(i + j + s + 1) * step_rhs,
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -1013,8 +995,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="pointwise",
         description="one i-step of the transformed third-term double sum equals "
                     "the same quantity with opposite sign",
-        lhs=SG(i + 1 + j) * (2 * s - i - 1) * C(2 * s, i + 1) * _beta3v_ds_shift(1)
-            - SG(i + j) * (2 * s - i) * C(2 * s, i) * beta3v_ds,
+        lhs=shift(beta3v, "i", 1) - beta3v,
         rhs=SG(i + j + s) * step_rhs,
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -1026,8 +1007,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="double-sum-recurrence",
         description="the transformed third-term summand satisfies -F(i)+F(i+1) "
                     "= Delta_t(R_t F) with R_jp = 0",
-        summand=SG(i + j + jp + t) * ((2 * s - i) / t) * C(2 * s, i) * C(s, t - 1)
-                * C(s + jp - i - 1, s + t - 1) * C(s, j - jp) / C(jp, t),
+        summand=beta3v_factor * beta3v_body,
         param="i",
         coeffs=(Const(Fraction(-1)), Const(Fraction(1))),
         axes=(

@@ -20,8 +20,8 @@ cache serves it; only other shapes are compiled, once per process.
 ``eval_term`` is the one-shot form and returns a Fraction.  Division by
 zero or other undefined points raise PoleError so callers can skip or
 report them.  ``mutants`` gives one evaluator per constant of a tree, with
-that constant plus one, from the tree's own compiled code; the identity
-harness uses them to prove it would detect a wrong certificate.
+that constant plus one, from its own compiled code, to prove that the identity
+harness detects a wrong certificate.  ``shift`` moves a variable by an offset.
 """
 
 from __future__ import annotations
@@ -175,6 +175,25 @@ def fact_expr(a) -> Fact:
 
 def sign_expr(e) -> Sign:
     return Sign(wrap(e))
+
+
+def shift(expr: Expr, name: str, by) -> Expr:
+    """The tree with each free ``Var(name)`` replaced by ``Var(name) + by``.
+
+    A ``Sum`` over name binds it: its bounds are shifted and its body is not.
+    Every other node is rebuilt field by field, in ``__slots__`` order.
+    """
+    if type(expr) is Var and expr.name == name:
+        return expr + by
+    fields = []
+    for slot in type(expr).__slots__:
+        value = getattr(expr, slot)
+        if type(value) is tuple:
+            value = tuple(shift(part, name, by) for part in value)
+        elif isinstance(value, Expr) and not (slot == "body" and expr.index == name):
+            value = shift(value, name, by)
+        fields.append(value)
+    return type(expr)(*fields)
 
 
 def _as_int(x: Number, where: str) -> int:

@@ -60,7 +60,11 @@ def test_tracer_counts_every_certificate_mutant():
     try:
         tracing.install(tracer, polycount)
         for pattern in ("gf/*", "double-gf/*", "rhs/*", "appendix-d/*"):
-            assert identities.certificate_mutation_report(pattern).ok, pattern
+            # the worker sends the report as its dict, and checks read these keys
+            report = identities.certificate_mutation_report(pattern).to_dict()
+            assert report["ok"] and report["summary"]["failed"] == 0, pattern
+            assert all(rec["name"] and rec["status"] == "pass" and rec["actual"] == "ok"
+                       for rec in report["checks"]), pattern
     finally:
         tracer.close()
     metrics = tracing.layer_metrics(tracer.spans, 0, 0)

@@ -21,6 +21,12 @@ def test_round_trip(tmp_path):
     assert loaded is not None
     assert loaded.counts == table.counts
     assert loaded.spec == table.spec
+    # a write that cannot replace its entry (here a directory) leaves no temp file
+    blocked = tmp_path / "blocked"
+    entry_path(blocked, 2, 3, 4).mkdir(parents=True)
+    with pytest.raises(ParameterError, match="cannot write cache entry"):
+        save_entry(blocked, table)
+    assert [p.name for p in blocked.iterdir()] == ["k2_n3_m4.json"]
 
 
 def test_schema(tmp_path):

@@ -447,7 +447,8 @@ def test_extend_catches_corrupt_seed_in_cache(capsys, tmp_path):
             "--steps", "3", "--cache-dir", str(cache_dir)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert "extension mismatch at (15,15)" in err and "quadrant polynomial" in err
+    assert err.startswith("check failed: extension mismatch at (15,15)")
+    assert "quadrant polynomial" in err
     code, _, _ = run_cli(capsys, *argv, "--no-crosscheck")
     assert code == 0  # the recurrence alone cannot see a bad seed
 
@@ -848,11 +849,26 @@ def test_a_stdout_closed_after_the_first_part(capsys, monkeypatch, fmt):
     ["quadrants", "--s", "0"],
     ["weights", "--s", "0..2"],
     ["identities", "--filter", "nomatch"],
+    # an option the target never reads, off its default
+    ["strip", "--n", "3", "--m", "5", "--lambda", "5"],
+    ["diagonal", "--n", "6..8", "--filter", "q1/*"],
+    ["corollary", "--n", "7", "--anchor-n", "12"],
+    ["weights", "--s", "2", "--m", "4"],
+    ["quadrants", "--s", "2", "--k", "7", "--n", "3..4", "--filter", "zz", "--unsafe-range"],
+    ["identities", "--filter", "appendix-c/*", "--s", "9", "--lambda", "5"],
 ], ids=" ".join)
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_usage_errors_write_nothing_to_stdout(capsys, argv, fmt):
     code, out, err = run_cli(capsys, "verify", *argv, "--format", fmt)
     assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_names_an_option_its_target_never_reads(capsys):
+    code, out, err = run_cli(capsys, "verify", "quadrants", "--s", "1", "--lambda", "5")
+    assert (code, out, err) == (2, "", "error: verify quadrants does not read --lambda\n")
+    # an unread option given at its default is as if it were not given
+    code, out, _ = run_cli(capsys, "verify", "quadrants", "--s", "1", "--k", "2", "--filter", "*")
+    assert code == 0 and out == run_cli(capsys, "verify", "quadrants", "--s", "1")[1]
 
 
 class _Discard:

@@ -23,6 +23,7 @@ from polycount.symbolic import (
     compile_term,
     eval_term,
     mutants,
+    shift,
     syms,
 )
 
@@ -207,6 +208,27 @@ def _nodes(expr: Expr):
                 yield from _nodes(part)
 
 
+def _roots(value):
+    """Every expression in a check's field: the field, or those in its tuple (coeffs, axes)."""
+    if isinstance(value, Expr):
+        yield value
+    elif type(value) is tuple:
+        for part in value:
+            yield from _roots(part)
+
+
+def test_no_sum_is_typed_twice():
+    # equal sums are one object, so every check that states, steps or sums a
+    # proof object reads the one its siblings prove
+    first, copies = {}, []
+    for name, chk in registry().items():
+        for root in _roots(tuple(getattr(chk, field) for field in IdentityCheck.__slots__)):
+            for node in _nodes(root):
+                if type(node) is Sum and first.setdefault(node, node) is not node:
+                    copies.append(name)
+    assert copies == []
+
+
 #: each telescoping check -> the checks that state a sum of its summand: a
 #: closed form, a value or a step
 STATED_SUMS = {
@@ -223,6 +245,28 @@ STATED_SUMS = {
 }
 
 
+#: each step check -> the check that states the object it steps, that object,
+#: and the index it steps; no other check states beta2h, whose body is the
+#: summand of q4/beta2h-recurrence (STATED_SUMS)
+STEPS = {
+    "q3/double-sum-step-offdiagonal": ("q3/double-sum-value", lambda chk: chk.lhs, "i"),
+    "q3/double-sum-step-diagonal": ("q3/double-sum-value", lambda chk: chk.lhs, "i"),
+    "q3/inhom-diagonal-recurrence": ("q3/inhom-diagonal-value", lambda chk: chk.lhs, "i"),
+    "q3/correction-summed-step": ("q3/correction-vanishes", lambda chk: chk.lhs, "jp"),
+    "q4/beta3v-step": ("q4/transformed-double-sum", lambda chk: chk.rhs.terms[1], "i"),
+    "q4/beta2h-step": ("q4/beta2h-step", lambda chk: chk.lhs.terms[1].factors[1], "i"),
+}
+
+
+def test_each_step_shifts_the_object_its_sibling_states():
+    reg = registry()
+    for name, (stating, pick, index) in STEPS.items():
+        stated = pick(reg[stating])
+        nodes = list(_nodes(reg[name].lhs))
+        assert any(node is stated for node in nodes), name
+        assert shift(stated, index, 1) in nodes, name
+
+
 def test_each_telescoped_summand_is_the_body_of_the_sums_it_proves():
     # one object, not an equal copy, so a typo cannot split a proof chain
     reg = registry()
@@ -235,6 +279,19 @@ def test_each_telescoped_summand_is_the_body_of_the_sums_it_proves():
     # the top-row inner sum's second piece is what its antidifference telescopes
     assert reg["q3/top-row-inner-value"].rhs.terms[-1] \
         is reg["q3/top-row-second-piece-antidifference"].summand
+    # a double-sum recurrence's summand is built from the factor and the inner
+    # body of the double sum it proves
+    for name, stating, pick in (
+        ("q3/double-sum-recurrence", "q3/double-sum-value", lambda chk: chk.lhs),
+        ("q4/beta3v-recurrence", "q4/transformed-double-sum", lambda chk: chk.rhs.terms[1]),
+    ):
+        factor, outer = pick(reg[stating]).factors
+        nodes = list(_nodes(reg[name].summand))
+        assert any(node is factor for node in nodes), name
+        assert any(node is outer.body.body for node in nodes), name
+    # the residual's factor is the one the closed-form part's outer sum has
+    residual = reg["q3/double-sum-value"].lhs
+    assert reg["q3/first-term-outer-sum"].lhs.factors[0] is residual.factors[0]
     # the inner sum's closed form is the one the correction and the outer sum use
     closed = reg["q3/inner-sum-closed-form"].rhs
     for name in ("q3/inner-sum-with-correction", "q3/first-term-outer-sum"):

@@ -23,11 +23,13 @@ from polycount.symbolic import (
     Sign,
     Sum,
     Var,
+    _as_int,
     binom_expr as C,
     compile_term,
     eval_term,
     fact_expr,
     mutants,
+    shift,
     sign_expr as SG,
     syms,
 )
@@ -138,6 +140,11 @@ def test_compiled_evaluation_is_exact():
     with pytest.raises(PoleError):
         eval_term(half_range, {"s": 3})
     assert eval_term(half_range, {"s": 4}) == 3
+    # the identity runner reads a sum bound through _as_int, which takes an
+    # integral Fraction as its int
+    assert _as_int(Fraction(6, 3), "sum bound") == 2 and type(_as_int(Fraction(6, 3), "")) is int
+    with pytest.raises(PoleError, match="sum bound needs an integer"):
+        _as_int(Fraction(3, 2), "sum bound")
 
 
 def test_compiled_term_matches_eval_term_at_every_point():
@@ -280,6 +287,42 @@ def test_compiled_term_agrees_with_an_independent_oracle():
             seen["int" if want.denominator == 1 else "fraction"] += 1
     assert kinds == {"Const", "Var", "Add", "Mul", "Div", "Pow", "Binom", "Fact", "Sign", "Sum"}
     assert min(seen.values()) >= 200, seen
+
+
+def test_shift_moves_a_variable_by_an_offset_everywhere_it_is_free():
+    # shift(e, v, d) at env is e at env with v + d, poles included
+    rng = random.Random(20261020)
+    seen = {"value": 0, "pole": 0}
+    for _ in range(300):
+        expr = _random_expr(rng, 4, _NAMES)
+        name, by = rng.choice(_NAMES), rng.choice((1, -2, Fraction(1, 2)))
+        shifted = compile_term(shift(expr, name, by))
+        for _ in range(3):
+            env = {n: rng.choice(_VALUES) for n in _NAMES if rng.random() < 0.85}
+            there = {**env, name: env[name] + by} if name in env else env
+            try:
+                want = _oracle(expr, there)
+            except PoleError:
+                with pytest.raises(PoleError):
+                    shifted(env)
+                seen["pole"] += 1
+                continue
+            assert shifted(env) == want, (expr, name, by, env)
+            seen["value"] += 1
+    assert min(seen.values()) >= 200, seen
+
+
+def test_shift_stops_at_a_sum_that_binds_the_variable():
+    body = C(s, j) * i
+    total = Sum("j", j, j + 2, body)
+    binds = shift(total, "j", 1)
+    assert binds.body is body  # the body's j is the sum's own
+    assert (binds.lower, binds.upper) == (j + 1, j + 1 + 2)
+    assert shift(total, "i", 1).body == C(s, j) * (i + 1)
+    assert shift(total, "s", 1) == Sum("j", j, j + 2, C(s + 1, j) * i)
+    # every node is rebuilt in its own class, field by field
+    assert shift(Fact(s) / (SG(s) - Pow(i, s)), "s", -1) == (
+        Fact(s + -1) / (SG(s + -1) - Pow(i, s + -1)))
 
 
 def test_nested_sums_rebinding_one_index():

@@ -21,7 +21,7 @@ from polycount.weights import (
     verify_quadrant_lemmas,
     verify_rhs_column_sums,
 )
-from polycount.weights import _footprint, _per_term_cells
+from polycount.weights import _accumulate, _footprint, _per_term_cells
 from tests.test_hseq import fraction_h_terms
 
 
@@ -88,8 +88,6 @@ def test_full_cancellation():
 
 
 def test_alpha_formula_matches_accumulation():
-    from polycount.weights import _accumulate
-
     for s in range(1, 7):
         grid = build_weight_grid(s)
         p1_cells = _accumulate(grid, ("P1",))
@@ -212,6 +210,19 @@ def test_residual_double_sum_matches_the_fraction_form():
                 got = third_term_residual_sum(s, i, j)
                 assert got == fraction_residual_sum(s, i, j), (s, i, j)
                 assert type(got) is Fraction
+
+
+def test_per_term_cells_add_up_to_the_placed_h_family():
+    # the formally extended family, which the quadrant lemmas check term by
+    # term, has the cells of the placed P2 identities that verify weights sums
+    for s in range(1, 9):
+        grid = build_weight_grid(s)
+        _, _, beta = _per_term_cells(s)
+        for o, orientation in (("v", "vertical"), ("h", "horizontal")):
+            terms = [beta[(t, o)] for t in (1, 2, 3)]
+            total = [[sum(cells[ci][cj] for cells in terms) for cj in range(grid.size)]
+                     for ci in range(grid.size)]
+            assert total == _accumulate(grid, ("P2",), (orientation,)), (s, orientation)
 
 
 def test_per_term_cells_match_a_fraction_accumulation():
