@@ -333,7 +333,7 @@ def _make121(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
     return term
 
 
-def _make122(general, k0, k1, k2, k3, k4, k5):
+def _make122(general, k0, k1, k2, k3, k4, k5, k6, k7):
     def term(env):
         try:
             n1 = env['s']
@@ -342,10 +342,10 @@ def _make122(general, k0, k1, k2, k3, k4, k5):
             for i4 in range(k0, n1 + 1):
                 n5 = env['j']
                 if type(n5) is not int: return general(env)
-                t6 = k1 * n1
-                t7 = n5 + k2 * i4 + k3 * k4
-                t8 = k5 * i4
-                n2 += (-1 if (n1 + n5 + i4) % 2 else 1) * (_comb(t6, n5) if t6 >= 0 <= n5 else _binom(t6, n5)) * (_comb(t7, n1) if t7 >= 0 <= n1 else _binom(t7, n1)) * (_comb(n1, t8) if n1 >= 0 <= t8 else _binom(n1, t8))
+                t6 = k2 * n1
+                t7 = n5 + k3 * i4 + k4 * k5
+                t8 = k6 + k7 * i4
+                n2 += (-1 if (n1 + k1 + n5 + i4) % 2 else 1) * (_comb(t6, n5) if t6 >= 0 <= n5 else _binom(t6, n5)) * (_comb(t7, n1) if t7 >= 0 <= n1 else _binom(t7, n1)) * (_comb(n1, t8) if n1 >= 0 <= t8 else _binom(n1, t8))
             return n2
         except KeyError as missing:
             raise PoleError(f'unbound variable {missing.args[0]}') from None
@@ -560,24 +560,24 @@ def _make131(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
             t4 = k3 * n3
             n5 = 0; d6 = 1
             for i7 in range(k4, n3 + 1):
-                n8 = 0; d9 = 1
-                for i10 in range(k5, n1 + 1):
-                    t11 = k6 * n3 + k7 * i10
-                    if not t11: raise PoleError('division by zero')
-                    n12 = (-1 if (i10 + i7) % 2 else 1)
-                    d13 = t11
-                    if d13 < 0: n12 = -n12; d13 = -d13
-                    n14 = n12 * (_comb(n1, i10) if n1 >= 0 <= i10 else _binom(n1, i10))
-                    t15 = n3 + k8 * i10 + k9 * k10 + i7
-                    n16 = n14 * (_comb(t15, i7) if t15 >= 0 <= i7 else _binom(t15, i7))
-                    t17 = n2 + k11 * i7
-                    n18 = n16 * (_comb(n3, t17) if n3 >= 0 <= t17 else _binom(n3, t17))
-                    if d13 == d9: n8 += n18
-                    elif not n8: n8 = n18; d9 = d13
-                    else: n8 = n8 * d13 + n18 * d9; d9 *= d13
-                if d9 == d6: n5 += n8
-                elif not n5: n5 = n8; d6 = d9
-                else: n5 = n5 * d9 + n8 * d6; d6 *= d9
+                t8 = n2 + k5 * i7
+                n9 = 0; d10 = 1
+                for i11 in range(k6, n1 + 1):
+                    t12 = k7 * n3 + k8 * i11
+                    if not t12: raise PoleError('division by zero')
+                    n13 = (-1 if i11 % 2 else 1)
+                    d14 = t12
+                    if d14 < 0: n13 = -n13; d14 = -d14
+                    n15 = n13 * (_comb(n1, i11) if n1 >= 0 <= i11 else _binom(n1, i11))
+                    t16 = n3 + k9 * i11 + k10 * k11 + i7
+                    n17 = n15 * (_comb(t16, i7) if t16 >= 0 <= i7 else _binom(t16, i7))
+                    if d14 == d10: n9 += n17
+                    elif not n9: n9 = n17; d10 = d14
+                    else: n9 = n9 * d14 + n17 * d10; d10 *= d14
+                n18 = (-1 if i7 % 2 else 1) * (_comb(n3, t8) if n3 >= 0 <= t8 else _binom(n3, t8)) * n9
+                if d10 == d6: n5 += n18
+                elif not n5: n5 = n18; d6 = d10
+                else: n5 = n5 * d10 + n18 * d6; d6 *= d10
             n19 = (-1 if (n1 + n2 + k0) % 2 else 1) * (k1 * n3 + k2 * n1) * (_comb(t4, n1) if t4 >= 0 <= n1 else _binom(t4, n1)) * n5
             return n19 if d6 == 1 else _value(n19, d6)
         except KeyError as missing:

@@ -444,17 +444,17 @@ def _make156(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
             if type(n2) is not int: return general(env)
             t3 = k2 * n2
             n4 = 0; d5 = 1
-            for i6 in range(k3, n1 + 1):
+            for i6 in range(n1 + k3, n2 + 1):
                 n7 = 0; d8 = 1
-                for i9 in range(n1 + k4, n2 + 1):
-                    t10 = k5 * n2 + k6 * i6
+                for i9 in range(k4, n1 + 1):
+                    t10 = k5 * n2 + k6 * i9
                     if not t10: raise PoleError('division by zero')
-                    n11 = (-1 if i6 % 2 else 1)
+                    n11 = (-1 if i9 % 2 else 1)
                     d12 = t10
                     if d12 < 0: n11 = -n11; d12 = -d12
-                    n13 = n11 * (_comb(n1, i6) if n1 >= 0 <= i6 else _binom(n1, i6))
-                    t14 = n2 + k7 * i6 + k8 * k9 + i9
-                    n15 = n13 * (_comb(t14, i9) if t14 >= 0 <= i9 else _binom(t14, i9))
+                    n13 = n11 * (_comb(n1, i9) if n1 >= 0 <= i9 else _binom(n1, i9))
+                    t14 = n2 + k7 * i9 + k8 * k9 + i6
+                    n15 = n13 * (_comb(t14, i6) if t14 >= 0 <= i6 else _binom(t14, i6))
                     if d12 == d8: n7 += n15
                     elif not n7: n7 = n15; d8 = d12
                     else: n7 = n7 * d12 + n15 * d8; d8 *= d12

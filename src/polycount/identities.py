@@ -3,7 +3,8 @@ antidifferences used by the cancellation proofs.
 
 Each entry is a named check over a grid of integer (or rational)
 assignments, evaluated in exact arithmetic.  A proof object is built once, and
-every check that states it, steps it (``symbolic.shift``) or sums its summand
+every check that states it, sums its summand or substitutes into it
+(``symbolic.substitute``: a step in a variable, or its value at a constant)
 reads that one object.  A check's data picks its runner: a check with
 summation axes telescopes, any other is pointwise.  Its ``kind`` is only the
 label the reports print.
@@ -72,8 +73,8 @@ from .symbolic import (
     eval_term,  # noqa: F401
     fact_expr,
     mutants,
-    shift,
     sign_expr as SG,
+    substitute,
     syms,
 )
 
@@ -678,7 +679,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="pointwise",
         description="(s-jp) S(jp) + (jp+1) S(jp+1) = s C(i-jp-1,s)/(i-jp-1) "
                     "for the correction sums",
-        lhs=(s - jp) * correction + (jp + 1) * shift(correction, "jp", 1),
+        lhs=(s - jp) * correction + (jp + 1) * substitute(correction, "jp", jp + 1),
         rhs=s * C(i - jp - 1, s) / (i - jp - 1),
         grid=lambda: [
             {"s": sv, "i": iv, "jp": jpv}
@@ -740,7 +741,7 @@ def build_registry() -> dict[str, IdentityCheck]:
                      * C(s, j - jp) / C(s - jp, t))
     residual = residual_factor * Sum(
         "jp", Const(Fraction(0)), s, Sum("t", Const(Fraction(1)), s - jp, residual_body))
-    residual_step = shift(residual, "i", 1) - residual
+    residual_step = substitute(residual, "i", i + 1) - residual
 
     add(IdentityCheck(
         name="q3/double-sum-value",
@@ -854,7 +855,7 @@ def build_registry() -> dict[str, IdentityCheck]:
                     "certificate is vacuous over the integers (its zero factor "
                     "covers the summand's whole support), so the summed "
                     "recurrence is checked instead",
-        lhs=(i - 2 * s) * gt_diag + (i + 1) * shift(gt_diag, "i", 1),
+        lhs=(i - 2 * s) * gt_diag + (i + 1) * substitute(gt_diag, "i", i + 1),
         rhs=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 8) for iv in range(sv, 2 * sv - 1)
@@ -920,12 +921,15 @@ def build_registry() -> dict[str, IdentityCheck]:
     ))
 
     # ---- mixed quadrant (upper-right) ----------------------------------------
+    # the third term's inner t-sum, which the raw double sum and the column sums read
+    third_inner = Sum("t", Const(Fraction(0)), i,
+                      SG(t) / (2 * s - t) * C(i, t) * C(s - t - 1 + jp, jp))
     add(IdentityCheck(
         name="q4/inner-sum-transform",
         kind="pointwise",
         description="the inner t-sum in the mixed quadrant splits into a closed "
                     "form plus a correction over t <= jp",
-        lhs=Sum("t", Const(Fraction(0)), i, SG(t) / (2 * s - t) * C(i, t) * C(s - t - 1 + jp, jp)),
+        lhs=third_inner,
         rhs=SG(i + jp) / (2 * s - i) * C(s, jp) / C(2 * s, i)
             + Sum("t", Const(Fraction(1)), jp,
                   SG(t + 1) / t * C(s, t - 1) * C(s + jp - i - 1, s + t - 1) / C(jp, t)),
@@ -935,10 +939,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         ],
     ))
     beta3v_raw = SG(i + j + 1) * (2 * s - i) * C(2 * s, i) * Sum(
-        "jp", Const(Fraction(0)), s,
-        Sum("t", Const(Fraction(0)), i,
-            SG(t + jp) / (2 * s - t) * C(i, t) * C(s - t - 1 + jp, jp) * C(s, j - jp)),
-    )
+        "jp", Const(Fraction(0)), s, SG(jp) * C(s, j - jp) * third_inner)
     beta3v_factor = SG(i + j) * (2 * s - i) * C(2 * s, i)
     beta3v_body = (SG(jp + t) / t * C(s, t - 1) * C(s + jp - i - 1, s + t - 1)
                    * C(s, j - jp) / C(jp, t))
@@ -983,7 +984,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="pointwise",
         description="one i-step of the horizontal second-term sum equals "
                     "(-1)^(i+j+s+1) C(2s,i+1) C(2s-i-1,j-i-1) C(j-i-2,j-s-1)",
-        lhs=shift(beta2h, "i", 1) - beta2h,
+        lhs=substitute(beta2h, "i", i + 1) - beta2h,
         rhs=SG(i + j + s + 1) * step_rhs,
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -995,7 +996,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="pointwise",
         description="one i-step of the transformed third-term double sum equals "
                     "the same quantity with opposite sign",
-        lhs=shift(beta3v, "i", 1) - beta3v,
+        lhs=substitute(beta3v, "i", i + 1) - beta3v,
         rhs=SG(i + j + s) * step_rhs,
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
@@ -1048,8 +1049,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="pointwise",
         description="at i = 0 the horizontal second-term sum is "
                     "(-1)^(s+j) C(2s,j) C(j-1,s)",
-        lhs=Sum("ip", Const(Fraction(0)), s,
-                SG(s + j + ip) * C(2 * s, j) * C(j - ip - 1, s) * C(s, -ip)),
+        lhs=substitute(beta2h, "i", 0),
         rhs=SG(s + j) * C(2 * s, j) * C(j - 1, s),
         grid=lambda: [
             {"s": sv, "j": jv} for sv in range(1, 8) for jv in range(sv + 1, 2 * sv + 1)
@@ -1128,10 +1128,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         kind="pointwise",
         description="the double sum of third-term column weights has the closed "
                     "form (2s-i)/s C(2s,i) C(2s-i-1,s) (1 - 1/(2 C(2s-1,s)))",
-        lhs=SG(i) * (2 * s - i) * C(2 * s, i)
-            * Sum("t", Const(Fraction(0)), i,
-                  Sum("jp", i + 1, s,
-                      SG(t) / (2 * s - t) * C(i, t) * C(s - t - 1 + jp, jp))),
+        lhs=SG(i) * (2 * s - i) * C(2 * s, i) * Sum("jp", i + 1, s, third_inner),
         rhs=SG(i) * (2 * s - i) / s * C(2 * s, i) * C(2 * s - i - 1, s)
             * (1 - 1 / (2 * C(2 * s - 1, s))),
         grid=lambda: [

@@ -21,7 +21,9 @@ cache serves it; only other shapes are compiled, once per process.
 zero or other undefined points raise PoleError so callers can skip or
 report them.  ``mutants`` gives one evaluator per constant of a tree, with
 that constant plus one, from its own compiled code, to prove that the identity
-harness detects a wrong certificate.  ``shift`` moves a variable by an offset.
+harness detects a wrong certificate.  ``substitute`` replaces a free
+variable by an expression, the one rewrite of a tree: a step in a variable
+or its value at a constant.
 """
 
 from __future__ import annotations
@@ -177,22 +179,25 @@ def sign_expr(e) -> Sign:
     return Sign(wrap(e))
 
 
-def shift(expr: Expr, name: str, by) -> Expr:
-    """The tree with each free ``Var(name)`` replaced by ``Var(name) + by``.
+def substitute(expr: Expr, name: str, value) -> Expr:
+    """The tree with each free ``Var(name)`` replaced by ``value`` (an Expr or a number).
 
-    A ``Sum`` over name binds it: its bounds are shifted and its body is not.
-    Every other node is rebuilt field by field, in ``__slots__`` order.
+    ``substitute(e, v, Var(v) + 1)`` steps e in v, ``substitute(e, v, 0)``
+    reads it at v = 0.  A ``Sum`` over name binds it: its bounds are
+    substituted and its body is not.  Every other node is rebuilt field by
+    field, in ``__slots__`` order.  A variable of value that a ``Sum`` inside
+    the tree binds would be captured, so value must not mention one.
     """
     if type(expr) is Var and expr.name == name:
-        return expr + by
+        return wrap(value)
     fields = []
     for slot in type(expr).__slots__:
-        value = getattr(expr, slot)
-        if type(value) is tuple:
-            value = tuple(shift(part, name, by) for part in value)
-        elif isinstance(value, Expr) and not (slot == "body" and expr.index == name):
-            value = shift(value, name, by)
-        fields.append(value)
+        field = getattr(expr, slot)
+        if type(field) is tuple:
+            field = tuple(substitute(part, name, value) for part in field)
+        elif isinstance(field, Expr) and not (slot == "body" and expr.index == name):
+            field = substitute(field, name, value)
+        fields.append(field)
     return type(expr)(*fields)
 
 

@@ -23,8 +23,10 @@ from typing import Union
 from .errors import ParameterError
 from .exact import as_integer, binom
 from .hseq import h_recursive, h_terms
+from .identities import registry
 from .records import Frozen, set_field
 from .reports import Report
+from .symbolic import compile_term
 
 
 class PlacedIdentity(Frozen):
@@ -208,37 +210,20 @@ def cell_region(s: int, i: int, j: int) -> str:
     return "q4" if i < s else "q2"
 
 
-def third_term_residual_sum(s: int, i: int, j: int) -> Fraction:
-    """The double sum left over after the closed-form part of the third term.
-
-    Vanishes on the diagonal; equals (-1)**(j+1) C(2s, j) strictly above it
-    in the lower square (i > j >= s).  Each summand's denominator
-    t * C(s - jp, t) divides s!**2, so the sum is one integer over s!**2.
-    """
-    common = math.factorial(s) ** 2
-    total = 0
-    for jp in range(s + 1):
-        for t in range(1, s - jp + 1):
-            total += (
-                (-1) ** (jp + t + 1)
-                * (common // (t * binom(s - jp, t)))
-                * binom(i - jp - 1, s + t - 1)
-                * binom(s, t - 1)
-                * binom(s, j - jp)
-            )
-    return Fraction((-1) ** (s + i + j) * i * binom(2 * s, i) * total, common)
-
-
 def verify_quadrant_lemmas(s: int) -> Report:
     """Re-check every per-cell, per-term cancellation in all four quadrants.
 
     Each cell is assigned to one region; the region's term-level identities
     are evaluated in exact arithmetic and any residual is reported with the
-    cell coordinates and the term that failed.
+    cell coordinates and the term that failed.  The residual double sum of
+    the third term and its i-step are the registry's own trees (the lhs of
+    ``q3/double-sum-value`` and ``q3/double-sum-step-*``), the objects its
+    certificates prove, compiled once per call.
     """
-    if s < 1:
-        raise ParameterError(f"s must be >= 1, got {s}")
     alpha_v, alpha_h, beta = _per_term_cells(s)
+    reg = registry()
+    residual = compile_term(reg["q3/double-sum-value"].lhs)
+    residual_step = compile_term(reg["q3/double-sum-step-diagonal"].lhs)
     n = 2 * s + 1
     report = Report(title=f"quadrant cancellation lemmas s={s}")
 
@@ -275,7 +260,7 @@ def verify_quadrant_lemmas(s: int) -> Report:
                         "residual-double-sum-value",
                         i,
                         j,
-                        third_term_residual_sum(s, i, j),
+                        residual({"s": s, "i": i, "j": j}),
                         (-1) ** (j + 1) * binom(2 * s, j),
                     )
             elif region in ("q1-upper", "q3-lower"):
@@ -299,7 +284,7 @@ def verify_quadrant_lemmas(s: int) -> Report:
                 rec("first-term-diagonal", i, j, b(1, "v", i, j), -sign)
                 rec("second-term-diagonal-vanishes", i, j, b(2, "v", i, j), 0)
                 rec("third-term-diagonal", i, j, b(3, "v", i, j), sign)
-                rec("residual-double-sum-vanishes", i, j, third_term_residual_sum(s, i, i), 0)
+                rec("residual-double-sum-vanishes", i, j, residual({"s": s, "i": i, "j": i}), 0)
                 rec(
                     "binomial-family-diagonal",
                     i,
@@ -311,21 +296,14 @@ def verify_quadrant_lemmas(s: int) -> Report:
     # first-order step of the residual double sum, i >= j >= s
     for j in range(s, n):
         for i in range(j, 2 * s):
-            step = third_term_residual_sum(s, i + 1, j) - third_term_residual_sum(s, i, j)
             expected = (-1) ** (j + 1) * binom(2 * s, i) if i == j else 0
-            report.record(
-                "residual-double-sum-step",
-                {"s": s, "i": i, "j": j},
-                expected,
-                step,
-            )
+            report.record("residual-double-sum-step", {"s": s, "i": i, "j": j}, expected,
+                          residual_step({"s": s, "i": i, "j": j}))
     return report
 
 
 def verify_rhs_column_sums(s: int) -> Report:
     """Column-by-column weight sums of the vertical identities vs closed forms."""
-    if s < 1:
-        raise ParameterError(f"s must be >= 1, got {s}")
     grid = build_weight_grid(s)
     report = Report(title=f"rhs column sums s={s}")
     col_p1 = [0] * (2 * s + 1)

@@ -146,6 +146,14 @@ def test_verify_requires_ranges(capsys):
         assert code == 2 and out == "" and err == f"error: {message}\n", argv
 
 
+def test_verify_quadrants_and_weights_refuse_s_below_one(capsys):
+    # the weight grid refuses s < 1 before any report line is written
+    for target in ("quadrants", "weights"):
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(capsys, "verify", target, "--s", "0", "--format", fmt)
+            assert (code, out, err) == (2, "", "error: s must be >= 1, got 0\n"), (target, fmt)
+
+
 @pytest.mark.parametrize("argv", [
     ["diagonal", "--k", "2", "--n", "5", "--s", "0"],
     ["corollary", "--k", "2", "--n", "5", "--s", "0"],

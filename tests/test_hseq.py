@@ -18,6 +18,8 @@ from polycount.hseq import (
     h_recursive,
     h_terms,
 )
+from polycount.identities import registry
+from polycount.symbolic import compile_term
 
 TABLE_S4 = {
     (0, 1): 3, (0, 2): 5, (0, 3): 5, (0, 4): 0,
@@ -180,3 +182,14 @@ def test_h_terms_domain():
         with pytest.raises(ParameterError):
             h_terms(s, i, j)
     assert h_terms(2, 3, 0) == fraction_h_terms(2, 3, 0)
+
+
+def test_the_third_term_is_the_registrys_t_sum():
+    # the explicit route's third term is (-1)^i (2s-i) C(2s,i) times the inner
+    # t-sum that q4/inner-sum-transform states, read at jp = j
+    inner = compile_term(registry()["q4/inner-sum-transform"].lhs)
+    for s in range(1, 9):
+        for i in range(2 * s):
+            for j in range(s + 4):
+                want = (-1) ** i * (2 * s - i) * binom(2 * s, i) * inner({"s": s, "i": i, "jp": j})
+                assert h_terms(s, i, j)[2] == want, (s, i, j)

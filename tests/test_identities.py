@@ -23,7 +23,7 @@ from polycount.symbolic import (
     compile_term,
     eval_term,
     mutants,
-    shift,
+    substitute,
     syms,
 )
 
@@ -245,26 +245,33 @@ STATED_SUMS = {
 }
 
 
-#: each step check -> the check that states the object it steps, that object,
-#: and the index it steps; no other check states beta2h, whose body is the
-#: summand of q4/beta2h-recurrence (STATED_SUMS)
-STEPS = {
-    "q3/double-sum-step-offdiagonal": ("q3/double-sum-value", lambda chk: chk.lhs, "i"),
-    "q3/double-sum-step-diagonal": ("q3/double-sum-value", lambda chk: chk.lhs, "i"),
-    "q3/inhom-diagonal-recurrence": ("q3/inhom-diagonal-value", lambda chk: chk.lhs, "i"),
-    "q3/correction-summed-step": ("q3/correction-vanishes", lambda chk: chk.lhs, "jp"),
-    "q4/beta3v-step": ("q4/transformed-double-sum", lambda chk: chk.rhs.terms[1], "i"),
-    "q4/beta2h-step": ("q4/beta2h-step", lambda chk: chk.lhs.terms[1].factors[1], "i"),
-}
+#: (check, the check that states an object, that object, index, value): the
+#: check reads the object with value substituted for index.  A step (value
+#: index + 1) reads the object itself beside its step, and value index reads
+#: the object itself; a number reads it at a constant.  No other check states
+#: beta2h, whose body is the summand of q4/beta2h-recurrence (STATED_SUMS).
+SUBSTITUTIONS = [
+    ("q3/double-sum-step-offdiagonal", "q3/double-sum-value", lambda chk: chk.lhs, "i", i + 1),
+    ("q3/double-sum-step-diagonal", "q3/double-sum-value", lambda chk: chk.lhs, "i", i + 1),
+    ("q3/inhom-diagonal-recurrence", "q3/inhom-diagonal-value", lambda chk: chk.lhs, "i", i + 1),
+    ("q3/correction-summed-step", "q3/correction-vanishes", lambda chk: chk.lhs, "jp", jp + 1),
+    ("q4/beta3v-step", "q4/transformed-double-sum", lambda chk: chk.rhs.terms[1], "i", i + 1),
+    ("q4/beta2h-step", "q4/beta2h-step", lambda chk: chk.lhs.terms[1].factors[1], "i", i + 1),
+    ("q4/initial-value-second-horizontal", "q4/beta2h-step",
+     lambda chk: chk.lhs.terms[1].factors[1], "i", 0),
+    ("q4/transformed-double-sum", "q4/inner-sum-transform", lambda chk: chk.lhs, "jp", jp),
+    ("rhs/third-term-column", "q4/inner-sum-transform", lambda chk: chk.lhs, "jp", jp),
+]
 
 
-def test_each_step_shifts_the_object_its_sibling_states():
+def test_each_check_substitutes_into_the_object_its_sibling_states():
     reg = registry()
-    for name, (stating, pick, index) in STEPS.items():
+    for name, stating, pick, index, value in SUBSTITUTIONS:
         stated = pick(reg[stating])
         nodes = list(_nodes(reg[name].lhs))
-        assert any(node is stated for node in nodes), name
-        assert shift(stated, index, 1) in nodes, name
+        assert substitute(stated, index, value) in nodes, name
+        if isinstance(value, Expr):
+            assert any(node is stated for node in nodes), name
 
 
 def test_each_telescoped_summand_is_the_body_of_the_sums_it_proves():

@@ -29,9 +29,10 @@ from polycount.symbolic import (
     eval_term,
     fact_expr,
     mutants,
-    shift,
     sign_expr as SG,
+    substitute,
     syms,
+    wrap,
 )
 
 s, j, i = syms("s j i")
@@ -289,40 +290,87 @@ def test_compiled_term_agrees_with_an_independent_oracle():
     assert min(seen.values()) >= 200, seen
 
 
-def test_shift_moves_a_variable_by_an_offset_everywhere_it_is_free():
-    # shift(e, v, d) at env is e at env with v + d, poles included
-    rng = random.Random(20261020)
+def _agrees_with_the_oracle(substituted, expr, name, value, env, seen) -> None:
+    """substitute(expr, name, value) at env is expr at env with name bound to value at env.
+
+    Where value has no value at env (it reads name, and env leaves name
+    unbound, or it has a pole), name is left unbound: both sides then raise
+    wherever name is read.
+    """
+    there = {n: v for n, v in env.items() if n != name}
+    try:
+        there[name] = _oracle(wrap(value), env)
+    except PoleError:
+        pass
+    try:
+        want = _oracle(expr, there)
+    except PoleError:
+        with pytest.raises(PoleError):
+            substituted(env)
+        seen["pole"] += 1
+        return
+    assert substituted(env) == want, (expr, name, value, env)
+    seen["value"] += 1
+
+
+def _substitutions_agree_with_the_oracle(rng, pick_value) -> dict[str, int]:
+    """Random trees, each with one variable substituted by pick_value(rng, name)."""
     seen = {"value": 0, "pole": 0}
     for _ in range(300):
         expr = _random_expr(rng, 4, _NAMES)
-        name, by = rng.choice(_NAMES), rng.choice((1, -2, Fraction(1, 2)))
-        shifted = compile_term(shift(expr, name, by))
+        name = rng.choice(_NAMES)
+        value = pick_value(rng, name)
+        substituted = compile_term(substitute(expr, name, value))
         for _ in range(3):
             env = {n: rng.choice(_VALUES) for n in _NAMES if rng.random() < 0.85}
-            there = {**env, name: env[name] + by} if name in env else env
-            try:
-                want = _oracle(expr, there)
-            except PoleError:
-                with pytest.raises(PoleError):
-                    shifted(env)
-                seen["pole"] += 1
-                continue
-            assert shifted(env) == want, (expr, name, by, env)
-            seen["value"] += 1
+            _agrees_with_the_oracle(substituted, expr, name, value, env, seen)
+    return seen
+
+
+def test_substitute_moves_a_variable_by_an_offset_everywhere_it_is_free():
+    # substitute(e, v, Var(v) + d) at env is e at env with v + d, poles included
+    seen = _substitutions_agree_with_the_oracle(
+        random.Random(20261020), lambda rng, name: Var(name) + rng.choice((1, -2, Fraction(1, 2))))
     assert min(seen.values()) >= 200, seen
 
 
-def test_shift_stops_at_a_sum_that_binds_the_variable():
+def test_substitute_puts_a_constant_in_for_a_variable():
+    seen = _substitutions_agree_with_the_oracle(
+        random.Random(20261021), lambda rng, name: rng.choice((0, 3, -1, Fraction(1, 2))))
+    assert min(seen.values()) >= 200, seen
+
+
+def test_substitute_puts_a_non_linear_expression_in_for_a_variable():
+    def pick(rng, name):
+        v = Var(name)
+        return rng.choice((v * v - 1, C(v, 2) + v, (v + 1) / v))  # C and 1/v have poles
+
+    seen = _substitutions_agree_with_the_oracle(random.Random(20261022), pick)
+    assert min(seen.values()) >= 200, seen
+
+
+def test_substitute_stops_at_a_sum_that_binds_the_variable():
     body = C(s, j) * i
     total = Sum("j", j, j + 2, body)
-    binds = shift(total, "j", 1)
+    binds = substitute(total, "j", j + 1)
     assert binds.body is body  # the body's j is the sum's own
     assert (binds.lower, binds.upper) == (j + 1, j + 1 + 2)
-    assert shift(total, "i", 1).body == C(s, j) * (i + 1)
-    assert shift(total, "s", 1) == Sum("j", j, j + 2, C(s + 1, j) * i)
+    assert substitute(total, "i", i + 1).body == C(s, j) * (i + 1)
+    assert substitute(total, "s", s + 1) == Sum("j", j, j + 2, C(s + 1, j) * i)
     # every node is rebuilt in its own class, field by field
-    assert shift(Fact(s) / (SG(s) - Pow(i, s)), "s", -1) == (
+    assert substitute(Fact(s) / (SG(s) - Pow(i, s)), "s", s + -1) == (
         Fact(s + -1) / (SG(s + -1) - Pow(i, s + -1)))
+    # the bounds mention j and the body binds it: only the bounds take the value
+    poled = Sum("j", j - 1, j + 2, C(s, j) * i / (j - 2))
+    envs = [{k: v for k, v in (("s", sv), ("i", iv), ("j", jv)) if v is not None}
+            for sv in (3, Fraction(1, 2), None) for iv in (2, Fraction(2, 3))
+            for jv in (-1, 0, 1, 3, Fraction(1, 2), None)]
+    seen = {"value": 0, "pole": 0}
+    for value in (Const(Fraction(4)), j * j, j + 1):
+        substituted = compile_term(substitute(poled, "j", value))
+        for env in envs:
+            _agrees_with_the_oracle(substituted, poled, "j", value, env, seen)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_nested_sums_rebinding_one_index():

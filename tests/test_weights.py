@@ -7,7 +7,9 @@ import pytest
 
 from polycount.errors import ParameterError
 from polycount.exact import binom
+from polycount.identities import registry
 from polycount.recurrences import diagonal_rhs
+from polycount.symbolic import compile_term
 from polycount.weights import (
     RhsModel,
     accumulate_lhs,
@@ -17,7 +19,6 @@ from polycount.weights import (
     cell_region,
     grid_applied_to_counts,
     rhs_closed_form,
-    third_term_residual_sum,
     verify_quadrant_lemmas,
     verify_rhs_column_sums,
 )
@@ -154,14 +155,19 @@ def test_cell_regions_partition():
         assert len(seen) == (2 * s + 1) ** 2
 
 
+def residual_sum(s, i, j):
+    """The residual double sum the quadrant report reads: the registry's tree."""
+    return compile_term(registry()["q3/double-sum-value"].lhs)({"s": s, "i": i, "j": j})
+
+
 def test_residual_double_sum_values():
-    assert third_term_residual_sum(4, 7, 5) == (-1) ** 6 * binom(8, 5) == 56
-    assert third_term_residual_sum(3, 4, 4) == 0
+    assert residual_sum(4, 7, 5) == (-1) ** 6 * binom(8, 5) == 56
+    assert residual_sum(3, 4, 4) == 0
     for s in (1, 2, 3):
         for j in range(s, 2 * s + 1):
             for i in range(j + 1, 2 * s + 1):
-                assert third_term_residual_sum(s, i, j) == (-1) ** (j + 1) * binom(2 * s, j)
-            assert third_term_residual_sum(s, j, j) == 0
+                assert residual_sum(s, i, j) == (-1) ** (j + 1) * binom(2 * s, j)
+            assert residual_sum(s, j, j) == 0
 
 
 def test_stirling_power_sums():
@@ -189,7 +195,7 @@ def test_grid_applied_to_real_counts():
 
 
 def fraction_residual_sum(s, i, j):
-    """third_term_residual_sum summand by summand over Fractions."""
+    """The residual double sum summand by summand over Fractions."""
     total = Fraction(0)
     for jp in range(s + 1):
         for t in range(1, s - jp + 1):
@@ -207,9 +213,7 @@ def test_residual_double_sum_matches_the_fraction_form():
     for s in range(1, 8):
         for i in range(2 * s + 1):
             for j in range(2 * s + 1):
-                got = third_term_residual_sum(s, i, j)
-                assert got == fraction_residual_sum(s, i, j), (s, i, j)
-                assert type(got) is Fraction
+                assert residual_sum(s, i, j) == fraction_residual_sum(s, i, j), (s, i, j)
 
 
 def test_per_term_cells_add_up_to_the_placed_h_family():
