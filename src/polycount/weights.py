@@ -7,7 +7,12 @@ coefficient cancel and leaves 2(-1)^i C(2s, i) on the diagonal; the summed
 right-hand sides collapse to lambda**s C(2s, s) s! independent of the anchor
 column and of the strip constant's intercept.  This module builds the
 arrangement, accumulates coefficients, and re-verifies each per-cell
-cancellation the construction relies on, term by term.
+cancellation the construction relies on, term by term.  Every horizontal
+identity mirrors a vertical one with the same weight, so the per-term cells
+are accumulated for the vertical family only and read transposed for the
+horizontal one.  The closed forms the reports expect (residual values and
+column sums) are the rhs trees of the identity registry's checks, the
+objects its certificates prove.
 
 Offset convention: site (i, j) means lattice cell (n - i, m - j).  A
 vertical identity placed at (i, j) spans sites (i, j) .. (i, j + s); a
@@ -155,48 +160,39 @@ def rhs_closed_form(s: int, lam: Fraction) -> Fraction:
 
 # -- per-term coefficient accumulation ---------------------------------------
 
-#: keys: (term, orientation) with term in {1,2,3} and orientation "v"/"h";
-#: the cells of terms 1 and 2 are ints, those of term 3 Fractions
-PerTermCells = dict[tuple[int, str], list[list[Union[int, Fraction]]]]
 
+def _per_term_cells(s: int) -> tuple[list[list[int]], dict[int, list[list[Union[int, Fraction]]]]]:
+    """The vertical cells of both families: alpha of the binomial family, and
+    beta[t] of the h family's explicit term t (t = 1, 2, 3).
 
-def _per_term_cells(s: int) -> tuple[list[list[int]], list[list[int]], PerTermCells]:
-    """alpha_v, alpha_h, and the h-family coefficients split by explicit term.
-
-    The h-weighted family is extended formally to every column (and mirrored
-    row) 0..2s with the full offset range 0..s, so each explicit term can be
-    tracked separately; the extra placements carry zero total weight.  Column
-    s takes the second-quadrant form: the corner cell belongs to the lower
-    square's treatment.  Terms 1 and 2 are integers.  Every third term read
-    here has i <= s, so its denominator divides D = s(s+1)...(2s): term 3
-    accumulates integer numerators over D and becomes a Fraction once per
-    cell, at the end.
+    A horizontal identity is the transpose of a vertical one with the same
+    weight, so the horizontal cells are these, transposed.  The h-weighted
+    family is extended formally to every column 0..2s with the full offset
+    range 0..s, so each explicit term can be tracked separately; the extra
+    placements carry zero total weight.  Column s takes the second-quadrant
+    form: the corner cell belongs to the lower square's treatment.  Terms 1
+    and 2 are integers.  Every third term read here has i <= s, so its
+    denominator divides D = s(s+1)...(2s): term 3 accumulates integer
+    numerators over D and becomes a Fraction once per cell, at the end.
     """
     grid = build_weight_grid(s)
-    alpha_v = _accumulate(grid, ("P1",), ("vertical",))
-    alpha_h = _accumulate(grid, ("P1",), ("horizontal",))
+    alpha = _accumulate(grid, ("P1",), ("vertical",))
     n = grid.size
     common = math.prod(range(s, 2 * s + 1))
-    beta: PerTermCells = {
-        (t, o): [[0] * n for _ in range(n)] for t in (1, 2, 3) for o in ("v", "h")
-    }
+    beta = {t: [[0] * n for _ in range(n)] for t in (1, 2, 3)}
     for i in range(n):
         for j0 in range(s + 1):
             at, sign = ((i, j0), 1) if i < s else ((2 * s - i, s - j0), (-1) ** s)
             t1, t2, t3 = h_terms(s, *at)
             scaled = as_integer(t3 * common, f"D * h_terms({s}, {at[0]}, {at[1]})[2]")
-            for tn, w in ((1, t1), (2, t2), (3, scaled)):
+            for t, w in ((1, t1), (2, t2), (3, scaled)):
                 if w == 0:
                     continue
-                w *= sign
-                for o, orientation, place in (("v", "vertical", (i, j0)),
-                                              ("h", "horizontal", (j0, i))):
-                    cells = beta[(tn, o)]
-                    for ci, cj, c in _footprint(s, orientation, *place):
-                        cells[ci][cj] += w * c
-    for o in ("v", "h"):
-        beta[(3, o)] = [[Fraction(x, common) for x in row] for row in beta[(3, o)]]
-    return alpha_v, alpha_h, beta
+                cells = beta[t]
+                for ci, cj, c in _footprint(s, "vertical", i, j0):
+                    cells[ci][cj] += sign * w * c
+    beta[3] = [[Fraction(x, common) for x in row] for row in beta[3]]
+    return alpha, beta
 
 
 def cell_region(s: int, i: int, j: int) -> str:
@@ -215,15 +211,20 @@ def verify_quadrant_lemmas(s: int) -> Report:
 
     Each cell is assigned to one region; the region's term-level identities
     are evaluated in exact arithmetic and any residual is reported with the
-    cell coordinates and the term that failed.  The residual double sum of
-    the third term and its i-step are the registry's own trees (the lhs of
-    ``q3/double-sum-value`` and ``q3/double-sum-step-*``), the objects its
-    certificates prove, compiled once per call.
+    cell coordinates and the term that failed.  A horizontal cell is read as
+    the transposed vertical one.  The residual double sum of the third term
+    and its i-step are the registry's own trees (the lhs of
+    ``q3/double-sum-value`` and ``q3/double-sum-step-*``), and their expected
+    values are the rhs of ``q3/double-sum-value`` and
+    ``q3/double-sum-step-diagonal``: the objects its certificates prove,
+    compiled once per call.
     """
-    alpha_v, alpha_h, beta = _per_term_cells(s)
+    alpha, beta = _per_term_cells(s)
     reg = registry()
     residual = compile_term(reg["q3/double-sum-value"].lhs)
+    residual_value = compile_term(reg["q3/double-sum-value"].rhs)
     residual_step = compile_term(reg["q3/double-sum-step-diagonal"].lhs)
+    step_value = compile_term(reg["q3/double-sum-step-diagonal"].rhs)
     n = 2 * s + 1
     report = Report(title=f"quadrant cancellation lemmas s={s}")
 
@@ -232,23 +233,25 @@ def verify_quadrant_lemmas(s: int) -> Report:
             name, {"s": s, "i": i, "j": j, "region": cell_region(s, i, j)}, expected, actual
         )
 
-    def b(t: int, o: str, i: int, j: int) -> Fraction:
-        return beta[(t, o)][i][j]
+    terms = {0: alpha, **beta}  # term 0: the binomial family
 
-    def b_full(o: str, i: int, j: int) -> Fraction:
-        return sum(beta[(t, o)][i][j] for t in (1, 2, 3))
+    def cell(t: int, o: str, i: int, j: int) -> Fraction:
+        # term t's o-oriented cell: a horizontal one is the vertical one transposed
+        return terms[t][i][j] if o == "v" else terms[t][j][i]
 
-    alpha = {"v": alpha_v, "h": alpha_h}
+    def h_family(o: str, i: int, j: int) -> Fraction:
+        return sum(cell(t, o, i, j) for t in (1, 2, 3))
+
     name = {"v": "vertical", "h": "horizontal"}
 
     def one_family(o: str, i: int, j: int) -> None:
         # only the o-oriented h-family reaches the cell: its terms cancel the
         # binomial family term by term, and the mirrored family is absent
         other = "h" if o == "v" else "v"
-        rec(f"{name[o]}-first-term-cancels", i, j, alpha[o][i][j] + b(1, o, i, j), 0)
-        rec(f"{name[o]}-second-term-cancels", i, j, alpha[other][i][j] + b(2, o, i, j), 0)
-        rec(f"{name[o]}-third-term-vanishes", i, j, b(3, o, i, j), 0)
-        rec(f"{name[other]}-family-absent", i, j, b_full(other, i, j), 0)
+        rec(f"{name[o]}-first-term-cancels", i, j, cell(0, o, i, j) + cell(1, o, i, j), 0)
+        rec(f"{name[o]}-second-term-cancels", i, j, cell(0, other, i, j) + cell(2, o, i, j), 0)
+        rec(f"{name[o]}-third-term-vanishes", i, j, cell(3, o, i, j), 0)
+        rec(f"{name[other]}-family-absent", i, j, h_family(other, i, j), 0)
 
     for i in range(n):
         for j in range(n):
@@ -256,55 +259,56 @@ def verify_quadrant_lemmas(s: int) -> Report:
             if region in ("q1-lower", "q3-upper"):
                 one_family("v", i, j)
                 if region == "q3-upper":
-                    rec(
-                        "residual-double-sum-value",
-                        i,
-                        j,
-                        residual({"s": s, "i": i, "j": j}),
-                        (-1) ** (j + 1) * binom(2 * s, j),
-                    )
+                    env = {"s": s, "i": i, "j": j}
+                    rec("residual-double-sum-value", i, j, residual(env), residual_value(env))
             elif region in ("q1-upper", "q3-lower"):
                 one_family("h", i, j)
             elif region == "q1-diagonal":
-                rec("h-family-avoids-diagonal", i, j, b_full("v", i, j) + b_full("h", i, j), 0)
-                rec(
-                    "binomial-family-diagonal",
-                    i,
-                    j,
-                    alpha_v[i][j] + alpha_h[i][j],
-                    2 * (-1) ** i * binom(2 * s, i),
-                )
+                rec("h-family-avoids-diagonal", i, j,
+                    h_family("v", i, j) + h_family("h", i, j), 0)
+                rec("binomial-family-diagonal", i, j, cell(0, "v", i, j) + cell(0, "h", i, j),
+                    2 * (-1) ** i * binom(2 * s, i))
             elif region in ("q4", "q2"):
-                rec("vertical-first-term-cancels", i, j, alpha_v[i][j] + b(1, "v", i, j), 0)
-                rec("horizontal-first-term-cancels", i, j, alpha_h[i][j] + b(1, "h", i, j), 0)
-                rec("second-v-cancels-third-h", i, j, b(2, "v", i, j) + b(3, "h", i, j), 0)
-                rec("second-h-cancels-third-v", i, j, b(2, "h", i, j) + b(3, "v", i, j), 0)
+                rec("vertical-first-term-cancels", i, j,
+                    cell(0, "v", i, j) + cell(1, "v", i, j), 0)
+                rec("horizontal-first-term-cancels", i, j,
+                    cell(0, "h", i, j) + cell(1, "h", i, j), 0)
+                rec("second-v-cancels-third-h", i, j, cell(2, "v", i, j) + cell(3, "h", i, j), 0)
+                rec("second-h-cancels-third-v", i, j, cell(2, "h", i, j) + cell(3, "v", i, j), 0)
             else:  # q3-diagonal
                 sign = (-1) ** i * binom(2 * s, i)
-                rec("first-term-diagonal", i, j, b(1, "v", i, j), -sign)
-                rec("second-term-diagonal-vanishes", i, j, b(2, "v", i, j), 0)
-                rec("third-term-diagonal", i, j, b(3, "v", i, j), sign)
+                rec("first-term-diagonal", i, j, cell(1, "v", i, j), -sign)
+                rec("second-term-diagonal-vanishes", i, j, cell(2, "v", i, j), 0)
+                rec("third-term-diagonal", i, j, cell(3, "v", i, j), sign)
                 rec("residual-double-sum-vanishes", i, j, residual({"s": s, "i": i, "j": i}), 0)
-                rec(
-                    "binomial-family-diagonal",
-                    i,
-                    j,
-                    alpha_v[i][j] + alpha_h[i][j],
-                    2 * sign,
-                )
+                rec("binomial-family-diagonal", i, j, cell(0, "v", i, j) + cell(0, "h", i, j),
+                    2 * sign)
 
     # first-order step of the residual double sum, i >= j >= s
     for j in range(s, n):
         for i in range(j, 2 * s):
-            expected = (-1) ** (j + 1) * binom(2 * s, i) if i == j else 0
-            report.record("residual-double-sum-step", {"s": s, "i": i, "j": j}, expected,
-                          residual_step({"s": s, "i": i, "j": j}))
+            env = {"s": s, "i": i, "j": j}
+            report.record("residual-double-sum-step", env, step_value(env) if i == j else 0,
+                          residual_step(env))
     return report
 
 
 def verify_rhs_column_sums(s: int) -> Report:
-    """Column-by-column weight sums of the vertical identities vs closed forms."""
+    """Column-by-column weight sums of the vertical identities vs closed forms.
+
+    The closed forms are the rhs trees of the registry's ``rhs/*`` checks,
+    compiled once per call: ``rhs/alternating-partial-sum`` (its ``-upper``
+    sibling for i > s) for the binomial family, that value times a constant
+    for the h family, ``rhs/second-term-column`` and ``rhs/third-term-column``
+    for the per-term sums.  The actual sums are read off the placed weights
+    and ``h_terms``.
+    """
     grid = build_weight_grid(s)
+    reg = registry()
+    partial, partial_upper, second, third = (
+        compile_term(reg[f"rhs/{name}"].rhs) for name in (
+            "alternating-partial-sum", "alternating-partial-sum-upper",
+            "second-term-column", "third-term-column"))
     report = Report(title=f"rhs column sums s={s}")
     col_p1 = [0] * (2 * s + 1)
     col_p2 = [0] * (2 * s + 1)
@@ -316,37 +320,19 @@ def verify_rhs_column_sums(s: int) -> Report:
 
     extra = Fraction(binom(2 * s, s - 1), s) - 1
     for i in range(2 * s + 1):
-        if i <= s:
-            x = (-1) ** i * binom(s - 1, i)
-        else:
-            x = (-1) ** (s + i) * binom(s - 1, 2 * s - i)
+        x = (partial if i <= s else partial_upper)({"s": s, "i": i})
         report.record("binomial-column-sum", {"s": s, "i": i}, x, col_p1[i])
-        if i < s:
-            y = (-1) ** i * binom(s - 1, i) * extra
-        elif i == s:
-            y = Fraction(0)
-        else:
-            # second-quadrant placements carry the (-1)**s factor
-            y = (-1) ** s * (-1) ** i * binom(s - 1, 2 * s - i) * extra
-        report.record("h-column-sum", {"s": s, "i": i}, y, Fraction(col_p2[i]))
+        # no h-weighted identity sits in column s
+        report.record("h-column-sum", {"s": s, "i": i}, x * extra if i != s else Fraction(0),
+                      Fraction(col_p2[i]))
 
     # per-term column sums in the upper square
     for i in range(s):
         y2 = sum(h_terms(s, i, jp)[1] for jp in range(i + 1, s + 1))
-        report.record(
-            "second-term-column-sum",
-            {"s": s, "i": i},
-            Fraction((-1) ** (i + 1)) * binom(2 * s, i) * binom(2 * s - i, s + 1),
-            y2,
-        )
+        report.record("second-term-column-sum", {"s": s, "i": i},
+                      Fraction((-1) ** (i + 1)) * binom(2 * s, i) * second({"s": s, "i": i}), y2)
         y3 = sum(h_terms(s, i, jp)[2] for jp in range(i + 1, s + 1))
-        closed = (
-            Fraction((-1) ** i * (2 * s - i), s)
-            * binom(2 * s, i)
-            * binom(2 * s - i - 1, s)
-            * (1 - Fraction(1, 2 * binom(2 * s - 1, s)))
-        )
-        report.record("third-term-column-sum", {"s": s, "i": i}, closed, y3)
+        report.record("third-term-column-sum", {"s": s, "i": i}, third({"s": s, "i": i}), y3)
     return report
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -119,6 +120,25 @@ def test_table_rejects_empty_ranges(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, "table", *argv, "--cache-dir", str(cache_dir))
     assert code == 2 and out == "" and "error" in err
     assert not cache_dir.exists()
+
+
+def _readme_commands():
+    """Each line of README's "Command line" sh block, with its `# -> ...` note."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.strip()]
+    return [(line, line.partition("# -> ")[2] or None) for line in lines]
+
+
+@pytest.mark.parametrize("line,note", _readme_commands())
+def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch, line, note):
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line, comments=True)
+    assert argv[0] == "polycount"
+    code, out, err = run_cli(capsys, *argv[1:])
+    assert code == 0 and err == "", (line, err)
+    if note is not None:
+        assert out == note + "\n", line
 
 
 def test_verify_diagonal(capsys):

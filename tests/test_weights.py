@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import copy
 import math
 from fractions import Fraction
 
 import pytest
 
+from polycount import identities
 from polycount.errors import ParameterError
 from polycount.exact import binom
 from polycount.identities import registry
@@ -216,17 +218,22 @@ def test_residual_double_sum_matches_the_fraction_form():
                 assert residual_sum(s, i, j) == fraction_residual_sum(s, i, j), (s, i, j)
 
 
+def _transpose(cells):
+    return [list(row) for row in zip(*cells)]
+
+
 def test_per_term_cells_add_up_to_the_placed_h_family():
     # the formally extended family, which the quadrant lemmas check term by
-    # term, has the cells of the placed P2 identities that verify weights sums
+    # term, has the cells of the placed P2 identities that verify weights
+    # sums; the horizontal cells are the vertical ones transposed
     for s in range(1, 9):
         grid = build_weight_grid(s)
-        _, _, beta = _per_term_cells(s)
-        for o, orientation in (("v", "vertical"), ("h", "horizontal")):
-            terms = [beta[(t, o)] for t in (1, 2, 3)]
-            total = [[sum(cells[ci][cj] for cells in terms) for cj in range(grid.size)]
-                     for ci in range(grid.size)]
-            assert total == _accumulate(grid, ("P2",), (orientation,)), (s, orientation)
+        alpha, beta = _per_term_cells(s)
+        total = [[sum(beta[t][ci][cj] for t in (1, 2, 3)) for cj in range(grid.size)]
+                 for ci in range(grid.size)]
+        for tag, cells in (("P1", alpha), ("P2", total)):
+            assert cells == _accumulate(grid, (tag,), ("vertical",)), (s, tag)
+            assert _transpose(cells) == _accumulate(grid, (tag,), ("horizontal",)), (s, tag)
 
 
 def test_per_term_cells_match_a_fraction_accumulation():
@@ -244,7 +251,44 @@ def test_per_term_cells_match_a_fraction_accumulation():
                                                ("h", "horizontal", (j0, i))):
                         for ci, cj, c in _footprint(s, orientation, *at):
                             want[(tn, o)][ci][cj] += w * c
-        _, _, beta = _per_term_cells(s)
-        assert beta == want, s
-        assert {type(x) for row in beta[(1, "v")] + beta[(2, "h")] for x in row} == {int}
-        assert {type(x) for row in beta[(3, "v")] + beta[(3, "h")] for x in row} == {Fraction}
+        _, beta = _per_term_cells(s)
+        assert sorted(beta) == [1, 2, 3]
+        for t in (1, 2, 3):
+            assert beta[t] == want[(t, "v")], (s, t)
+            assert _transpose(beta[t]) == want[(t, "h")], (s, t)
+        assert {type(x) for row in beta[1] + beta[2] for x in row} == {int}
+        assert {type(x) for row in beta[3] for x in row} == {Fraction}
+
+
+#: each registry check whose rhs a weights report asserts, and the records
+#: (name, s, i, j) of the report at s = 4 that this rhs decides
+RHS_RECORDS = {
+    "q3/double-sum-value": lambda name, s, i, j: name == "residual-double-sum-value",
+    "q3/double-sum-step-diagonal":
+        lambda name, s, i, j: name == "residual-double-sum-step" and i == j,
+    "rhs/alternating-partial-sum":
+        lambda name, s, i, j: (name == "binomial-column-sum" and i <= s
+                               or name == "h-column-sum" and i < s),
+    "rhs/alternating-partial-sum-upper":
+        lambda name, s, i, j: name in ("binomial-column-sum", "h-column-sum") and i > s,
+    "rhs/second-term-column": lambda name, s, i, j: name == "second-term-column-sum",
+    "rhs/third-term-column": lambda name, s, i, j: name == "third-term-column-sum",
+}
+
+
+@pytest.mark.parametrize("check", sorted(RHS_RECORDS))
+def test_the_weights_reports_expect_the_registrys_closed_forms(check, monkeypatch):
+    # a registry whose one rhs is off by one must fail exactly the records
+    # that closed form decides, so the reports assert the proved object
+    s = 4
+    patched = dict(identities.registry())
+    wrong = copy.copy(patched[check])
+    wrong.rhs = wrong.rhs + 1
+    patched[check] = wrong
+    monkeypatch.setattr(identities, "_REGISTRY", patched)
+    records = [c for report in (verify_quadrant_lemmas(s), verify_rhs_column_sums(s))
+               for c in report.checks]
+    key = [(c.name, c.params["s"], c.params["i"], c.params.get("j")) for c in records]
+    failed = {k for k, c in zip(key, records) if c.status == "FAIL"}
+    decided = {k for k in key if RHS_RECORDS[check](*k)}
+    assert failed and failed == decided
