@@ -185,6 +185,8 @@ def cmd_count(args) -> int:
         if args.s is None:
             raise ParameterError("one of --s or --all-s is required")
         if args.method == "brute":
+            if args.state_cap != DEFAULT_STATE_CAP:
+                raise ParameterError("--method brute does not read --state-cap")
             value = brute_force_count(spec, args.s)
         else:
             value = count_configurations(spec, args.s, state_cap=args.state_cap)
@@ -315,9 +317,9 @@ def _weight_parts(args) -> Iterator[Report]:
 
 #: the verify options each target reads; it refuses any other that is not at its default
 _VERIFY_READS = {
-    "strip": ("k", "s", "n", "m", "unsafe_range"),
-    "diagonal": ("k", "s", "n", "m", "unsafe_range"),
-    "corollary": ("k", "s", "n", "m", "unsafe_range"),
+    "strip": ("k", "s", "n", "m", "unsafe_range", "state_cap"),
+    "diagonal": ("k", "s", "n", "m", "unsafe_range", "state_cap"),
+    "corollary": ("k", "s", "n", "m", "unsafe_range", "state_cap"),
     "weights": ("s", "lam", "eta", "anchor_n"),
     "quadrants": ("s",),
     "identities": ("filter",),
@@ -328,10 +330,11 @@ def cmd_verify(args, options: Iterable[argparse.Action]) -> int:
     """Run a verify command, writing its report one part at a time.
 
     Every parameter is checked before the first write: an option (of the
-    parser's actions in options) that the target does not read must keep its
-    default, the window commands plan every window before their one sweep,
-    --s a..b runs from its lowest s (the only one weights and quadrants can
-    refuse), and an identity filter is matched before its report is written.
+    parser's actions in options, the global --state-cap among them) that the
+    target does not read must keep its default, the window commands plan
+    every window before their one sweep, --s a..b runs from its lowest s
+    (the only one weights and quadrants can refuse), and an identity filter
+    is matched before its report is written.
     """
     started = time.perf_counter()
     for action in options:
@@ -396,8 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact rod-covering counts on open rectangular lattices, "
                     "with recurrence and identity verification.",
     )
-    parser.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                        help="cap on the live profiles the transfer sweep may carry")
+    state_cap = parser.add_argument(
+        "--state-cap", type=int, default=DEFAULT_STATE_CAP,
+        help="cap on the live profiles the transfer sweep may carry")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count configurations of s rods")
@@ -441,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--filter", default="*"),
         p.add_argument("--unsafe-range", action="store_true",
                        help="report (without asserting) outside the proven range"),
+        state_cap,
     ]
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=partial(cmd_verify, options=options))

@@ -8,15 +8,15 @@ right-hand sides collapse to lambda**s C(2s, s) s! independent of the anchor
 column and of the strip constant's intercept.  This module builds the
 arrangement, accumulates coefficients, and re-verifies each per-cell
 cancellation the construction relies on, term by term.  Every horizontal
-identity mirrors a vertical one with the same weight, so the per-term cells
-are accumulated for the vertical family only and read transposed for the
-horizontal one.  The closed forms the reports expect (residual values and
-column sums) are the rhs trees of the identity registry's checks, the
-objects its certificates prove.
+identity mirrors a vertical one with the same weight, so the grid lists the
+vertical identities only, and whatever applies the whole arrangement adds
+the transpose of their cells.  The closed forms the reports expect (residual
+values and column sums) are the rhs trees of the identity registry's checks,
+the objects its certificates prove.
 
 Offset convention: site (i, j) means lattice cell (n - i, m - j).  A
-vertical identity placed at (i, j) spans sites (i, j) .. (i, j + s); a
-horizontal one spans (i, j) .. (i + s, j).
+vertical identity placed at (i, j) spans sites (i, j) .. (i, j + s); its
+mirror, the horizontal one at (j, i), spans (j, i) .. (j + s, i).
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ from .symbolic import compile_term
 
 
 class PlacedIdentity(Frozen):
-    __slots__ = ("orientation", "i", "j", "set_tag", "weight")
+    __slots__ = ("i", "j", "set_tag", "weight")
 
-    def __init__(self, orientation: str, i: int, j: int, set_tag: str, weight: int) -> None:
-        set_field(self, "orientation", orientation)  # "vertical" | "horizontal"
+    def __init__(self, i: int, j: int, set_tag: str, weight: int) -> None:
         set_field(self, "i", i)
         set_field(self, "j", j)
         set_field(self, "set_tag", set_tag)  # "P1" | "P2"
@@ -56,9 +55,6 @@ class WeightGrid(Frozen):
     def size(self) -> int:
         return 2 * self.s + 1
 
-    def vertical(self) -> list[PlacedIdentity]:
-        return [p for p in self.placements if p.orientation == "vertical"]
-
 
 class RhsModel(Frozen):
     """Strip right-hand side c(x) = lam*x + eta, evaluated at column n - i."""
@@ -71,73 +67,72 @@ class RhsModel(Frozen):
         set_field(self, "n", n)
 
 
-def build_weight_grid(s: int) -> WeightGrid:
-    """All placed identities of both families for a given rod count s.
+def _h_entry(s: int, i: int, j: int) -> tuple[int, tuple[int, int]]:
+    """The entry (sign, (i', j')) an h-weighted vertical identity at (i, j)
+    carries: h(s, i, j) left of column s, (-1)**s h(s, 2s-i, s-j) from it on."""
+    return (1, (i, j)) if i < s else ((-1) ** s, (2 * s - i, s - j))
 
-    Binomial-weighted verticals sit at 0 <= j <= i for i <= s and at
-    i-s <= j <= s for i > s; h-weighted verticals sit strictly above the
-    diagonal (i < s, i < j <= s) and, with weight (-1)**s h(s, 2s-i, s-j),
-    strictly below the band (i > s, j < i-s).  Horizontal placements mirror
-    the vertical ones across the main diagonal with identical weights.
+
+def build_weight_grid(s: int) -> WeightGrid:
+    """The vertical identities of both families for a given rod count s.
+
+    Binomial-weighted ones sit at 0 <= j <= i for i <= s and at
+    i-s <= j <= s for i > s.  An h-weighted one sits wherever its entry
+    (``_h_entry``) is h(s, i', j') with i' < j': strictly above the diagonal
+    (i < s, i < j <= s) and strictly below the band (i > s, j < i-s).  The
+    horizontal identities are their mirrors across the main diagonal, with
+    the same weights, and are not listed.
     """
     if s < 1:
         raise ParameterError(f"s must be >= 1, got {s}")
     placements: list[PlacedIdentity] = []
     for i in range(2 * s + 1):
         for j in range(max(0, i - s), min(i, s) + 1):
-            w = (-1) ** j * binom(s, j)
-            placements.append(PlacedIdentity("vertical", i, j, "P1", w))
-            placements.append(PlacedIdentity("horizontal", j, i, "P1", w))
-    for i in range(s):
-        for j in range(i + 1, s + 1):
-            w = h_recursive(s, i, j)
-            placements.append(PlacedIdentity("vertical", i, j, "P2", w))
-            placements.append(PlacedIdentity("horizontal", j, i, "P2", w))
-    for i in range(s + 1, 2 * s + 1):
-        for j in range(0, i - s):
-            w = (-1) ** s * h_recursive(s, 2 * s - i, s - j)
-            placements.append(PlacedIdentity("vertical", i, j, "P2", w))
-            placements.append(PlacedIdentity("horizontal", j, i, "P2", w))
+            placements.append(PlacedIdentity(i, j, "P1", (-1) ** j * binom(s, j)))
+    for i in range(2 * s + 1):
+        for j in range(s + 1):
+            sign, at = _h_entry(s, i, j)
+            if at[0] < at[1]:
+                placements.append(PlacedIdentity(i, j, "P2", sign * h_recursive(s, *at)))
     return WeightGrid(s=s, placements=tuple(placements))
 
 
-def _footprint(s: int, orientation: str, i: int, j: int) -> list[tuple[int, int, int]]:
-    """The s+1 sites (i', j') of a strip identity placed at (i, j), each with
-    its coefficient (-1)**t C(s, t)."""
-    if orientation == "vertical":
-        return [(i, j + t, (-1) ** t * binom(s, t)) for t in range(s + 1)]
-    return [(i + t, j, (-1) ** t * binom(s, t)) for t in range(s + 1)]
+def _footprint(s: int, i: int, j: int) -> list[tuple[int, int, int]]:
+    """The s+1 sites (i, j + t) of a vertical strip identity placed at (i, j),
+    each with its coefficient (-1)**t C(s, t)."""
+    return [(i, j + t, (-1) ** t * binom(s, t)) for t in range(s + 1)]
 
 
-def _accumulate(grid: WeightGrid, tags: tuple[str, ...],
-                orientations: tuple[str, ...] = ("vertical", "horizontal")) -> list[list[int]]:
+def _accumulate(grid: WeightGrid, tags: tuple[str, ...]) -> list[list[int]]:
+    """Per-cell coefficients of the vertical identities tagged with tags."""
     n = grid.size
     cells = [[0] * n for _ in range(n)]
     for p in grid.placements:
-        if p.set_tag in tags and p.orientation in orientations:
-            for ci, cj, c in _footprint(grid.s, p.orientation, p.i, p.j):
+        if p.set_tag in tags:
+            for ci, cj, c in _footprint(grid.s, p.i, p.j):
                 cells[ci][cj] += p.weight * c
     return cells
 
 
 def accumulate_lhs(grid: WeightGrid) -> list[list[int]]:
-    """Per-cell coefficient of a(n-i, m-j) after summing every identity."""
-    return _accumulate(grid, ("P1", "P2"))
+    """Per-cell coefficient of a(n-i, m-j) after summing every identity: the
+    vertical cells plus their transpose, the horizontal ones."""
+    cells = _accumulate(grid, ("P1", "P2"))
+    return [[cells[i][j] + cells[j][i] for j in range(grid.size)] for i in range(grid.size)]
 
 
 def alpha_p1(s: int, i: int, j: int) -> int:
     """Coefficient of a(n-i, m-j) from the binomial-weighted family alone.
 
-    Two clamped convolution sums, one per direction; equals the direct
+    One clamped convolution sum, read at (i, j) for the vertical identities
+    and at the mirror (j, i) for the horizontal ones; equals the direct
     accumulation of the placements for every cell of the square.
     """
     if not (0 <= i <= 2 * s and 0 <= j <= 2 * s):
         raise ParameterError(f"cell ({i},{j}) outside the {2*s+1}x{2*s+1} square")
-    lo = max(0, i - s, j - s)
-    hi = min(s, i, j)
-    sum_v = sum(binom(s, j0) * binom(s, j - j0) for j0 in range(lo, hi + 1))
-    sum_h = sum(binom(s, i0) * binom(s, i - i0) for i0 in range(lo, hi + 1))
-    return (-1) ** j * sum_v + (-1) ** i * sum_h
+    lo, hi = max(0, i - s, j - s), min(s, i, j)
+    return sum((-1) ** b * sum(binom(s, t) * binom(s, b - t) for t in range(lo, hi + 1))
+               for b in (j, i))
 
 
 def accumulate_rhs(grid: WeightGrid, model: RhsModel) -> Fraction:
@@ -148,7 +143,7 @@ def accumulate_rhs(grid: WeightGrid, model: RhsModel) -> Fraction:
     """
     s = grid.s
     total = Fraction(0)
-    for p in grid.vertical():
+    for p in grid.placements:
         c = model.lam * (model.n - p.i) + model.eta
         total += p.weight * c**s
     return total
@@ -168,28 +163,29 @@ def _per_term_cells(s: int) -> tuple[list[list[int]], dict[int, list[list[Union[
     A horizontal identity is the transpose of a vertical one with the same
     weight, so the horizontal cells are these, transposed.  The h-weighted
     family is extended formally to every column 0..2s with the full offset
-    range 0..s, so each explicit term can be tracked separately; the extra
-    placements carry zero total weight.  Column s takes the second-quadrant
-    form: the corner cell belongs to the lower square's treatment.  Terms 1
+    range 0..s, each identity carrying the entry ``_h_entry`` gives it, so
+    each explicit term can be tracked separately; the extra placements
+    carry zero total weight.  Column s takes the second-quadrant form: the
+    corner cell belongs to the lower square's treatment.  Terms 1
     and 2 are integers.  Every third term read here has i <= s, so its
     denominator divides D = s(s+1)...(2s): term 3 accumulates integer
     numerators over D and becomes a Fraction once per cell, at the end.
     """
     grid = build_weight_grid(s)
-    alpha = _accumulate(grid, ("P1",), ("vertical",))
+    alpha = _accumulate(grid, ("P1",))
     n = grid.size
     common = math.prod(range(s, 2 * s + 1))
     beta = {t: [[0] * n for _ in range(n)] for t in (1, 2, 3)}
     for i in range(n):
         for j0 in range(s + 1):
-            at, sign = ((i, j0), 1) if i < s else ((2 * s - i, s - j0), (-1) ** s)
+            sign, at = _h_entry(s, i, j0)
             t1, t2, t3 = h_terms(s, *at)
             scaled = as_integer(t3 * common, f"D * h_terms({s}, {at[0]}, {at[1]})[2]")
             for t, w in ((1, t1), (2, t2), (3, scaled)):
                 if w == 0:
                     continue
                 cells = beta[t]
-                for ci, cj, c in _footprint(s, "vertical", i, j0):
+                for ci, cj, c in _footprint(s, i, j0):
                     cells[ci][cj] += sign * w * c
     beta[3] = [[Fraction(x, common) for x in row] for row in beta[3]]
     return alpha, beta
@@ -310,21 +306,17 @@ def verify_rhs_column_sums(s: int) -> Report:
             "alternating-partial-sum", "alternating-partial-sum-upper",
             "second-term-column", "third-term-column"))
     report = Report(title=f"rhs column sums s={s}")
-    col_p1 = [0] * (2 * s + 1)
-    col_p2 = [0] * (2 * s + 1)
-    for p in grid.vertical():
-        if p.set_tag == "P1":
-            col_p1[p.i] += p.weight
-        else:
-            col_p2[p.i] += p.weight
+    col = {"P1": [0] * (2 * s + 1), "P2": [0] * (2 * s + 1)}
+    for p in grid.placements:
+        col[p.set_tag][p.i] += p.weight
 
     extra = Fraction(binom(2 * s, s - 1), s) - 1
     for i in range(2 * s + 1):
         x = (partial if i <= s else partial_upper)({"s": s, "i": i})
-        report.record("binomial-column-sum", {"s": s, "i": i}, x, col_p1[i])
+        report.record("binomial-column-sum", {"s": s, "i": i}, x, col["P1"][i])
         # no h-weighted identity sits in column s
         report.record("h-column-sum", {"s": s, "i": i}, x * extra if i != s else Fraction(0),
-                      Fraction(col_p2[i]))
+                      Fraction(col["P2"][i]))
 
     # per-term column sums in the upper square
     for i in range(s):
@@ -337,10 +329,13 @@ def verify_rhs_column_sums(s: int) -> Report:
 
 
 def grid_applied_to_counts(grid: WeightGrid, k: int, n: int, m: int) -> int:
-    """Sum of weight * (strip-identity left side on real counts) over the grid.
+    """Sum of weight * (strip-identity left side on real counts) over the
+    whole arrangement.
 
-    Every placed identity must satisfy the strip preconditions, which needs
-    n, m >= k*s + 2*s.
+    Each footprint cell (ci, cj) of a vertical identity is applied at lattice
+    point (n - ci, m - cj), and its mirror, the horizontal identity's cell,
+    at (n - cj, m - ci).  Every identity must satisfy the strip
+    preconditions, which needs n, m >= k*s + 2*s.
     """
     from .lattice import count_tables
 
@@ -349,8 +344,9 @@ def grid_applied_to_counts(grid: WeightGrid, k: int, n: int, m: int) -> int:
         raise ParameterError(
             f"lattice {n}x{m} too small for every strip precondition at k={k}, s={s}"
         )
-    terms = [(p.weight * c, (n - ci, m - cj))
+    terms = [(p.weight * c, point)
              for p in grid.placements
-             for ci, cj, c in _footprint(s, p.orientation, p.i, p.j)]
+             for ci, cj, c in _footprint(s, p.i, p.j)
+             for point in ((n - ci, m - cj), (n - cj, m - ci))]
     tables = count_tables(k, (point for _, point in terms), s_max=s)
     return sum(c * tables[point].count(s) for c, point in terms)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from polycount import cache
 from polycount.cache import (
     entry_path,
     load_entry,
@@ -98,6 +101,19 @@ def test_dir_resolution(tmp_path, monkeypatch):
     monkeypatch.delenv("POLYCOUNT_CACHE")
     default = resolve_cache_dir(None)
     assert default.name == "polycount"
+
+
+def test_the_macos_and_windows_defaults(monkeypatch):
+    # namespaces stand in for cache's sys and os: pathlib reads the real os.name
+    def platform(name, os_name, environ):
+        monkeypatch.setattr(cache, "sys", SimpleNamespace(platform=name))
+        monkeypatch.setattr(cache, "os", SimpleNamespace(name=os_name, environ=environ))
+        return resolve_cache_dir(None)
+
+    assert platform("darwin", "posix", {}) == Path.home() / "Library" / "Caches" / "polycount"
+    local = str(Path("users", "u", "local"))
+    assert platform("win32", "nt", {"LOCALAPPDATA": local}) == Path(local) / "polycount"
+    assert platform("win32", "nt", {}) == Path.home() / "AppData" / "Local" / "polycount"
 
 
 def test_a_table_and_its_transpose_share_one_entry(tmp_path):

@@ -899,6 +899,33 @@ def test_verify_names_an_option_its_target_never_reads(capsys):
     assert code == 0 and out == run_cli(capsys, "verify", "quadrants", "--s", "1")[1]
 
 
+@pytest.mark.parametrize("target", ["weights", "quadrants", "identities"])
+def test_verify_refuses_the_state_cap_where_no_sweep_reads_it(capsys, target):
+    code, out, err = run_cli(capsys, "--state-cap", "5", "verify", target)
+    assert (code, out, err) == (2, "", f"error: verify {target} does not read --state-cap\n")
+
+
+def test_brute_count_refuses_the_state_cap(capsys):
+    argv = ["count", "--n", "2", "--m", "2", "--k", "2", "--s", "1", "--method", "brute"]
+    code, out, err = run_cli(capsys, "--state-cap", "5", *argv)
+    assert (code, out, err) == (2, "", "error: --method brute does not read --state-cap\n")
+    # the default cap is as if none were given
+    assert run_cli(capsys, "--state-cap", str(2**24), *argv)[:2] == (0, "4\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "strip", "--n", "3", "--m", "6", "--s", "2"],
+    ["verify", "diagonal", "--n", "6", "--m", "6", "--s", "1"],
+    ["verify", "corollary", "--n", "6", "--m", "6", "--s", "1"],
+    ["count", "--n", "3", "--m", "6", "--k", "2", "--s", "2"],
+    ["table", "--k", "2", "--n-max", "3", "--m-max", "6"],
+    ["extend", "--k", "2", "--s", "1", "--anchor-n", "6", "--anchor-m", "6", "--steps", "1"],
+])
+def test_the_commands_that_sweep_still_honour_the_state_cap(capsys, argv):
+    code, out, err = run_cli(capsys, "--state-cap", "5", *argv)
+    assert code == 3 and "exceeds cap 5" in err, argv
+
+
 class _Discard:
     def write(self, text):
         return len(text)

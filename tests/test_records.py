@@ -68,8 +68,8 @@ def test_reprs_read_as_the_dataclass_ones_did():
     assert repr(Var("x")) == "Var(name='x')"
     assert repr(Fact(Var("x"))) == "Fact(arg=Var(name='x'))"
     assert repr(LatticeSpec(2, 3, 2)) == "LatticeSpec(n=2, m=3, k=2)"
-    assert repr(PlacedIdentity("vertical", 1, 0, "P1", -2)) == (
-        "PlacedIdentity(orientation='vertical', i=1, j=0, set_tag='P1', weight=-2)")
+    assert repr(PlacedIdentity(1, 0, "P1", -2)) == (
+        "PlacedIdentity(i=1, j=0, set_tag='P1', weight=-2)")
     assert repr(CheckRecord("c", {}, "1", "1", "pass")) == (
         "CheckRecord(name='c', params={}, expected='1', actual='1', status='pass')")
 
@@ -79,7 +79,7 @@ def test_public_records_construct_by_position_and_keyword():
     spec = LatticeSpec(2, 3, 2)
     assert CountTable(spec, (1, 7)) == CountTable(spec=spec, counts=(1, 7))
     assert RhsModel(Fraction(2), Fraction(-1), 30) == RhsModel(lam=2, eta=-1, n=30)
-    placed = PlacedIdentity("vertical", 1, 0, "P1", -2)
+    placed = PlacedIdentity(1, 0, "P1", -2)
     assert WeightGrid(1, (placed,)) == WeightGrid(s=1, placements=(placed,))
     seed = DiagonalSeed(2, 1, 9, 9, (4, 5))
     assert seed == DiagonalSeed(k=2, s=1, anchor_n=9, anchor_m=9, counts=(4, 5))

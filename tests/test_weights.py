@@ -3,10 +3,11 @@ from __future__ import annotations
 import copy
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from polycount import identities
+from polycount import identities, lattice
 from polycount.errors import ParameterError
 from polycount.exact import binom
 from polycount.identities import registry
@@ -30,7 +31,7 @@ from tests.test_hseq import fraction_h_terms
 
 def _weight_map(grid, tag):
     return {
-        (p.orientation, p.i, p.j): p.weight
+        (p.i, p.j): p.weight
         for p in grid.placements
         if p.set_tag == tag
     }
@@ -39,35 +40,32 @@ def _weight_map(grid, tag):
 def test_placement_examples():
     g4 = build_weight_grid(4)
     p1 = _weight_map(g4, "P1")
-    assert p1[("vertical", 0, 0)] == 1
-    assert p1[("vertical", 2, 1)] == -4
+    assert p1[(0, 0)] == 1
+    assert p1[(2, 1)] == -4
     p2 = _weight_map(g4, "P2")
-    assert p2[("vertical", 1, 3)] == -20
+    assert p2[(1, 3)] == -20
     g5 = build_weight_grid(5)
     p2 = _weight_map(g5, "P2")
-    assert p2[("vertical", 8, 1)] == -125
+    assert p2[(8, 1)] == -125
 
 
 def test_placement_counts():
     for s in range(1, 7):
         grid = build_weight_grid(s)
-        p1v = [p for p in grid.placements if p.set_tag == "P1" and p.orientation == "vertical"]
+        p1v = [p for p in grid.placements if p.set_tag == "P1"]
         assert len(p1v) == (s + 1) * (s + 2) // 2 + s * (s + 1) // 2
         # every footprint stays inside the square
         for p in grid.placements:
             assert 0 <= p.i <= 2 * s and 0 <= p.j <= 2 * s
-            end = p.j + s if p.orientation == "vertical" else p.i + s
-            assert end <= 2 * s
+            assert p.j + s <= 2 * s
 
 
-def test_mirror_symmetry():
-    for s in range(1, 6):
+def test_the_grid_lists_each_vertical_identity_once():
+    # the horizontal identities are mirrors, applied by transposition, not listed
+    for s in range(1, 9):
         grid = build_weight_grid(s)
-        vert = {(p.i, p.j, p.set_tag): p.weight
-                for p in grid.placements if p.orientation == "vertical"}
-        horiz = {(p.i, p.j, p.set_tag): p.weight
-                 for p in grid.placements if p.orientation == "horizontal"}
-        assert {(j, i, t): w for (i, j, t), w in vert.items()} == horiz
+        assert len(grid.placements) == (s + 1) * (2 * s + 1), s
+        assert len({(p.i, p.j, p.set_tag) for p in grid.placements}) == len(grid.placements)
 
 
 def test_accumulate_lhs_examples():
@@ -93,10 +91,10 @@ def test_full_cancellation():
 def test_alpha_formula_matches_accumulation():
     for s in range(1, 7):
         grid = build_weight_grid(s)
-        p1_cells = _accumulate(grid, ("P1",))
+        cells = _accumulate(grid, ("P1",))
         for i in range(2 * s + 1):
             for j in range(2 * s + 1):
-                assert alpha_p1(s, i, j) == p1_cells[i][j], (s, i, j)
+                assert alpha_p1(s, i, j) == cells[i][j] + cells[j][i], (s, i, j)
 
 
 def test_alpha_examples():
@@ -192,8 +190,23 @@ def test_grid_applied_to_real_counts():
         grid = build_weight_grid(s)
         assert grid_applied_to_counts(grid, k, n, m) == 2 * diagonal_rhs(s)
         assert grid_applied_to_counts(grid, k, n, m + 2) == 2 * diagonal_rhs(s)
+        # the mirrored arrangement on the transposed lattice
+        assert grid_applied_to_counts(grid, k, m + 2, n) == 2 * diagonal_rhs(s)
     with pytest.raises(Exception):
         grid_applied_to_counts(build_weight_grid(2), 2, 5, 5)
+
+
+def test_grid_applied_to_any_numbers_leaves_the_diagonal_sum(monkeypatch):
+    # on numbers that satisfy no strip identity, only the whole arrangement,
+    # each vertical cell with its mirror, cancels off the diagonal
+    def value(n, m):
+        return 2 ** n * 3 ** m
+
+    monkeypatch.setattr(lattice, "count_tables", lambda k, points, s_max: {
+        p: SimpleNamespace(count=lambda s, p=p: value(*p)) for p in points})
+    for s, n, m in ((1, 5, 7), (2, 9, 8), (3, 13, 12)):
+        want = sum(2 * (-1) ** i * binom(2 * s, i) * value(n - i, m - i) for i in range(2 * s + 1))
+        assert grid_applied_to_counts(build_weight_grid(s), 2, n, m) == want, s
 
 
 def fraction_residual_sum(s, i, j):
@@ -232,8 +245,7 @@ def test_per_term_cells_add_up_to_the_placed_h_family():
         total = [[sum(beta[t][ci][cj] for t in (1, 2, 3)) for cj in range(grid.size)]
                  for ci in range(grid.size)]
         for tag, cells in (("P1", alpha), ("P2", total)):
-            assert cells == _accumulate(grid, (tag,), ("vertical",)), (s, tag)
-            assert _transpose(cells) == _accumulate(grid, (tag,), ("horizontal",)), (s, tag)
+            assert cells == _accumulate(grid, (tag,)), (s, tag)
 
 
 def test_per_term_cells_match_a_fraction_accumulation():
@@ -247,10 +259,10 @@ def test_per_term_cells_match_a_fraction_accumulation():
                 else:
                     terms = [(-1) ** s * x for x in fraction_h_terms(s, 2 * s - i, s - j0)]
                 for tn, w in zip((1, 2, 3), terms):
-                    for o, orientation, at in (("v", "vertical", (i, j0)),
-                                               ("h", "horizontal", (j0, i))):
-                        for ci, cj, c in _footprint(s, orientation, *at):
-                            want[(tn, o)][ci][cj] += w * c
+                    # the horizontal identity's footprint is the vertical one's, transposed
+                    for ci, cj, c in _footprint(s, i, j0):
+                        want[(tn, "v")][ci][cj] += w * c
+                        want[(tn, "h")][cj][ci] += w * c
         _, beta = _per_term_cells(s)
         assert sorted(beta) == [1, 2, 3]
         for t in (1, 2, 3):
