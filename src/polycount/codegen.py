@@ -4,13 +4,15 @@
 
 One registry run and one certificate mutation report build one evaluator
 factory per expression shape (``symbolic._factory``).  This writes the
-source that ``symbolic._Emitter`` gives each of those shapes into one module
-per registry family, ``evaluators/<family>.py``, in the order the runs build
-them (a large family in parts, ``<family>_1.py``, ...), and each shape's key
-into ``evaluators/__init__.py``.  A shape that several families build goes
-to the first of them in name order.  Python caches the bytecode of these
-modules like any other, so a process that evaluates the registry loads its
-factories instead of compiling them.
+source that ``symbolic._Emitter`` gives each of those shapes into two
+modules per registry family, in the order the runs build them:
+``evaluators/<family>.py`` for its pointwise checks and
+``evaluators/<family>_kernels.py`` for its telescoping checks and their
+mutants (a large one in parts, ``_1.py``, ...), and each shape's key into
+``evaluators/__init__.py``.  A shape that several families or both kinds of
+check build goes to the first that builds it.  Python caches the bytecode of
+these modules like any other, so a process that evaluates the registry loads
+its factories instead of compiling them.
 
 Rerun it after any change to the registry or the emitter:
 ``tests/test_symbolic.py`` fails until the modules match what it writes.
@@ -32,30 +34,42 @@ GENERATED = "Generated by ``python -m polycount.codegen``; do not edit."
 PART_BYTES = 32_000
 
 
-def _emitted() -> dict[str, dict[str, str]]:
-    """family -> {shape key: factory source}, in build order, each shape under its first family.
+def _emitted() -> dict[tuple[str, str], dict[str, str]]:
+    """(family, checks) -> {shape key: factory source}, in build order, each under its first.
 
-    The runs go family by family, each factory compiled afresh from its
+    Each family's pointwise checks run first, then its telescoping checks
+    and their mutants, so that a caller that evaluates only the trees of
+    pointwise checks, as the quadrant and weights reports do, imports none
+    of the larger kernel modules.  Each factory is compiled afresh from its
     emitted source, so neither the modules on disk nor the process's cache
     decides what is emitted.
     """
-    families = sorted({name.partition("/")[0] for name in identities.registry()})
-    sources: dict[str, dict[str, str]] = {family: {} for family in families}
+    registry = identities.registry()
+    sources: dict[tuple[str, str], dict[str, str]] = {}
     built: dict[str, Callable] = {}
 
     def record(key: str, expr: symbolic.Expr, ints: bool) -> Callable:
         make = built.get(key)
         if make is None:
             name = f"_make{len(built)}"
-            source = sources[family][key] = symbolic._Emitter(ints).source(expr, name)
+            source = group[key] = symbolic._Emitter(ints).source(expr, name)
             make = built[key] = symbolic._build(source, name)
         return make
 
     saved = symbolic._factory
     symbolic._factory = record
     try:
-        for family in families:
-            identities.run_registry(f"{family}/*")
+        for family in sorted({name.partition("/")[0] for name in registry}):
+            checks = [chk for name, chk in sorted(registry.items())
+                      if name.partition("/")[0] == family]
+            group = sources[family, "pointwise"] = {}
+            for chk in checks:
+                if not chk.axes:
+                    identities.run_check(chk)
+            group = sources[family, "telescoping"] = {}
+            for chk in checks:
+                if chk.axes:
+                    identities.run_check(chk)
             identities.certificate_mutation_report(f"{family}/*")
     finally:
         symbolic._factory = saved
@@ -79,15 +93,17 @@ def render() -> dict[str, str]:
     """The text of every module of ``polycount.evaluators``, by file name."""
     files, index = {}, []
     first = 0  # factories are numbered in build order, through the whole table
-    for family, shapes in _emitted().items():
+    for (family, checks), shapes in _emitted().items():
         if not shapes:
             continue
         parts = _parts(shapes)
         for number, part in enumerate(parts, start=1):
-            module = family.replace("-", "_") + (f"_{number}" if len(parts) > 1 else "")
+            module = (family.replace("-", "_") + ("_kernels" if checks == "telescoping" else "")
+                      + (f"_{number}" if len(parts) > 1 else ""))
             index += [f"    {key!r}: ({module!r}, {at}),\n" for at, key in enumerate(part)]
             files[f"{module}.py"] = "".join([
-                f'"""Evaluator factories of shapes that the {family}/* checks build first.\n\n',
+                f'"""Evaluator factories of shapes that the {family}/* {checks} checks'
+                f'{" and their mutants" if checks == "telescoping" else ""} build first.\n\n',
                 f'{GENERATED}\n"""\n\n',
                 "from ..symbolic import _NAMESPACE\n\n",
                 "globals().update(_NAMESPACE)\n\n\n",

@@ -1,4 +1,4 @@
-"""Evaluator factories of shapes that the appendix-b/* checks build first.
+"""Evaluator factories of shapes that the appendix-b/* pointwise checks build first.
 
 Generated by ``python -m polycount.codegen``; do not edit.
 """

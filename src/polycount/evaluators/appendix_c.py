@@ -1,4 +1,4 @@
-"""Evaluator factories of shapes that the appendix-c/* checks build first.
+"""Evaluator factories of shapes that the appendix-c/* pointwise checks build first.
 
 Generated by ``python -m polycount.codegen``; do not edit.
 """

@@ -1,4 +1,4 @@
-"""Evaluator factories of shapes that the double-gf/* checks build first.
+"""Evaluator factories of shapes that the double-gf/* pointwise checks build first.
 
 Generated by ``python -m polycount.codegen``; do not edit.
 """
@@ -8,7 +8,7 @@ from ..symbolic import _NAMESPACE
 globals().update(_NAMESPACE)
 
 
-def _make20(general, k0, k1, k2, k3, k4):
+def _make22(general, k0, k1, k2, k3, k4):
     def term(env):
         try:
             n1 = env['s']
@@ -35,7 +35,7 @@ def _make20(general, k0, k1, k2, k3, k4):
     return term
 
 
-def _make21(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
+def _make23(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
     def term(env):
         try:
             n1 = env['s']
@@ -67,7 +67,7 @@ def _make21(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
     return term
 
 
-def _make22(k0, k1, k2, k3, k4):
+def _make24(k0, k1, k2, k3, k4):
     def term(env):
         try:
             n1 = env['s']; d2 = 1
@@ -104,7 +104,7 @@ def _make22(k0, k1, k2, k3, k4):
     return term
 
 
-def _make23(k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
+def _make25(k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
     def term(env):
         try:
             n1 = env['s']; d2 = 1
@@ -146,158 +146,7 @@ def _make23(k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
     return term
 
 
-def _make24(general, k0, k1, k2):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['s']
-            if type(n2) is not int: return general(env)
-            t3 = k2 * n2
-            n4 = env['t']
-            if type(n4) is not int: return general(env)
-            n5 = env['z']
-            if type(n5) is not int: return general(env)
-            if n1 >= 0: n6 = n5 ** n1; d7 = 1
-            elif not n5: raise PoleError('zero base with negative exponent')
-            else:
-                n6 = 1; d7 = n5 ** -n1
-                if d7 < 0: n6 = -n6; d7 = -d7
-            n8 = (-1 if n1 % 2 else 1) * (k0 * n2 + k1 * n1) * (_comb(t3, n1) if t3 >= 0 <= n1 else _binom(t3, n1)) * (_comb(n1, n4) if n1 >= 0 <= n4 else _binom(n1, n4)) * n6
-            return n8 if d7 == 1 else _value(n8, d7)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make25(general, k0, k1, k2, k3, k4):
-    def term(env):
-        try:
-            n1 = env['s']
-            if type(n1) is not int: return general(env)
-            n2 = env['t']
-            if type(n2) is not int: return general(env)
-            n3 = env['z']
-            if type(n3) is not int: return general(env)
-            return k0 * (k1 * n1 + k2 * n2 + k3 * k4) * n3
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make26(general, k0, k1, k2):
-    def term(env):
-        try:
-            n1 = env['z']
-            if type(n1) is not int: return general(env)
-            n2 = env['t']
-            if type(n2) is not int: return general(env)
-            return (n1 + k0 * k1) * (n2 + k2)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make27(general, k0):
-    def term(env):
-        try:
-            n1 = env['s']
-            if type(n1) is not int: return general(env)
-            return k0 * n1
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make28(general, k0):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['t']
-            if type(n2) is not int: return general(env)
-            return n1 + k0 * n2
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make29(k0, k1, k2):
-    def term(env):
-        try:
-            n1 = env['i']; d2 = 1
-            if type(n1) is not int: n1, d2 = _pair(n1)
-            q3 = n1 if d2 == 1 else _int(n1, d2, 'sign exponent')
-            n4 = env['s']; d5 = 1
-            if type(n4) is not int: n4, d5 = _pair(n4)
-            n6 = k0 * n4
-            n7 = k1 * n1
-            if d5 == d2: n8 = n6 + n7; d9 = d5
-            else: n8 = n6 * d2 + n7 * d5; d9 = d5 * d2
-            n10 = (-1 if q3 % 2 else 1) * n8
-            n11 = k2 * n4
-            q12 = n11 if d5 == 1 else _int(n11, d5, 'binomial upper index')
-            n13 = n10 * (_comb(q12, q3) if q12 >= 0 <= q3 else _binom(q12, q3))
-            n14 = env['t']; d15 = 1
-            if type(n14) is not int: n14, d15 = _pair(n14)
-            q16 = n14 if d15 == 1 else _int(n14, d15, 'binomial lower index')
-            n17 = n13 * (_comb(q3, q16) if q3 >= 0 <= q16 else _binom(q3, q16))
-            n18 = env['z']; d19 = 1
-            if type(n18) is not int: n18, d19 = _pair(n18)
-            if q3 >= 0: n20 = n18 ** q3; d21 = d19 ** q3
-            elif not n18: raise PoleError('zero base with negative exponent')
-            else:
-                n20 = d19 ** -q3; d21 = n18 ** -q3
-                if d21 < 0: n20 = -n20; d21 = -d21
-            n22 = n17 * n20
-            d23 = d9 * d21
-            return n22 if d23 == 1 else _value(n22, d23)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make30(k0, k1, k2, k3, k4):
-    def term(env):
-        try:
-            n1 = env['s']; d2 = 1
-            if type(n1) is not int: n1, d2 = _pair(n1)
-            n3 = k1 * n1
-            n4 = env['t']; d5 = 1
-            if type(n4) is not int: n4, d5 = _pair(n4)
-            n6 = k2 * n4
-            if d2 == d5: n7 = n3 + n6; d8 = d2
-            else: n7 = n3 * d5 + n6 * d2; d8 = d2 * d5
-            n9 = n7 + k3 * k4 * d8
-            n10 = k0 * n9
-            n11 = env['z']; d12 = 1
-            if type(n11) is not int: n11, d12 = _pair(n11)
-            n13 = n10 * n11
-            d14 = d8 * d12
-            return n13 if d14 == 1 else _value(n13, d14)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make31(k0, k1, k2):
-    def term(env):
-        try:
-            n1 = env['z']; d2 = 1
-            if type(n1) is not int: n1, d2 = _pair(n1)
-            n3 = n1 + k0 * k1 * d2
-            n4 = env['t']; d5 = 1
-            if type(n4) is not int: n4, d5 = _pair(n4)
-            n6 = n4 + k2 * d5
-            n7 = n3 * n6
-            d8 = d2 * d5
-            return n7 if d8 == 1 else _value(n7, d8)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make32(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
+def _make26(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
     def term(env):
         try:
             n1 = env['s']
@@ -343,7 +192,7 @@ def _make32(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
     return term
 
 
-def _make33(general, k0, k1, k2, k3, k4, k5, k6):
+def _make27(general, k0, k1, k2, k3, k4, k5, k6):
     def term(env):
         try:
             n1 = env['x']
@@ -376,7 +225,7 @@ def _make33(general, k0, k1, k2, k3, k4, k5, k6):
     return term
 
 
-def _make34(k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
+def _make28(k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
     def term(env):
         try:
             n1 = env['s']; d2 = 1
@@ -431,7 +280,7 @@ def _make34(k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
     return term
 
 
-def _make35(k0, k1, k2, k3, k4, k5, k6):
+def _make29(k0, k1, k2, k3, k4, k5, k6):
     def term(env):
         try:
             n1 = env['x']; d2 = 1
@@ -471,285 +320,7 @@ def _make35(k0, k1, k2, k3, k4, k5, k6):
     return term
 
 
-def _make36(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14):
-    def term(env):
-        try:
-            n1 = env['t']
-            if type(n1) is not int: return general(env)
-            n2 = env['s']
-            if type(n2) is not int: return general(env)
-            n3 = env['z']
-            if type(n3) is not int: return general(env)
-            if n1 >= 0: n4 = n3 ** n1; d5 = 1
-            elif not n3: raise PoleError('zero base with negative exponent')
-            else:
-                n4 = 1; d5 = n3 ** -n1
-                if d5 < 0: n4 = -n4; d5 = -d5
-            n6 = (-1 if n1 % 2 else 1) * k0 * n2 * n4
-            t7 = n3 + k1 * k2
-            t8 = k3 * n2 + k4 * n1 + k5 * k6
-            if t8 >= 0: n9 = t7 ** t8; d10 = 1
-            elif not t7: raise PoleError('zero base with negative exponent')
-            else:
-                n9 = 1; d10 = t7 ** -t8
-                if d10 < 0: n9 = -n9; d10 = -d10
-            n11 = n6 * n9
-            d12 = d5 * d10
-            t13 = k7 * n2 + k8 * k9
-            n14 = n11 * (_comb(t13, n1) if t13 >= 0 <= n1 else _binom(t13, n1))
-            n15 = env['x']
-            if type(n15) is not int: return general(env)
-            t16 = k12 + k13 * n15
-            t17 = n2 + k14 * n1
-            if t17 >= 0: n18 = t16 ** t17; d19 = 1
-            elif not t16: raise PoleError('zero base with negative exponent')
-            else:
-                n18 = 1; d19 = t16 ** -t17
-                if d19 < 0: n18 = -n18; d19 = -d19
-            n20 = (k10 * n2 + k11 * n1) * n18
-            if not n20: raise PoleError('division by zero')
-            n21 = n14 * d19
-            d22 = n20 * d12
-            if d22 < 0: n21 = -n21; d22 = -d22
-            return n21 if d22 == 1 else _value(n21, d22)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make37(general, k0, k1, k2):
-    def term(env):
-        try:
-            n1 = env['x']
-            if type(n1) is not int: return general(env)
-            n2 = env['z']
-            if type(n2) is not int: return general(env)
-            t3 = n1 * n2 + k0 * k1
-            if k2 >= 0: n4 = t3 ** k2; d5 = 1
-            elif not t3: raise PoleError('zero base with negative exponent')
-            else:
-                n4 = 1; d5 = t3 ** -k2
-                if d5 < 0: n4 = -n4; d5 = -d5
-            return n4 if d5 == 1 else _value(n4, d5)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make38(general, k0, k1):
-    def term(env):
-        try:
-            n1 = env['x']
-            if type(n1) is not int: return general(env)
-            return n1 + k0 * k1
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make39(general, k0, k1, k2):
-    def term(env):
-        try:
-            n1 = env['s']
-            if type(n1) is not int: return general(env)
-            return k0 * n1 + k1 * k2
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make40(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15):
-    def term(env):
-        try:
-            n1 = env['t']
-            if type(n1) is not int: return general(env)
-            n2 = env['z']
-            if type(n2) is not int: return general(env)
-            n3 = env['x']
-            if type(n3) is not int: return general(env)
-            n4 = env['s']
-            if type(n4) is not int: return general(env)
-            t5 = (k10 * n4 + k11 + k12 * n1) * (k13 * n4 + k14 * n1 + k15)
-            if not t5: raise PoleError('division by zero')
-            n6 = n1 * (n2 + k0 * k1) * (k2 * n3 * n2 + k3 * n2 * n4 + k4 * k5 + k6 * n2 * n4 * n3 + n2 + k7 * k8 * n4 + k9 * n2 * n3 * n1 + n1)
-            d7 = t5
-            if d7 < 0: n6 = -n6; d7 = -d7
-            return n6 if d7 == 1 else _value(n6, d7)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make41(k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15):
-    def term(env):
-        try:
-            n1 = env['t']; d2 = 1
-            if type(n1) is not int: n1, d2 = _pair(n1)
-            n3 = env['z']; d4 = 1
-            if type(n3) is not int: n3, d4 = _pair(n3)
-            n5 = n3 + k0 * k1 * d4
-            n6 = n1 * n5
-            d7 = d2 * d4
-            n8 = env['x']; d9 = 1
-            if type(n8) is not int: n8, d9 = _pair(n8)
-            n10 = k2 * n8
-            n11 = n10 * n3
-            d12 = d9 * d4
-            n13 = k3 * n3
-            n14 = env['s']; d15 = 1
-            if type(n14) is not int: n14, d15 = _pair(n14)
-            n16 = n13 * n14
-            d17 = d4 * d15
-            if d12 == d17: n18 = n11 + n16; d19 = d12
-            else: n18 = n11 * d17 + n16 * d12; d19 = d12 * d17
-            n20 = n18 + k4 * k5 * d19
-            n21 = k6 * n3
-            n22 = n21 * n14
-            d23 = d4 * d15
-            n24 = n22 * n8
-            d25 = d23 * d9
-            if d19 == d25: n26 = n20 + n24; d27 = d19
-            else: n26 = n20 * d25 + n24 * d19; d27 = d19 * d25
-            if d27 == d4: n28 = n26 + n3; d29 = d27
-            else: n28 = n26 * d4 + n3 * d27; d29 = d27 * d4
-            n30 = k8 * n14
-            n31 = k7 * n30
-            if d29 == d15: n32 = n28 + n31; d33 = d29
-            else: n32 = n28 * d15 + n31 * d29; d33 = d29 * d15
-            n34 = n3 * n8
-            d35 = d4 * d9
-            n36 = n34 * n1
-            d37 = d35 * d2
-            n38 = k9 * n36
-            if d33 == d37: n39 = n32 + n38; d40 = d33
-            else: n39 = n32 * d37 + n38 * d33; d40 = d33 * d37
-            if d40 == d2: n41 = n39 + n1; d42 = d40
-            else: n41 = n39 * d2 + n1 * d40; d42 = d40 * d2
-            n43 = n6 * n41
-            d44 = d7 * d42
-            n45 = k10 * n14
-            n46 = n45 + k11 * d15
-            n47 = k12 * n1
-            if d15 == d2: n48 = n46 + n47; d49 = d15
-            else: n48 = n46 * d2 + n47 * d15; d49 = d15 * d2
-            n50 = k13 * n14
-            n51 = k14 * n1
-            if d15 == d2: n52 = n50 + n51; d53 = d15
-            else: n52 = n50 * d2 + n51 * d15; d53 = d15 * d2
-            n54 = n52 + k15 * d53
-            n55 = n48 * n54
-            d56 = d49 * d53
-            if not n55: raise PoleError('division by zero')
-            n57 = n43 * d56
-            d58 = n55 * d44
-            if d58 < 0: n57 = -n57; d58 = -d58
-            return n57 if d58 == 1 else _value(n57, d58)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make42(k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14):
-    def term(env):
-        try:
-            n1 = env['t']; d2 = 1
-            if type(n1) is not int: n1, d2 = _pair(n1)
-            q3 = n1 if d2 == 1 else _int(n1, d2, 'sign exponent')
-            n4 = env['s']; d5 = 1
-            if type(n4) is not int: n4, d5 = _pair(n4)
-            n6 = (-1 if q3 % 2 else 1) * k0 * n4
-            n7 = env['z']; d8 = 1
-            if type(n7) is not int: n7, d8 = _pair(n7)
-            if q3 >= 0: n9 = n7 ** q3; d10 = d8 ** q3
-            elif not n7: raise PoleError('zero base with negative exponent')
-            else:
-                n9 = d8 ** -q3; d10 = n7 ** -q3
-                if d10 < 0: n9 = -n9; d10 = -d10
-            n11 = n6 * n9
-            d12 = d5 * d10
-            n13 = n7 + k1 * k2 * d8
-            n14 = k3 * n4
-            n15 = k4 * n1
-            if d5 == d2: n16 = n14 + n15; d17 = d5
-            else: n16 = n14 * d2 + n15 * d5; d17 = d5 * d2
-            n18 = n16 + k5 * k6 * d17
-            q19 = n18 if d17 == 1 else _int(n18, d17, 'exponent')
-            if q19 >= 0: n20 = n13 ** q19; d21 = d8 ** q19
-            elif not n13: raise PoleError('zero base with negative exponent')
-            else:
-                n20 = d8 ** -q19; d21 = n13 ** -q19
-                if d21 < 0: n20 = -n20; d21 = -d21
-            n22 = n11 * n20
-            d23 = d12 * d21
-            n24 = k7 * n4
-            n25 = n24 + k8 * k9 * d5
-            q26 = n25 if d5 == 1 else _int(n25, d5, 'binomial upper index')
-            n27 = n22 * (_comb(q26, q3) if q26 >= 0 <= q3 else _binom(q26, q3))
-            n28 = k10 * n4
-            n29 = k11 * n1
-            if d5 == d2: n30 = n28 + n29; d31 = d5
-            else: n30 = n28 * d2 + n29 * d5; d31 = d5 * d2
-            n32 = env['x']; d33 = 1
-            if type(n32) is not int: n32, d33 = _pair(n32)
-            n34 = k13 * n32
-            n35 = n34 + k12 * d33
-            n36 = k14 * n1
-            if d5 == d2: n37 = n4 + n36; d38 = d5
-            else: n37 = n4 * d2 + n36 * d5; d38 = d5 * d2
-            q39 = n37 if d38 == 1 else _int(n37, d38, 'exponent')
-            if q39 >= 0: n40 = n35 ** q39; d41 = d33 ** q39
-            elif not n35: raise PoleError('zero base with negative exponent')
-            else:
-                n40 = d33 ** -q39; d41 = n35 ** -q39
-                if d41 < 0: n40 = -n40; d41 = -d41
-            n42 = n30 * n40
-            d43 = d31 * d41
-            if not n42: raise PoleError('division by zero')
-            n44 = n27 * d43
-            d45 = n42 * d23
-            if d45 < 0: n44 = -n44; d45 = -d45
-            return n44 if d45 == 1 else _value(n44, d45)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make43(k0, k1, k2):
-    def term(env):
-        try:
-            n1 = env['x']; d2 = 1
-            if type(n1) is not int: n1, d2 = _pair(n1)
-            n3 = env['z']; d4 = 1
-            if type(n3) is not int: n3, d4 = _pair(n3)
-            n5 = n1 * n3
-            d6 = d2 * d4
-            n7 = n5 + k0 * k1 * d6
-            if k2 >= 0: n8 = n7 ** k2; d9 = d6 ** k2
-            elif not n7: raise PoleError('zero base with negative exponent')
-            else:
-                n8 = d6 ** -k2; d9 = n7 ** -k2
-                if d9 < 0: n8 = -n8; d9 = -d9
-            return n8 if d9 == 1 else _value(n8, d9)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make44(k0, k1):
-    def term(env):
-        try:
-            n1 = env['x']; d2 = 1
-            if type(n1) is not int: n1, d2 = _pair(n1)
-            n3 = n1 + k0 * k1 * d2
-            return n3 if d2 == 1 else _value(n3, d2)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
 FACTORIES = (
-    _make20,
-    _make21,
     _make22,
     _make23,
     _make24,
@@ -758,19 +329,4 @@ FACTORIES = (
     _make27,
     _make28,
     _make29,
-    _make30,
-    _make31,
-    _make32,
-    _make33,
-    _make34,
-    _make35,
-    _make36,
-    _make37,
-    _make38,
-    _make39,
-    _make40,
-    _make41,
-    _make42,
-    _make43,
-    _make44,
 )

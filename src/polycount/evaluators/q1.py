@@ -1,4 +1,4 @@
-"""Evaluator factories of shapes that the q1/* checks build first.
+"""Evaluator factories of shapes that the q1/* pointwise checks build first.
 
 Generated by ``python -m polycount.codegen``; do not edit.
 """
@@ -8,7 +8,7 @@ from ..symbolic import _NAMESPACE
 globals().update(_NAMESPACE)
 
 
-def _make52(general, k0, k1, k2, k3):
+def _make51(general, k0, k1, k2, k3):
     def term(env):
         try:
             n1 = env['j']
@@ -33,7 +33,7 @@ def _make52(general, k0, k1, k2, k3):
     return term
 
 
-def _make53(general, k0, k1, k2):
+def _make52(general, k0, k1, k2):
     def term(env):
         try:
             n1 = env['j']
@@ -55,7 +55,7 @@ def _make53(general, k0, k1, k2):
     return term
 
 
-def _make54(general, k0, k1, k2, k3, k4, k5):
+def _make53(general, k0, k1, k2, k3, k4, k5):
     def term(env):
         try:
             n1 = env['i']
@@ -82,7 +82,7 @@ def _make54(general, k0, k1, k2, k3, k4, k5):
     return term
 
 
-def _make55(general, k0, k1, k2, k3, k4, k5):
+def _make54(general, k0, k1, k2, k3, k4, k5):
     def term(env):
         try:
             n1 = env['i']
@@ -102,7 +102,7 @@ def _make55(general, k0, k1, k2, k3, k4, k5):
     return term
 
 
-def _make56(general, k0, k1, k2, k3, k4):
+def _make55(general, k0, k1, k2, k3, k4):
     def term(env):
         try:
             n1 = env['j']
@@ -122,7 +122,7 @@ def _make56(general, k0, k1, k2, k3, k4):
     return term
 
 
-def _make57(general, k0, k1):
+def _make56(general, k0, k1):
     def term(env):
         try:
             n1 = env['i']
@@ -139,7 +139,7 @@ def _make57(general, k0, k1):
     return term
 
 
-def _make58(general, k0):
+def _make57(general, k0):
     def term(env):
         try:
             n1 = env['s']
@@ -154,11 +154,11 @@ def _make58(general, k0):
 
 
 FACTORIES = (
+    _make51,
     _make52,
     _make53,
     _make54,
     _make55,
     _make56,
     _make57,
-    _make58,
 )

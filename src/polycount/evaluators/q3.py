@@ -1,4 +1,4 @@
-"""Evaluator factories of shapes that the q3/* checks build first.
+"""Evaluator factories of shapes that the q3/* pointwise checks build first.
 
 Generated by ``python -m polycount.codegen``; do not edit.
 """
@@ -8,104 +8,7 @@ from ..symbolic import _NAMESPACE
 globals().update(_NAMESPACE)
 
 
-def _make59(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
-    def term(env):
-        try:
-            n1 = env['t']
-            if type(n1) is not int: return general(env)
-            n2 = env['s']
-            if type(n2) is not int: return general(env)
-            t3 = k0 * n2 + k1 * n1
-            if not t3: raise PoleError('division by zero')
-            n4 = (-1 if n1 % 2 else 1)
-            d5 = t3
-            if d5 < 0: n4 = -n4; d5 = -d5
-            n6 = env['i']
-            if type(n6) is not int: return general(env)
-            t7 = k2 * n2 + k3 * n6
-            n8 = n4 * (_comb(t7, n1) if t7 >= 0 <= n1 else _binom(t7, n1))
-            t9 = k4 * n2 + k5 * n1 + k6 * n6
-            t10 = k7 * n2 + k8 * n6 + k9
-            n11 = n8 * (_comb(t9, t10) if t9 >= 0 <= t10 else _binom(t9, t10))
-            return n11 if d5 == 1 else _value(n11, d5)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make60(general, k0, k1, k2, k3):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['s']
-            if type(n2) is not int: return general(env)
-            return (n1 + k0 * k1 * n2 + k2 * k3) * n1
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make61(general, k0, k1, k2, k3, k4, k5):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['s']
-            if type(n2) is not int: return general(env)
-            return k0 * (k1 * n1 + k2 * n2 + k3) * (n1 + k4 * k5 * n2)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make62(general, k0, k1, k2, k3, k4):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['s']
-            if type(n2) is not int: return general(env)
-            return (n1 + k0 * n2 + k1) * (n1 + k2 * k3 * n2 + k4)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make63(general, k0, k1):
-    def term(env):
-        try:
-            n1 = env['s']
-            if type(n1) is not int: return general(env)
-            n2 = env['i']
-            if type(n2) is not int: return general(env)
-            return k0 * n1 + k1 * n2
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make64(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['s']
-            if type(n2) is not int: return general(env)
-            n3 = env['t']
-            if type(n3) is not int: return general(env)
-            t4 = (n1 + k7 * k8 * n2) * (k9 * n2 + n3 + n1)
-            if not t4: raise PoleError('division by zero')
-            n5 = k0 * (n1 + k1 * k2 * n2 + k3 * k4) * n2 * (k5 * n2 + k6 * n3) * n3
-            d6 = t4
-            if d6 < 0: n5 = -n5; d6 = -d6
-            return n5 if d6 == 1 else _value(n5, d6)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make65(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12):
+def _make58(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12):
     def term(env):
         try:
             n1 = env['s']
@@ -133,7 +36,7 @@ def _make65(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12):
     return term
 
 
-def _make66(general, k0, k1, k2, k3, k4, k5, k6, k7, k8):
+def _make59(general, k0, k1, k2, k3, k4, k5, k6, k7, k8):
     def term(env):
         try:
             n1 = env['s']
@@ -161,85 +64,7 @@ def _make66(general, k0, k1, k2, k3, k4, k5, k6, k7, k8):
     return term
 
 
-def _make67(general, k0, k1, k2, k3, k4, k5, k6, k7, k8):
-    def term(env):
-        try:
-            n1 = env['t']
-            if type(n1) is not int: return general(env)
-            if not n1: raise PoleError('division by zero')
-            n2 = (-1 if (n1 + k0) % 2 else 1)
-            d3 = n1
-            if d3 < 0: n2 = -n2; d3 = -d3
-            n4 = env['i']
-            if type(n4) is not int: return general(env)
-            n5 = env['jp']
-            if type(n5) is not int: return general(env)
-            t6 = n4 + k1 * n5 + k2 * k3
-            n7 = env['s']
-            if type(n7) is not int: return general(env)
-            t8 = n7 + n1 + k4 * k5
-            n9 = n2 * (_comb(t6, t8) if t6 >= 0 <= t8 else _binom(t6, t8))
-            t10 = n1 + k6 * k7
-            n11 = n9 * (_comb(n7, t10) if n7 >= 0 <= t10 else _binom(n7, t10))
-            t12 = n7 + k8 * n5
-            t13 = (_comb(t12, n1) if t12 >= 0 <= n1 else _binom(t12, n1))
-            if not t13: raise PoleError('division by zero')
-            n14 = n11
-            d15 = t13 * d3
-            if d15 < 0: n14 = -n14; d15 = -d15
-            return n14 if d15 == 1 else _value(n14, d15)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make68(general, k0):
-    def term(env):
-        try:
-            n1 = env['s']
-            if type(n1) is not int: return general(env)
-            n2 = env['jp']
-            if type(n2) is not int: return general(env)
-            return n1 + k0 * n2
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make69(general, k0):
-    def term(env):
-        try:
-            n1 = env['jp']
-            if type(n1) is not int: return general(env)
-            return n1 + k0
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make70(general, k0, k1, k2, k3, k4, k5):
-    def term(env):
-        try:
-            n1 = env['s']
-            if type(n1) is not int: return general(env)
-            n2 = env['t']
-            if type(n2) is not int: return general(env)
-            n3 = env['jp']
-            if type(n3) is not int: return general(env)
-            n4 = env['i']
-            if type(n4) is not int: return general(env)
-            t5 = n4 + k3 * n3 + k4 * k5
-            if not t5: raise PoleError('division by zero')
-            n6 = (n1 + n2 + k0 * k1) * (n3 + k2 * n1)
-            d7 = t5
-            if d7 < 0: n6 = -n6; d7 = -d7
-            return n6 if d7 == 1 else _value(n6, d7)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make71(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26):
+def _make60(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26):
     def term(env):
         try:
             n1 = env['s']
@@ -300,7 +125,7 @@ def _make71(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13,
     return term
 
 
-def _make72(general, k0, k1, k2, k3, k4, k5):
+def _make61(general, k0, k1, k2, k3, k4, k5):
     def term(env):
         try:
             n1 = env['s']
@@ -321,7 +146,7 @@ def _make72(general, k0, k1, k2, k3, k4, k5):
     return term
 
 
-def _make73(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10):
+def _make62(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10):
     def term(env):
         try:
             n1 = env['s']
@@ -356,7 +181,7 @@ def _make73(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10):
     return term
 
 
-def _make74(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13):
+def _make63(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13):
     def term(env):
         try:
             n1 = env['s']
@@ -400,78 +225,7 @@ def _make74(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13)
     return term
 
 
-def _make75(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
-    def term(env):
-        try:
-            n1 = env['s']
-            if type(n1) is not int: return general(env)
-            n2 = env['j']
-            if type(n2) is not int: return general(env)
-            n3 = env['i']
-            if type(n3) is not int: return general(env)
-            t4 = k1 * n1
-            n5 = env['jp']
-            if type(n5) is not int: return general(env)
-            n6 = env['t']
-            if type(n6) is not int: return general(env)
-            if not n6: raise PoleError('division by zero')
-            n7 = (-1 if (n5 + n6 + k2) % 2 else 1)
-            d8 = n6
-            if d8 < 0: n7 = -n7; d8 = -d8
-            t9 = n3 + k3 * n5 + k4 * k5
-            t10 = n1 + n6 + k6 * k7
-            n11 = n7 * (_comb(t9, t10) if t9 >= 0 <= t10 else _binom(t9, t10))
-            t12 = n6 + k8 * k9
-            n13 = n11 * (_comb(n1, t12) if n1 >= 0 <= t12 else _binom(n1, t12))
-            t14 = n2 + k10 * n5
-            n15 = n13 * (_comb(n1, t14) if n1 >= 0 <= t14 else _binom(n1, t14))
-            t16 = n1 + k11 * n5
-            t17 = (_comb(t16, n6) if t16 >= 0 <= n6 else _binom(t16, n6))
-            if not t17: raise PoleError('division by zero')
-            n18 = n15
-            d19 = t17 * d8
-            if d19 < 0: n18 = -n18; d19 = -d19
-            n20 = (-1 if (n1 + n2 + k0) % 2 else 1) * (-1 if (n1 + n3 + n2) % 2 else 1) * n3 * (_comb(t4, n3) if t4 >= 0 <= n3 else _binom(t4, n3)) * n18
-            return n20 if d19 == 1 else _value(n20, d19)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make76(general):
-    def term(env):
-        try:
-            n1 = env['s']
-            if type(n1) is not int: return general(env)
-            return n1
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make77(general, k0, k1, k2, k3, k4, k5, k6, k7, k8):
-    def term(env):
-        try:
-            n1 = env['s']
-            if type(n1) is not int: return general(env)
-            n2 = env['jp']
-            if type(n2) is not int: return general(env)
-            n3 = env['t']
-            if type(n3) is not int: return general(env)
-            n4 = env['i']
-            if type(n4) is not int: return general(env)
-            t5 = n4 * (k5 * n2 + n4 + k6 + k7 * n1 + k8 * n3)
-            if not t5: raise PoleError('division by zero')
-            n6 = (n1 + k0 * n2 + k1 * n3 + k2) * (n1 + n3 + k3 * k4)
-            d7 = t5
-            if d7 < 0: n6 = -n6; d7 = -d7
-            return n6 if d7 == 1 else _value(n6, d7)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make78(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28, k29, k30, k31, k32):
+def _make64(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28, k29, k30, k31, k32):
     def term(env):
         try:
             n1 = env['s']
@@ -548,7 +302,7 @@ def _make78(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13,
     return term
 
 
-def _make79(general, k0, k1):
+def _make65(general, k0, k1):
     def term(env):
         try:
             n1 = env['j']
@@ -564,7 +318,7 @@ def _make79(general, k0, k1):
     return term
 
 
-def _make80(general, k0, k1):
+def _make66(general, k0, k1):
     def term(env):
         try:
             n1 = env['j']
@@ -578,7 +332,7 @@ def _make80(general, k0, k1):
     return term
 
 
-def _make81(general, k0, k1, k2, k3):
+def _make67(general, k0, k1, k2, k3):
     def term(env):
         try:
             n1 = env['s']
@@ -614,7 +368,7 @@ def _make81(general, k0, k1, k2, k3):
     return term
 
 
-def _make82(general, k0):
+def _make68(general, k0):
     def term(env):
         try:
             n1 = env['j']
@@ -628,7 +382,7 @@ def _make82(general, k0):
     return term
 
 
-def _make83(general, k0, k1):
+def _make69(general, k0, k1):
     def term(env):
         try:
             n1 = env['j']
@@ -647,50 +401,7 @@ def _make83(general, k0, k1):
     return term
 
 
-def _make84(general, k0, k1, k2, k3, k4, k5, k6, k7):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['jp']
-            if type(n2) is not int: return general(env)
-            n3 = env['s']
-            if type(n3) is not int: return general(env)
-            t4 = k1 * n3
-            t5 = n1 + k2 * n2 + k3 * k4
-            t6 = n3 + k5 * k6
-            n7 = env['j']
-            if type(n7) is not int: return general(env)
-            t8 = n7 + k7 * n2
-            return (-1 if (n1 + n2 + k0) % 2 else 1) * (_comb(t4, n1) if t4 >= 0 <= n1 else _binom(t4, n1)) * (_comb(t5, t6) if t5 >= 0 <= t6 else _binom(t5, t6)) * (_comb(n3, t8) if n3 >= 0 <= t8 else _binom(n3, t8))
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make85(general, k0, k1, k2, k3, k4, k5, k6, k7):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['jp']
-            if type(n2) is not int: return general(env)
-            n3 = env['s']
-            if type(n3) is not int: return general(env)
-            t4 = k0 * n3
-            t5 = n1 + k1 * n2
-            n6 = env['j']
-            if type(n6) is not int: return general(env)
-            t7 = n1 + k2 * n6
-            t8 = n1 + k3 * n6 + k4 * k5
-            t9 = n1 + k6 * n3 + k7 * n2
-            return (-1 if (n1 + n2) % 2 else 1) * (_comb(t4, n1) if t4 >= 0 <= n1 else _binom(t4, n1)) * (_comb(t5, t7) if t5 >= 0 <= t7 else _binom(t5, t7)) * (_comb(t8, t9) if t8 >= 0 <= t9 else _binom(t8, t9))
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make86(general, k0, k1, k2, k3, k4, k5, k6, k7):
+def _make70(general, k0, k1, k2, k3, k4, k5, k6, k7):
     def term(env):
         try:
             n1 = env['i']
@@ -718,7 +429,28 @@ def _make86(general, k0, k1, k2, k3, k4, k5, k6, k7):
     return term
 
 
-def _make87(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28):
+def _make71(general, k0, k1, k2, k3, k4, k5, k6, k7):
+    def term(env):
+        try:
+            n1 = env['i']
+            if type(n1) is not int: return general(env)
+            n2 = env['jp']
+            if type(n2) is not int: return general(env)
+            n3 = env['s']
+            if type(n3) is not int: return general(env)
+            t4 = k1 * n3
+            t5 = n1 + k2 * n2 + k3 * k4
+            t6 = n3 + k5 * k6
+            n7 = env['j']
+            if type(n7) is not int: return general(env)
+            t8 = n7 + k7 * n2
+            return (-1 if (n1 + n2 + k0) % 2 else 1) * (_comb(t4, n1) if t4 >= 0 <= n1 else _binom(t4, n1)) * (_comb(t5, t6) if t5 >= 0 <= t6 else _binom(t5, t6)) * (_comb(n3, t8) if n3 >= 0 <= t8 else _binom(n3, t8))
+        except KeyError as missing:
+            raise PoleError(f'unbound variable {missing.args[0]}') from None
+    return term
+
+
+def _make72(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28):
     def term(env):
         try:
             n1 = env['i']
@@ -746,7 +478,7 @@ def _make87(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13,
     return term
 
 
-def _make88(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10):
+def _make73(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10):
     def term(env):
         try:
             n1 = env['s']
@@ -766,7 +498,215 @@ def _make88(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10):
     return term
 
 
+def _make74(general, k0, k1):
+    def term(env):
+        try:
+            n1 = env['s']
+            if type(n1) is not int: return general(env)
+            t2 = k1 * n1
+            n3 = env['i']
+            if type(n3) is not int: return general(env)
+            return (-1 if (n1 + k0) % 2 else 1) * (_comb(t2, n3) if t2 >= 0 <= n3 else _binom(t2, n3))
+        except KeyError as missing:
+            raise PoleError(f'unbound variable {missing.args[0]}') from None
+    return term
+
+
+def _make75(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12):
+    def term(env):
+        try:
+            n1 = env['s']
+            if type(n1) is not int: return general(env)
+            n2 = env['i']
+            if type(n2) is not int: return general(env)
+            n3 = 0; d4 = 1
+            for i5 in range(k0, k1 * n1 + k2 * n2 + 1):
+                t6 = k3 * n1 + k4 * i5
+                if not t6: raise PoleError('division by zero')
+                n7 = (-1 if i5 % 2 else 1)
+                d8 = t6
+                if d8 < 0: n7 = -n7; d8 = -d8
+                t9 = k5 * n1 + k6 * n2
+                n10 = n7 * (_comb(t9, i5) if t9 >= 0 <= i5 else _binom(t9, i5))
+                n11 = env['jp']
+                if type(n11) is not int: return general(env)
+                t12 = k7 * n1 + k8 * i5 + k9 * k10 + k11 * n11
+                t13 = n1 + k12 * n11
+                n14 = n10 * (_comb(t12, t13) if t12 >= 0 <= t13 else _binom(t12, t13))
+                if d8 == d4: n3 += n14
+                elif not n3: n3 = n14; d4 = d8
+                else: n3 = n3 * d8 + n14 * d4; d4 *= d8
+            return n3 if d4 == 1 else _value(n3, d4)
+        except KeyError as missing:
+            raise PoleError(f'unbound variable {missing.args[0]}') from None
+    return term
+
+
+def _make76(general, k0):
+    def term(env):
+        try:
+            n1 = env['s']
+            if type(n1) is not int: return general(env)
+            n2 = env['i']
+            if type(n2) is not int: return general(env)
+            n3 = env['jp']
+            if type(n3) is not int: return general(env)
+            if not n2: raise PoleError('division by zero')
+            n4 = (-1 if (n1 + n2 + n3) % 2 else 1)
+            d5 = n2
+            if d5 < 0: n4 = -n4; d5 = -d5
+            n6 = n4 * (_comb(n1, n3) if n1 >= 0 <= n3 else _binom(n1, n3))
+            t7 = k0 * n1
+            t8 = (_comb(t7, n2) if t7 >= 0 <= n2 else _binom(t7, n2))
+            if not t8: raise PoleError('division by zero')
+            n9 = n6
+            d10 = t8 * d5
+            if d10 < 0: n9 = -n9; d10 = -d10
+            return n9 if d10 == 1 else _value(n9, d10)
+        except KeyError as missing:
+            raise PoleError(f'unbound variable {missing.args[0]}') from None
+    return term
+
+
+def _make77(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
+    def term(env):
+        try:
+            n1 = env['s']
+            if type(n1) is not int: return general(env)
+            n2 = env['i']
+            if type(n2) is not int: return general(env)
+            n3 = env['jp']
+            if type(n3) is not int: return general(env)
+            if not n2: raise PoleError('division by zero')
+            n4 = (-1 if (n1 + n2 + n3) % 2 else 1)
+            d5 = n2
+            if d5 < 0: n4 = -n4; d5 = -d5
+            n6 = n4 * (_comb(n1, n3) if n1 >= 0 <= n3 else _binom(n1, n3))
+            t7 = k0 * n1
+            t8 = (_comb(t7, n2) if t7 >= 0 <= n2 else _binom(t7, n2))
+            if not t8: raise PoleError('division by zero')
+            n9 = n6
+            d10 = t8 * d5
+            if d10 < 0: n9 = -n9; d10 = -d10
+            n11 = 0; d12 = 1
+            for i13 in range(k1, n1 + k2 * n3 + 1):
+                if not i13: raise PoleError('division by zero')
+                n14 = (-1 if (i13 + k3) % 2 else 1)
+                d15 = i13
+                if d15 < 0: n14 = -n14; d15 = -d15
+                t16 = n2 + k4 * n3 + k5 * k6
+                t17 = n1 + i13 + k7 * k8
+                n18 = n14 * (_comb(t16, t17) if t16 >= 0 <= t17 else _binom(t16, t17))
+                t19 = i13 + k9 * k10
+                n20 = n18 * (_comb(n1, t19) if n1 >= 0 <= t19 else _binom(n1, t19))
+                t21 = n1 + k11 * n3
+                t22 = (_comb(t21, i13) if t21 >= 0 <= i13 else _binom(t21, i13))
+                if not t22: raise PoleError('division by zero')
+                n23 = n20
+                d24 = t22 * d15
+                if d24 < 0: n23 = -n23; d24 = -d24
+                if d24 == d12: n11 += n23
+                elif not n11: n11 = n23; d12 = d24
+                else: n11 = n11 * d24 + n23 * d12; d12 *= d24
+            if d10 == d12: n25 = n9 + n11; d26 = d10
+            else: n25 = n9 * d12 + n11 * d10; d26 = d10 * d12
+            return n25 if d26 == 1 else _value(n25, d26)
+        except KeyError as missing:
+            raise PoleError(f'unbound variable {missing.args[0]}') from None
+    return term
+
+
+def _make78(general, k0, k1, k2, k3, k4, k5, k6):
+    def term(env):
+        try:
+            n1 = env['i']
+            if type(n1) is not int: return general(env)
+            n2 = 0
+            for i4 in range(k0, n1 + k1 * k2 + 1):
+                t5 = n1 + k3 * i4 + k4 * k5
+                n6 = env['s']
+                if type(n6) is not int: return general(env)
+                n7 = env['j']
+                if type(n7) is not int: return general(env)
+                t8 = n7 + k6 * i4
+                n2 += (-1 if i4 % 2 else 1) * (_comb(t5, n6) if t5 >= 0 <= n6 else _binom(t5, n6)) * (_comb(n6, t8) if n6 >= 0 <= t8 else _binom(n6, t8))
+            return n2
+        except KeyError as missing:
+            raise PoleError(f'unbound variable {missing.args[0]}') from None
+    return term
+
+
+def _make79(general):
+    def term(env):
+        try:
+            n1 = env['s']
+            if type(n1) is not int: return general(env)
+            n2 = env['j']
+            if type(n2) is not int: return general(env)
+            return (-1 if (n1 + n2) % 2 else 1)
+        except KeyError as missing:
+            raise PoleError(f'unbound variable {missing.args[0]}') from None
+    return term
+
+
+def _make80(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13):
+    def term(env):
+        try:
+            n1 = env['s']
+            if type(n1) is not int: return general(env)
+            n2 = env['jp']
+            if type(n2) is not int: return general(env)
+            n3 = 0; d4 = 1
+            for i5 in range(k0, n1 + k1 * n2 + 1):
+                n6 = env['j']
+                if type(n6) is not int: return general(env)
+                if not i5: raise PoleError('division by zero')
+                n7 = (-1 if (n1 + n6) % 2 else 1) * k2 * n1 * (-1 if (n2 + i5 + k3) % 2 else 1)
+                d8 = i5
+                if d8 < 0: n7 = -n7; d8 = -d8
+                t9 = k4 * n1 + k5 * n2 + k6 * k7
+                t10 = n1 + i5 + k8 * k9
+                n11 = n7 * (_comb(t9, t10) if t9 >= 0 <= t10 else _binom(t9, t10))
+                t12 = i5 + k10 * k11
+                n13 = n11 * (_comb(n1, t12) if n1 >= 0 <= t12 else _binom(n1, t12))
+                t14 = n6 + k12 * n2
+                n15 = n13 * (_comb(n1, t14) if n1 >= 0 <= t14 else _binom(n1, t14))
+                t16 = n1 + k13 * n2
+                t17 = (_comb(t16, i5) if t16 >= 0 <= i5 else _binom(t16, i5))
+                if not t17: raise PoleError('division by zero')
+                n18 = n15
+                d19 = t17 * d8
+                if d19 < 0: n18 = -n18; d19 = -d19
+                if d19 == d4: n3 += n18
+                elif not n3: n3 = n18; d4 = d19
+                else: n3 = n3 * d19 + n18 * d4; d4 *= d19
+            return n3 if d4 == 1 else _value(n3, d4)
+        except KeyError as missing:
+            raise PoleError(f'unbound variable {missing.args[0]}') from None
+    return term
+
+
+def _make81(general, k0, k1, k2, k3, k4, k5, k6, k7, k8):
+    def term(env):
+        try:
+            n1 = env['j']
+            if type(n1) is not int: return general(env)
+            n2 = env['s']
+            if type(n2) is not int: return general(env)
+            n3 = env['jp']
+            if type(n3) is not int: return general(env)
+            t4 = n1 + k1 * n3
+            t5 = n1 + k2 * n3
+            t6 = k3 * n2 + k4 * k5 + k6 * n3
+            t7 = n2 + k7 * k8
+            return (-1 if (n1 + k0) % 2 else 1) * (_comb(n2, n3) if n2 >= 0 <= n3 else _binom(n2, n3)) * (_comb(n2, t4) if n2 >= 0 <= t4 else _binom(n2, t4)) + (-1 if (n2 + n3 + n1) % 2 else 1) * (_comb(n2, t5) if n2 >= 0 <= t5 else _binom(n2, t5)) * (_comb(t6, t7) if t6 >= 0 <= t7 else _binom(t6, t7))
+        except KeyError as missing:
+            raise PoleError(f'unbound variable {missing.args[0]}') from None
+    return term
+
+
 FACTORIES = (
+    _make58,
     _make59,
     _make60,
     _make61,
@@ -790,11 +730,4 @@ FACTORIES = (
     _make79,
     _make80,
     _make81,
-    _make82,
-    _make83,
-    _make84,
-    _make85,
-    _make86,
-    _make87,
-    _make88,
 )

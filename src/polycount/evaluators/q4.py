@@ -1,4 +1,4 @@
-"""Evaluator factories of shapes that the q4/* checks build first.
+"""Evaluator factories of shapes that the q4/* pointwise checks build first.
 
 Generated by ``python -m polycount.codegen``; do not edit.
 """
@@ -8,75 +8,7 @@ from ..symbolic import _NAMESPACE
 globals().update(_NAMESPACE)
 
 
-def _make110(general, k0, k1, k2, k3, k4):
-    def term(env):
-        try:
-            n1 = env['s']
-            if type(n1) is not int: return general(env)
-            n2 = env['i']
-            if type(n2) is not int: return general(env)
-            n3 = env['j']
-            if type(n3) is not int: return general(env)
-            n4 = env['ip']
-            if type(n4) is not int: return general(env)
-            t5 = k0 * n1
-            t6 = n3 + k1 * n4 + k2 * k3
-            t7 = n2 + k4 * n4
-            return (-1 if (n1 + n2 + n3 + n4) % 2 else 1) * (_comb(t5, n3) if t5 >= 0 <= n3 else _binom(t5, n3)) * (_comb(t6, n1) if t6 >= 0 <= n1 else _binom(t6, n1)) * (_comb(n1, t7) if n1 >= 0 <= t7 else _binom(n1, t7))
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make111(general, k0, k1, k2):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['j']
-            if type(n2) is not int: return general(env)
-            return k0 * n1 + k1 * k2 + n2
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make112(general, k0, k1):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['j']
-            if type(n2) is not int: return general(env)
-            return n1 + k0 * n2 + k1
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make113(general, k0, k1, k2, k3, k4):
-    def term(env):
-        try:
-            n1 = env['j']
-            if type(n1) is not int: return general(env)
-            n2 = env['ip']
-            if type(n2) is not int: return general(env)
-            n3 = env['s']
-            if type(n3) is not int: return general(env)
-            n4 = env['i']
-            if type(n4) is not int: return general(env)
-            t5 = n4 + k3 + k4 * n2
-            if not t5: raise PoleError('division by zero')
-            n6 = (n1 + k0 * n2) * (k1 * n3 + n4 + k2 * n2)
-            d7 = t5
-            if d7 < 0: n6 = -n6; d7 = -d7
-            return n6 if d7 == 1 else _value(n6, d7)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make114(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14):
+def _make105(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14):
     def term(env):
         try:
             n1 = env['s']
@@ -107,7 +39,7 @@ def _make114(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
     return term
 
 
-def _make115(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15):
+def _make106(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15):
     def term(env):
         try:
             n1 = env['i']
@@ -128,116 +60,7 @@ def _make115(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
     return term
 
 
-def _make116(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['j']
-            if type(n2) is not int: return general(env)
-            n3 = env['s']
-            if type(n3) is not int: return general(env)
-            t4 = k2 * n3
-            n5 = env['jp']
-            if type(n5) is not int: return general(env)
-            n6 = env['t']
-            if type(n6) is not int: return general(env)
-            if not n6: raise PoleError('division by zero')
-            n7 = (-1 if (n5 + n6) % 2 else 1)
-            d8 = n6
-            if d8 < 0: n7 = -n7; d8 = -d8
-            t9 = n6 + k3 * k4
-            n10 = n7 * (_comb(n3, t9) if n3 >= 0 <= t9 else _binom(n3, t9))
-            t11 = n3 + n5 + k5 * n1 + k6 * k7
-            t12 = n3 + n6 + k8 * k9
-            n13 = n10 * (_comb(t11, t12) if t11 >= 0 <= t12 else _binom(t11, t12))
-            t14 = n2 + k10 * n5
-            n15 = n13 * (_comb(n3, t14) if n3 >= 0 <= t14 else _binom(n3, t14))
-            t16 = (_comb(n5, n6) if n5 >= 0 <= n6 else _binom(n5, n6))
-            if not t16: raise PoleError('division by zero')
-            n17 = n15
-            d18 = t16 * d8
-            if d18 < 0: n17 = -n17; d18 = -d18
-            n19 = (-1 if (n1 + n2) % 2 else 1) * (k0 * n3 + k1 * n1) * (_comb(t4, n1) if t4 >= 0 <= n1 else _binom(t4, n1)) * n17
-            return n19 if d18 == 1 else _value(n19, d18)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make117(general):
-    def term(env):
-        try:
-            n1 = env['jp']
-            if type(n1) is not int: return general(env)
-            return n1
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make118(general, k0, k1, k2, k3, k4, k5, k6, k7, k8):
-    def term(env):
-        try:
-            n1 = env['jp']
-            if type(n1) is not int: return general(env)
-            n2 = env['t']
-            if type(n2) is not int: return general(env)
-            n3 = env['s']
-            if type(n3) is not int: return general(env)
-            n4 = env['i']
-            if type(n4) is not int: return general(env)
-            t5 = (k5 * n3 + k6 * n1 + n4 + k7) * (n4 + k8)
-            if not t5: raise PoleError('division by zero')
-            n6 = k0 * (n1 + k1 * n2 + k2) * (n3 + n2 + k3 * k4)
-            d7 = t5
-            if d7 < 0: n6 = -n6; d7 = -d7
-            return n6 if d7 == 1 else _value(n6, d7)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make119(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['j']
-            if type(n2) is not int: return general(env)
-            n3 = env['jp']
-            if type(n3) is not int: return general(env)
-            n4 = env['t']
-            if type(n4) is not int: return general(env)
-            n5 = env['s']
-            if type(n5) is not int: return general(env)
-            t6 = (n1 + k5 + k6 * n5 + k7 * n3) * (n1 + k8)
-            if not t6: raise PoleError('division by zero')
-            n7 = k0 * (-1 if (n1 + n2 + n3 + n4) % 2 else 1) * (n5 + n4 + k1 * k2) * (k3 * n5 + k4 * n1)
-            d8 = t6
-            if d8 < 0: n7 = -n7; d8 = -d8
-            t9 = k9 * n5
-            n10 = n7 * (_comb(t9, n1) if t9 >= 0 <= n1 else _binom(t9, n1))
-            t11 = n4 + k10 * k11
-            n12 = n10 * (_comb(n5, t11) if n5 >= 0 <= t11 else _binom(n5, t11))
-            t13 = n5 + n3 + k12 * n1 + k13 * k14
-            t14 = n5 + n4 + k15 * k16
-            n15 = n12 * (_comb(t13, t14) if t13 >= 0 <= t14 else _binom(t13, t14))
-            t16 = n2 + k17 * n3
-            n17 = n15 * (_comb(n5, t16) if n5 >= 0 <= t16 else _binom(n5, t16))
-            t18 = n4 + k18 * k19
-            t19 = (_comb(n3, t18) if n3 >= 0 <= t18 else _binom(n3, t18))
-            if not t19: raise PoleError('division by zero')
-            n20 = n17
-            d21 = t19 * d8
-            if d21 < 0: n20 = -n20; d21 = -d21
-            return n20 if d21 == 1 else _value(n20, d21)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make120(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28, k29, k30):
+def _make107(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28, k29, k30):
     def term(env):
         try:
             n1 = env['i']
@@ -312,7 +135,7 @@ def _make120(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
     return term
 
 
-def _make121(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14):
+def _make108(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14):
     def term(env):
         try:
             n1 = env['i']
@@ -333,7 +156,7 @@ def _make121(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
     return term
 
 
-def _make122(general, k0, k1, k2, k3, k4, k5, k6, k7):
+def _make109(general, k0, k1, k2, k3, k4, k5, k6, k7):
     def term(env):
         try:
             n1 = env['s']
@@ -352,7 +175,7 @@ def _make122(general, k0, k1, k2, k3, k4, k5, k6, k7):
     return term
 
 
-def _make123(general, k0, k1, k2):
+def _make110(general, k0, k1, k2):
     def term(env):
         try:
             n1 = env['s']
@@ -367,7 +190,7 @@ def _make123(general, k0, k1, k2):
     return term
 
 
-def _make124(general, k0, k1, k2, k3):
+def _make111(general, k0, k1, k2, k3):
     def term(env):
         try:
             n1 = env['s']
@@ -385,7 +208,7 @@ def _make124(general, k0, k1, k2, k3):
     return term
 
 
-def _make125(general, k0, k1, k2):
+def _make112(general, k0, k1, k2):
     def term(env):
         try:
             n1 = env['s']
@@ -400,7 +223,7 @@ def _make125(general, k0, k1, k2):
     return term
 
 
-def _make126(general, k0, k1, k2, k3, k4, k5):
+def _make113(general, k0, k1, k2, k3, k4, k5):
     def term(env):
         try:
             n1 = env['i']
@@ -428,7 +251,7 @@ def _make126(general, k0, k1, k2, k3, k4, k5):
     return term
 
 
-def _make127(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
+def _make114(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
     def term(env):
         try:
             n1 = env['i']
@@ -476,79 +299,7 @@ def _make127(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
     return term
 
 
-def _make128(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['j']
-            if type(n2) is not int: return general(env)
-            n3 = env['jp']
-            if type(n3) is not int: return general(env)
-            n4 = env['s']
-            if type(n4) is not int: return general(env)
-            t5 = (k2 * n4 + k3 * n3 + n1 + k4) * (n1 + k5)
-            if not t5: raise PoleError('division by zero')
-            n6 = (-1 if (n1 + n2 + n3) % 2 else 1) * n4 * (n1 + k0 * k1 * n4)
-            d7 = t5
-            if d7 < 0: n6 = -n6; d7 = -d7
-            t8 = k6 * n4
-            n9 = n6 * (_comb(t8, n1) if t8 >= 0 <= n1 else _binom(t8, n1))
-            t10 = n4 + n3 + k7 * n1 + k8 * k9
-            n11 = n9 * (_comb(t10, n4) if t10 >= 0 <= n4 else _binom(t10, n4))
-            t12 = n2 + k10 * n3
-            n13 = n11 * (_comb(n4, t12) if n4 >= 0 <= t12 else _binom(n4, t12))
-            return n13 if d7 == 1 else _value(n13, d7)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make129(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['j']
-            if type(n2) is not int: return general(env)
-            n3 = env['s']
-            if type(n3) is not int: return general(env)
-            t4 = k0 * n3
-            t5 = n1 + k1
-            t6 = k2 * n3 + k3 * n1 + k4 * k5
-            t7 = n2 + k6 * n1 + k7 * k8
-            t8 = n2 + k9 * n1 + k10 * k11
-            t9 = n2 + k12 * n3 + k13 * k14
-            return (-1 if (n1 + n2 + n3) % 2 else 1) * (_comb(t4, t5) if t4 >= 0 <= t5 else _binom(t4, t5)) * (_comb(t6, t7) if t6 >= 0 <= t7 else _binom(t6, t7)) * (_comb(t8, t9) if t8 >= 0 <= t9 else _binom(t8, t9))
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make130(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['j']
-            if type(n2) is not int: return general(env)
-            n3 = env['jp']
-            if type(n3) is not int: return general(env)
-            n4 = env['s']
-            if type(n4) is not int: return general(env)
-            t5 = k1 * n4
-            t6 = n1 + k2
-            t7 = n4 + n3 + k3 * n1 + k4 * k5
-            t8 = n2 + k6 * n1 + k7 * k8
-            t9 = n2 + k9 * n1 + k10 * k11
-            t10 = n2 + k12 * n3
-            return (-1 if (n1 + n2 + n3 + k0) % 2 else 1) * (_comb(t5, t6) if t5 >= 0 <= t6 else _binom(t5, t6)) * (_comb(t7, t8) if t7 >= 0 <= t8 else _binom(t7, t8)) * (_comb(t9, t10) if t9 >= 0 <= t10 else _binom(t9, t10))
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make131(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
+def _make115(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
     def term(env):
         try:
             n1 = env['i']
@@ -585,7 +336,7 @@ def _make131(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
     return term
 
 
-def _make132(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14):
+def _make116(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14):
     def term(env):
         try:
             n1 = env['j']
@@ -631,6 +382,11 @@ def _make132(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
 
 
 FACTORIES = (
+    _make105,
+    _make106,
+    _make107,
+    _make108,
+    _make109,
     _make110,
     _make111,
     _make112,
@@ -638,20 +394,4 @@ FACTORIES = (
     _make114,
     _make115,
     _make116,
-    _make117,
-    _make118,
-    _make119,
-    _make120,
-    _make121,
-    _make122,
-    _make123,
-    _make124,
-    _make125,
-    _make126,
-    _make127,
-    _make128,
-    _make129,
-    _make130,
-    _make131,
-    _make132,
 )

@@ -1,4 +1,4 @@
-"""Evaluator factories of shapes that the rhs/* checks build first.
+"""Evaluator factories of shapes that the rhs/* pointwise checks build first.
 
 Generated by ``python -m polycount.codegen``; do not edit.
 """
@@ -8,7 +8,7 @@ from ..symbolic import _NAMESPACE
 globals().update(_NAMESPACE)
 
 
-def _make133(general, k0):
+def _make129(general, k0):
     def term(env):
         try:
             n1 = env['i']
@@ -24,7 +24,7 @@ def _make133(general, k0):
     return term
 
 
-def _make134(general, k0, k1):
+def _make130(general, k0, k1):
     def term(env):
         try:
             n1 = env['i']
@@ -38,7 +38,7 @@ def _make134(general, k0, k1):
     return term
 
 
-def _make135(general, k0):
+def _make131(general, k0):
     def term(env):
         try:
             n1 = env['i']
@@ -54,7 +54,7 @@ def _make135(general, k0):
     return term
 
 
-def _make136(general, k0, k1, k2, k3):
+def _make132(general, k0, k1, k2, k3):
     def term(env):
         try:
             n1 = env['s']
@@ -69,7 +69,7 @@ def _make136(general, k0, k1, k2, k3):
     return term
 
 
-def _make137(general, k0, k1, k2, k3, k4, k5):
+def _make133(general, k0, k1, k2, k3, k4, k5):
     def term(env):
         try:
             n1 = env['i']
@@ -96,7 +96,7 @@ def _make137(general, k0, k1, k2, k3, k4, k5):
     return term
 
 
-def _make138(general, k0, k1, k2, k3):
+def _make134(general, k0, k1, k2, k3):
     def term(env):
         try:
             n1 = env['s']
@@ -114,77 +114,7 @@ def _make138(general, k0, k1, k2, k3):
     return term
 
 
-def _make139(general, k0, k1, k2, k3, k4):
-    def term(env):
-        try:
-            n1 = env['t']
-            if type(n1) is not int: return general(env)
-            n2 = env['s']
-            if type(n2) is not int: return general(env)
-            t3 = k0 * n2 + k1 * n1
-            if not t3: raise PoleError('division by zero')
-            n4 = (-1 if n1 % 2 else 1)
-            d5 = t3
-            if d5 < 0: n4 = -n4; d5 = -d5
-            n6 = env['i']
-            if type(n6) is not int: return general(env)
-            n7 = n4 * (_comb(n6, n1) if n6 >= 0 <= n1 else _binom(n6, n1))
-            t8 = k2 * n2 + k3 * n1
-            t9 = n2 + k4 * n1
-            n10 = n7 * (_comb(t8, t9) if t8 >= 0 <= t9 else _binom(t8, t9))
-            return n10 if d5 == 1 else _value(n10, d5)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make140(general, k0, k1, k2):
-    def term(env):
-        try:
-            n1 = env['s']
-            if type(n1) is not int: return general(env)
-            n2 = env['i']
-            if type(n2) is not int: return general(env)
-            return n1 + k0 * n2 + k1 * k2
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make141(general, k0, k1, k2):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['s']
-            if type(n2) is not int: return general(env)
-            return n1 + k0 * k1 * n2 + k2
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make142(general, k0, k1, k2, k3):
-    def term(env):
-        try:
-            n1 = env['t']
-            if type(n1) is not int: return general(env)
-            n2 = env['s']
-            if type(n2) is not int: return general(env)
-            n3 = env['i']
-            if type(n3) is not int: return general(env)
-            t4 = n3 + k2 * n1 + k3
-            if not t4: raise PoleError('division by zero')
-            n5 = n1 * (k0 * n2 + k1 * n1)
-            d6 = t4
-            if d6 < 0: n5 = -n5; d6 = -d6
-            return n5 if d6 == 1 else _value(n5, d6)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make143(general, k0, k1, k2, k3, k4):
+def _make135(general, k0, k1, k2, k3, k4):
     def term(env):
         try:
             n1 = env['i']
@@ -211,7 +141,7 @@ def _make143(general, k0, k1, k2, k3, k4):
     return term
 
 
-def _make144(general, k0, k1, k2, k3, k4, k5, k6, k7):
+def _make136(general, k0, k1, k2, k3, k4, k5, k6, k7):
     def term(env):
         try:
             n1 = env['s']
@@ -231,77 +161,7 @@ def _make144(general, k0, k1, k2, k3, k4, k5, k6, k7):
     return term
 
 
-def _make145(general, k0, k1, k2, k3):
-    def term(env):
-        try:
-            n1 = env['t']
-            if type(n1) is not int: return general(env)
-            n2 = env['s']
-            if type(n2) is not int: return general(env)
-            t3 = k0 * n2 + k1 * n1
-            if not t3: raise PoleError('division by zero')
-            n4 = (-1 if n1 % 2 else 1)
-            d5 = t3
-            if d5 < 0: n4 = -n4; d5 = -d5
-            n6 = env['i']
-            if type(n6) is not int: return general(env)
-            n7 = n4 * (_comb(n6, n1) if n6 >= 0 <= n1 else _binom(n6, n1))
-            t8 = n2 + k2 * n1 + n6
-            t9 = n2 + k3 * n1
-            n10 = n7 * (_comb(t8, t9) if t8 >= 0 <= t9 else _binom(t8, t9))
-            return n10 if d5 == 1 else _value(n10, d5)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make146(general, k0, k1, k2, k3):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['s']
-            if type(n2) is not int: return general(env)
-            return k0 * (n1 + k1) * (n1 + k2 * n2 + k3)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make147(general, k0, k1, k2, k3):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['s']
-            if type(n2) is not int: return general(env)
-            return (n1 + k0) * (n1 + k1 * k2 * n2 + k3)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make148(general, k0, k1, k2, k3, k4, k5):
-    def term(env):
-        try:
-            n1 = env['t']
-            if type(n1) is not int: return general(env)
-            n2 = env['s']
-            if type(n2) is not int: return general(env)
-            n3 = env['i']
-            if type(n3) is not int: return general(env)
-            t4 = n3 + k4 * n1 + k5
-            if not t4: raise PoleError('division by zero')
-            n5 = n1 * (k0 * n2 + k1 * n1) * (n2 + k2 * n1 + n3 + k3)
-            d6 = t4
-            if d6 < 0: n5 = -n5; d6 = -d6
-            return n5 if d6 == 1 else _value(n5, d6)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make149(general, k0, k1, k2, k3):
+def _make137(general, k0, k1, k2, k3):
     def term(env):
         try:
             n1 = env['i']
@@ -318,7 +178,7 @@ def _make149(general, k0, k1, k2, k3):
     return term
 
 
-def _make150(general, k0, k1, k2):
+def _make138(general, k0, k1, k2):
     def term(env):
         try:
             n1 = env['s']
@@ -333,7 +193,7 @@ def _make150(general, k0, k1, k2):
     return term
 
 
-def _make151(general, k0, k1, k2):
+def _make139(general, k0, k1, k2):
     def term(env):
         try:
             n1 = env['s']
@@ -359,7 +219,7 @@ def _make151(general, k0, k1, k2):
     return term
 
 
-def _make152(general, k0, k1):
+def _make140(general, k0, k1):
     def term(env):
         try:
             n1 = env['s']
@@ -383,7 +243,7 @@ def _make152(general, k0, k1):
     return term
 
 
-def _make153(general, k0, k1):
+def _make141(general, k0, k1):
     def term(env):
         try:
             n1 = env['s']
@@ -400,7 +260,7 @@ def _make153(general, k0, k1):
     return term
 
 
-def _make154(general, k0):
+def _make142(general, k0):
     def term(env):
         try:
             n1 = env['s']
@@ -423,7 +283,7 @@ def _make154(general, k0):
     return term
 
 
-def _make155(general):
+def _make143(general):
     def term(env):
         try:
             n1 = env['s']
@@ -435,7 +295,7 @@ def _make155(general):
     return term
 
 
-def _make156(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
+def _make144(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
     def term(env):
         try:
             n1 = env['i']
@@ -468,7 +328,7 @@ def _make156(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
     return term
 
 
-def _make157(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13):
+def _make145(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13):
     def term(env):
         try:
             n1 = env['i']
@@ -500,6 +360,10 @@ def _make157(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
 
 
 FACTORIES = (
+    _make129,
+    _make130,
+    _make131,
+    _make132,
     _make133,
     _make134,
     _make135,
@@ -513,16 +377,4 @@ FACTORIES = (
     _make143,
     _make144,
     _make145,
-    _make146,
-    _make147,
-    _make148,
-    _make149,
-    _make150,
-    _make151,
-    _make152,
-    _make153,
-    _make154,
-    _make155,
-    _make156,
-    _make157,
 )

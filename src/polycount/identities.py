@@ -27,10 +27,9 @@ label the reports print.
   pole_free)`` is one summation index, outer first.  Its G is ``g * F`` for
   the labels ``certificate`` and ``certificate2`` and ``g`` itself for
   ``antidifference``; a ``pole_free`` expression, where given, is a form of
-  that G without its removable poles.  The runner reads it instead, and
-  fails wherever G is defined and differs from it (at every point the
-  telescoping reads G), reading it once per point and step for both uses.
-  A pole-free form that raises is read again, and raises again.
+  that G without its removable poles.  The runner telescopes it instead, and
+  fails wherever G is defined and differs from it, at every summation point
+  and one step up.
 
   - ``certificate-recurrence``: one ``certificate`` axis;
   - ``double-sum-recurrence``: a ``certificate`` and a ``certificate2``
@@ -39,15 +38,22 @@ label the reports print.
     the left side is F itself and ``inhom`` is the closed form of the sum.
 
 Each ``run_check`` call compiles the check's expressions once
-(``symbolic.compile_term``) and then walks the grid.  Grid points that hit a
-pole, or whose summation bounds are not integers, are skipped and counted; a
-check whose grid is entirely skipped fails as degenerate.  The harness also
-adds one to each constant of each axis's g, one at a time, and confirms the
-check then fails (a wrong certificate cannot slip through).  A mutant is
-g's own compiled code called with the bumped constant (``symbolic.mutants``),
-which ``run_check`` uses in place of g and of the axis's ``pole_free``.  One
-failing point is enough, so each mutant runs with ``fail_fast`` and stops at
-its first failure; the registry run keeps every failure.
+(``symbolic.compile_term``) and then walks the grid.  A telescoping check
+compiles into kernels (``_kernels``), trees built with ``substitute`` from
+the check's own objects: T, the sum over the axes of G(p + e_a) - G(p); R,
+sum_d b_d F(p + d); and S, sum_d b_d times the nested definite sums of
+F(p + d).  So each summation point costs one call of T and one of R, and
+each grid point one of S.  Grid points that hit a pole, or whose summation
+bounds are not integers, are skipped and counted; a check whose grid is
+entirely skipped fails as degenerate.  The harness also adds one to each
+constant of each axis's g, one at a time, and confirms the check then fails
+(a wrong certificate cannot slip through).  A mutant is T's own compiled
+code called with that constant bumped in both of T's copies of g
+(``symbolic.mutants``); for an axis with a ``pole_free`` form, T telescopes
+g·F instead.  A mutant shares the check's other kernels, so nothing is built
+or compiled per mutant.  One failing point is enough, so each mutant runs
+with ``fail_fast`` and stops at its first failure; the registry run keeps
+every failure.
 """
 
 from __future__ import annotations
@@ -59,12 +65,13 @@ from typing import Callable, Iterable, Iterator
 from .records import Record
 from .reports import Report
 from .symbolic import (
+    Add,
     Compiled,
     Const,
     Expr,
-    Number,
     PoleError,
     Sum,
+    Var,
     _as_int,
     binom_expr as C,
     compile_term,
@@ -83,9 +90,6 @@ s, i, j, jp, ip, t, n, x, z, a, b, c, u = syms("s i j jp ip t n x z a b c u")
 GridFn = Callable[[], Iterable[dict]]
 # one summation index: (index, lower, upper, label, g, pole_free)
 Axis = tuple[str, Expr, Expr, str, Expr, Expr | None]
-# a certificate mutant: the label of the axis whose g it replaces, and the
-# evaluator that stands in for that g
-Mutant = tuple[str, Compiled]
 
 
 class IdentityCheck(Record):
@@ -153,59 +157,98 @@ def _run_pointwise(chk: IdentityCheck, out: CheckOutcome) -> Iterator[str]:
             yield f"{env}: lhs={lhs} rhs={rhs}"
 
 
-def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
-                     mutant: Mutant | None) -> Iterator[str]:
+class Kernels(Record):
+    """A telescoping check compiled into the evaluators its runner calls.
+
+    ``bounds`` holds each axis's index and bound evaluators, outer first.
+    At a summation point p, ``telescoped`` is T(p), the sum over the axes of
+    G(p + e_a) - G(p), and ``recurrence`` is R(p), sum_d b_d F(p + d).
+    ``compare`` holds, per axis with a pole-free form, its label and index,
+    g·F minus the pole-free form at p and at p + e_a, and the two sides.
+    At a grid point, ``summed`` is sum_d b_d times the definite sums of
+    F(p + d) and ``declared`` is inhom, or both are None.  ``tree`` is T's
+    tree with its copies of each g (``_telescoped``), which mutants bump.
+    """
+
+    __slots__ = ("bounds", "telescoped", "recurrence", "compare", "summed", "declared", "tree")
+
+    def __init__(self, bounds: list, telescoped: Compiled, recurrence: Compiled,
+                 compare: tuple, summed: Compiled | None, declared: Compiled | None,
+                 tree: tuple[Expr, list]) -> None:
+        self.bounds = bounds
+        self.telescoped = telescoped
+        self.recurrence = recurrence
+        self.compare = compare
+        self.summed = summed
+        self.declared = declared
+        self.tree = tree
+
+
+def _telescoped(chk: IdentityCheck, plain: str | None = None) -> tuple[Expr, list]:
+    """T, and per axis the copies of its g in T: g, g one step up, and the step.
+
+    An axis's G is its pole-free form where it has one and its label is
+    not plain, and then T holds no copy of its g (None); else G is g·F, or
+    g for an antidifference.
+    """
+    terms, copies = [], []
+    for index, _, _, label, g, pole_free in chk.axes:
+        step = Var(index) + 1
+        if pole_free is not None and label != plain:
+            terms.append(substitute(pole_free, index, step) - pole_free)
+            copies.append(None)
+            continue
+        g_up = substitute(g, index, step)
+        if label == "antidifference":
+            terms.append(g_up - g)
+        else:
+            terms.append(g_up * substitute(chk.summand, index, step) - g * chk.summand)
+        copies.append((g, g_up, step))
+    return Add(tuple(terms)), copies
+
+
+def _kernels(chk: IdentityCheck) -> Kernels:
+    """Build and compile the check's kernels; set-up stays cheap, since only runs call this."""
+    summand, param = chk.summand, chk.param
+    # with no coeffs the left side is F itself: one coefficient, 1
+    shifted = [(bd, substitute(summand, param, Var(param) + d) if d else summand)
+               for d, bd in enumerate(chk.coeffs or (Const(Fraction(1)),))]
+    compare = []
+    for index, _, _, label, g, pole_free in chk.axes:
+        if pole_free is not None:
+            sides = (g if label == "antidifference" else g * summand, pole_free)
+            differs = sides[0] - sides[1]
+            compare.append((label, index, compile_term(differs),
+                            compile_term(substitute(differs, index, Var(index) + 1)), sides))
+    summed = declared = None
+    if chk.inhom is not None:
+        sums = []
+        for bd, fd in shifted:
+            for index, lower, upper, *_ in reversed(chk.axes):
+                fd = Sum(index, lower, upper, fd)
+            sums.append(bd * fd)
+        summed, declared = compile_term(Add(tuple(sums))), compile_term(chk.inhom)
+    tree = _telescoped(chk)
+    return Kernels(
+        [(index, compile_term(lower), compile_term(upper)) for index, lower, upper, *_ in chk.axes],
+        compile_term(tree[0]), compile_term(Add(tuple(bd * fd for bd, fd in shifted))),
+        tuple(compare), summed, declared, tree)
+
+
+def _run_telescoping(chk: IdentityCheck, out: CheckOutcome, kernels: Kernels) -> Iterator[str]:
     """sum_d b_d F(p+d) = sum over the axes of Delta G, pointwise and summed.
 
-    Each point keeps a row of F(p+d), each value evaluated when first read:
-    F(p) serves the d = 0 term and every certificate's G at p, and the
-    summed target adds up the rows.  Where G has a pole the point is skipped
-    before its row is read, so F is evaluated there only if the target
-    needs it.  Every G, at a point and one step up, goes through one
-    reader: an axis's pole-free form, read once per point and step, or else
-    the G that g gives.  The comparison of the two reads both through it, so
-    the telescoping reuses the pole-free values the comparison read.
+    At each summation point p the runner first compares g·F with each
+    pole-free form, at p and one step up, skipping a comparison that hits a
+    pole; then it evaluates T(p) and, where that is defined, R(p).  A pole
+    in either skips the point.  At each grid point it then compares the
+    summed side with the declared inhom, where the check has one.
     """
-    bumped, stand_in = mutant or (None, None)
-    summand, param = compile_term(chk.summand), chk.param
-    # with no coeffs the left side is F itself: one coefficient, 1
-    coeffs = [compile_term(bd) for bd in chk.coeffs or (Const(Fraction(1)),)]
-    target = None if chk.inhom is None else compile_term(chk.inhom)
-
-    def f(e: dict, row: list, d: int = 0) -> Number:
-        # F(e + d along param), kept in e's row
-        if row[d] is None:
-            row[d] = summand({**e, param: e[param] + d} if d else e)
-        return row[d]
-
-    # per axis: index, bounds and label; and for read_g: g, whether G = g*F,
-    # and a pole-free G, which stands in for the G that g gives and is compared
-    # with it wherever that G is defined; a mutant of g replaces both
-    axes, reads = [], []
-    for index, lower, upper, label, g, pole_free in chk.axes:
-        axes.append((index, compile_term(lower), compile_term(upper), label))
-        reads.append((stand_in if label == bumped else compile_term(g),
-                      label != "antidifference",
-                      None if pole_free is None or label == bumped else compile_term(pole_free)))
-
-    def read_g(at: int, p: dict, row: list | None, seen: dict, own: bool = False) -> Number:
-        # axis at's G at p, a point with its row or one step up (row None): its
-        # pole-free form, once per point and step, or (own, or none) g's G
-        g, times_f, pole_free = reads[at]
-        if pole_free is None or own:
-            value = g(p)
-            if times_f:
-                value *= summand(p) if row is None else f(p, row)
-            return value
-        key = at, row is None
-        if key not in seen:
-            seen[key] = pole_free(p)
-        return seen[key]
-
+    bounds, telescoped, recurrence = kernels.bounds, kernels.telescoped, kernels.recurrence
     for env in chk.grid():
         try:
             points = [env]
-            for index, lower, upper, *_ in axes:
+            for index, lower, upper in bounds:
                 points = [
                     {**e, index: k} for e in points
                     for k in range(_as_int(lower(e), "sum bound"),
@@ -214,39 +257,30 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
         except PoleError:
             out.skipped += 1
             continue
-        rows = [[None] * len(coeffs) for _ in points]
-        for e, row in zip(points, rows):
-            ups = [{**e, index: e[index] + 1} for index, *_ in axes]
-            seen: dict = {}
-            for at, (_, _, _, label) in enumerate(axes):
-                if reads[at][2] is None:
-                    continue
-                for p, p_row in ((e, row), (ups[at], None)):
+        for e in points:
+            for label, index, here, up, sides in kernels.compare:
+                for step, differs in ((0, here), (1, up)):
                     try:
-                        expected = read_g(at, p, p_row, seen, own=True)
-                        simplified = read_g(at, p, p_row, seen)
+                        if not differs(e):
+                            continue
                     except PoleError:
                         continue  # a removable pole of the G that g gives
-                    if expected != simplified:
-                        yield f"{p}: {label} G={expected} pole-free={simplified}"
+                    p = {**e, index: e[index] + 1} if step else e
+                    expected, simplified = (compile_term(side)(p) for side in sides)
+                    yield f"{p}: {label} G={expected} pole-free={simplified}"
             try:
-                delta = 0
-                for at in range(len(axes)):
-                    delta += read_g(at, ups[at], None, seen) - read_g(at, e, row, seen)
-                lhs = 0
-                for d, bd in enumerate(coeffs):
-                    lhs += bd(e) * f(e, row, d)
+                delta = telescoped(e)
+                lhs = recurrence(e)
             except PoleError:
                 out.skipped += 1
                 continue
             out.tested += 1
             if lhs != delta:
                 yield f"{e}: recurrence={lhs} telescoped={delta}"
-        if target is not None:
-            try:  # sum_d b_d S_d, S_d = sum over the points of F(p+d), off their rows
-                lhs = sum(bd(env) * sum(f(e, row, d) for e, row in zip(points, rows))
-                          for d, bd in enumerate(coeffs))
-                rhs = target(env)
+        if kernels.summed is not None:
+            try:
+                lhs = kernels.summed(env)
+                rhs = kernels.declared(env)
             except PoleError:
                 out.skipped += 1
                 continue
@@ -256,15 +290,16 @@ def _run_telescoping(chk: IdentityCheck, out: CheckOutcome,
 
 
 def run_check(chk: IdentityCheck, fail_fast: bool = False,
-              mutant: Mutant | None = None) -> CheckOutcome:
+              mutant: Kernels | None = None) -> CheckOutcome:
     """Run the check over its whole grid; with fail_fast, stop at its first failure.
 
     A check with axes telescopes, any other is pointwise.  Expressions are
     compiled here, once per call, so building the registry stays cheap.  A
-    mutant stands in for the g of the axis it names.
+    mutant's kernels stand in for the check's own.
     """
     out = CheckOutcome()
-    runner = _run_telescoping(chk, out, mutant) if chk.axes else _run_pointwise(chk, out)
+    runner = (_run_telescoping(chk, out, mutant or _kernels(chk)) if chk.axes
+              else _run_pointwise(chk, out))
     for failure in runner:
         out.failures.append(failure)
         if fail_fast:
@@ -1225,11 +1260,25 @@ def run_registry(pattern: str = "*") -> Report:
     return report
 
 
-def _mutants(chk: IdentityCheck) -> Iterator[tuple[str, Mutant]]:
-    """Each single-constant bump of the check's certificates, labelled."""
-    for _, _, _, label, g, _ in chk.axes:
-        for idx, evaluator in enumerate(mutants(g)):
-            yield f"{chk.name}:{label}[{idx}]", (label, evaluator)
+def _mutants(chk: IdentityCheck) -> Iterator[tuple[str, Kernels]]:
+    """Each single-constant bump of the check's certificates, labelled, as kernels.
+
+    A mutant bumps one constant of an axis's g in both copies of g in T,
+    which for an axis with a pole-free form is T with g·F in its place, and
+    runs without that axis's comparison.  Every mutant calls the factory of
+    its T with the bumped constants and shares the check's other kernels.
+    """
+    if not chk.axes:
+        return
+    kernels = _kernels(chk)
+    for at, (_, _, _, label, _, pole_free) in enumerate(chk.axes):
+        tree = kernels.tree if pole_free is None else _telescoped(chk, plain=label)
+        g, g_up, step = tree[1][at]
+        compare = tuple(entry for entry in kernels.compare if entry[0] != label)
+        for idx, telescoped in enumerate(mutants(tree[0], (g, g_up), step)):
+            yield f"{chk.name}:{label}[{idx}]", Kernels(
+                kernels.bounds, telescoped, kernels.recurrence, compare,
+                kernels.summed, kernels.declared, tree)
 
 
 def mutation_survivors(chk: IdentityCheck) -> list[str]:

@@ -20,8 +20,9 @@ cache serves it; only other shapes are compiled, once per process.
 ``eval_term`` is the one-shot form and returns a Fraction.  Division by
 zero or other undefined points raise PoleError so callers can skip or
 report them.  ``mutants`` gives one evaluator per constant of a tree, with
-that constant plus one, from its own compiled code, to prove that the identity
-harness detects a wrong certificate.  ``substitute`` replaces a free
+that constant plus one (in every copy of that tree inside a larger one), from
+its own compiled code, to prove that the identity harness detects a wrong
+certificate.  ``substitute`` replaces a free
 variable by an expression, the one rewrite of a tree: a step in a variable
 or its value at a constant.
 """
@@ -578,23 +579,63 @@ def compile_term(expr: Expr) -> Compiled:
     return _evaluator("".join(shape), expr, consts)
 
 
-def mutants(expr: Expr) -> list[Compiled]:
-    """One evaluator per constant of the tree, in DFS order, with that constant plus one.
+def mutants(expr: Expr, copies: tuple[Expr, ...] = (),
+            inserted: Expr | None = None) -> list[Compiled]:
+    """One evaluator per constant of a tree, in DFS order, with that constant plus one.
 
     An integral constant k becomes k + 1 and a fraction p/q becomes
     (p + q)/q, so each stays integral or not and every mutant runs its
     tree's compiled code: no tree is copied and nothing is compiled anew.
+
+    With copies, expr is a larger tree that holds each of them once: one
+    tree and substitutions of it, ``substitute(copy, v, inserted)``.  Then
+    each evaluator bumps one constant of that tree in every copy at once.  A
+    substituted copy's constants are its own, less those of ``inserted``,
+    in the same DFS order as the tree's.
     """
     shape: list[str] = []
     consts: list[int] = []
     starts: list[int] = []
     _shape(expr, shape, consts, starts)
     key, out = "".join(shape), []
-    for at, end in zip(starts, starts[1:] + [len(consts)]):
+    starts.append(len(consts))
+    for ordinals in zip(*_copy_constants(expr, copies or (expr,), inserted)):
         bumped = list(consts)
-        bumped[at] += 1 if end - at == 1 else bumped[at + 1]
+        for k in ordinals:
+            at = starts[k]
+            bumped[at] += 1 if starts[k + 1] - at == 1 else bumped[at + 1]
         out.append(_evaluator(key, expr, bumped))
     return out
+
+
+def _copy_constants(expr: Expr, copies: tuple[Expr, ...],
+                    inserted: Expr | None) -> list[list[int]]:
+    """Per copy in expr, the DFS ordinals among all of expr's constants of the copy's own ones."""
+    found: list[list[int]] = []
+    count = 0
+
+    def walk(node: Expr, own: list[int] | None) -> None:
+        nonlocal count
+        if own is None and any(node is copy for copy in copies):
+            own = []
+            found.append(own)
+        elif node is inserted:
+            own = None
+        if type(node) is Const:
+            if own is not None:
+                own.append(count)
+            count += 1
+            return
+        for slot in type(node).__slots__:
+            value = getattr(node, slot)
+            for part in value if type(value) is tuple else (value,):
+                if isinstance(part, Expr):
+                    walk(part, own)
+
+    walk(expr, None)
+    if len(found) != len(copies) or len({len(own) for own in found}) != 1:
+        raise ValueError("each copy must occur once in the tree, all with as many constants")
+    return found
 
 
 def _evaluator(key: str, expr: Expr, consts: list[int]) -> Compiled:

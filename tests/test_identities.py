@@ -8,7 +8,10 @@ from fractions import Fraction
 from polycount.identities import (
     Const,
     IdentityCheck,
+    Kernels,
+    _kernels,
     _mutants,
+    _telescoped,
     build_registry,
     mutation_survivors,
     registry,
@@ -437,44 +440,27 @@ def test_every_check_and_whole_mutant_run_is_pinned():
         "a127b9e8961cdc4a70c3678ec922813e4fe34ff05caf66990a53bdd45563134f")
 
 
-def test_the_pole_free_g_is_read_once_per_point_and_step(monkeypatch):
-    # the comparison with g*F reads the pole-free G at each summation point and
-    # one step up, and the telescoping reuses those two values (it read them
-    # again before, 2,180 calls in all)
-    from polycount import identities
-
-    chk = registry()["q4/beta3v-recurrence"]
-    pole_free = chk.axes[1][5]
-    calls = 0
-
-    def spy(expr, real=identities.compile_term):
-        term = real(expr)
-        if expr is not pole_free:
-            return term
-
-        def counted(env):
-            nonlocal calls
-            calls += 1
-            return term(env)
-        return counted
-
-    monkeypatch.setattr(identities, "compile_term", spy)
-    out = run_check(chk)
-    assert out.passed and (out.tested, out.skipped) == (601, 0)
-    assert calls == 2 * 601
-
-
 def test_certificate_mutants_reuse_the_compiled_code():
-    # a mutant differs from its certificate in one constant, which the compiled
-    # code takes as a parameter, so re-running a mutant never recompiles
-    for name, chk in registry().items():
-        for _, _, _, label, g, _ in chk.axes:
-            code = compile_term(g).__code__
-            for mutant in mutants(g):
-                assert mutant.__code__ is code, (name, label)
+    # a mutant differs from its check's T in one constant of g, in both copies
+    # of g, and the compiled code takes constants as parameters, so every
+    # mutant runs the code of its check's T and shares the other kernels
+    seen = 0
+    for name, chk in sorted(registry().items()):
+        kernels = _kernels(chk) if chk.axes else None
+        shared = set()
+        for label, mutant in _mutants(chk):
+            axis = next(axis for axis in chk.axes if label.startswith(f"{name}:{axis[3]}["))
+            # with a pole-free form, T telescopes g*F instead, as a mutant drops that form
+            telescoped = kernels.telescoped if axis[5] is None \
+                else compile_term(_telescoped(chk, plain=axis[3])[0])
+            assert mutant.telescoped.__code__ is telescoped.__code__, label
+            assert mutant.recurrence.__code__ is kernels.recurrence.__code__, label
+            shared.add((id(mutant.bounds), id(mutant.recurrence), id(mutant.summed)))
+            seen += 1
+        assert len(shared) <= 1, name
+    assert seen == 134
 
     chk = registry()["q3/second-term-recurrence"]
-    ((_, _, _, _, certificate, _),) = chk.axes
     points = [{**env, "jp": v} for env in chk.grid() for v in range(0, env["i"])]
 
     def values(term):
@@ -486,60 +472,201 @@ def test_certificate_mutants_reuse_the_compiled_code():
                 out.append(None)
         return out
 
-    original = values(compile_term(certificate))
-    bumped = mutants(certificate)
+    original = values(_kernels(chk).telescoped)
+    bumped = [mutant.telescoped for _, mutant in _mutants(chk)]
     assert len(bumped) == 5
     for mutant in bumped:
         assert values(mutant) != original
 
 
-#: summand calls of one registry run of each telescoping check: (before each
-#: point kept a row of its F values, now).  A runner that evaluates F where
-#: G has a pole, and the target does not need it, shows here as a rise.
-SUMMAND_CALLS = {
-    "appendix-d/alternating-binomial-antidifference": (432, 216),
-    "appendix-d/rising-binomial-antidifference": (1540, 770),
-    "double-gf/inner-coefficient-recurrence": (2088, 1044),
-    "double-gf/outer-sum-recurrence": (612, 468),
-    "gf/product-rule-antidifference": (210, 105),
-    "q3/breakpoint-recurrence": (325, 260),
-    "q3/correction-recurrence": (790, 615),
-    "q3/double-sum-recurrence": (2315, 1811),
-    "q3/inhom-antidifference": (644, 322),
-    "q3/inner-sum-recurrence": (840, 420),
-    "q3/second-term-recurrence": (1260, 950),
-    "q3/top-row-antidifference": (210, 210),
-    "q3/top-row-second-piece-antidifference": (336, 168),
-    "q4/beta2h-recurrence": (734, 564),
-    "q4/beta3v-recurrence": (3606, 2404),
-    "q4/step-inner-antidifference": (880, 440),
-    "rhs/h3-first-sum-recurrence": (980, 560),
-    "rhs/h3-second-sum-recurrence": (980, 560),
+def test_a_mutant_bumps_one_constant_in_every_copy_of_its_tree():
+    # mutants(tree, copies, inserted) bumps a constant of the first copy in
+    # each copy, and leaves alone the constants that the substitution put in
+    g = (3 * t + 2) / (t + 5)
+    step = t + 1
+    g_up = substitute(g, "t", step)
+    tree = g_up * k - g + Const(Fraction(7))
+    env = {"t": 2, "k": 3}
+    got = [mutant(env) for mutant in mutants(tree, (g, g_up), step)]
+    want = [compile_term(substitute(h, "t", step) * k - h + 7)(env)
+            for h in ((4 * t + 2) / (t + 5), (3 * t + 3) / (t + 5), (3 * t + 2) / (t + 6))]
+    assert got == want
+    assert [mutant(env) for mutant in mutants(g)] == [
+        compile_term(h)({"t": 2}) for h in ((4 * t + 2) / (t + 5), (3 * t + 3) / (t + 5),
+                                            (3 * t + 2) / (t + 6))]
+
+
+def test_a_full_mutation_report_builds_each_checks_kernels_once(monkeypatch):
+    # the mutants of a check share its kernels, and every factory they call
+    # ships in polycount.evaluators, so the report compiles nothing
+    from polycount import identities, symbolic
+
+    built, compiled = {}, []
+    real_kernels, real_build = identities._kernels, symbolic._build
+
+    def spy_kernels(chk):
+        built[chk.name] = built.get(chk.name, 0) + 1
+        return real_kernels(chk)
+
+    def spy_build(*args):
+        compiled.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(symbolic, "_FACTORIES", {})
+    monkeypatch.setattr(symbolic, "_build", spy_build)
+    monkeypatch.setattr(identities, "_kernels", spy_kernels)
+    assert identities.certificate_mutation_report("*").ok
+    assert compiled == []
+    assert built == {name: 1 for name, chk in registry().items() if chk.axes}
+    assert len(built) == 18
+
+
+def _outcome(term, env):
+    """The value of term at env, or PoleError where it has none."""
+    try:
+        return term(env)
+    except PoleError:
+        return PoleError
+
+
+def test_each_kernel_matches_the_route_it_replaces():
+    # R, T, the pole-free comparisons and S against the summand, coefficients,
+    # g and pole-free forms compiled apart, at every summation point: equal
+    # values, and a pole exactly where the separate route has one
+    telescoping = [chk for chk in registry().values() if chk.axes]
+    assert len(telescoping) == 18
+    # no registry check with two axes has a summed side, and neither axis of
+    # q4/beta3v-recurrence has a g without poles, so this one has both
+    two_axes = IdentityCheck(
+        name="two-axes", kind="double-sum-recurrence", description="not an identity",
+        summand=C(s + i, j) * (j + 1), param="s", coeffs=(s, Const(Fraction(-1))),
+        axes=(("i", Const(Fraction(0)), s, "certificate", i - j, None),
+              ("j", Const(Fraction(0)), i, "certificate2", j * s, None)),
+        inhom=s, grid=lambda: [{"s": v} for v in range(5)])
+    points_seen = 0
+    for chk in telescoping + [two_axes]:
+        kernels = _kernels(chk)
+        summand = compile_term(chk.summand)
+        coeffs = [compile_term(bd) for bd in chk.coeffs or (Const(Fraction(1)),)]
+        reads = [(index, compile_term(g), label != "antidifference",
+                  None if pole_free is None else compile_term(pole_free))
+                 for index, _, _, label, g, pole_free in chk.axes]
+
+        def f(p, d=0):
+            return summand({**p, chk.param: p[chk.param] + d} if d else p)
+
+        def own_g(at, p):
+            _, g, times_f, _ = reads[at]
+            return g(p) * f(p) if times_f else g(p)
+
+        def recurrence(p):
+            return sum(bd(p) * f(p, d) for d, bd in enumerate(coeffs))
+
+        def telescoped(p):
+            total = 0
+            for at, (index, _, _, pole_free) in enumerate(reads):
+                read = pole_free or (lambda q, at=at: own_g(at, q))
+                total += read({**p, index: p[index] + 1}) - read(p)
+            return total
+
+        for env in chk.grid():
+            try:
+                points = [env]
+                for index, lower, upper, *_ in chk.axes:
+                    points = [{**e, index: v} for e in points
+                              for v in range(int(compile_term(lower)(e)),
+                                             int(compile_term(upper)(e)) + 1)]
+            except (PoleError, ValueError):
+                continue
+            for e in points:
+                assert _outcome(kernels.recurrence, e) == _outcome(recurrence, e), (chk.name, e)
+                assert _outcome(kernels.telescoped, e) == _outcome(telescoped, e), (chk.name, e)
+                for label, index, here, up, _ in kernels.compare:
+                    at = [axis[3] for axis in chk.axes].index(label)
+                    for differs, p in ((here, e), (up, {**e, index: e[index] + 1})):
+                        want = _outcome(lambda q: own_g(at, q) - reads[at][3](q), p)
+                        assert _outcome(differs, e) == want, (chk.name, e)
+                points_seen += 1
+            if kernels.summed is not None:
+                def summed(env):
+                    return sum(bd(env) * sum(f(e, d) for e in points)
+                               for d, bd in enumerate(coeffs))
+                assert _outcome(kernels.summed, env) == _outcome(summed, env), (chk.name, env)
+    assert points_seen == 5682 + 35
+
+
+#: kernel calls of one registry run of each telescoping check: T, R, the
+#: pole-free comparisons and S.  No summand is evaluated on its own any more:
+#: T, R and S read it inside their compiled code.  T runs once per summation
+#: point, R once per point where T is defined, each comparison at the point
+#: and one step up, and S once per grid point with integral bounds, where the
+#: check has a summed side.  Before the kernels, one run made 11,887 summand
+#: calls besides its g, coefficient and pole-free calls.
+KERNEL_CALLS = {
+    "appendix-d/alternating-binomial-antidifference": (216, 216, 0, 52),
+    "appendix-d/rising-binomial-antidifference": (770, 770, 0, 210),
+    "double-gf/inner-coefficient-recurrence": (348, 348, 0, 48),
+    "double-gf/outer-sum-recurrence": (180, 144, 0, 0),
+    "gf/product-rule-antidifference": (105, 105, 0, 45),
+    "q3/breakpoint-recurrence": (65, 65, 0, 0),
+    "q3/correction-recurrence": (265, 175, 0, 0),
+    "q3/double-sum-recurrence": (740, 252, 0, 0),
+    "q3/inhom-antidifference": (322, 322, 0, 56),
+    "q3/inner-sum-recurrence": (105, 105, 0, 40),
+    "q3/second-term-recurrence": (365, 310, 0, 0),
+    "q3/top-row-antidifference": (322, 210, 0, 0),
+    "q3/top-row-second-piece-antidifference": (168, 168, 0, 28),
+    "q4/beta2h-recurrence": (278, 170, 0, 0),
+    "q4/beta3v-recurrence": (601, 601, 1202, 0),
+    "q4/step-inner-antidifference": (440, 440, 0, 90),
+    "rhs/h3-first-sum-recurrence": (196, 140, 0, 28),
+    "rhs/h3-second-sum-recurrence": (196, 140, 0, 28),
 }
 
 
-def test_summand_call_budget(monkeypatch):
+def _count_kernel_calls(monkeypatch):
+    """Per check name, the calls of its [T, R, comparisons, S] kernels."""
     from polycount import identities
 
     calls = {}
-    for name, chk in sorted(registry().items()):
-        if not chk.axes:
-            continue
+    real = identities._kernels
 
-        def spy(expr, chk=chk, real=identities.compile_term):
-            term = real(expr)
-            if expr is not chk.summand:
-                return term
+    def counting(chk):
+        kernels = real(chk)
+        tally = calls.setdefault(chk.name, [0, 0, 0, 0])
 
+        def count(at, term):
             def counted(env):
-                calls[chk.name] = calls.get(chk.name, 0) + 1
+                tally[at] += 1
                 return term(env)
             return counted
 
-        with monkeypatch.context() as patch:
-            patch.setattr(identities, "compile_term", spy)
-            assert run_check(chk).passed, name
-    assert calls == {name: now for name, (_, now) in SUMMAND_CALLS.items()}
-    assert all(now <= before for before, now in SUMMAND_CALLS.values())
-    assert sum(before for before, _ in SUMMAND_CALLS.values()) == 18782
-    assert sum(calls.values()) <= 12600
+        return Kernels(
+            kernels.bounds, count(0, kernels.telescoped), count(1, kernels.recurrence),
+            tuple((label, index, count(2, here), count(2, up), sides)
+                  for label, index, here, up, sides in kernels.compare),
+            None if kernels.summed is None else count(3, kernels.summed), kernels.declared,
+            kernels.tree)
+
+    monkeypatch.setattr(identities, "_kernels", counting)
+    return calls
+
+
+def test_summand_call_budget(monkeypatch):
+    # the summand is read only through the kernels, so their calls pin it
+    calls = _count_kernel_calls(monkeypatch)
+    for c in run_registry("*").checks:
+        row = calls.get(c.name)
+        if row is not None:  # T once per point, tested or skipped there
+            assert row[0] + row[3] == c.params["tested"] + c.params["skipped"], c.name
+    assert {name: tuple(row) for name, row in calls.items()} == KERNEL_CALLS
+    assert sum(map(sum, KERNEL_CALLS.values())) == 12190
+
+
+def test_the_pole_free_g_is_read_once_per_point_and_step(monkeypatch):
+    # the comparison of the pole-free G with g*F runs once at each summation
+    # point and once a step up, and T, R and S run where the pins above say
+    calls = _count_kernel_calls(monkeypatch)
+    out = run_check(registry()["q4/beta3v-recurrence"])
+    assert out.passed and (out.tested, out.skipped) == (601, 0)
+    assert calls == {"q4/beta3v-recurrence": [601, 601, 2 * 601, 0]}

@@ -486,18 +486,26 @@ def test_rational_variants_compile_once_where_a_binding_needs_one(monkeypatch):
         "double-gf/outer-assembly", "double-gf/outer-sum-recurrence",
         "gf/product-rule-antidifference"]
 
-    # the registry run compiles every axis's g, even certificate2 of the one
-    # check that telescopes through its pole-free G, since it compares the two
-    key = []
-    _, inner = identities.registry()["q4/beta3v-recurrence"].axes
+    # the registry run compiles certificate2 of the one check that telescopes
+    # through its pole-free G into the kernel that compares the two
+    chk = identities.registry()["q4/beta3v-recurrence"]
+    _, inner = chk.axes
     assert inner[3] == "certificate2" and inner[5] is not None
-    symbolic._shape(inner[4], key, [], [])
-    assert "".join(key) in keys
-    # mutants bump constants, so they reuse every factory and need no rational variant
+    for differs in (inner[4] * chk.summand - inner[5],
+                    substitute(inner[4] * chk.summand - inner[5], "t", Var("t") + 1)):
+        key = []
+        symbolic._shape(differs, key, [], [])
+        assert "".join(key) in keys
+    # mutants bump constants, so they reuse every factory and need no rational
+    # variant; only a pole-free axis's mutants telescope g*F, one new shape
     compiled = len(sources)
     assert identities.certificate_mutation_report("*").ok
-    assert set(symbolic._FACTORIES) == keys and len(sources) == compiled
+    key = []
+    symbolic._shape(identities._telescoped(chk, plain="certificate2")[0], key, [], [])
+    assert set(symbolic._FACTORIES) == keys | {"".join(key)}
+    assert len(sources) == compiled + 1
     # and the shipped table holds exactly the factories the two runs build
+    keys = set(symbolic._FACTORIES)
     monkeypatch.undo()
     assert set(evaluators.SHAPES) == keys
 
@@ -551,24 +559,34 @@ def _run_fresh(script: str) -> str:
 
 def test_a_registry_run_compiles_nothing_in_a_fresh_interpreter():
     # every shape that a registry run and a mutation report build ships in
-    # polycount.evaluators, which only the first evaluation imports
+    # polycount.evaluators, which only the first evaluation imports; the
+    # quadrant and weights reports read pointwise checks' trees, so they
+    # import no kernel module
     out = _run_fresh(
-        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import contextlib, io, sys; sys.path.insert(0, sys.argv[1])\n"
         "import polycount, polycount.cli\n"
         "from polycount import identities, symbolic\n"
         "identities.registry()\n"
-        "print(sorted(m for m in sys.modules if m.startswith('polycount.evaluators')))\n"
+        "def loaded():\n"
+        "    print(sorted(m for m in sys.modules if m.startswith('polycount.evaluators')))\n"
+        "loaded()\n"
         "sources = []\n"
         "def spy(source, *rest):\n"
         "    sources.append(source)\n"
         "    return compile(source, *rest)\n"
         "symbolic.compile = spy\n"
+        "for argv in (['verify', 'quadrants', '--s', '2..6'], ['verify', 'weights', '--s', '1..6']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert polycount.cli.main(argv) == 0\n"
+        "loaded()\n"
         "assert identities.run_registry().ok\n"
         "assert identities.certificate_mutation_report('*').ok\n"
         "print(len(sources), len(symbolic._FACTORIES))\n")
-    loaded, counts = out.splitlines()
-    assert loaded == "[]"
-    assert counts == "0 158"
+    before, reports, counts = out.splitlines()
+    assert before == "[]"
+    assert reports == str(["polycount.evaluators", "polycount.evaluators.q3",
+                           "polycount.evaluators.rhs"])
+    assert counts == "0 152"
 
 
 def test_a_tree_outside_the_table_still_compiles(monkeypatch):
