@@ -414,28 +414,7 @@ def _make124(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12):
     return term
 
 
-def _make125(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14):
-    def term(env):
-        try:
-            n1 = env['i']
-            if type(n1) is not int: return general(env)
-            n2 = env['j']
-            if type(n2) is not int: return general(env)
-            n3 = env['s']
-            if type(n3) is not int: return general(env)
-            t4 = k0 * n3
-            t5 = n1 + k1
-            t6 = k2 * n3 + k3 * n1 + k4 * k5
-            t7 = n2 + k6 * n1 + k7 * k8
-            t8 = n2 + k9 * n1 + k10 * k11
-            t9 = n2 + k12 * n3 + k13 * k14
-            return (-1 if (n1 + n2 + n3) % 2 else 1) * (_comb(t4, t5) if t4 >= 0 <= t5 else _binom(t4, t5)) * (_comb(t6, t7) if t6 >= 0 <= t7 else _binom(t6, t7)) * (_comb(t8, t9) if t8 >= 0 <= t9 else _binom(t8, t9))
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make126(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28, k29):
+def _make125(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28, k29):
     def term(env):
         try:
             n1 = env['i']
@@ -464,7 +443,7 @@ def _make126(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
     return term
 
 
-def _make127(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
+def _make126(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
     def term(env):
         try:
             n1 = env['i']
@@ -493,7 +472,7 @@ def _make127(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
     return term
 
 
-def _make128(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28, k29, k30, k31, k32, k33, k34, k35, k36, k37, k38, k39, k40, k41, k42, k43, k44, k45, k46, k47, k48, k49, k50, k51, k52, k53, k54, k55, k56, k57, k58, k59, k60, k61, k62, k63, k64, k65, k66, k67, k68, k69, k70, k71, k72, k73, k74, k75, k76):
+def _make127(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28, k29, k30, k31, k32, k33, k34, k35, k36, k37, k38, k39, k40, k41, k42, k43, k44, k45, k46, k47, k48, k49, k50, k51, k52, k53, k54, k55, k56, k57, k58, k59, k60, k61, k62, k63, k64, k65, k66, k67, k68, k69, k70, k71, k72, k73, k74, k75, k76):
     def term(env):
         try:
             n1 = env['i']
@@ -623,5 +602,4 @@ FACTORIES = (
     _make125,
     _make126,
     _make127,
-    _make128,
 )

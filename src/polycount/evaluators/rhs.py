@@ -8,7 +8,7 @@ from ..symbolic import _NAMESPACE
 globals().update(_NAMESPACE)
 
 
-def _make129(general, k0):
+def _make128(general, k0):
     def term(env):
         try:
             n1 = env['i']
@@ -24,7 +24,7 @@ def _make129(general, k0):
     return term
 
 
-def _make130(general, k0, k1):
+def _make129(general, k0, k1):
     def term(env):
         try:
             n1 = env['i']
@@ -38,7 +38,7 @@ def _make130(general, k0, k1):
     return term
 
 
-def _make131(general, k0):
+def _make130(general, k0):
     def term(env):
         try:
             n1 = env['i']
@@ -54,7 +54,7 @@ def _make131(general, k0):
     return term
 
 
-def _make132(general, k0, k1, k2, k3):
+def _make131(general, k0, k1, k2, k3):
     def term(env):
         try:
             n1 = env['s']
@@ -69,7 +69,7 @@ def _make132(general, k0, k1, k2, k3):
     return term
 
 
-def _make133(general, k0, k1, k2, k3, k4, k5):
+def _make132(general, k0, k1, k2, k3, k4, k5):
     def term(env):
         try:
             n1 = env['i']
@@ -96,7 +96,7 @@ def _make133(general, k0, k1, k2, k3, k4, k5):
     return term
 
 
-def _make134(general, k0, k1, k2, k3):
+def _make133(general, k0, k1, k2, k3):
     def term(env):
         try:
             n1 = env['s']
@@ -114,7 +114,7 @@ def _make134(general, k0, k1, k2, k3):
     return term
 
 
-def _make135(general, k0, k1, k2, k3, k4):
+def _make134(general, k0, k1, k2, k3, k4):
     def term(env):
         try:
             n1 = env['i']
@@ -141,7 +141,7 @@ def _make135(general, k0, k1, k2, k3, k4):
     return term
 
 
-def _make136(general, k0, k1, k2, k3, k4, k5, k6, k7):
+def _make135(general, k0, k1, k2, k3, k4, k5, k6, k7):
     def term(env):
         try:
             n1 = env['s']
@@ -161,7 +161,7 @@ def _make136(general, k0, k1, k2, k3, k4, k5, k6, k7):
     return term
 
 
-def _make137(general, k0, k1, k2, k3):
+def _make136(general, k0, k1, k2, k3):
     def term(env):
         try:
             n1 = env['i']
@@ -178,7 +178,7 @@ def _make137(general, k0, k1, k2, k3):
     return term
 
 
-def _make138(general, k0, k1, k2):
+def _make137(general, k0, k1, k2):
     def term(env):
         try:
             n1 = env['s']
@@ -193,7 +193,7 @@ def _make138(general, k0, k1, k2):
     return term
 
 
-def _make139(general, k0, k1, k2):
+def _make138(general, k0, k1, k2):
     def term(env):
         try:
             n1 = env['s']
@@ -219,7 +219,7 @@ def _make139(general, k0, k1, k2):
     return term
 
 
-def _make140(general, k0, k1):
+def _make139(general, k0, k1):
     def term(env):
         try:
             n1 = env['s']
@@ -243,7 +243,7 @@ def _make140(general, k0, k1):
     return term
 
 
-def _make141(general, k0, k1):
+def _make140(general, k0, k1):
     def term(env):
         try:
             n1 = env['s']
@@ -260,7 +260,7 @@ def _make141(general, k0, k1):
     return term
 
 
-def _make142(general, k0):
+def _make141(general, k0):
     def term(env):
         try:
             n1 = env['s']
@@ -283,7 +283,7 @@ def _make142(general, k0):
     return term
 
 
-def _make143(general):
+def _make142(general):
     def term(env):
         try:
             n1 = env['s']
@@ -295,7 +295,7 @@ def _make143(general):
     return term
 
 
-def _make144(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
+def _make143(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
     def term(env):
         try:
             n1 = env['i']
@@ -328,7 +328,7 @@ def _make144(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
     return term
 
 
-def _make145(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13):
+def _make144(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13):
     def term(env):
         try:
             n1 = env['i']
@@ -360,6 +360,7 @@ def _make145(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
 
 
 FACTORIES = (
+    _make128,
     _make129,
     _make130,
     _make131,
@@ -376,5 +377,4 @@ FACTORIES = (
     _make142,
     _make143,
     _make144,
-    _make145,
 )

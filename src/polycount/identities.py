@@ -48,12 +48,13 @@ bounds are not integers, are skipped and counted; a check whose grid is
 entirely skipped fails as degenerate.  The harness also adds one to each
 constant of each axis's g, one at a time, and confirms the check then fails
 (a wrong certificate cannot slip through).  A mutant is T's own compiled
-code called with that constant bumped in both of T's copies of g
-(``symbolic.mutants``); for an axis with a ``pole_free`` form, T telescopes
-g·F instead.  A mutant shares the check's other kernels, so nothing is built
-or compiled per mutant.  One failing point is enough, so each mutant runs
-with ``fail_fast`` and stops at its first failure; the registry run keeps
-every failure.
+code called with that constant bumped wherever T holds that constant
+(``symbolic.mutants``): ``substitute`` keeps g's constant objects, so T's
+step of g holds them too.  For an axis with a ``pole_free`` form, T
+telescopes g·F instead.  A mutant shares the check's other kernels, so
+nothing is built or compiled per mutant.  One failing point is enough, so
+each mutant runs with ``fail_fast`` and stops at its first failure; the
+registry run keeps every failure.
 """
 
 from __future__ import annotations
@@ -167,14 +168,15 @@ class Kernels(Record):
     g·F minus the pole-free form at p and at p + e_a, and the two sides.
     At a grid point, ``summed`` is sum_d b_d times the definite sums of
     F(p + d) and ``declared`` is inhom, or both are None.  ``tree`` is T's
-    tree with its copies of each g (``_telescoped``), which mutants bump.
+    tree (``_telescoped``); a mutant bumps a constant of a g wherever T
+    holds that constant.
     """
 
     __slots__ = ("bounds", "telescoped", "recurrence", "compare", "summed", "declared", "tree")
 
     def __init__(self, bounds: list, telescoped: Compiled, recurrence: Compiled,
                  compare: tuple, summed: Compiled | None, declared: Compiled | None,
-                 tree: tuple[Expr, list]) -> None:
+                 tree: Expr) -> None:
         self.bounds = bounds
         self.telescoped = telescoped
         self.recurrence = recurrence
@@ -184,27 +186,24 @@ class Kernels(Record):
         self.tree = tree
 
 
-def _telescoped(chk: IdentityCheck, plain: str | None = None) -> tuple[Expr, list]:
-    """T, and per axis the copies of its g in T: g, g one step up, and the step.
+def _telescoped(chk: IdentityCheck, plain: str | None = None) -> Expr:
+    """T, the sum over the axes of G(p + e_a) - G(p).
 
     An axis's G is its pole-free form where it has one and its label is
-    not plain, and then T holds no copy of its g (None); else G is g·F, or
-    g for an antidifference.
+    not plain, and then T holds none of its g; else G is g·F, or g for an
+    antidifference.
     """
-    terms, copies = [], []
+    terms = []
     for index, _, _, label, g, pole_free in chk.axes:
         step = Var(index) + 1
         if pole_free is not None and label != plain:
             terms.append(substitute(pole_free, index, step) - pole_free)
-            copies.append(None)
-            continue
-        g_up = substitute(g, index, step)
-        if label == "antidifference":
-            terms.append(g_up - g)
+        elif label == "antidifference":
+            terms.append(substitute(g, index, step) - g)
         else:
-            terms.append(g_up * substitute(chk.summand, index, step) - g * chk.summand)
-        copies.append((g, g_up, step))
-    return Add(tuple(terms)), copies
+            terms.append(substitute(g, index, step) * substitute(chk.summand, index, step)
+                         - g * chk.summand)
+    return Add(tuple(terms))
 
 
 def _kernels(chk: IdentityCheck) -> Kernels:
@@ -231,7 +230,7 @@ def _kernels(chk: IdentityCheck) -> Kernels:
     tree = _telescoped(chk)
     return Kernels(
         [(index, compile_term(lower), compile_term(upper)) for index, lower, upper, *_ in chk.axes],
-        compile_term(tree[0]), compile_term(Add(tuple(bd * fd for bd, fd in shifted))),
+        compile_term(tree), compile_term(Add(tuple(bd * fd for bd, fd in shifted))),
         tuple(compare), summed, declared, tree)
 
 
@@ -880,8 +879,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             for iv in range(jv + 1, 2 * sv + 1)
         ],
     ))
-    gt_diag = Sum("jp", Const(Fraction(0)), s - 1,
-                  SG(i + jp + 1) * C(2 * s, i) * C(i - jp - 1, s - 1) * C(s, i - jp))
+    gt_diag = Sum("jp", Const(Fraction(0)), s - 1, substitute(gt_boundary, "j", i))
     add(IdentityCheck(
         name="q3/inhom-diagonal-recurrence",
         kind="pointwise",
@@ -1014,6 +1012,7 @@ def build_registry() -> dict[str, IdentityCheck]:
     ))
     beta2h = Sum("ip", Const(Fraction(0)), s, beta2h_term)
     step_rhs = C(2 * s, i + 1) * C(2 * s - i - 1, j - i - 1) * C(j - i - 2, j - s - 1)
+    beta3v_step = SG(i + j + s) * step_rhs
     add(IdentityCheck(
         name="q4/beta2h-step",
         kind="pointwise",
@@ -1032,7 +1031,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         description="one i-step of the transformed third-term double sum equals "
                     "the same quantity with opposite sign",
         lhs=substitute(beta3v, "i", i + 1) - beta3v,
-        rhs=SG(i + j + s) * step_rhs,
+        rhs=beta3v_step,
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 7) for iv in range(0, sv) for jv in range(sv + 1, 2 * sv + 1)
@@ -1072,8 +1071,7 @@ def build_registry() -> dict[str, IdentityCheck]:
              SG(i + j + jp + 1) * C(2 * s, i + 1) * C(s + jp - i - 2, j - i - 1)
              * C(j - i - 2, j - jp), None),
         ),
-        inhom=SG(i + j + s) * C(2 * s, i + 1) * C(2 * s - i - 1, j - i - 1)
-                    * C(j - i - 2, j - s - 1),
+        inhom=beta3v_step,
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(2, 7) for iv in range(0, sv) for jv in range(sv + 1, 2 * sv + 1)
@@ -1263,19 +1261,20 @@ def run_registry(pattern: str = "*") -> Report:
 def _mutants(chk: IdentityCheck) -> Iterator[tuple[str, Kernels]]:
     """Each single-constant bump of the check's certificates, labelled, as kernels.
 
-    A mutant bumps one constant of an axis's g in both copies of g in T,
-    which for an axis with a pole-free form is T with g·F in its place, and
-    runs without that axis's comparison.  Every mutant calls the factory of
-    its T with the bumped constants and shares the check's other kernels.
+    A mutant bumps one constant of an axis's g wherever T holds that
+    constant, which for an axis with a pole-free form is T with g·F in its
+    place, and runs without that axis's comparison.  Every mutant calls the
+    factory of its T with the bumped constants and shares the check's other
+    kernels.  No certificate holds one constant object twice, so each
+    constant of g is one mutant.
     """
     if not chk.axes:
         return
     kernels = _kernels(chk)
-    for at, (_, _, _, label, _, pole_free) in enumerate(chk.axes):
+    for _, _, _, label, g, pole_free in chk.axes:
         tree = kernels.tree if pole_free is None else _telescoped(chk, plain=label)
-        g, g_up, step = tree[1][at]
         compare = tuple(entry for entry in kernels.compare if entry[0] != label)
-        for idx, telescoped in enumerate(mutants(tree[0], (g, g_up), step)):
+        for idx, telescoped in enumerate(mutants(tree, g)):
             yield f"{chk.name}:{label}[{idx}]", Kernels(
                 kernels.bounds, telescoped, kernels.recurrence, compare,
                 kernels.summed, kernels.declared, tree)

@@ -19,12 +19,12 @@ output written by ``python -m polycount.codegen``, so Python's bytecode
 cache serves it; only other shapes are compiled, once per process.
 ``eval_term`` is the one-shot form and returns a Fraction.  Division by
 zero or other undefined points raise PoleError so callers can skip or
-report them.  ``mutants`` gives one evaluator per constant of a tree, with
-that constant plus one (in every copy of that tree inside a larger one), from
-its own compiled code, to prove that the identity harness detects a wrong
-certificate.  ``substitute`` replaces a free
-variable by an expression, the one rewrite of a tree: a step in a variable
-or its value at a constant.
+report them.  ``substitute`` replaces a free variable by an expression, the
+one rewrite of a tree: a step in a variable or its value at a constant.  It
+keeps the tree's constant objects, so ``mutants`` gives one evaluator per
+constant of a tree, with that constant plus one, bumped wherever a larger
+tree holds that constant, from the larger tree's own compiled code, to prove
+that the identity harness detects a wrong certificate.
 """
 
 from __future__ import annotations
@@ -185,21 +185,26 @@ def substitute(expr: Expr, name: str, value) -> Expr:
 
     ``substitute(e, v, Var(v) + 1)`` steps e in v, ``substitute(e, v, 0)``
     reads it at v = 0.  A ``Sum`` over name binds it: its bounds are
-    substituted and its body is not.  Every other node is rebuilt field by
-    field, in ``__slots__`` order.  A variable of value that a ``Sum`` inside
-    the tree binds would be captured, so value must not mention one.
+    substituted and its body is not.  Every ``Const`` and every other
+    ``Var`` is returned as the same object, so a step of a tree holds that
+    tree's own constants; every other node is rebuilt field by field, in
+    ``__slots__`` order.  A variable of value that a ``Sum`` inside the tree
+    binds would be captured, so value must not mention one.
     """
-    if type(expr) is Var and expr.name == name:
-        return wrap(value)
+    cls = type(expr)
+    if cls is Var:
+        return wrap(value) if expr.name == name else expr
+    if cls is Const:
+        return expr
     fields = []
-    for slot in type(expr).__slots__:
+    for slot in cls.__slots__:
         field = getattr(expr, slot)
         if type(field) is tuple:
             field = tuple(substitute(part, name, value) for part in field)
         elif isinstance(field, Expr) and not (slot == "body" and expr.index == name):
             field = substitute(field, name, value)
         fields.append(field)
-    return type(expr)(*fields)
+    return cls(*fields)
 
 
 def _as_int(x: Number, where: str) -> int:
@@ -466,7 +471,8 @@ _CODES = {Var: "V", Add: "A", Mul: "M", Div: "D", Pow: "P", Binom: "B", Fact: "F
           Sign: "G", Sum: "S"}
 
 
-def _shape(expr: Expr, key: list[str], consts: list[int], starts: list[int]) -> None:
+def _shape(expr: Expr, key: list[str], consts: list[int],
+           starts: list[tuple[Const, int]]) -> None:
     """Append the tree's shape to key and its constants to consts, in field order.
 
     The key holds node classes, operand counts, names and whether each
@@ -475,12 +481,12 @@ def _shape(expr: Expr, key: list[str], consts: list[int], starts: list[int]) -> 
     join into the same one: a class is one letter, a count ends in ``:``, a
     name is its ``repr`` and a constant its slot count.  An integral constant
     fills one slot of consts, any other its numerator and denominator;
-    starts gets each one's first slot.
+    starts gets each one's node beside its first slot.
     """
     cls = type(expr)
     if cls is Const:
         q = expr.value if type(expr.value) is Fraction else Fraction(expr.value)
-        starts.append(len(consts))
+        starts.append((expr, len(consts)))
         if q.denominator == 1:
             key.append("1")
             consts.append(q.numerator)
@@ -579,63 +585,35 @@ def compile_term(expr: Expr) -> Compiled:
     return _evaluator("".join(shape), expr, consts)
 
 
-def mutants(expr: Expr, copies: tuple[Expr, ...] = (),
-            inserted: Expr | None = None) -> list[Compiled]:
-    """One evaluator per constant of a tree, in DFS order, with that constant plus one.
+def mutants(expr: Expr, of: Expr) -> list[Compiled]:
+    """One evaluator per constant of ``of``, in DFS order, with that constant plus one.
 
-    An integral constant k becomes k + 1 and a fraction p/q becomes
-    (p + q)/q, so each stays integral or not and every mutant runs its
-    tree's compiled code: no tree is copied and nothing is compiled anew.
-
-    With copies, expr is a larger tree that holds each of them once: one
-    tree and substitutions of it, ``substitute(copy, v, inserted)``.  Then
-    each evaluator bumps one constant of that tree in every copy at once.  A
-    substituted copy's constants are its own, less those of ``inserted``,
-    in the same DFS order as the tree's.
+    ``of`` is expr or a part of it, and each evaluator bumps its constant
+    wherever expr holds that object.  ``substitute`` keeps a tree's
+    constants, so a step of ``of`` inside expr is bumped with it, and a
+    constant that the step put in is left alone.  A constant object that
+    ``of`` holds twice is one mutant, bumped in both places; no registry
+    certificate holds one.  An integral constant k becomes k + 1 and a
+    fraction p/q becomes (p + q)/q, so each stays integral or not and every
+    mutant runs expr's compiled code: no tree is copied and nothing is
+    compiled anew.  A constant of ``of`` that expr lacks raises ValueError.
     """
     shape: list[str] = []
     consts: list[int] = []
-    starts: list[int] = []
+    starts: list[tuple[Const, int]] = []
     _shape(expr, shape, consts, starts)
+    own: list[tuple[Const, int]] = []
+    _shape(of, [], [], own)
     key, out = "".join(shape), []
-    starts.append(len(consts))
-    for ordinals in zip(*_copy_constants(expr, copies or (expr,), inserted)):
+    for const in {id(node): node for node, _ in own}.values():
+        slots = [at for node, at in starts if node is const]
+        if not slots:
+            raise ValueError(f"the tree lacks the constant {const.value} of the part to bump")
         bumped = list(consts)
-        for k in ordinals:
-            at = starts[k]
-            bumped[at] += 1 if starts[k + 1] - at == 1 else bumped[at + 1]
+        for at in slots:
+            bumped[at] += 1 if Fraction(const.value).denominator == 1 else bumped[at + 1]
         out.append(_evaluator(key, expr, bumped))
     return out
-
-
-def _copy_constants(expr: Expr, copies: tuple[Expr, ...],
-                    inserted: Expr | None) -> list[list[int]]:
-    """Per copy in expr, the DFS ordinals among all of expr's constants of the copy's own ones."""
-    found: list[list[int]] = []
-    count = 0
-
-    def walk(node: Expr, own: list[int] | None) -> None:
-        nonlocal count
-        if own is None and any(node is copy for copy in copies):
-            own = []
-            found.append(own)
-        elif node is inserted:
-            own = None
-        if type(node) is Const:
-            if own is not None:
-                own.append(count)
-            count += 1
-            return
-        for slot in type(node).__slots__:
-            value = getattr(node, slot)
-            for part in value if type(value) is tuple else (value,):
-                if isinstance(part, Expr):
-                    walk(part, own)
-
-    walk(expr, None)
-    if len(found) != len(copies) or len({len(own) for own in found}) != 1:
-        raise ValueError("each copy must occur once in the tree, all with as many constants")
-    return found
 
 
 def _evaluator(key: str, expr: Expr, consts: list[int]) -> Compiled:

@@ -267,6 +267,22 @@ SUBSTITUTIONS = [
 ]
 
 
+def test_a_closed_form_that_two_checks_state_is_one_object():
+    reg = registry()
+    # the diagonal jp-sum sums the boundary term at j = i, and substitute
+    # keeps the term's constants, so both checks read each constant's object
+    term = reg["q3/inhom-boundary-term"].rhs
+    summand = reg["q3/inhom-diagonal-value"].lhs.body
+    assert summand == substitute(term, "j", i)
+    constants = [[node for node in _nodes(root) if type(node) is Const]
+                 for root in (summand, term)]
+    assert len(constants[0]) == len(constants[1]) == 8
+    assert all(ours is theirs for ours, theirs in zip(*constants))
+    # one i-step of beta3v is the closed form of the single sum its
+    # multisum telescoping leaves
+    assert reg["q4/step-inner-antidifference"].inhom is reg["q4/beta3v-step"].rhs
+
+
 def test_each_check_substitutes_into_the_object_its_sibling_states():
     reg = registry()
     for name, stating, pick, index, value in SUBSTITUTIONS:
@@ -441,9 +457,10 @@ def test_every_check_and_whole_mutant_run_is_pinned():
 
 
 def test_certificate_mutants_reuse_the_compiled_code():
-    # a mutant differs from its check's T in one constant of g, in both copies
-    # of g, and the compiled code takes constants as parameters, so every
-    # mutant runs the code of its check's T and shares the other kernels
+    # a mutant differs from its check's T in one constant of g, bumped
+    # wherever T holds that constant, and the compiled code takes constants
+    # as parameters, so every mutant runs the code of its check's T and
+    # shares the other kernels
     seen = 0
     for name, chk in sorted(registry().items()):
         kernels = _kernels(chk) if chk.axes else None
@@ -452,7 +469,7 @@ def test_certificate_mutants_reuse_the_compiled_code():
             axis = next(axis for axis in chk.axes if label.startswith(f"{name}:{axis[3]}["))
             # with a pole-free form, T telescopes g*F instead, as a mutant drops that form
             telescoped = kernels.telescoped if axis[5] is None \
-                else compile_term(_telescoped(chk, plain=axis[3])[0])
+                else compile_term(_telescoped(chk, plain=axis[3]))
             assert mutant.telescoped.__code__ is telescoped.__code__, label
             assert mutant.recurrence.__code__ is kernels.recurrence.__code__, label
             shared.add((id(mutant.bounds), id(mutant.recurrence), id(mutant.summed)))
@@ -480,18 +497,18 @@ def test_certificate_mutants_reuse_the_compiled_code():
 
 
 def test_a_mutant_bumps_one_constant_in_every_copy_of_its_tree():
-    # mutants(tree, copies, inserted) bumps a constant of the first copy in
-    # each copy, and leaves alone the constants that the substitution put in
+    # mutants(tree, g) bumps a constant of g wherever the tree holds it: in g
+    # and in its step, which keeps g's constants; the step's inserted 1 and
+    # the tree's own 7 are left alone
     g = (3 * t + 2) / (t + 5)
-    step = t + 1
-    g_up = substitute(g, "t", step)
+    g_up = substitute(g, "t", t + 1)
     tree = g_up * k - g + Const(Fraction(7))
     env = {"t": 2, "k": 3}
-    got = [mutant(env) for mutant in mutants(tree, (g, g_up), step)]
-    want = [compile_term(substitute(h, "t", step) * k - h + 7)(env)
+    got = [mutant(env) for mutant in mutants(tree, g)]
+    want = [compile_term(substitute(h, "t", t + 1) * k - h + 7)(env)
             for h in ((4 * t + 2) / (t + 5), (3 * t + 3) / (t + 5), (3 * t + 2) / (t + 6))]
     assert got == want
-    assert [mutant(env) for mutant in mutants(g)] == [
+    assert [mutant(env) for mutant in mutants(g, g)] == [
         compile_term(h)({"t": 2}) for h in ((4 * t + 2) / (t + 5), (3 * t + 3) / (t + 5),
                                             (3 * t + 2) / (t + 6))]
 

@@ -95,7 +95,7 @@ def test_perturbations():
         (i - j) * (2 * s - j) / (j + 2) + Const(Fraction(1, 2)),
         (i - j) * (2 * s - j) / (j + 1) + Const(Fraction(3, 2)),
     ]
-    got = mutants(expr)
+    got = mutants(expr, expr)
     assert [m(env) for m in got] == [compile_term(e)(env) for e in bumped] == [
         Fraction(21, 2), Fraction(21, 2), Fraction(17, 2), 5, Fraction(15, 2)]
     assert type(got[3](env)) is int
@@ -104,7 +104,30 @@ def test_perturbations():
         assert m(env) != base(env)
         # a non-int binding runs the mutant's own rational variant
         assert m({**env, "s": Fraction(4)}) == m(env)
-    assert mutants(i * j) == []
+    assert mutants(i * j, i * j) == []
+
+
+def test_a_constant_held_twice_is_one_mutant_bumped_in_both_places():
+    # a mutant bumps a constant object wherever the tree holds it; no
+    # registry certificate holds one twice, so there each constant is a mutant
+    two = Const(Fraction(2))
+    half = Const(Fraction(1, 2))
+    expr = two * s + two * j + half * i
+    env = {"s": 1, "j": 10, "i": 4}
+    got = mutants(expr, expr)
+    assert len(got) == 2
+    assert [m(env) for m in got] == [3 * 1 + 3 * 10 + 2, 2 * 1 + 2 * 10 + 6]
+    # of may be a part of the tree: only its constants are bumped
+    assert [m(env) for m in mutants(expr, expr.terms[1])] == [2 * 1 + 2 * 10 + 6]
+
+
+def test_mutants_of_a_part_outside_the_tree_is_an_error():
+    expr = (i + 1) * (j - 2)
+    with pytest.raises(ValueError, match="lacks"):
+        mutants(expr, i + 1)  # an equal tree, but other constant objects
+    with pytest.raises(ValueError, match="lacks"):
+        mutants(i * j, Const(Fraction(3)))
+    assert mutants(expr, i) == []  # a part with no constants has no mutants
 
 
 def test_compiled_evaluation_is_exact():
@@ -349,6 +372,21 @@ def test_substitute_puts_a_non_linear_expression_in_for_a_variable():
     assert min(seen.values()) >= 200, seen
 
 
+def test_substitute_keeps_each_constant_and_each_untouched_variable():
+    # a step of a tree holds that tree's own Const and Var objects; only the
+    # replaced variable, and each node above one, is new
+    two, half = Const(Fraction(2)), Const(Fraction(1, 2))
+    expr = C(two * s, j - half) * i
+    step = i + 1
+    binom, stepped = substitute(expr, "i", step).factors
+    assert stepped is step
+    assert binom.upper.factors[0] is two and binom.upper.factors[1] is s
+    assert binom.lower.terms[0] is j and binom.lower.terms[1].factors[1] is half
+    assert binom.lower.terms[1].factors[0] is expr.factors[0].lower.terms[1].factors[0]
+    assert substitute(two, "i", 3) is two and substitute(s, "i", 3) is s
+    assert substitute(i, "i", 3) == Const(Fraction(3))
+
+
 def test_substitute_stops_at_a_sum_that_binds_the_variable():
     body = C(s, j) * i
     total = Sum("j", j, j + 2, body)
@@ -407,7 +445,7 @@ def test_compiled_code_is_shared_by_shape_alone():
     base = compile_term(expr)
     other = (i - j) * (5 * s - j) / (j + 7) + C(s, -3) * Const(Fraction(-7, 3))
     assert compile_term(other).__code__ is base.__code__
-    assert all(mutant.__code__ is base.__code__ for mutant in mutants(expr))
+    assert all(mutant.__code__ is base.__code__ for mutant in mutants(expr, expr))
     # same nodes and leaves, grouped differently: a different shape
     env = {"s": 1, "i": 2, "j": 3}
     assert compile_term(Mul((Add((s, i)), j)))(env) == 9
@@ -501,7 +539,7 @@ def test_rational_variants_compile_once_where_a_binding_needs_one(monkeypatch):
     compiled = len(sources)
     assert identities.certificate_mutation_report("*").ok
     key = []
-    symbolic._shape(identities._telescoped(chk, plain="certificate2")[0], key, [], [])
+    symbolic._shape(identities._telescoped(chk, plain="certificate2"), key, [], [])
     assert set(symbolic._FACTORIES) == keys | {"".join(key)}
     assert len(sources) == compiled + 1
     # and the shipped table holds exactly the factories the two runs build
@@ -586,7 +624,7 @@ def test_a_registry_run_compiles_nothing_in_a_fresh_interpreter():
     assert before == "[]"
     assert reports == str(["polycount.evaluators", "polycount.evaluators.q3",
                            "polycount.evaluators.rhs"])
-    assert counts == "0 152"
+    assert counts == "0 151"
 
 
 def test_a_tree_outside_the_table_still_compiles(monkeypatch):
