@@ -102,7 +102,7 @@ def _make54(general, k0, k1, k2, k3, k4, k5):
     return term
 
 
-def _make55(general, k0, k1, k2, k3, k4):
+def _make55(general, k0, k1, k2, k3):
     def term(env):
         try:
             n1 = env['j']
@@ -113,8 +113,8 @@ def _make55(general, k0, k1, k2, k3, k4):
                 if type(n5) is not int: return general(env)
                 n6 = env['t']
                 if type(n6) is not int: return general(env)
-                t7 = n5 + k1 * n6 + k2 * k3 + i4
-                t8 = n1 + k4 * i4
+                t7 = n5 + k1 * (n6 + k2) + i4
+                t8 = n1 + k3 * i4
                 n2 += (-1 if i4 % 2 else 1) * (_comb(t7, i4) if t7 >= 0 <= i4 else _binom(t7, i4)) * (_comb(n5, t8) if n5 >= 0 <= t8 else _binom(n5, t8))
             return n2
         except KeyError as missing:
@@ -139,12 +139,12 @@ def _make56(general, k0, k1):
     return term
 
 
-def _make57(general, k0):
+def _make57(general):
     def term(env):
         try:
             n1 = env['s']
             if type(n1) is not int: return general(env)
-            t2 = k0 * n1
+            t2 = n1 + n1
             n3 = env['i']
             if type(n3) is not int: return general(env)
             return (_comb(t2, n3) if t2 >= 0 <= n3 else _binom(t2, n3))

@@ -190,17 +190,17 @@ def _make110(general, k0, k1, k2):
     return term
 
 
-def _make111(general, k0, k1, k2, k3):
+def _make111(general, k0, k1, k2, k3, k4):
     def term(env):
         try:
             n1 = env['s']
             if type(n1) is not int: return general(env)
             n2 = 0
             for i4 in range(k0, n1 + 1):
-                t5 = n1 + k1 * k2 + i4
+                t5 = n1 + k1 * (k2 + k3) + i4
                 n6 = env['j']
                 if type(n6) is not int: return general(env)
-                t7 = n6 + k3 * i4
+                t7 = n6 + k4 * i4
                 n2 += (-1 if i4 % 2 else 1) * (_comb(t5, i4) if t5 >= 0 <= i4 else _binom(t5, i4)) * (_comb(n1, t7) if n1 >= 0 <= t7 else _binom(n1, t7))
             return n2
         except KeyError as missing:
@@ -223,7 +223,7 @@ def _make112(general, k0, k1, k2):
     return term
 
 
-def _make113(general, k0, k1, k2, k3, k4, k5):
+def _make113(general, k0, k1, k2, k3, k4):
     def term(env):
         try:
             n1 = env['i']
@@ -240,7 +240,7 @@ def _make113(general, k0, k1, k2, k3, k4, k5):
                 n9 = n7 * (_comb(n1, i4) if n1 >= 0 <= i4 else _binom(n1, i4))
                 n10 = env['jp']
                 if type(n10) is not int: return general(env)
-                t11 = n5 + k3 * i4 + k4 * k5 + n10
+                t11 = n5 + k3 * (i4 + k4) + n10
                 n12 = n9 * (_comb(t11, n10) if t11 >= 0 <= n10 else _binom(t11, n10))
                 if d8 == d3: n2 += n12
                 elif not n2: n2 = n12; d3 = d8
@@ -299,7 +299,7 @@ def _make114(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
     return term
 
 
-def _make115(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
+def _make115(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10):
     def term(env):
         try:
             n1 = env['i']
@@ -320,7 +320,7 @@ def _make115(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11):
                     d14 = t12
                     if d14 < 0: n13 = -n13; d14 = -d14
                     n15 = n13 * (_comb(n1, i11) if n1 >= 0 <= i11 else _binom(n1, i11))
-                    t16 = n3 + k9 * i11 + k10 * k11 + i7
+                    t16 = n3 + k9 * (i11 + k10) + i7
                     n17 = n15 * (_comb(t16, i7) if t16 >= 0 <= i7 else _binom(t16, i7))
                     if d14 == d10: n9 += n17
                     elif not n9: n9 = n17; d10 = d14

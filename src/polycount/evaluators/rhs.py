@@ -219,14 +219,14 @@ def _make138(general, k0, k1, k2):
     return term
 
 
-def _make139(general, k0, k1):
+def _make139(general, k0, k1, k2, k3):
     def term(env):
         try:
             n1 = env['s']
             if type(n1) is not int: return general(env)
             n2 = 0; d3 = 1
             for i4 in range(k0, n1 + 1):
-                t5 = n1 + k1
+                t5 = n1 + k1 + k2 * k3
                 if t5 >= 0: n6 = i4 ** t5; d7 = 1
                 elif not i4: raise PoleError('zero base with negative exponent')
                 else:
@@ -260,30 +260,7 @@ def _make140(general, k0, k1):
     return term
 
 
-def _make141(general, k0):
-    def term(env):
-        try:
-            n1 = env['s']
-            if type(n1) is not int: return general(env)
-            n2 = 0; d3 = 1
-            for i4 in range(k0, n1 + 1):
-                if n1 >= 0: n5 = i4 ** n1; d6 = 1
-                elif not i4: raise PoleError('zero base with negative exponent')
-                else:
-                    n5 = 1; d6 = i4 ** -n1
-                    if d6 < 0: n5 = -n5; d6 = -d6
-                n7 = (-1 if (i4 + n1) % 2 else 1) * n5
-                n8 = n7 * (_comb(n1, i4) if n1 >= 0 <= i4 else _binom(n1, i4))
-                if d6 == d3: n2 += n8
-                elif not n2: n2 = n8; d3 = d6
-                else: n2 = n2 * d6 + n8 * d3; d3 *= d6
-            return n2 if d3 == 1 else _value(n2, d3)
-        except KeyError as missing:
-            raise PoleError(f'unbound variable {missing.args[0]}') from None
-    return term
-
-
-def _make142(general):
+def _make141(general):
     def term(env):
         try:
             n1 = env['s']
@@ -295,7 +272,7 @@ def _make142(general):
     return term
 
 
-def _make143(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
+def _make142(general, k0, k1, k2, k3, k4, k5, k6, k7, k8):
     def term(env):
         try:
             n1 = env['i']
@@ -313,7 +290,7 @@ def _make143(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
                     d12 = t10
                     if d12 < 0: n11 = -n11; d12 = -d12
                     n13 = n11 * (_comb(n1, i9) if n1 >= 0 <= i9 else _binom(n1, i9))
-                    t14 = n2 + k7 * i9 + k8 * k9 + i6
+                    t14 = n2 + k7 * (i9 + k8) + i6
                     n15 = n13 * (_comb(t14, i6) if t14 >= 0 <= i6 else _binom(t14, i6))
                     if d12 == d8: n7 += n15
                     elif not n7: n7 = n15; d8 = d12
@@ -328,7 +305,7 @@ def _make143(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9):
     return term
 
 
-def _make144(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13):
+def _make143(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13):
     def term(env):
         try:
             n1 = env['i']
@@ -376,5 +353,4 @@ FACTORIES = (
     _make141,
     _make142,
     _make143,
-    _make144,
 )

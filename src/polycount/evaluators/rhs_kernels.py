@@ -8,7 +8,7 @@ from ..symbolic import _NAMESPACE
 globals().update(_NAMESPACE)
 
 
-def _make145(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18):
+def _make144(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18):
     def term(env):
         try:
             n1 = env['s']
@@ -54,7 +54,7 @@ def _make145(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
     return term
 
 
-def _make146(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26):
+def _make145(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26):
     def term(env):
         try:
             n1 = env['t']
@@ -105,7 +105,7 @@ def _make146(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
     return term
 
 
-def _make147(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16):
+def _make146(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16):
     def term(env):
         try:
             n1 = env['s']
@@ -143,7 +143,7 @@ def _make147(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
     return term
 
 
-def _make148(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19):
+def _make147(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19):
     def term(env):
         try:
             n1 = env['i']
@@ -189,7 +189,7 @@ def _make148(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
     return term
 
 
-def _make149(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28, k29):
+def _make148(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17, k18, k19, k20, k21, k22, k23, k24, k25, k26, k27, k28, k29):
     def term(env):
         try:
             n1 = env['t']
@@ -240,7 +240,7 @@ def _make149(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
     return term
 
 
-def _make150(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17):
+def _make149(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17):
     def term(env):
         try:
             n1 = env['i']
@@ -279,10 +279,10 @@ def _make150(general, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13
 
 
 FACTORIES = (
+    _make144,
     _make145,
     _make146,
     _make147,
     _make148,
     _make149,
-    _make150,
 )

@@ -2,12 +2,16 @@
 antidifferences used by the cancellation proofs.
 
 Each entry is a named check over a grid of integer (or rational)
-assignments, evaluated in exact arithmetic.  A proof object is built once, and
-every check that states it, sums its summand or substitutes into it
-(``symbolic.substitute``: a step in a variable, or its value at a constant)
-reads that one object.  A check's data picks its runner: a check with
-summation axes telescopes, any other is pointwise.  Its ``kind`` is only the
-label the reports print.
+assignments, evaluated in exact arithmetic.  Each identity is stated once up
+to renaming, each instance built by ``symbolic.substitute`` from the object
+that states it, and every check that states, sums or substitutes into a
+proof object reads that one object.  The stock lemmas, which share no node
+with another check, are appendix-c/alternating-shifted,
+appendix-d/rising-binomial-antidifference, double-gf/outer-assembly,
+double-gf/outer-sum-recurrence and gf/product-rule-antidifference
+(``tests/test_identities.py`` gives their reasons).  A check's data picks
+its runner: a check with summation axes telescopes, any other is pointwise.
+Its ``kind`` is only the label the reports print.
 
 * ``_run_pointwise``: ``lhs`` and ``rhs`` agree at every grid point.
 
@@ -320,13 +324,21 @@ def build_registry() -> dict[str, IdentityCheck]:
     checks: list[IdentityCheck] = []
     add = checks.append
 
+    def at(expr: Expr, **values) -> Expr:
+        """expr with each name replaced by its value, in turn: an instance of expr."""
+        for name, value in values.items():
+            expr = substitute(expr, name, value)
+        return expr
+
     # ---- binomial identities ------------------------------------------------
+    chu = Sum("j", Const(Fraction(0)), a, C(a, j) * C(b, c - j))
+    chu_closed = C(a + b, c)
     add(IdentityCheck(
         name="appendix-c/chu-vandermonde",
         kind="closed-form-sum",
         description="sum_j C(a,j) C(b,c-j) = C(a+b,c)",
-        lhs=Sum("j", Const(Fraction(0)), a, C(a, j) * C(b, c - j)),
-        rhs=C(a + b, c),
+        lhs=chu,
+        rhs=chu_closed,
         grid=lambda: [
             {"a": av, "b": bv, "c": cv}
             for av in range(0, 7) for bv in range(0, 7) for cv in range(0, av + bv + 1)
@@ -343,11 +355,12 @@ def build_registry() -> dict[str, IdentityCheck]:
             for nv in range(0, 7) for av in range(-2, 7) for cv in range(0, 7)
         ],
     ))
+    vanishing = Sum("jp", Const(Fraction(0)), j, SG(jp) * C(s - t + jp, jp) * C(s, j - jp))
     add(IdentityCheck(
         name="appendix-c/convolution-vanishing",
         kind="closed-form-sum",
         description="sum_{jp} (-1)^jp C(s-t+jp,jp) C(s,j-jp) = (-1)^j C(j-t,j)",
-        lhs=Sum("jp", Const(Fraction(0)), j, SG(jp) * C(s - t + jp, jp) * C(s, j - jp)),
+        lhs=vanishing,
         rhs=SG(j) * C(j - t, j),
         grid=lambda: [
             {"s": sv, "t": tv, "j": jv}
@@ -368,15 +381,17 @@ def build_registry() -> dict[str, IdentityCheck]:
             for sv in range(1, 6) for bv in range(-3, 4) for uv in range(0, sv + 3)
         ],
     ))
+    # the alternating partial sum of a binomial row, which the rhs column sums read
+    alternating, alternating_closed = SG(jp) * C(s, jp), SG(u) * C(s - 1, u)
     add(IdentityCheck(
         name="appendix-d/alternating-binomial-antidifference",
         kind="antidifference",
         description="(-1)^(jp+1) C(s-1,jp-1) is an antidifference of (-1)^jp C(s,jp)",
-        summand=SG(jp) * C(s, jp),
+        summand=alternating,
         axes=(
             ("jp", Const(Fraction(0)), u, "antidifference", SG(jp + 1) * C(s - 1, jp - 1), None),
         ),
-        inhom=SG(u) * C(s - 1, u),
+        inhom=alternating_closed,
         grid=lambda: [
             {"s": sv, "u": uv} for sv in range(1, 9) for uv in range(0, sv + 2)
         ],
@@ -506,14 +521,17 @@ def build_registry() -> dict[str, IdentityCheck]:
     ))
 
     # ---- upper square, strict lower triangle ---------------------------------
-    vertical = Sum("ip", Const(Fraction(0)), i, C(s, ip) * C(s, i - ip))
-    horizontal = Sum("jp", Const(Fraction(0)), i, C(s, jp) * C(s, j - jp))
+    # chu-vandermonde at a = b = s: its summand over ip at c = i, and over jp at c = j
+    vertical_body = at(chu.body, j=ip, a=s, b=s, c=i)
+    vertical = Sum("ip", Const(Fraction(0)), i, vertical_body)
+    vertical_closed = at(chu_closed, a=s, b=s, c=i)
+    horizontal = Sum("jp", Const(Fraction(0)), i, at(chu.body, j=jp, a=s, b=s, c=j))
     add(IdentityCheck(
         name="q1/vertical-convolution",
         kind="closed-form-sum",
         description="sum_{i'=0}^{i} C(s,i') C(s,i-i') = C(2s,i) for i <= s",
         lhs=vertical,
-        rhs=C(2 * s, i),
+        rhs=vertical_closed,
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 8) for iv in range(0, sv + 1)
         ],
@@ -544,22 +562,25 @@ def build_registry() -> dict[str, IdentityCheck]:
             for sv in range(1, 7) for iv in range(0, sv) for jv in range(iv + 1, sv + 1)
         ],
     ))
+    # the binomial of the h family's second term at (i, jp), which the rhs column sums read
+    second_binomial = C(s + jp - i - 1, s)
     add(IdentityCheck(
         name="q1/second-term-value",
         kind="closed-form-sum",
         description="sum_{jp=i+1}^{j} (-1)^(j-jp) C(s+jp-i-1,s) C(s,j-jp) = 1",
-        lhs=Sum("jp", i + 1, j, SG(j - jp) * C(s + jp - i - 1, s) * C(s, j - jp)),
+        lhs=Sum("jp", i + 1, j, SG(j - jp) * second_binomial * C(s, j - jp)),
         rhs=Const(Fraction(1)),
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 8) for iv in range(0, sv) for jv in range(iv + 1, sv + 1)
         ],
     ))
+    third_vanishing = substitute(vanishing, "t", t + 1)
     add(IdentityCheck(
         name="q1/third-term-vanishes",
         kind="closed-form-sum",
         description="sum_{jp=0}^{j} (-1)^jp C(s-t-1+jp,jp) C(s,j-jp) = 0 for 0 <= t < j",
-        lhs=Sum("jp", Const(Fraction(0)), j, SG(jp) * C(s - t - 1 + jp, jp) * C(s, j - jp)),
+        lhs=third_vanishing,
         rhs=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "t": tv, "j": jv}
@@ -572,8 +593,8 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="q3/horizontal-chu",
         kind="closed-form-sum",
         description="sum_{i'=j-s}^{s} C(s,i') C(s,i-i') = C(2s,i) when i >= j",
-        lhs=Sum("ip", j - s, s, C(s, ip) * C(s, i - ip)),
-        rhs=C(2 * s, i),
+        lhs=Sum("ip", j - s, s, vertical_body),
+        rhs=vertical_closed,
         grid=lambda: [
             {"s": sv, "i": iv, "j": jv}
             for sv in range(1, 7) for jv in range(sv, 2 * sv + 1) for iv in range(jv, 2 * sv + 1)
@@ -954,9 +975,10 @@ def build_registry() -> dict[str, IdentityCheck]:
     ))
 
     # ---- mixed quadrant (upper-right) ----------------------------------------
-    # the third term's inner t-sum, which the raw double sum and the column sums read
-    third_inner = Sum("t", Const(Fraction(0)), i,
-                      SG(t) / (2 * s - t) * C(i, t) * C(s - t - 1 + jp, jp))
+    # the third term's inner t-sum, which the raw double sum and the column sums
+    # read; its binomial C(s-t-1+jp, jp) is the one q1/third-term-vanishes convolves
+    third_binomial = third_vanishing.body.factors[0].factors[1]
+    third_inner = Sum("t", Const(Fraction(0)), i, SG(t) / (2 * s - t) * C(i, t) * third_binomial)
     add(IdentityCheck(
         name="q4/inner-sum-transform",
         kind="pointwise",
@@ -1092,7 +1114,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="q4/initial-value-third-vertical",
         kind="closed-form-sum",
         description="sum_jp (-1)^jp C(s-1+jp,jp) C(s,j-jp) = (-1)^s C(2s,j) C(j-1,s)",
-        lhs=Sum("jp", Const(Fraction(0)), s, SG(jp) * C(s - 1 + jp, jp) * C(s, j - jp)),
+        lhs=Sum("jp", Const(Fraction(0)), s, substitute(third_vanishing.body, "t", 0)),
         rhs=SG(s) * C(2 * s, j) * C(j - 1, s),
         grid=lambda: [
             {"s": sv, "j": jv} for sv in range(1, 8) for jv in range(sv, 2 * sv + 1)
@@ -1104,8 +1126,8 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="rhs/alternating-partial-sum",
         kind="closed-form-sum",
         description="sum_{jp=0}^{i} (-1)^jp C(s,jp) = (-1)^i C(s-1,i)",
-        lhs=Sum("jp", Const(Fraction(0)), i, SG(jp) * C(s, jp)),
-        rhs=SG(i) * C(s - 1, i),
+        lhs=Sum("jp", Const(Fraction(0)), i, alternating),
+        rhs=substitute(alternating_closed, "u", i),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv + 1)
         ],
@@ -1114,17 +1136,19 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="rhs/alternating-partial-sum-upper",
         kind="closed-form-sum",
         description="sum_{jp=i-s}^{s} (-1)^jp C(s,jp) = (-1)^(s+i) C(s-1,2s-i)",
-        lhs=Sum("jp", i - s, s, SG(jp) * C(s, jp)),
+        lhs=Sum("jp", i - s, s, alternating),
         rhs=SG(s + i) * C(s - 1, 2 * s - i),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(sv + 1, 2 * sv + 1)
         ],
     ))
+    # the power sums of a binomial row, one per t
+    stirling = Sum("i", Const(Fraction(0)), s, SG(i + s) * i ** (s + 1 - t) * C(s, i))
     add(IdentityCheck(
         name="rhs/stirling-t0",
         kind="closed-form-sum",
         description="sum_i (-1)^(i+s) i^(s+1) C(s,i) = s (s+1)!/2",
-        lhs=Sum("i", Const(Fraction(0)), s, SG(i + s) * i ** (s + 1) * C(s, i)),
+        lhs=substitute(stirling, "t", 0),
         rhs=s * fact_expr(s + 1) / 2,
         grid=lambda: [{"s": sv} for sv in range(1, 11)],
     ))
@@ -1132,7 +1156,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="rhs/stirling-t1",
         kind="closed-form-sum",
         description="sum_i (-1)^(i+s) i^s C(s,i) = s!",
-        lhs=Sum("i", Const(Fraction(0)), s, SG(i + s) * i**s * C(s, i)),
+        lhs=substitute(stirling, "t", 1),
         rhs=fact_expr(s),
         grid=lambda: [{"s": sv} for sv in range(1, 11)],
     ))
@@ -1140,7 +1164,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="rhs/stirling-higher",
         kind="closed-form-sum",
         description="sum_i (-1)^(i+s) i^(s+1-t) C(s,i) = 0 for t > 1",
-        lhs=Sum("i", Const(Fraction(0)), s, SG(i + s) * i ** (s + 1 - t) * C(s, i)),
+        lhs=stirling,
         rhs=Const(Fraction(0)),
         grid=lambda: [
             {"s": sv, "t": tv} for sv in range(2, 11) for tv in range(2, sv + 1)
@@ -1150,7 +1174,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         name="rhs/second-term-column",
         kind="closed-form-sum",
         description="sum_{jp=i+1}^{s} C(s+jp-i-1,s) = C(2s-i,s+1)",
-        lhs=Sum("jp", i + 1, s, C(s + jp - i - 1, s)),
+        lhs=Sum("jp", i + 1, s, second_binomial),
         rhs=C(2 * s - i, s + 1),
         grid=lambda: [
             {"s": sv, "i": iv} for sv in range(1, 9) for iv in range(0, sv)

@@ -21,7 +21,8 @@ cache serves it; only other shapes are compiled, once per process.
 zero or other undefined points raise PoleError so callers can skip or
 report them.  ``substitute`` replaces a free variable by an expression, the
 one rewrite of a tree: a step in a variable or its value at a constant.  It
-keeps the tree's constant objects, so ``mutants`` gives one evaluator per
+returns every subtree that does not hold the variable free, each constant
+included, as the same object, so ``mutants`` gives one evaluator per
 constant of a tree, with that constant plus one, bumped wherever a larger
 tree holds that constant, from the larger tree's own compiled code, to prove
 that the identity harness detects a wrong certificate.
@@ -185,26 +186,33 @@ def substitute(expr: Expr, name: str, value) -> Expr:
 
     ``substitute(e, v, Var(v) + 1)`` steps e in v, ``substitute(e, v, 0)``
     reads it at v = 0.  A ``Sum`` over name binds it: its bounds are
-    substituted and its body is not.  Every ``Const`` and every other
-    ``Var`` is returned as the same object, so a step of a tree holds that
-    tree's own constants; every other node is rebuilt field by field, in
-    ``__slots__`` order.  A variable of value that a ``Sum`` inside the tree
-    binds would be captured, so value must not mention one.
+    substituted and its body is not.  Every subtree that does not hold name
+    free, each ``Const`` and every other ``Var`` included, is returned as the
+    same object, so an instance of a tree shares that tree's own nodes and
+    constants; only the nodes above a replaced variable are rebuilt, field by
+    field, in ``__slots__`` order.  So the identity registry states each
+    identity once up to renaming, each instance built by ``substitute``
+    from the object that states it.  A variable of value that a ``Sum``
+    inside the tree binds would be captured, so value must not mention one.
     """
     cls = type(expr)
     if cls is Var:
         return wrap(value) if expr.name == name else expr
     if cls is Const:
         return expr
-    fields = []
+    fields, changed = [], False
     for slot in cls.__slots__:
         field = getattr(expr, slot)
         if type(field) is tuple:
-            field = tuple(substitute(part, name, value) for part in field)
+            new = tuple(substitute(part, name, value) for part in field)
+            changed = changed or any(a is not b for a, b in zip(new, field))
         elif isinstance(field, Expr) and not (slot == "body" and expr.index == name):
-            field = substitute(field, name, value)
-        fields.append(field)
-    return cls(*fields)
+            new = substitute(field, name, value)
+            changed = changed or new is not field
+        else:
+            new = field
+        fields.append(new)
+    return cls(*fields) if changed else expr
 
 
 def _as_int(x: Number, where: str) -> int:

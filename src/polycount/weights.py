@@ -136,10 +136,13 @@ def alpha_p1(s: int, i: int, j: int) -> int:
 
 
 def accumulate_rhs(grid: WeightGrid, model: RhsModel) -> Fraction:
-    """Sum of weight * c(n - i)**s over the vertical identities.
+    """Sum of weight * c(n - i)**s over the vertical identities, at the model's one point.
 
-    Equals lam**s C(2s, s) s! for every anchor n and intercept eta; the
-    horizontal total matches it by symmetry.
+    c(x) = lam * x + eta is read at the one anchor n and intercept eta that
+    model holds; the horizontal total matches it by symmetry.  The paper's
+    argument gives lam**s C(2s, s) s! (``rhs_closed_form``) for every anchor
+    and intercept, but ``verify weights`` compares the two only at the one
+    (lam, eta, anchor) it is given, so what is checked is that one point.
     """
     s = grid.s
     total = Fraction(0)

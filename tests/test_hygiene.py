@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -11,6 +12,12 @@ PACKAGE = ROOT / "src" / "polycount"
 #: every module of the package, the generated ones under evaluators/ too,
 #: by its path below the package
 MODULES = {path.relative_to(PACKAGE).as_posix(): path for path in sorted(PACKAGE.rglob("*.py"))}
+
+
+@cache
+def _tree(path: Path) -> ast.Module:
+    """The parsed source of path, parsed once per session; no test may change it."""
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def _names(node: ast.AST) -> Counter:
@@ -22,8 +29,7 @@ def _names(node: ast.AST) -> Counter:
 def test_every_private_helper_is_referenced():
     # a private module-level function or class that nothing in the package
     # names, apart from its own body, is dead code
-    trees = {module: ast.parse(path.read_text(encoding="utf-8"))
-             for module, path in MODULES.items()}
+    trees = {module: _tree(path) for module, path in MODULES.items()}
     everywhere = sum((_names(tree) for tree in trees.values()), Counter())
     dead = [
         f"{module}:{node.name}"
@@ -70,7 +76,7 @@ def test_every_import_is_named():
     # a module-level import that its module never names (nor lists in __all__) is dead
     unused = []
     for module, path in MODULES.items():
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree = _tree(path)
         named = _names(tree).keys() | _exported(tree)
         unused += [
             f"{module}:{line}:{name}"
@@ -83,13 +89,13 @@ def test_every_import_is_named():
 def test_every_public_method_is_named():
     # a public method of a package class that no file of the package, the
     # tests or the benchmark names is dead API
-    named = sum((_names(ast.parse(path.read_text(encoding="utf-8")))
+    named = sum((_names(_tree(path))
                  for folder in (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
                  for path in sorted(folder.rglob("*.py"))), Counter())
     methods = [
         (module, cls.name, node.name)
         for module, path in MODULES.items()
-        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for cls in ast.walk(_tree(path))
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -112,13 +118,13 @@ def test_every_public_function_and_class_is_named():
     # a public module-level function or class of the package that nothing
     # names -- no file of the package outside its own body, of the tests or
     # of the benchmark -- is dead API
-    named = sum((_named_with_imports(ast.parse(path.read_text(encoding="utf-8")))
+    named = sum((_named_with_imports(_tree(path))
                  for folder in (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
                  for path in sorted(folder.rglob("*.py"))), Counter())
     public = [
         (module, node)
         for module, path in MODULES.items()
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in _tree(path).body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
     ]
@@ -133,7 +139,7 @@ def test_no_json_dump_is_indented():
     indented = [
         f"{module}:{node.lineno}"
         for module, path in MODULES.items()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for node in ast.walk(_tree(path))
         if isinstance(node, ast.Call)
         and isinstance(node.func, (ast.Attribute, ast.Name))
         and getattr(node.func, "attr", getattr(node.func, "id", None))
@@ -147,7 +153,7 @@ def test_cli_holds_no_whole_report():
     # the CLI writes each report as its parts are made; merging the parts, or
     # turning a whole report into one dict, would hold every record of the run
     # again.  The one to_dict it may name is a single check record's.
-    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    tree = _tree(MODULES["cli.py"])
     held = [
         f"cli.py:{node.lineno}:{ast.unparse(node)}"
         for node in ast.walk(tree)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import fnmatch
 import hashlib
+import itertools
 from fractions import Fraction
 
 from polycount.identities import (
@@ -19,9 +20,11 @@ from polycount.identities import (
     run_registry,
 )
 from polycount.symbolic import (
+    Add,
     Expr,
     PoleError,
     Sum,
+    Var,
     binom_expr as C,
     compile_term,
     eval_term,
@@ -30,7 +33,7 @@ from polycount.symbolic import (
     syms,
 )
 
-a, s, i, j, jp, t, k = syms("a s i j jp t k")
+a, s, i, j, ip, jp, t, k = syms("a s i j ip jp t k")
 
 
 def replace(chk: IdentityCheck, **changes) -> IdentityCheck:
@@ -220,21 +223,170 @@ def _roots(value):
             yield from _roots(part)
 
 
+def _trees(chk: IdentityCheck):
+    """Every expression a check holds, field by field."""
+    return _roots(tuple(getattr(chk, field) for field in IdentityCheck.__slots__))
+
+
 def test_no_sum_is_typed_twice():
     # equal sums are one object, so every check that states, steps or sums a
     # proof object reads the one its siblings prove
     first, copies = {}, []
     for name, chk in registry().items():
-        for root in _roots(tuple(getattr(chk, field) for field in IdentityCheck.__slots__)):
+        for root in _trees(chk):
             for node in _nodes(root):
                 if type(node) is Sum and first.setdefault(node, node) is not node:
                     copies.append(name)
     assert copies == []
 
 
+def _statement(chk: IdentityCheck) -> tuple[Expr, Expr | None]:
+    """The identity a check states, as its two sides.
+
+    A pointwise check states lhs = rhs.  A telescoping check states
+    sum_d b_d times the nested sums of F(p + d) over its axes, or the bare
+    nested sum where it has no coefficients, against inhom: None for a
+    recurrence that declares no value.
+    """
+    if not chk.axes:
+        return chk.lhs, chk.rhs
+    sums = []
+    for d, bd in enumerate(chk.coeffs or (None,)):
+        fd = substitute(chk.summand, chk.param, Var(chk.param) + d) if d else chk.summand
+        for index, lower, upper, *_ in reversed(chk.axes):
+            fd = Sum(index, lower, upper, fd)
+        sums.append(fd if bd is None else bd * fd)
+    return (sums[0] if len(sums) == 1 else Add(tuple(sums))), chk.inhom
+
+
+def _canonical(trees: tuple) -> tuple:
+    """The trees with each bound index named by its depth and each free name by its first appearance."""
+    free: dict[str, int] = {}
+
+    def walk(expr: Expr, bound: tuple[str, ...]):
+        cls = type(expr)
+        if cls is Var:
+            if expr.name in bound:
+                return "bound", len(bound) - 1 - bound[::-1].index(expr.name)
+            return "free", free.setdefault(expr.name, len(free))
+        if cls is Const:
+            return "const", expr.value
+        if cls is Sum:  # the bounds are read outside the sum's own index
+            return ("Sum", walk(expr.lower, bound), walk(expr.upper, bound),
+                    walk(expr.body, bound + (expr.index,)))
+        fields = (getattr(expr, slot) for slot in cls.__slots__)
+        return (cls.__name__, *(tuple(walk(part, bound) for part in field)
+                                if type(field) is tuple else walk(field, bound)
+                                for field in fields))
+
+    return tuple(None if tree is None else walk(tree, ()) for tree in trees)
+
+
+def _held(chk: IdentityCheck, keep) -> set[int]:
+    """The ids of the nodes of the check's trees that keep accepts."""
+    return {id(node) for root in _trees(chk) for node in _nodes(root) if keep(node)}
+
+
+def _compound(node: Expr) -> bool:
+    return type(node) not in (Var, Const)
+
+
+def test_each_identity_is_stated_once_up_to_renaming():
+    # two checks may state one identity, up to the names of its free
+    # variables and bound indices, only as instances of one object, so that
+    # they share a compound node; the same formula typed twice fails here
+    reg = registry()
+    stated: dict[tuple, list[str]] = {}
+    for name, chk in sorted(reg.items()):
+        stated.setdefault(_canonical(_statement(chk)), []).append(name)
+    alike = [names for names in stated.values() if len(names) > 1]
+    twice = [pair for names in alike for pair in itertools.combinations(names, 2)
+             if not _held(reg[pair[0]], _compound) & _held(reg[pair[1]], _compound)]
+    assert twice == [], f"one identity stated by two objects: {twice}"
+    # the one identity two checks state: the alternating antidifference's sum,
+    # which the weights reports read at u = i
+    assert alike == [["appendix-d/alternating-binomial-antidifference",
+                      "rhs/alternating-partial-sum"]]
+    # renaming is all the comparison forgives
+    assert _canonical((Sum("j", s, t, C(t, j)),)) == _canonical((Sum("k", i, a, C(a, k)),))
+    assert _canonical((Sum("j", s, t, C(t, j)),)) != _canonical((Sum("j", s, t, C(s, j)),))
+
+
+#: the checks that share no node but a Var with any other check, each with
+#: the reason it stands alone rather than being built from another's object
+STOCK_LEMMAS = {
+    "appendix-c/alternating-shifted":
+        "a lemma of the paper's Appendix C, checked as stated; no other check "
+        "is an instance of it",
+    "appendix-d/rising-binomial-antidifference":
+        "a lemma of the paper's Appendix D; rhs/second-term-column sums the same "
+        "hockey stick only after an index shift and C(n,k) = C(n,n-k), which "
+        "substitution cannot express",
+    "double-gf/outer-assembly":
+        "the bivariate route's outer t-sum in closed form, summed to t = 2s: its "
+        "summand, with C(2s,t), equals outer-sum-recurrence's 2s C(2s-1,t)/(2s-t) "
+        "below 2s and has no pole at 2s, so neither is an instance of the other",
+    "double-gf/outer-sum-recurrence":
+        "the s-recurrence of the bivariate generating-function route's outer "
+        "t-sum (hseq.h_from_double_gf); no other check states that sum",
+    "gf/product-rule-antidifference":
+        "the product rule behind the row generating-function route's third part "
+        "(hseq.h_from_gf); no other check states its summand",
+}
+
+
+def _groups(checks: dict[str, IdentityCheck]) -> list[list[str]]:
+    """The checks joined wherever two hold one node object that is not a Var."""
+    group = {name: {name} for name in checks}
+    owner: dict[int, str] = {}
+    for name, chk in checks.items():
+        for node in _held(chk, lambda node: type(node) is not Var):
+            other = owner.setdefault(node, name)
+            if group[other] is not group[name]:
+                merged = group[other] | group[name]
+                for member in merged:
+                    group[member] = merged
+    return sorted({id(members): sorted(members) for members in group.values()}.values())
+
+
+def test_every_unlinked_check_is_a_listed_stock_lemma():
+    # the proof chain is read off object identity: a check that shares no
+    # node with any other is either built from the object it is an instance
+    # of, or a stock lemma listed above with its reason
+    reg = registry()
+    groups = _groups(reg)
+    alone = [members[0] for members in groups if len(members) == 1]
+    assert alone == sorted(STOCK_LEMMAS), "link each new check, or list it as a stock lemma"
+    assert all(reason for reason in STOCK_LEMMAS.values())
+    assert sorted(map(len, groups)) == [1] * 5 + [2] * 5 + [3] * 5 + [4, 5, 12, 12]
+    # a check typed apart from every other shows up, however much it resembles one
+    chu = reg["appendix-c/chu-vandermonde"]
+    stray = replace(chu, name="stray", lhs=Sum("j", Const(Fraction(0)), a, C(a, j) * C(k, k - j)),
+                    rhs=C(a + k, k))
+    assert ["stray"] in _groups({**reg, "stray": stray})
+
+
+def test_no_certificate_shares_a_constant_with_another_tree():
+    # a mutant bumps a constant of g wherever the telescoped kernel holds that
+    # object, so a constant that g shared with a summand, a bound or a linked
+    # check's tree would be bumped there too
+    holders: dict[int, set[int]] = {}
+    for chk in registry().values():
+        for root in _trees(chk):
+            for node in _nodes(root):
+                if type(node) is Const:
+                    holders.setdefault(id(node), set()).add(id(root))
+    certificates = [axis[4] for chk in registry().values() for axis in chk.axes]
+    assert len(certificates) == 20
+    for g in certificates:
+        assert all(holders[id(node)] == {id(g)} for node in _nodes(g) if type(node) is Const), g
+
+
 #: each telescoping check -> the checks that state a sum of its summand: a
 #: closed form, a value or a step
 STATED_SUMS = {
+    "appendix-d/alternating-binomial-antidifference": ["rhs/alternating-partial-sum",
+                                                       "rhs/alternating-partial-sum-upper"],
     "double-gf/inner-coefficient-recurrence": ["double-gf/inner-coefficient-closed-form"],
     "q3/second-term-recurrence": ["q3/second-term-sum-interior", "q3/second-term-sum-boundary"],
     "q3/inner-sum-recurrence": ["q3/inner-sum-closed-form", "q3/inner-sum-with-correction"],
@@ -278,6 +430,11 @@ def test_a_closed_form_that_two_checks_state_is_one_object():
                  for root in (summand, term)]
     assert len(constants[0]) == len(constants[1]) == 8
     assert all(ours is theirs for ours, theirs in zip(*constants))
+    # the third term's inner t-sum holds the binomial that
+    # q1/third-term-vanishes convolves
+    binomial = reg["q1/third-term-vanishes"].lhs.body.factors[0].factors[1]
+    assert binomial == C(s - (t + 1) + jp, jp)
+    assert any(node is binomial for node in _nodes(reg["q4/inner-sum-transform"].lhs))
     # one i-step of beta3v is the closed form of the single sum its
     # multisum telescoping leaves
     assert reg["q4/step-inner-antidifference"].inhom is reg["q4/beta3v-step"].rhs
@@ -293,6 +450,43 @@ def test_each_check_substitutes_into_the_object_its_sibling_states():
             assert any(node is stated for node in nodes), name
 
 
+#: (check, the check that states an object, that object, values): the check
+#: reads an instance of the object, the values substituted for its names in
+#: turn, built from the object itself
+INSTANCES = [
+    ("q1/vertical-convolution", "appendix-c/chu-vandermonde", lambda chk: chk.lhs.body,
+     {"j": ip, "a": s, "b": s, "c": i}),
+    ("q1/vertical-convolution", "appendix-c/chu-vandermonde", lambda chk: chk.rhs,
+     {"a": s, "b": s, "c": i}),
+    ("q1/alpha-reduction", "appendix-c/chu-vandermonde", lambda chk: chk.lhs.body,
+     {"j": jp, "a": s, "b": s, "c": j}),
+    ("q1/third-term-vanishes", "appendix-c/convolution-vanishing", lambda chk: chk.lhs,
+     {"t": t + 1}),
+    ("q4/initial-value-third-vertical", "q1/third-term-vanishes", lambda chk: chk.lhs.body,
+     {"t": 0}),
+    ("rhs/alternating-partial-sum", "appendix-d/alternating-binomial-antidifference",
+     lambda chk: chk.inhom, {"u": i}),
+    ("rhs/stirling-t0", "rhs/stirling-higher", lambda chk: chk.lhs, {"t": 0}),
+    ("rhs/stirling-t1", "rhs/stirling-higher", lambda chk: chk.lhs, {"t": 1}),
+]
+
+
+def test_each_instance_is_built_from_the_object_it_instantiates():
+    # substitute keeps every constant object of the tree it reads, so an
+    # instance built from the object holds each of its constants, where a
+    # retyped copy would hold equal ones
+    reg = registry()
+    for name, stating, pick, values in INSTANCES:
+        stated = instance = pick(reg[stating])
+        for index, value in values.items():
+            instance = substitute(instance, index, value)
+        nodes = [node for root in (reg[name].lhs, reg[name].rhs) for node in _nodes(root)]
+        found = [node for node in nodes if node == instance]
+        assert found, name
+        held = {id(node) for node in _nodes(found[0])}
+        assert all(id(node) in held for node in _nodes(stated) if type(node) is Const), name
+
+
 def test_each_telescoped_summand_is_the_body_of_the_sums_it_proves():
     # one object, not an equal copy, so a typo cannot split a proof chain
     reg = registry()
@@ -302,6 +496,10 @@ def test_each_telescoped_summand_is_the_body_of_the_sums_it_proves():
             bodies = [node.body for root in (reg[other].lhs, reg[other].rhs)
                       for node in _nodes(root) if type(node) is Sum]
             assert any(body is summand for body in bodies), (name, other)
+    # the convolution that q1/vertical-convolution sums is the body of the
+    # one q3/horizontal-chu sums, to the same closed form
+    vertical, horizontal = reg["q1/vertical-convolution"], reg["q3/horizontal-chu"]
+    assert horizontal.lhs.body is vertical.lhs.body and horizontal.rhs is vertical.rhs
     # the top-row inner sum's second piece is what its antidifference telescopes
     assert reg["q3/top-row-inner-value"].rhs.terms[-1] \
         is reg["q3/top-row-second-piece-antidifference"].summand

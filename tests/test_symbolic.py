@@ -387,6 +387,74 @@ def test_substitute_keeps_each_constant_and_each_untouched_variable():
     assert substitute(i, "i", 3) == Const(Fraction(3))
 
 
+def _holds_free(expr: Expr, name: str) -> bool:
+    if type(expr) is Var:
+        return expr.name == name
+    for slot in type(expr).__slots__:
+        if slot == "body" and expr.index == name:
+            continue
+        value = getattr(expr, slot)
+        for part in value if type(value) is tuple else (value,):
+            if isinstance(part, Expr) and _holds_free(part, name):
+                return True
+    return False
+
+
+def _kept(expr: Expr, result: Expr, name: str) -> int:
+    """How many subtrees of expr free of name come back in result; asserts each is the same object.
+
+    result is substitute(expr, name, value), walked beside expr: a subtree
+    free of name is that very object in result, and a node above a replaced
+    variable is rebuilt in its own class.  The body of a Sum over name is
+    kept, since its name is the Sum's own.
+    """
+    if not _holds_free(expr, name):
+        assert result is expr, (expr, name)
+        return 1
+    if type(expr) is Var:  # replaced by the value
+        return 0
+    assert type(result) is type(expr) and result is not expr
+    kept = 0
+    for slot in type(expr).__slots__:
+        ours, theirs = getattr(expr, slot), getattr(result, slot)
+        if slot == "body" and expr.index == name:
+            assert theirs is ours
+            kept += 1
+        elif type(ours) is tuple:
+            assert len(theirs) == len(ours)
+            kept += sum(_kept(a, b, name) for a, b in zip(ours, theirs))
+        elif isinstance(ours, Expr):
+            kept += _kept(ours, theirs, name)
+        else:
+            assert theirs == ours
+    return kept
+
+
+def test_substitute_returns_every_subtree_free_of_the_name_as_itself():
+    # an instance of a tree shares every node of it that the substitution
+    # leaves alone, so the registry's instances hold the objects they read
+    from polycount import identities
+
+    rng = random.Random(20261023)
+    kept = 0
+    for _ in range(300):
+        expr = _random_expr(rng, 4, _NAMES)
+        name = rng.choice(_NAMES)
+        v = Var(name)
+        for value in (v + 1, rng.choice((0, Fraction(1, 2))), v * v - 1):
+            kept += _kept(expr, substitute(expr, name, value), name)
+    assert kept >= 1000, kept
+    trees = [tree for chk in identities.registry().values()
+             for tree in (chk.lhs, chk.rhs, chk.summand, chk.inhom) if tree is not None]
+    for tree in trees:
+        for name in ("i", "j", "jp", "s", "t"):
+            for value in (Var(name) + 1, 0):
+                _kept(tree, substitute(tree, name, value), name)
+    # a tree that does not hold the name free comes back whole
+    for whole in (s * (j + 1), C(s, j) * Sum("i", Const(Fraction(0)), s, i)):
+        assert substitute(whole, "i", 7) is whole
+
+
 def test_substitute_stops_at_a_sum_that_binds_the_variable():
     body = C(s, j) * i
     total = Sum("j", j, j + 2, body)
@@ -624,7 +692,7 @@ def test_a_registry_run_compiles_nothing_in_a_fresh_interpreter():
     assert before == "[]"
     assert reports == str(["polycount.evaluators", "polycount.evaluators.q3",
                            "polycount.evaluators.rhs"])
-    assert counts == "0 151"
+    assert counts == "0 150"
 
 
 def test_a_tree_outside_the_table_still_compiles(monkeypatch):
