@@ -11,22 +11,23 @@ stay cheap at small s.  The number of live profiles after each column is
 known in closed form, and the state cap bounds it before any sweep starts.
 The strip is symmetric left to right, so a sweep of width n runs only to
 column ceil(L/2) and joins the frontiers on either side of each cut; that
-one half sweep gives the whole strip row a(n, 1..L).  Away from the ends of
-a long strip every column makes the same moves on the same profiles, so the
-sweep records those moves once, from the profiles alone, as index lists and
-masks, and replays that plan on the counts of every such column.  When at
-least half of the k**n profiles are live after some column, as on a strip at
-full capacity, the sweep holds all of them in one list instead and moves
-them with slices and maps, whether its columns repeat or not.  count_tables
-groups many points into one sweep per distinct shorter side.
+one half sweep gives the whole strip row a(n, 1..L).  Every column after
+the first k - 1 leaves the overhang digits a profile may hold as it found
+them, and every cell of such a column, read with the cell's row turned to
+the lowest digit, holds profiles of one fixed list.  So the sweep records
+one cell per sweep, as index lists, from the profiles alone, and replays
+it n times per column on a list of counts; only the first k - 1 columns go
+through dicts.  When at least half of the k**n profiles are live after some
+column, as on a strip at full capacity, the sweep holds all of them in one
+list instead and moves them with slices and maps.  count_tables groups many
+points into one sweep per distinct shorter side.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from itertools import compress, repeat
-from operator import add, lshift, mul
+from itertools import chain, compress, islice, repeat
+from operator import add, and_, lshift, mul, ne, not_, or_, rshift, sub
 from typing import Collection, Iterable
 
 from .errors import ParameterError, ResourceLimitError
@@ -131,6 +132,18 @@ def _check_frontier(n: int, length: int, k: int, s_cap: int, state_cap: int) -> 
             )
 
 
+def _changing_columns(length: int, k: int) -> int:
+    """How many columns the half sweep to length makes before the first that keeps its digits.
+
+    Column c (0-based) leaves the overhang digits it found exactly when both
+    sides admit every digit 1..k-1, k - 1 <= c <= length - k, or neither
+    admits any, length < k.  The half sweep stops before column
+    ceil(length/2) <= length - k + 1 whenever the first of those middle
+    columns exists, so every column after the first k - 1 keeps its digits.
+    """
+    return min(k - 1, (length + 1) // 2) if length >= k else 0
+
+
 def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tuple[int, ...]]:
     """Half sweep of the width-n strip plus a join; rows[L] = (a_0, ..., a_{s_cap}) of n x L.
 
@@ -138,12 +151,9 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
     1..k-1 for a cell covered by a horizontal rod that runs d more columns,
     k for a cell below a vertical rod started higher up in the column being
     swept.  Cells are swept down each column, so rows above the current cell
-    already hold the column's outgoing digits; the profiles inside a column
-    stay close in number to the live frontier on either side of it (at most
-    4/3 of the larger, measured on strips up to 9 x 18 at s_cap <= 3 and,
-    up to 100 cells, at full capacity).  After column c the frontier F_c counts
-    the configurations of the first c columns whose horizontal rods may run
-    on past column c, by their overhang profile.
+    already hold the column's outgoing digits.  After column c the frontier
+    F_c counts the configurations of the first c columns whose horizontal
+    rods may run on past column c, by their overhang profile.
 
     The strip reads the same from either end, so F_c also counts the last c
     columns read backwards, and the sweep stops at ceil(L/2) columns for the
@@ -162,45 +172,31 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
     _slot_bits takes, and a join's products carry only into the masked
     slots above s_cap.
 
-    The live profiles after column c are fixed by the overhang digits a
-    profile may hold there (_overhangs, the rule the state cap counts by).
-    A column with the same digits before and after it maps its profiles
-    onto themselves, and every column with the same digits and the same
-    room to start a horizontal rod (its shape) makes the same moves.  When
-    at least three columns share that shape, the sweep records the moves of
-    the first from its profiles alone (_record) and replays that plan for
-    it and for the later ones (_replay): each cell becomes a few list, mask
-    and shift operations on the counts in a fixed order, with nothing
-    computed per profile.  The plan starts a rod wherever the profile's own
-    rods leave room below s_cap, which covers every rod the counts allow,
-    so it serves any counts.  Every other column is swept plainly, with what
-    each digit takes off and the marks of a rod started across or down
-    worked out once per row, not per profile.
-
-    A sweep whose live frontier fills at least half of the k**n profiles
-    after some column (a strip at full capacity, say) goes to _dense_sweep
-    instead, which holds every profile in one list and makes each cell a few
-    list operations, whether its columns repeat or not; so a plan is only
-    ever recorded for a sparse frontier.
+    The first columns, whose overhang digits change (_changing_columns), go
+    cell by cell through dicts of live profiles (_plain_cell).  Every later
+    column keeps its digits, so each of its cells holds, rotated to put the
+    cell's row lowest, the profiles of one fixed list: the sweep records that
+    cell once (_Template) and replays it n times per column on a list of
+    counts, with no dict and nothing computed per profile.  A sweep whose
+    live frontier fills at least half of the k**n profiles after some column
+    (a strip at full capacity, say) goes to _dense_sweep instead, which holds
+    every profile in one list.
     """
     length = max(lengths)
     if k**n <= 2 * max(_frontier_sizes(n, length, k, s_cap)):
         return _dense_sweep(n, lengths, k, s_cap)
-    half = (length + 1) // 2
-    shapes = [(_overhangs(c - 1, length, k), _overhangs(c, length, k), c + k <= length)
-              for c in range(half)]
-    repeating = next((shape for shape in shapes
-                      if shape[0] == shape[1] and shapes.count(shape) >= 3), None)
+    plain = _changing_columns(length, k)
     bits = _slot_bits(n, length, k, s_cap)
     slot = (1 << bits) - 1
     keep = (1 << bits * (s_cap + 1)) - 1  # drops slots above s_cap rods
     w = k.bit_length()
-    digit = (1 << w) - 1
     ones = sum(1 << w * r for r in range(n))  # the low bit of every row's digit
-    below = (1 << w * (k - 1)) - 1  # the k-1 rows a vertical rod covers below its start
-    covered = sum(k << w * i for i in range(k - 1))
 
-    def join(left: dict[int, int], right: dict[int, int]) -> tuple[int, ...]:
+    def unpack(total: int) -> tuple[int, ...]:
+        total &= keep
+        return tuple((total >> s * bits) & slot for s in range(s_cap + 1))
+
+    def dict_join(left: dict[int, int], right: dict[int, int]) -> int:
         total = 0
         for profile, packed in right.items():
             nonzero = profile
@@ -211,50 +207,204 @@ def _sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[int, tu
             other = left.get(mirror)
             if other:
                 total += (packed * other) >> bits * nonzero.bit_count()
-        total &= keep
-        return tuple((total >> s * bits) & slot for s in range(s_cap + 1))
+        return total
 
-    frontier: dict[int, int] = {0: 1}
+    frontier: dict[int, int] | list[int] = {0: 1}
+    template: _Template | None = None
     rows: dict[int, tuple[int, ...]] = {}
-    plan: _Plan | None = None
-    for c in range(1, half + 1):
+    for c in range(1, (length + 1) // 2 + 1):
         previous = frontier if 2 * c - 1 in lengths else None
-        shape = shapes[c - 1]
-        hstart = shape[2]
-        if plan is None and shape == repeating:
-            plan = _record(list(frontier), n, k, shape, s_cap)
-        if plan is not None and plan.shape == shape:
-            frontier = dict(zip(frontier, _replay(plan, list(frontier.values()), bits, s_cap)))
-        else:
+        if c <= plain:
+            hstart = c - 1 + k <= length
             for r in range(n):
-                shift = w * r
-                under = shift + w
-                step = [1 << shift] * k + [k << shift]  # by digit: what leaving the cell takes off
-                across = (k - 1) << shift if hstart else 0
-                down = covered << under if r + k <= n else 0
-                nxt: dict[int, int] = {}
-                get = nxt.get
-                for profile, packed in frontier.items():
-                    d = (profile >> shift) & digit
-                    if d:  # covered from the left or from above: nothing to place
-                        out = profile - step[d]
-                        nxt[out] = get(out, 0) + packed
-                        continue
-                    nxt[profile] = get(profile, 0) + packed  # monomer
-                    more = (packed << bits) & keep
-                    if not more:
-                        continue
-                    # a started rod makes a profile no other move reaches (_record)
-                    if across:
-                        nxt[profile | across] = more
-                    if down and not (profile >> under) & below:
-                        nxt[profile | down] = more
-                frontier = nxt
+                frontier = _plain_cell(frontier, r, n, k, hstart, bits, keep)
+            join = dict_join
+        else:
+            if template is None:  # the first column that keeps its digits
+                template = _Template(n, k, s_cap, _overhangs(c - 1, length, k), bits, keep)
+                frontier = list(map(frontier.get, template.profiles, repeat(0)))
+                previous = frontier if previous is not None else None
+            frontier = template.column(frontier)
+            join = template.join
         if previous is not None:
-            rows[2 * c - 1] = join(frontier, previous)
+            rows[2 * c - 1] = unpack(join(frontier, previous))
         if 2 * c in lengths:
-            rows[2 * c] = join(frontier, frontier)
+            rows[2 * c] = unpack(join(frontier, frontier))
     return rows
+
+
+def _plain_cell(frontier: dict[int, int], r: int, n: int, k: int, hstart: bool, bits: int,
+                keep: int) -> dict[int, int]:
+    """The live profiles and their counts after cell r of a column, from those before it.
+
+    A covered cell passes its profile on with its digit stepped down (d to
+    d - 1 for a horizontal rod, k to 0 for a vertical one); a free cell
+    passes it on as a monomer and starts a rod across, when the column
+    leaves room for one (hstart), and a rod down, when rows r+1..r+k-1 lie
+    in the column and are free.  A started rod makes a profile no other move
+    reaches, holding its source's counts one slot up.
+    """
+    w = k.bit_length()
+    shift = w * r
+    under = shift + w
+    digit = (1 << w) - 1
+    below = (1 << w * (k - 1)) - 1  # the k-1 rows a vertical rod covers below its start
+    step = [1 << shift] * k + [k << shift]  # by digit: what leaving the cell takes off
+    across = (k - 1) << shift if hstart else 0
+    down = sum(k << w * i for i in range(k - 1)) << under if r + k <= n else 0
+    nxt: dict[int, int] = {}
+    get = nxt.get
+    for profile, packed in frontier.items():
+        d = (profile >> shift) & digit
+        if d:  # covered from the left or from above: nothing to place
+            out = profile - step[d]
+            nxt[out] = get(out, 0) + packed
+            continue
+        nxt[profile] = get(profile, 0) + packed  # monomer
+        more = (packed << bits) & keep
+        if not more:
+            continue
+        if across:
+            nxt[profile | across] = more
+        if down and not (profile >> under) & below:
+            nxt[profile | down] = more
+    return nxt
+
+
+class _Template(Frozen):
+    """One cell of every column that keeps its overhang digits, recorded from its profiles alone.
+
+    A profile is read rotated, with the cell's row as its lowest digit, the
+    rows below it next and the rows already swept above them.  Where the
+    digits a column admits (digits, every 1..k-1 or none) are the same on
+    both sides, every cell of the column holds profiles of one list: at most
+    s_cap rods shown (one per digit 1..k-1, one for a vertical rod under
+    way), any digits from 0 and digits, and for a vertical rod under way a
+    run of j < k digits k from the lowest, whose k - j rows swept above it
+    are 0.  With every digit admitted, F(n, s_cap) of them reach the edge of
+    the column and (k - 1) F(n - k, s_cap - 1) have a rod under way, where
+    F(m, t) counts the words of at most t digits on m rows.  A word on n - k
+    rows extends to 1 + k(k - 1) >= 3(k - 1) words on n rows, with one digit
+    or none in the other k, so the list holds at most 4/3 of the live
+    frontier.
+
+    A cell moves each profile's counts to the profile it leaves, the rows
+    rotated by one: unshifted (a covered cell, or a monomer) and, from a
+    free cell while its profile shows fewer than s_cap rods, one slot up to
+    a rod started across or down.  The list is ordered by the cell's
+    targets: the unshifted ones, those with the most sources first, then
+    the rods started across (top digit k - 1), then those started down (a
+    run of k - 1 digits k).  Those blocks are disjoint and every profile of
+    the list is a target, so the order out of a cell is the order into the
+    next, and the cell replays n times per column.  A count never sits in a
+    slot below the rods its profile shows, so a cell starts every rod the
+    counts allow and serves any counts.  In the bottom k - 1 rows no rod
+    fits down, so that block is filled with zeros; a column that admits no
+    digit leaves no room across, and its list has no such block.
+
+    At a column's edge the list is rotated by n, so it reads as the profiles
+    themselves, and a run of digits k holds 0.  The joins read each
+    profile's mirror position and the slots its product drops from
+    precomputed lists, as _dense_sweep does.
+    """
+
+    __slots__ = ("n", "k", "bits", "keep", "profiles", "first", "more", "starts", "across",
+                 "mirror", "drop")
+
+    def __init__(self, n: int, k: int, s_cap: int, digits: tuple[int, ...], bits: int,
+                 keep: int) -> None:
+        w = k.bit_length()
+        digit = (1 << w) - 1
+        top = w * (n - 1)  # the row just swept, after the rotation
+        below = (1 << w * (k - 1)) - 1  # the k - 1 rows under the cell, once rotated past it
+        covered = sum(k << w * i for i in range(k - 1))  # those rows under a rod started down
+        places = [[d << w * p for d in digits] for p in range(n)]
+
+        def words(lo: int, hi: int, rods: int) -> tuple[list[int], list[int]]:
+            """Every word of digits on rows lo..hi-1 with at most rods of them, and how many each has."""
+            # each layer is ordered by the row of its last digit, and its first bound[q]
+            # words have every digit before row lo + q
+            layer, bound = [0], [1] * (hi - lo + 1)
+            found, count = [0], [0]
+            for i in range(1, min(rods, hi - lo) + 1):
+                nxt, bound2 = [], [0]
+                for q in range(hi - lo):
+                    for v in places[lo + q]:
+                        nxt += map(v.__or__, layer[: bound[q]])
+                    bound2.append(len(nxt))
+                layer, bound = nxt, bound2
+                found += layer
+                count += repeat(i, len(layer))
+            return found, count
+
+        found, shown = words(0, n, s_cap)
+        if n >= k and s_cap:  # a vertical rod with j cells left, its k - j rows above it 0
+            for j in range(1, k):
+                run = sum(k << w * p for p in range(j))
+                tail, count = words(j, n - k + j, s_cap - 1)
+                found += map(run.__or__, tail)
+                shown += map((1).__add__, count)
+        low = list(map(digit.__and__, found))
+        rest = list(map(rshift, found, repeat(w)))
+        out = [0, *((d - 1) << top for d in range(1, k)), 0]  # by the cell's digit: its next one
+        # each unshifted target's sources: the last, then the last of the others, and so on
+        fan: list[dict[int, int]] = []
+        targets, sources = list(map(or_, rest, map(out.__getitem__, low))), range(len(found))
+        while targets:
+            fan.append(dict(zip(targets, sources)))
+            others = list(map(ne, map(fan[-1].__getitem__, targets), sources))
+            targets, sources = list(compress(targets, others)), list(compress(sources, others))
+        unshifted = list(dict.fromkeys(chain.from_iterable(reversed(fan))))  # most sources first
+        free = list(compress(range(len(found)),
+                             map(and_, map(not_, low), map(s_cap.__gt__, shown))))
+        across = free if digits else []
+        down = [a for a in free if not rest[a] & below] if n >= k else []
+        profiles = unshifted + [rest[a] | (k - 1) << top for a in across]
+        profiles += [rest[a] | covered for a in down]
+        del low, rest, shown  # the build's lists outweigh the cell it records: drop each once used
+        position = dict(zip(profiles, range(len(profiles))))
+        moved = list(map(position.__getitem__, found)).__getitem__
+        first, *more = [list(map(moved, map(pick.__getitem__, unshifted[: len(pick)])))
+                        for pick in fan]
+        del found, fan, unshifted
+        set_field(self, "n", n)
+        set_field(self, "k", k)
+        set_field(self, "bits", bits)
+        set_field(self, "keep", keep)
+        set_field(self, "profiles", profiles)
+        set_field(self, "first", first)
+        set_field(self, "more", more)
+        set_field(self, "starts", list(map(moved, across + down)))
+        set_field(self, "across", len(across))
+        nonzero = profiles  # the low bit of each nonzero digit, once masked
+        for b in range(1, w):
+            nonzero = list(map(or_, nonzero, map(rshift, profiles, repeat(b))))
+        nonzero = list(map((sum(1 << w * r for r in range(n))).__and__, nonzero))
+        # d -> k - d; a run holds 0 at the edge, and its digits k mirror to 0
+        set_field(self, "mirror", list(map(position.__getitem__,
+                                           map(sub, map(k.__mul__, nonzero), profiles))))
+        set_field(self, "drop", list(map(bits.__mul__, map(int.bit_count, nonzero))))
+
+    def cell(self, vals: list[int], r: int) -> list[int]:
+        """The counts after cell r of the column, from those before it, both in list order."""
+        get = vals.__getitem__
+        nxt = list(map(get, self.first))
+        for extra in self.more:  # the other sources of the first targets
+            nxt[: len(extra)] = map(add, nxt, map(get, extra))
+        starts = self.starts if r + self.k <= self.n else islice(self.starts, self.across)
+        nxt += map(lshift, map(get, starts), repeat(self.bits))
+        nxt += repeat(0, len(self.profiles) - len(nxt))  # no rod fits down in the bottom k - 1 rows
+        return nxt
+
+    def column(self, vals: list[int]) -> list[int]:
+        """The counts after a column, from those before it; slots past the cap carry upwards only."""
+        for r in range(self.n):
+            vals = self.cell(vals, r)
+        return list(map(self.keep.__and__, vals))
+
+    def join(self, left: list[int], right: list[int]) -> int:
+        """_sweep's join of two edge frontiers, packed and unmasked."""
+        return sum(map(rshift, map(mul, right, map(left.__getitem__, self.mirror)), self.drop))
 
 
 def _slot_bits(n: int, length: int, k: int, s_cap: int) -> int:
@@ -352,119 +502,6 @@ def _dense_sweep(n: int, lengths: Collection[int], k: int, s_cap: int) -> dict[i
         if 2 * c in lengths:
             rows[2 * c] = square(frontier)
     return rows
-
-
-#: One recorded cell: (first, extra_src, extra_dst, across, down); see _replay.
-_Cell = tuple[bytes, array, array, bytes, bytes]
-
-
-class _Plan(Frozen):
-    """A recorded column, for every column of the same shape."""
-
-    __slots__ = ("shape", "cells", "order")
-
-    def __init__(self, shape: tuple, cells: list[_Cell], order: array) -> None:
-        set_field(self, "shape", shape)
-        set_field(self, "cells", cells)
-        # the position after the last cell of each profile, in input order
-        set_field(self, "order", order)
-
-
-def _replay(plan: _Plan, vals: list[int], bits: int, s_cap: int) -> list[int]:
-    """The values after a column of the plan's shape, from the values before it.
-
-    vals and the result list the values in the order of the recorded
-    column's input.  In each cell, first, across and down are masks over
-    the cell's sources.  Its targets are, in order: the profiles that the
-    first-marked sources reach first, then one new profile per rod started
-    across and per rod started down, holding its source's counts shifted up
-    one slot.  Each extra_src is a source that reaches target extra_dst
-    after that target's first source; its value is added there.  Slots past
-    the cap carry only upwards, and are dropped after the last cell.
-    """
-    for first, extra_src, extra_dst, across, down in plan.cells:
-        nxt = list(compress(vals, first))
-        for a, b in zip(extra_src, extra_dst):
-            nxt[b] += vals[a]
-        nxt += map(lshift, compress(vals, across), repeat(bits))
-        nxt += map(lshift, compress(vals, down), repeat(bits))
-        vals = nxt
-    keep = (1 << bits * (s_cap + 1)) - 1
-    return list(map(keep.__and__, map(vals.__getitem__, plan.order)))
-
-
-def _mask(size: int, positions: Iterable[int], value: int = 1) -> bytes:
-    """size bytes, value at positions and the other value elsewhere."""
-    mask = bytearray([1 - value]) * size
-    for a in positions:
-        mask[a] = value
-    return bytes(mask)
-
-
-def _record(keys: list[int], n: int, k: int, shape: tuple, s_cap: int) -> _Plan:
-    """The plan of a column of this shape that starts from the profiles keys; it reads no counts.
-
-    Each cell makes the moves of the plain column's cell, but records them
-    by the positions of their sources.  Every profile has exactly one move
-    that keeps its counts.  A profile with a free cell also starts a rod
-    while the rods it shows (one per row with an overhang, plus a vertical
-    rod under way) number fewer than s_cap, and a started rod makes a
-    profile that no other move reaches.  A count never sits in a slot below
-    the rods its profile shows, so every rod the plain column starts (from
-    a nonzero slot below s_cap) is started here too, and a rod started here
-    from no such slot only adds to the slots past the cap.  The column's
-    digits are the same before and after it, so it maps keys onto
-    themselves.
-    """
-    hstart = shape[2]
-    w = k.bit_length()
-    digit = (1 << w) - 1
-    ones = sum(1 << w * r for r in range(n))
-    below = (1 << w * (k - 1)) - 1
-    covered = sum(k << w * i for i in range(k - 1))
-    start = keys
-    shown = []  # the rods each profile shows: at the column edge, its nonzero digits
-    for profile in keys:
-        nonzero = profile
-        for i in range(1, w):
-            nonzero |= profile >> i
-        shown.append((nonzero & ones).bit_count())
-    cells: list[_Cell] = []
-    for r in range(n):
-        shift = w * r
-        under = shift + w
-        vertical = r + k <= n
-        reached: dict[int, int] = {}  # target -> the source that reached it first
-        after: list[int] = []  # the rods each target shows, in the order of reached
-        extra_src: list[int] = []
-        extra_dst: list[int] = []
-        across: list[int] = []
-        down: list[int] = []
-        for a, profile in enumerate(keys):
-            d = (profile >> shift) & digit
-            b = reached.setdefault(profile - ((d if d == k else 1) << shift) if d else profile, a)
-            if b != a:
-                extra_src.append(a)
-                extra_dst.append(b)
-            else:  # a horizontal rod ends, or a vertical rod leaves its last row
-                after.append(shown[a] - (d == 1 or d == k and (profile >> under) & digit != k))
-            if d or shown[a] >= s_cap:
-                continue
-            if hstart:
-                across.append(a)
-            if vertical and not (profile >> under) & below:
-                down.append(a)
-        rank = dict(zip(reached.values(), range(len(reached)))).__getitem__
-        cells.append((_mask(len(keys), extra_src, 0), array("q", extra_src),
-                      array("q", map(rank, extra_dst)),
-                      _mask(len(keys), across), _mask(len(keys), down)))
-        del rank
-        reached.update(zip(map(((k - 1) << shift).__or__, map(keys.__getitem__, across)), across))
-        reached.update(zip(map((covered << under).__or__, map(keys.__getitem__, down)), down))
-        shown = after + [shown[a] + 1 for a in across + down]
-        keys = list(reached)
-    position = dict(zip(keys, range(len(keys))))
-    return _Plan(shape, cells, array("q", map(position.__getitem__, start)))
 
 
 def _check_state_cap(state_cap: int) -> None:

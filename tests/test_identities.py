@@ -6,10 +6,14 @@ import hashlib
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from polycount.identities import (
     Const,
     IdentityCheck,
     Kernels,
+    _X_SAMPLES,
+    _Z_SAMPLES,
     _kernels,
     _mutants,
     _telescoped,
@@ -347,6 +351,31 @@ def _groups(checks: dict[str, IdentityCheck]) -> list[list[str]]:
                 for member in merged:
                     group[member] = merged
     return sorted({id(members): sorted(members) for members in group.values()}.values())
+
+
+def test_the_two_forms_of_the_double_gf_outer_summand_agree_below_2s():
+    # two stock lemmas type one summand apart: outer-assembly's C(2s,t) (1-x)^(t-s)
+    # and outer-sum-recurrence's 2s C(2s-1,t) / ((2s-t) (1-x)^(s-t)); on the
+    # registry's own trees they agree wherever both are defined, and only the
+    # assembly reaches t = 2s, where the other form has its pole
+    reg = registry()
+    assembly = reg["double-gf/outer-assembly"].lhs
+    recurrence = reg["double-gf/outer-sum-recurrence"]
+    assert (assembly.index, recurrence.axes[0][0]) == ("t", "t")
+    summed, stepped = compile_term(assembly.body), compile_term(recurrence.summand)
+    points = 0
+    for sv in range(1, 6):
+        for zv in _Z_SAMPLES:
+            for xv in _X_SAMPLES:
+                for tv in range(2 * sv):
+                    env = {"s": sv, "t": tv, "z": zv, "x": xv}
+                    assert summed(env) == stepped(env), env
+                    points += 1
+                env = {"s": sv, "t": 2 * sv, "z": zv, "x": xv}
+                assert summed(env) != 0
+                with pytest.raises(PoleError):
+                    stepped(env)
+    assert points == 270
 
 
 def test_every_unlinked_check_is_a_listed_stock_lemma():

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 
@@ -65,7 +66,8 @@ def test_transpose_symmetry():
 
 def test_transpose_symmetry_on_long_strips():
     # the n-wide sweep to L runs dense where its frontier is full and otherwise replays
-    # most of its columns; the L-wide one runs at most two columns
+    # one recorded cell over most of its columns; the L-wide one runs at most two
+    # columns, each of which changes its digits
     for n in range(1, 5):
         for length in range(n, 31):
             for k in (2, 3, 4):
@@ -370,79 +372,183 @@ def test_pinned_long_strip_rows():
     assert digest == "e8a755838febc3ab4a54797a35ad57e1302263adbbe09e5846ccfb1650b28769"
 
 
-def spy(monkeypatch, name, calls):
-    """Wrap lattice.<name>, appending (args, result) of every call to calls."""
-    original = getattr(lattice, name)
+def spy(monkeypatch, owner, name, calls):
+    """Wrap owner.<name>, appending (args, result) of every call to calls."""
+    original = getattr(owner, name)
 
     def wrapped(*args):
         result = original(*args)
         calls.append((args, result))
         return result
 
-    monkeypatch.setattr(lattice, name, wrapped)
+    monkeypatch.setattr(owner, name, wrapped)
 
 
 def test_a_repeating_column_is_recorded_once_and_replayed(monkeypatch):
-    # 93 live profiles of 2**8, so the sweep keeps its dicts and replays
+    # 93 live profiles of 2**8, so the sweep keeps its dicts; its first column takes on
+    # digits it did not find, and the 19 after it keep theirs
     n, length, k, s_cap = 8, 40, 2, 3
     assert 2 * max(_frontier_sizes(n, length, k, s_cap)) < k**n
     shapes = [(_overhangs(c - 1, length, k), _overhangs(c, length, k)) for c in range(20)]
-    assert shapes[0] != shapes[1] and len(set(shapes[1:])) == 1  # 19 columns of one shape
-    records, replays = [], []
-    spy(monkeypatch, "_record", records)
-    spy(monkeypatch, "_replay", replays)
+    assert shapes[0][0] != shapes[0][1] and all(a == b for a, b in shapes[1:])
+    builds, cells, columns = [], [], []
+    spy(monkeypatch, lattice._Template, "__init__", builds)
+    spy(monkeypatch, lattice, "_plain_cell", cells)
+    spy(monkeypatch, lattice._Template, "column", columns)
     rows = _sweep(n, {length}, k, s_cap)
-    assert len(records) == 1  # column 2
-    plan = records[0][1]
-    assert len(replays) == 19  # columns 2..20, the recorded column included
-    assert all(args[0] is plan for args, _ in replays)
+    assert len(builds) == 1 and len(cells) == n  # column 1 goes cell by cell
+    assert len(columns) == 19  # columns 2..20, each n replays of the one recorded cell
+    assert all(args[0] is builds[0][0][0] for args, _ in columns)
     assert rows[length][:3] == (1, one_rod(n, length, k), two_rods(n, length, k))
     assert rows[length] == lattice._dense_sweep(n, {length}, k, s_cap)[length]
 
 
-def test_short_runs_of_a_shape_are_never_recorded(monkeypatch):
-    # an 8 x 8 sweep at k = 3 has one column after the first of its repeating shape
-    records = []
-    spy(monkeypatch, "_record", records)
-    _sweep(8, {8}, 3, 4)
-    assert records == []
-    _sweep(8, {10}, 3, 4)  # two after it
-    assert len(records) == 1
+def test_short_runs_of_a_shape_replay_the_template(monkeypatch):
+    # a column that keeps its digits replays the template however few follow it: at
+    # k = 3 the first two columns change their digits, and the half sweep of 8 x 5 makes
+    # one more
+    builds, columns = [], []
+    spy(monkeypatch, lattice._Template, "__init__", builds)
+    spy(monkeypatch, lattice._Template, "column", columns)
+    for length, kept in ((5, 1), (6, 1), (7, 2), (8, 2), (10, 3)):
+        assert 2 * max(_frontier_sizes(8, length, 3, 4)) < 3**8  # a dict sweep
+        builds.clear()
+        columns.clear()
+        _sweep(8, {length}, 3, 4)
+        assert len(builds) == 1 and len(columns) == kept, length
+    builds.clear()
+    _sweep(8, {4}, 3, 4)  # every column changes its digits
+    assert builds == []
 
 
 def test_a_column_that_changes_its_profiles_is_not_recorded(monkeypatch):
-    # a plan maps its column's profiles onto themselves, so only a column with the
-    # same overhang digits before and after it may be recorded
-    records = []
-    spy(monkeypatch, "_record", records)
+    # the template maps one list of profiles onto itself, so it serves only columns
+    # with the same overhang digits on both sides: all of them after the first k - 1
+    # (none on a strip shorter than 2k - 1, every one on a strip shorter than k)
+    for k in range(2, 8):
+        for length in range(1, 60):
+            half = (length + 1) // 2
+            kept = [_overhangs(c - 1, length, k) == _overhangs(c, length, k) for c in range(half)]
+            plain = lattice._changing_columns(length, k)
+            assert kept == [False] * plain + [True] * (half - plain), (k, length)
+            digits = {_overhangs(c, length, k) for c in range(plain, half)}
+            assert digits <= {(), tuple(range(1, k))}, (k, length)
+    calls = []
+    spy(monkeypatch, lattice, "_plain_cell", calls)
+    spy(monkeypatch, lattice._Template, "column", calls)
     for k, widths in ((2, (8, 9)), (3, (6, 7)), (4, (5, 6))):
+        digit = (1 << k.bit_length()) - 1
         for n in widths:
             assert 2 * max(_frontier_sizes(n, 30, k, 3)) < k**n  # a dict sweep
+            calls.clear()
             _sweep(n, range(1, 31), k, 3)
-    assert len(records) == 6
-    for (keys, *_, shape, _), plan in records:
-        assert shape[0] == shape[1]
-        # onto themselves exactly: the rod cap lets no extra profile through the column
-        first, _, _, across, down = plan.cells[-1]
-        assert sum(first) + sum(across) + sum(down) == len(keys)
-        assert sorted(plan.order) == list(range(len(keys)))
+            # k - 1 plain columns, cell by cell, then one template for the other 16 - k
+            assert [args[1] for args, _ in calls[: n * (k - 1)]] == list(range(n)) * (k - 1)
+            replays = calls[n * (k - 1):]
+            assert len(replays) == 16 - k
+            assert all(args[0] is replays[0][0][0] for args, _ in replays)
+            # onto themselves exactly: at a column's edge the list holds the live
+            # frontier, and profiles with a vertical rod under way, which hold 0 there
+            template, before = replays[0][0]
+            edge = [p for p in template.profiles if p & digit != k]
+            assert len(edge) == _frontier_sizes(n, 30, k, 3)[-1]
+            assert all(count == 0 for p, count in zip(template.profiles, before) if p & digit == k)
 
 
 def test_plain_columns_match_the_replaying_sweep(monkeypatch):
-    # with no plan every column runs plainly, which reads the counts themselves; no
+    # with every column plain, each cell reads the counts themselves through dicts; no
     # frontier counts as full, so both sides sweep dicts
     lengths = range(1, 41)
     monkeypatch.setattr(lattice, "_frontier_sizes", lambda *args: [0])
+    columns = []
+    spy(monkeypatch, lattice._Template, "column", columns)
     expected = {(n, k, s_cap): _sweep(n, lengths, k, s_cap)
                 for n in range(1, 7) for k in (2, 3, 4) for s_cap in range(6)}
-    monkeypatch.setattr(lattice, "_record", lambda *args: None)
+    assert len(columns) == sum(21 - k for n in range(1, 7) for k in (2, 3, 4) for s_cap in range(6))
+    monkeypatch.setattr(lattice, "_changing_columns", lambda length, k: (length + 1) // 2)
+    columns.clear()
     for (n, k, s_cap), rows in expected.items():
         assert _sweep(n, lengths, k, s_cap) == rows, (n, k, s_cap)
+    assert columns == []
+
+
+def rotated(profile, r, n, w):
+    """profile read from row r: rows r..n-1 as its lowest digits, then rows 0..r-1."""
+    return profile >> w * r | (profile & (1 << w * r) - 1) << w * (n - r)
+
+
+def shown(profile, n, k):
+    """The rods a rotated profile shows: one per digit 1..k-1, one for a lowest digit k."""
+    w = k.bit_length()
+    digits = [profile >> w * i & (1 << w) - 1 for i in range(n)]
+    return sum(0 < d < k for d in digits) + (digits[0] == k)
+
+
+def test_the_template_lists_the_profiles_of_every_middle_cell():
+    # at row r of a column that keeps its digits, the plain sweep's live profiles,
+    # rotated to put row r lowest, are the template's list wherever a rod down from r
+    # fits and the k - 1 rows above r are swept; every row holds only listed profiles
+    for k in (2, 3, 4):
+        w = k.bit_length()
+        length = 3 * k  # columns k - 1 .. ceil(length/2) - 1 keep every digit
+        for n in range(1, 11):
+            for s_cap in range(5):
+                bits = lattice._slot_bits(n, length, k, s_cap)
+                keep = (1 << bits * (s_cap + 1)) - 1
+                template = lattice._Template(n, k, s_cap, tuple(range(1, k)), bits, keep)
+                listed = set(template.profiles)
+                assert len(listed) == len(template.profiles)
+
+                def choices(rows, rods):
+                    return sum(comb(rows, i) * (k - 1) ** i for i in range(min(rows, rods) + 1))
+
+                runs = (k - 1) * choices(n - k, s_cap - 1) if n >= k and s_cap else 0
+                frontier = _frontier_sizes(n, length, k, s_cap)[-1]
+                assert len(listed) == frontier + runs and frontier == choices(n, s_cap)
+                assert 3 * len(listed) <= 4 * frontier  # the in-column bound
+                live = {0: 1}
+                for c in range(k - 1):
+                    for r in range(n):
+                        live = lattice._plain_cell(live, r, n, k, True, bits, keep)
+                held = set()
+                for r in range(n):
+                    cell = {rotated(p, r, n, w) for p in live}
+                    if k - 1 <= r <= n - k:
+                        assert cell == listed, (k, n, s_cap, r)
+                    held |= cell
+                    live = lattice._plain_cell(live, r, n, k, True, bits, keep)
+                assert held == listed, (k, n, s_cap)
+
+
+def test_a_template_cell_is_a_plain_cell():
+    # on random counts, none below the rods its profile shows, at every row: the
+    # bottom k - 1 rows start no rod down, and a column that admits no digit none across
+    rng = random.Random(32)
+    bits = 5
+    for k in (2, 3, 4):
+        w = k.bit_length()
+        for n in range(1, 9):
+            for s_cap in range(5):
+                keep = (1 << bits * (s_cap + 1)) - 1
+                for digits in ((), tuple(range(1, k))):
+                    template = lattice._Template(n, k, s_cap, digits, bits, keep)
+                    rods = [shown(p, n, k) for p in template.profiles]
+                    for r in range(n):
+                        counts = [sum(rng.randrange(3) << bits * j for j in range(low, s_cap + 1))
+                                  for low in rods]
+                        after = template.cell(counts, r)
+                        before = {rotated(p, n - r, n, w): v
+                                  for p, v in zip(template.profiles, counts) if v}
+                        plain = lattice._plain_cell(before, r, n, k, bool(digits), bits, keep)
+                        assert len(after) == len(counts)
+                        expected = {rotated(p, r + 1, n, w): v for p, v in plain.items()}
+                        assert {p: v & keep for p, v in zip(template.profiles, after) if v & keep} \
+                            == expected, (k, n, s_cap, digits, r)
 
 
 def test_dense_sweep_matches_the_dict_sweep(monkeypatch):
-    # every profile in one list against the live-profile dicts (plain, recorded and
-    # replayed columns), at full capacity and far below it, on odd and even lengths
+    # every profile in one list against the live-profile dicts (plain columns and the
+    # replayed template), at full capacity and far below it, on odd and even lengths
     lengths = range(1, 15)
     cases = [(n, k, s_cap) for n in range(1, 6) for k in (2, 3, 4)
              for s_cap in (0, 1, 2, 3, 6, LatticeSpec(n, 14, k).capacity)]
@@ -453,16 +559,18 @@ def test_dense_sweep_matches_the_dict_sweep(monkeypatch):
 
 
 def test_a_sweep_is_dense_exactly_when_its_frontier_fills_half_the_profiles(monkeypatch):
-    # whether its columns repeat or not: repetition only decides whether a dict sweep
-    # records a plan
-    calls, records = [], []
-    spy(monkeypatch, "_dense_sweep", calls)
-    spy(monkeypatch, "_record", records)
-    _sweep(3, {40}, 2, 3)  # every profile live, and its columns repeat
-    assert [args for args, _ in calls] == [(3, {40}, 2, 3)] and records == []
+    # whether its columns keep their digits or not: that only decides whether a dict
+    # sweep records a template
+    calls, builds = [], []
+    spy(monkeypatch, lattice, "_dense_sweep", calls)
+    spy(monkeypatch, lattice._Template, "__init__", builds)
+    _sweep(3, {40}, 2, 3)  # every profile live, and its columns keep their digits
+    assert [args for args, _ in calls] == [(3, {40}, 2, 3)] and builds == []
     calls.clear()
     count_tables(2, [(16, 16)], s_max=2)  # 137 live profiles of 2**16
-    assert calls == [] and len(records) == 1
+    assert calls == [] and len(builds) == 1
+    template = builds[0][0][0]
+    assert 137 < len(template.profiles) <= 4 * 137 // 3  # the live frontier and its rods down
     calls.clear()
     for k, top in ((2, 9), (3, 8)):  # the two full tables of the dense-table benchmark
         count_tables(k, [(n, m) for n in range(1, top + 1) for m in range(1, top + 1)])
@@ -471,16 +579,18 @@ def test_a_sweep_is_dense_exactly_when_its_frontier_fills_half_the_profiles(monk
     monkeypatch.setattr(lattice, "_dense_sweep", lambda *args: calls.append(args) or {})
     seen = set()
     for k in (2, 3, 4):
-        for length in (6, 16):  # columns that do not repeat, and columns that do
-            records.clear()
+        for length in (6, 16):  # at k = 4 every column of 6 changes its digits
+            builds.clear()
             _sweep(2, {length}, k, 0)  # one live profile of k**2: a dict sweep
-            repeats = bool(records)
+            repeats = bool(builds)
             for n in range(1, 9):
                 for s_cap in (*range(5), LatticeSpec(n, length, k).capacity):
                     full = k**n <= 2 * max(_frontier_sizes(n, length, k, s_cap))
                     calls.clear()
+                    builds.clear()
                     _sweep(n, {length}, k, s_cap)
                     assert calls == ([(n, {length}, k, s_cap)] if full else []), (n, length, k, s_cap)
+                    assert len(builds) == (not full and repeats)
                     seen.add((full, repeats))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
